@@ -16,8 +16,8 @@
 //   - FaultPlan decisions are interleaving-independent (FaultClock keyed
 //     on logical coordinates, park-at-cap identical to solve_shared).
 //
-// Termination reuses the paper's shared-memory protocol verbatim: agents
-// publish their committed values and staged residuals to two untraced
+// Termination is the shared runtime's runtime::Terminator: agents publish
+// their committed values and staged residuals to two untraced
 // SharedVector "boards" (control plane only — relaxations never read
 // them), take the racy 1-norm over the residual board in natural row
 // order, raise per-agent flags, and a verified stop recomputes a fresh

@@ -3,7 +3,6 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <deque>
 #include <optional>
@@ -16,6 +15,7 @@
 #include "ajac/mesh/topology.hpp"
 #include "ajac/obs/metrics.hpp"
 #include "ajac/runtime/shared_vector.hpp"
+#include "ajac/runtime/terminator.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/validate.hpp"
 #include "ajac/sparse/vector_ops.hpp"
@@ -291,25 +291,11 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   x_board.writer_role().assert_held();
   r_board.writer_role().assert_held();
   x_board.init(x0);
-  {
-    Vector r0(static_cast<std::size_t>(n));
-    a.residual(x0, b, r0);
-    r_board.init(r0);
-  }
-  const double r0_norm = [&] {
-    Vector tmp(static_cast<std::size_t>(n));
-    a.residual(x0, b, tmp);
-    const double nrm = vec::norm1(tmp);
-    return nrm > 0.0 ? nrm : 1.0;
-  }();
-
-  std::vector<std::atomic<int>> flags(static_cast<std::size_t>(na));
-  // racy-ok(init): single-threaded setup; std::thread creation publishes.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(static_cast<std::size_t>(na));
-  // racy-ok(init): single-threaded setup; std::thread creation publishes.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
+  Vector r0(static_cast<std::size_t>(n));
+  a.residual(x0, b, r0);
+  r_board.init(r0);
+  runtime::Terminator term(na, {vec::norm1(r0)}, opts.tolerance,
+                           opts.max_iterations);
 
   // One SPSC ring per directed edge, sized to the edge's boundary width.
   // deque, not vector: the ring is immovable (index atomics), and deque
@@ -463,55 +449,18 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
     };
 
-    // Verified stop, verbatim the shared runtime's: the flags rest on
-    // racy residual reads, so before latching `stop` either prove every
-    // agent hit the cap or recompute a fresh residual from the x board.
-    auto verify_and_maybe_stop = [&] {
-      bool all_at_max = true;
-      for (auto& c : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (c.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      bool tol_met = false;
-      if (!all_at_max && opts.tolerance > 0.0) {
-        double fresh = 0.0;
-        for (index_t i = 0; i < n; ++i) {
-          double acc = b[i];
-          const auto [cols, vals] = a.row(i);
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            acc -= vals[p] * x_board.read(cols[p]);
-          }
-          fresh += std::abs(acc);
-        }
-        tol_met = fresh / r0_norm <= opts.tolerance;
-      }
-      if (all_at_max || tol_met) {
-        // racy-ok(stop): 0 -> 1 broadcast; readers poll it and the
-        // results are read after the join.
-        stop.store(1, std::memory_order_relaxed);
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
+    const auto fresh = [&](index_t) {  // verification norm of the x board
+      return runtime::fresh_residual_1(
+          a, [&](index_t i) { return b[i]; },
+          [&](index_t j) { return x_board.read(j); });
     };
 
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Park-at-cap, identical policy to solve_shared: relaxing past
-        // the cap would make the executed (agent, iteration) set — and
-        // with it the fault log and relaxation totals — scheduler-
-        // dependent. Poll the flags and re-verify until stop is decided.
-        // (Unreachable in synchronous mode: lockstep flags all rise at
-        // the cap iteration and verify latches stop before re-entry.)
-        int parked_done = 0;
-        // racy-ok(flag): flags are hints; verify_and_maybe_stop re-checks.
-        for (auto& f : flags) parked_done += f.load(std::memory_order_relaxed);
-        if (parked_done == static_cast<int>(na)) verify_and_maybe_stop();
-        sched_yield();
+    while (!term.stopped()) {
+      if (term.at_cap(iter)) {
+        // Park-at-cap, the shared runtime's policy (see terminator.hpp).
+        // Unreachable in synchronous mode: lockstep flags all rise at the
+        // cap iteration and the poll latches stop before re-entry.
+        if (term.park(iter, fresh)) metrics.stop_decided();
         continue;
       }
       if constexpr (Metrics::enabled) metrics.iteration_begin();
@@ -590,33 +539,20 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
 
       ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[static_cast<std::size_t>(t)].store(
-          iter, std::memory_order_relaxed);
 
       // Step 3: convergence check — racy 1-norm of the whole residual
       // board in natural row order (bitwise solve_shared's scan).
       double norm = 0.0;
       for (index_t i = 0; i < n; ++i) norm += std::abs(r_board.read(i));
-      const double rel = norm / r0_norm;
+      const double rel = norm / term.r0_norm();
       if (opts.record_history) {
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
-      const bool my_done =
-          (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-          iter >= opts.max_iterations;
-      // racy-ok(flag): the paper's termination flags rest on racy
-      // residual reads by design; the verification gate re-checks.
-      flags[static_cast<std::size_t>(t)].store(my_done ? 1 : 0,
-                                               std::memory_order_relaxed);
+      const bool my_done = term.flag(t, iter, 0, rel);
       if constexpr (Metrics::enabled) metrics.flag_update(my_done);
 
       if constexpr (Sync) gate->arrive_and_wait();
-      int done_count = 0;
-      // racy-ok(flag): hint scan; a stale flag only defers verification.
-      for (auto& f : flags) done_count += f.load(std::memory_order_relaxed);
-      if (done_count == static_cast<int>(na)) verify_and_maybe_stop();
+      if (term.poll(iter, fresh)) metrics.stop_decided();
       if constexpr (Sync) {
         // Keep lockstep: every agent passes the same number of barriers
         // and sees the verified stop decision together.
@@ -624,10 +560,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
       if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, own_rows);
       if constexpr (!Sync) {
-        // racy-ok(stop): monotonic 0 -> 1, polled.
-        if (opts.yield && stop.load(std::memory_order_relaxed) == 0) {
-          sched_yield();
-        }
+        if (opts.yield && !term.stopped()) sched_yield();
       }
     }
 
@@ -653,30 +586,12 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
   result.x.resize(static_cast<std::size_t>(n));
   x_board.snapshot(result.x);
 
-  // Independent serial verification of the final residual.
-  Vector final_r(static_cast<std::size_t>(n));
-  a.residual(result.x, b, final_r);
-  result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-
-  // An agent descheduled mid-iteration may have committed a stale update
-  // after the verified stop; polish sequentially until the tolerance
-  // verifiably holds (bounded — the state is near the fixed point). Same
-  // cap formula as solve_shared so the two backends stay comparable.
-  if (opts.final_polish && opts.tolerance > 0.0 &&
-      result.final_rel_residual_1 > opts.tolerance) {
-    const index_t polish_cap = 20 * na + 200;
-    while (result.polish_sweeps < polish_cap &&
-           result.final_rel_residual_1 > opts.tolerance) {
-      for (index_t i = 0; i < n; ++i) {
-        result.x[i] += inv_diag[i] * final_r[i];
-      }
-      a.residual(result.x, b, final_r);
-      result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-      ++result.polish_sweeps;
-    }
-  }
-  result.converged =
-      opts.tolerance > 0.0 && result.final_rel_residual_1 <= opts.tolerance;
+  const runtime::PolishOutcome fin = runtime::verify_and_polish(
+      a, b, inv_diag, term.r0_norm(), opts.tolerance, opts.final_polish,
+      runtime::polish_budget(na), result.x);
+  result.final_rel_residual_1 = fin.rel_residual_1;
+  result.polish_sweeps = fin.sweeps;
+  result.converged = fin.converged;
 
   for (index_t t = 0; t < na; ++t) {
     result.total_relaxations +=

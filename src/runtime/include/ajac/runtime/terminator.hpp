@@ -1,0 +1,191 @@
+#pragma once
+// The termination protocol of solve_shared, solve_shared_batch (one column
+// per right-hand side; the scalar solvers are k = 1) and solve_mesh.
+//
+// The paper's flag array (Sec. V) rests on racy residual norms, so here
+// all flags up only triggers verification. A column latches its stop iff
+// every actor's iteration counter is at the cap, or a fresh residual norm
+// from the current shared iterate is <= tol; latches never revert, and
+// the global stop follows once every column has latched. Actors at the cap
+// park (poll without relaxing), so the executed (actor, iteration) set
+// never depends on scheduling. After the join, verify_and_polish decides
+// `converged` and cleans up a stale commit with bounded serial sweeps.
+// DESIGN.md §2e states the contract; tests/runtime/terminator_test.cpp
+// checks it.
+
+#include <sched.h>
+
+#include <atomic>
+#include <cmath>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "ajac/sparse/csr.hpp"
+#include "ajac/sparse/vector_ops.hpp"
+#include "ajac/util/aligned.hpp"
+
+namespace ajac::runtime {
+
+class Terminator {
+ public:
+  /// `r0_norms[c]` = ||b_c - A x0_c||_1 (0 is taken as 1). tolerance <= 0
+  /// disables the residual test: the solve then stops only at the cap.
+  Terminator(index_t actors, std::vector<double> r0_norms, double tolerance,
+             index_t max_iterations)
+      : columns_(static_cast<index_t>(r0_norms.size())),
+        tolerance_(tolerance),
+        cap_(max_iterations),
+        r0_norms_(std::move(r0_norms)),
+        flags_(static_cast<std::size_t>(actors * columns_)),
+        counters_(static_cast<std::size_t>(actors)),
+        latched_(r0_norms_.size()),
+        stop_iteration_(r0_norms_.size(), 0) {
+    for (double& v : r0_norms_) v = v > 0.0 ? v : 1.0;
+  }
+
+  [[nodiscard]] double r0_norm(index_t c = 0) const {
+    return r0_norms_[at(c)];
+  }
+  [[nodiscard]] bool at_cap(index_t iter) const { return iter >= cap_; }
+  [[nodiscard]] bool stopped() const {
+    // racy-ok(stop): 0 -> 1 latch; a stale read costs one extra pass.
+    return stop_.load(std::memory_order_relaxed) != 0;
+  }
+  [[nodiscard]] bool column_stopped(index_t c) const {
+    // racy-ok(monotonic): 0 -> 1 latch; seeing it late only defers work.
+    return latched_[at(c)].load(std::memory_order_relaxed) != 0;
+  }
+  /// The iteration passed to the poll that latched column c (after join).
+  [[nodiscard]] index_t stop_iteration(index_t c) const {
+    return stop_iteration_[at(c)];
+  }
+
+  /// `actor` has finished `iter` local iterations and measured the racy
+  /// relative residual `rel` of column c: publish the count and set the
+  /// flag, up iff rel <= tol or at the cap. Returns the flag.
+  bool flag(index_t actor, index_t iter, index_t c, double rel) {
+    // racy-ok(monotonic): the gate only needs an eventually-fresh bound.
+    counters_[at(actor)].v.store(iter, std::memory_order_relaxed);
+    const bool done = (tolerance_ > 0.0 && rel <= tolerance_) || at_cap(iter);
+    // racy-ok(flag): a hint from a racy norm; poll() verifies.
+    flags_[at(actor * columns_ + c)].v.store(done, std::memory_order_relaxed);
+    return done;
+  }
+
+  /// Verify and latch every unlatched column whose flags are all up, then
+  /// set the global stop once all are latched. `fresh(c)` must return
+  /// ||b_c - A x_c||_1 from the current shared iterate. True iff this call
+  /// set the global stop, so exactly one caller records the stop.
+  template <class FreshNorm>
+  bool poll(index_t iter, FreshNorm&& fresh) {
+    index_t latched = 0;
+    for (index_t c = 0; c < columns_; ++c) {
+      if (!column_stopped(c) && all_flags_up(c) && verified(c, fresh) &&
+          // racy-ok(monotonic): 0 -> 1; the exchange elects the writer of
+          // stop_iteration_, which is read after the join.
+          latched_[at(c)].exchange(1, std::memory_order_relaxed) == 0) {
+        stop_iteration_[at(c)] = iter;
+      }
+      latched += column_stopped(c) ? 1 : 0;
+    }
+    // racy-ok(stop): 0 -> 1; the exchange elects the one reporting caller.
+    return latched == columns_ && !stopped() &&
+           stop_.exchange(1, std::memory_order_relaxed) == 0;
+  }
+
+  /// One pass of an actor parked at the cap: poll, then yield the core.
+  template <class FreshNorm>
+  bool park(index_t iter, FreshNorm&& fresh) {
+    const bool decided = poll(iter, fresh);
+    sched_yield();
+    return decided;
+  }
+
+ private:
+  template <class T>
+  struct alignas(kCacheLineBytes) Padded {
+    std::atomic<T> v{};
+  };
+
+  static std::size_t at(index_t i) { return static_cast<std::size_t>(i); }
+
+  [[nodiscard]] bool all_flags_up(index_t c) const {
+    for (std::size_t s = at(c); s < flags_.size(); s += at(columns_)) {
+      // racy-ok(flag): hint scan; a stale flag only defers verification.
+      if (flags_[s].v.load(std::memory_order_relaxed) == 0) return false;
+    }
+    return true;
+  }
+
+  template <class FreshNorm>
+  [[nodiscard]] bool verified(index_t c, FreshNorm& fresh) const {
+    bool all_at_cap = true;
+    for (const auto& n : counters_) {
+      // racy-ok(monotonic): counters only grow; a stale read can only
+      // delay the stop, never cause a premature one.
+      all_at_cap = all_at_cap && n.v.load(std::memory_order_relaxed) >= cap_;
+    }
+    return all_at_cap ||
+           (tolerance_ > 0.0 && fresh(c) / r0_norm(c) <= tolerance_);
+  }
+
+  index_t columns_;
+  double tolerance_;
+  index_t cap_;
+  std::vector<double> r0_norms_;
+  std::vector<Padded<bool>> flags_;        ///< [actor * columns + column]
+  std::vector<Padded<index_t>> counters_;  ///< local iterations per actor
+  std::vector<std::atomic<int>> latched_;  ///< per-column stop latch
+  std::vector<index_t> stop_iteration_;
+  std::atomic<int> stop_{0};
+};
+
+/// ||b - A x||_1, rows ascending and entries in CSR order, reading b and
+/// the shared iterate through `b_at(i)` / `x_at(j)`: a verification norm.
+template <class B, class X>
+double fresh_residual_1(const CsrMatrix& a, B&& b_at, X&& x_at) {
+  double fresh = 0.0;
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    double acc = b_at(i);
+    const auto [cols, vals] = a.row(i);
+    for (std::size_t p = 0; p < cols.size(); ++p) {
+      acc -= vals[p] * x_at(cols[p]);
+    }
+    fresh += std::abs(acc);
+  }
+  return fresh;
+}
+
+/// Serial polish sweep budget of a solve run by `actors` threads or agents.
+constexpr index_t polish_budget(index_t actors) { return 20 * actors + 200; }
+
+struct PolishOutcome {
+  double rel_residual_1 = 0.0;  ///< ||b - A x||_1 / r0_norm after polish
+  index_t sweeps = 0;           ///< serial Jacobi sweeps applied to x
+  bool converged = false;       ///< tol > 0 and rel_residual_1 <= tol
+};
+
+/// Post-join epilogue (per column in batch): the serial relative residual
+/// of x, then, if `polish` and it misses `tol`, serial Jacobi sweeps on x
+/// until it holds or `cap` sweeps ran. An actor descheduled across the
+/// verified stop may have committed a stale update; x is near the fixed
+/// point, so a few sweeps repair it.
+inline PolishOutcome verify_and_polish(const CsrMatrix& a, const Vector& b,
+                                       const Vector& inv_diag, double r0_norm,
+                                       double tol, bool polish, index_t cap,
+                                       Vector& x) {
+  Vector r(x.size());
+  a.residual(x, b, r);
+  PolishOutcome out{vec::norm1(r) / r0_norm};
+  while (polish && tol > 0.0 && out.sweeps < cap && out.rel_residual_1 > tol) {
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] += inv_diag[i] * r[i];
+    a.residual(x, b, r);
+    out.rel_residual_1 = vec::norm1(r) / r0_norm;
+    ++out.sweeps;
+  }
+  out.converged = tol > 0.0 && out.rel_residual_1 <= tol;
+  return out;
+}
+
+}  // namespace ajac::runtime

@@ -2,11 +2,11 @@
 // one matrix traversal (see solve_shared_batch in shared_jacobi.hpp).
 //
 // Control flow replicates solve_shared_impl (shared_jacobi.cpp) with every
-// per-run scalar widened to k lanes and the convergence machinery made
-// per-column: per-(thread, column) flags, a per-column verified stop, and a
-// per-column freeze. The bitwise contract — column c of a synchronous (or
-// 1-thread asynchronous) batch equals the single-RHS solve of column c —
-// rests on three invariants held throughout this file:
+// per-run scalar widened to k lanes; termination is the same Terminator
+// with k columns (per-(thread, column) flags, a per-column verified stop),
+// and a stopped column freezes. The bitwise contract — column c of a
+// synchronous (or 1-thread asynchronous) batch equals the single-RHS solve
+// of column c — rests on three invariants held throughout this file:
 //
 //   1. Per lane, every arithmetic expression (residual accumulation in CSR
 //      entry order, `x + inv_diag * r`, the ascending-row residual-norm
@@ -25,7 +25,6 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -38,6 +37,7 @@
 #include "ajac/runtime/row_policy.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/runtime/shared_multi_vector.hpp"
+#include "ajac/runtime/terminator.hpp"
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/multi_vector.hpp"
@@ -81,28 +81,14 @@ SharedBatchResult solve_shared_batch_impl(
   r.init(r0);
   // Per-column r0 norm, bitwise the scalar path's (mv::colwise_norm1 sums
   // rows ascending, exactly vec::norm1 of the column).
-  Vector r0_norm(k_sz);
-  mv::colwise_norm1(r0, r0_norm);
-  for (double& v : r0_norm) v = v > 0.0 ? v : 1.0;
-
-  // flags[t * k + c]: thread t's stopping criterion for column c.
-  std::vector<std::atomic<int>> flags(
-      static_cast<std::size_t>(opts.num_threads) * k_sz);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<int>> col_stopped(k_sz);
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& s : col_stopped) s.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(
-      static_cast<std::size_t>(opts.num_threads));
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
+  Vector r0_norm1(k_sz);
+  mv::colwise_norm1(r0, r0_norm1);
+  Terminator term(opts.num_threads, std::move(r0_norm1), opts.tolerance,
+                  opts.max_iterations);
 
   SharedBatchResult result;
   result.iterations_per_thread.assign(
       static_cast<std::size_t>(opts.num_threads), 0);
-  result.stop_iteration.assign(k_sz, 0);
   result.relaxations_per_column.assign(k_sz, 0);
   std::vector<std::vector<index_t>> col_relax(
       static_cast<std::size_t>(opts.num_threads));
@@ -184,90 +170,16 @@ SharedBatchResult solve_shared_batch_impl(
       refresh_own_block_batch(*blk, x, own);
     }
 
-    // Per-column verification gate, mirroring verify_and_maybe_stop of the
-    // single-RHS path: flags rest on racy residual reads, so before a
-    // column actually stops, recompute a fresh residual of that column
-    // from the current shared x (or check the true iteration counters).
-    auto verify_column = [&](index_t c, index_t iter) {
-      bool all_at_max = true;
-      for (auto& cnt : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (cnt.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      bool tol_met = false;
-      if (!all_at_max && opts.tolerance > 0.0) {
-        double fresh = 0.0;
-        for (index_t i = 0; i < n; ++i) {
-          double row_acc = b(i, c);
-          const auto [cols, vals] = a.row(i);
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            row_acc -= vals[p] * x.read(cols[p], c);
-          }
-          fresh += std::abs(row_acc);
-        }
-        tol_met = fresh / r0_norm[static_cast<std::size_t>(c)] <=
-                  opts.tolerance;
-      }
-      if (all_at_max || tol_met) {
-        // racy-ok(monotonic): 0 -> 1 latch; the exchange only elects the
-        // single writer of stop_iteration (read after the join).
-        if (col_stopped[static_cast<std::size_t>(c)].exchange(
-                1, std::memory_order_relaxed) == 0) {
-          // Winner records where the column stopped; read after the join.
-          result.stop_iteration[static_cast<std::size_t>(c)] = iter;
-        }
-      }
-    };
-
-    // Per-column stop poll: verify any column whose every per-thread flag
-    // is up, then broadcast the global stop once all columns are stopped.
-    auto poll_column_stops = [&](index_t it) {
-      for (index_t c = 0; c < k; ++c) {
-        // racy-ok(monotonic): 0 -> 1 latch; stale reads only defer work.
-        if (col_stopped[static_cast<std::size_t>(c)].load(
-                std::memory_order_relaxed) != 0) {
-          continue;
-        }
-        int done_count = 0;
-        for (index_t tt = 0; tt < opts.num_threads; ++tt) {
-          // racy-ok(flag): flag hints; verify_column re-checks for real.
-          done_count += flags[static_cast<std::size_t>(tt) * k_sz +
-                              static_cast<std::size_t>(c)]
-                            .load(std::memory_order_relaxed);
-        }
-        if (done_count == static_cast<int>(opts.num_threads)) {
-          verify_column(c, it);
-        }
-      }
-      index_t stopped = 0;
-      for (auto& s : col_stopped) {
-        // racy-ok(monotonic): 0 -> 1 latch, polled.
-        stopped += s.load(std::memory_order_relaxed) != 0 ? 1 : 0;
-      }
-      // racy-ok(stop): 0 -> 1 broadcast; the exchange elects the single
-      // recorder of the stop event, results are read after the join.
-      if (stopped == k && stop.exchange(1, std::memory_order_relaxed) == 0) {
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
+    const auto fresh = [&](index_t c) {  // column c's verification norm
+      return fresh_residual_1(a, [&](index_t i) { return b(i, c); },
+                              [&](index_t j) { return x.read(j, c); });
     };
 
     index_t iter = 0;
     [[maybe_unused]] double last_own_rel = 0.0;
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Parked at the iteration cap (see shared_jacobi.cpp): relaxing
-        // past the cap would make the executed (thread, iteration) set —
-        // and with it the fault log — scheduler-timed. This thread's flags
-        // for every active column went up when iter reached the cap; keep
-        // polling the other threads' flags until every column stops.
-        poll_column_stops(iter);
-        sched_yield();
+    while (!term.stopped()) {
+      if (term.at_cap(iter)) {  // parked (see terminator.hpp)
+        if (term.park(iter, fresh)) metrics.stop_decided();
         continue;
       }
       if constexpr (Metrics::enabled) metrics.iteration_begin();
@@ -281,18 +193,16 @@ SharedBatchResult solve_shared_batch_impl(
       }
       if constexpr (Metrics::enabled) metrics.sync_faults(faults);
 
-      // Refresh the freeze mask. col_stopped only ever goes 0 -> 1, so a
+      // Refresh the freeze mask. Column latches only ever go 0 -> 1, so a
       // racy read is safe: once a thread observes a column stopped it stays
-      // stopped. In synchronous mode the stores happen before the previous
-      // iteration's closing barrier, so all threads flip the mask together
-      // — the alignment the bitwise contract needs.
+      // stopped (observing it late keeps the lane riding, republishing
+      // identical bits, one more pass). In synchronous mode the latches
+      // happen before the previous iteration's closing barrier, so all
+      // threads flip the mask together — the alignment the bitwise
+      // contract needs.
       index_t active_cols = 0;
       for (index_t c = 0; c < k; ++c) {
-        // racy-ok(monotonic): 0 -> 1 latch; observing the stop late keeps
-        // the lane riding (and republishing identical bits) one more pass.
-        const bool on =
-            col_stopped[static_cast<std::size_t>(c)].load(
-                std::memory_order_relaxed) == 0;
+        const bool on = !term.column_stopped(c);
         active[static_cast<std::size_t>(c)] = on ? 1.0 : 0.0;
         active_cols += on ? 1 : 0;
       }
@@ -458,10 +368,6 @@ SharedBatchResult solve_shared_batch_impl(
         }
       }
       ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[static_cast<std::size_t>(t)].store(
-          iter, std::memory_order_relaxed);
       for (index_t c = 0; c < k; ++c) {
         if (active[static_cast<std::size_t>(c)] != 0.0) {
           my_col_relax[static_cast<std::size_t>(c)] += rows;
@@ -515,8 +421,8 @@ SharedBatchResult solve_shared_batch_impl(
         // max over columns of (own-block column norm / column r0 norm).
         double worst = 0.0;
         for (index_t c = 0; c < k; ++c) {
-          worst = std::max(worst, own_norms[static_cast<std::size_t>(c)] /
-                                      r0_norm[static_cast<std::size_t>(c)]);
+          worst = std::max(
+              worst, own_norms[static_cast<std::size_t>(c)] / term.r0_norm(c));
         }
         last_own_rel = worst;
       }
@@ -524,18 +430,8 @@ SharedBatchResult solve_shared_batch_impl(
       bool my_all_done = true;
       for (index_t c = 0; c < k; ++c) {
         if (active[static_cast<std::size_t>(c)] == 0.0) continue;
-        const double rel =
-            norms[static_cast<std::size_t>(c)] /
-            r0_norm[static_cast<std::size_t>(c)];
-        const bool my_done =
-            (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-            iter >= opts.max_iterations;
-        // racy-ok(flag): the paper's termination flags rest on racy
-        // residual reads by design; verify_column re-checks before a
-        // column actually stops.
-        flags[static_cast<std::size_t>(t) * k_sz +
-              static_cast<std::size_t>(c)]
-            .store(my_done ? 1 : 0, std::memory_order_relaxed);
+        const bool my_done = term.flag(
+            t, iter, c, norms[static_cast<std::size_t>(c)] / term.r0_norm(c));
         my_all_done = my_all_done && my_done;
       }
       if constexpr (Metrics::enabled) {
@@ -545,7 +441,7 @@ SharedBatchResult solve_shared_batch_impl(
       if (opts.synchronous) {
 #pragma omp barrier
       }
-      poll_column_stops(iter);
+      if (term.poll(iter, fresh)) metrics.stop_decided();
       if (opts.synchronous) {
         // Keep lockstep: every thread must pass the same number of
         // barriers, and all see the verified stop decisions together.
@@ -560,10 +456,7 @@ SharedBatchResult solve_shared_batch_impl(
                                  : 0);
         }
       }
-      // racy-ok(stop): monotonic 0 -> 1, polled.
-      if (opts.yield && stop.load(std::memory_order_relaxed) == 0) {
-        sched_yield();
-      }
+      if (opts.yield && !term.stopped()) sched_yield();
     }
     if constexpr (Stream::enabled) {
       // Terminal beacon: the monitor always sees this thread's final state
@@ -590,36 +483,18 @@ SharedBatchResult solve_shared_batch_impl(
 
   // Per-column serial verification + polish, each column exactly the
   // single-RHS epilogue on its extracted column (invariant 1).
-  result.converged.assign(k_sz, false);
-  result.final_rel_residual_1.assign(k_sz, 0.0);
-  result.polish_sweeps.assign(k_sz, 0);
-  [[maybe_unused]] double polish_t0_us = 0.0;
-  if constexpr (Metrics::enabled) polish_t0_us = timer.seconds() * 1e6;
   index_t total_polish = 0;
   for (index_t c = 0; c < k; ++c) {
-    const auto cs = static_cast<std::size_t>(c);
     Vector xc = result.x.column(c);
-    const Vector bc = b.column(c);
-    Vector final_r(static_cast<std::size_t>(n));
-    a.residual(xc, bc, final_r);
-    double rel = vec::norm1(final_r) / r0_norm[cs];
-    if (opts.final_polish && opts.tolerance > 0.0 && rel > opts.tolerance) {
-      const index_t polish_cap = 20 * opts.num_threads + 200;
-      index_t sweeps = 0;
-      while (sweeps < polish_cap && rel > opts.tolerance) {
-        for (index_t i = 0; i < n; ++i) {
-          xc[static_cast<std::size_t>(i)] += inv_diag[i] * final_r[i];
-        }
-        a.residual(xc, bc, final_r);
-        rel = vec::norm1(final_r) / r0_norm[cs];
-        ++sweeps;
-      }
-      result.polish_sweeps[cs] = sweeps;
-      total_polish += sweeps;
-      result.x.set_column(c, xc);
-    }
-    result.final_rel_residual_1[cs] = rel;
-    result.converged[cs] = opts.tolerance > 0.0 && rel <= opts.tolerance;
+    const PolishOutcome fin = verify_and_polish(
+        a, b.column(c), inv_diag, term.r0_norm(c), opts.tolerance,
+        opts.final_polish, polish_budget(opts.num_threads), xc);
+    if (fin.sweeps > 0) result.x.set_column(c, xc);
+    result.final_rel_residual_1.push_back(fin.rel_residual_1);
+    result.polish_sweeps.push_back(fin.sweeps);
+    result.converged.push_back(fin.converged);
+    result.stop_iteration.push_back(term.stop_iteration(c));
+    total_polish += fin.sweeps;
   }
   if constexpr (Metrics::enabled) {
     obs::ActorSlot& slot0 = opts.metrics->actor(0);
@@ -628,7 +503,7 @@ SharedBatchResult solve_shared_batch_impl(
     if (total_polish > 0) {
       slot0.add(obs::Counter::kPolishSweeps,
                 static_cast<std::uint64_t>(total_polish));
-      slot0.span(obs::TraceKind::kPolish, polish_t0_us,
+      slot0.span(obs::TraceKind::kPolish, result.seconds * 1e6,
                  timer.seconds() * 1e6, total_polish);
     }
     slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);

@@ -4,7 +4,6 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -15,6 +14,7 @@
 #include "ajac/runtime/blocked_kernels.hpp"
 #include "ajac/runtime/sell_kernels.hpp"
 #include "ajac/runtime/shared_vector.hpp"
+#include "ajac/runtime/terminator.hpp"
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/sell_csr.hpp"
 #include "ajac/sparse/csr.hpp"
@@ -60,32 +60,16 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   x.writer_role().assert_held();
   r.writer_role().assert_held();
   x.init(x0);
-  {
-    Vector r0(static_cast<std::size_t>(n));
-    a.residual(x0, b, r0);
-    r.init(r0);
-  }
-  const double r0_norm = [&] {
-    Vector tmp(static_cast<std::size_t>(n));
-    a.residual(x0, b, tmp);
-    const double nrm = vec::norm1(tmp);
-    return nrm > 0.0 ? nrm : 1.0;
-  }();
+  Vector r0(static_cast<std::size_t>(n));
+  a.residual(x0, b, r0);
+  r.init(r0);
+  Terminator term(opts.num_threads, {vec::norm1(r0)}, opts.tolerance,
+                  opts.max_iterations);
   if constexpr (Stream::enabled) {
     // Telemetry denominator for the monitor's global residual estimate;
     // single-threaded setup, before any beacon of this run.
-    opts.stream->set_residual_scale(r0_norm);
+    opts.stream->set_residual_scale(term.r0_norm());
   }
-
-  std::vector<std::atomic<int>> flags(
-      static_cast<std::size_t>(opts.num_threads));
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
-  std::vector<std::atomic<index_t>> iter_counts(
-      static_cast<std::size_t>(opts.num_threads));
-  // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-  for (auto& c : iter_counts) c.store(0, std::memory_order_relaxed);
-  std::atomic<int> stop{0};
 
   SharedResult result;
   result.iterations_per_thread.assign(
@@ -180,61 +164,16 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
     }
 
-    // Verification gate: the flag array is based on racy reads of the
-    // shared residual, which can be arbitrarily stale when threads are
-    // oversubscribed on few cores. Before actually stopping, recompute a
-    // fresh global residual from the current shared x (or check the true
-    // iteration counters); only a verified check may raise `stop`.
-    auto verify_and_maybe_stop = [&]() {
-      bool all_at_max = true;
-      for (auto& c : iter_counts) {
-        // racy-ok(monotonic): counters only grow; a stale read can only
-        // delay the stop decision, never produce a premature one.
-        if (c.load(std::memory_order_relaxed) < opts.max_iterations) {
-          all_at_max = false;
-          break;
-        }
-      }
-      bool tol_met = false;
-      if (!all_at_max && opts.tolerance > 0.0) {
-        double fresh = 0.0;
-        for (index_t i = 0; i < n; ++i) {
-          double acc = b[i];
-          const auto [cols, vals] = a.row(i);
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            acc -= vals[p] * x.read(cols[p]);
-          }
-          fresh += std::abs(acc);
-        }
-        tol_met = fresh / r0_norm <= opts.tolerance;
-      }
-      if (all_at_max || tol_met) {
-        // racy-ok(stop): 0 -> 1 broadcast; readers poll it and there is no
-        // dependent data to publish (results are read after the join).
-        stop.store(1, std::memory_order_relaxed);
-        if constexpr (Metrics::enabled) metrics.stop_decided();
-      }
+    const auto fresh = [&](index_t) {  // verification norm of the shared x
+      return fresh_residual_1(a, [&](index_t i) { return b[i]; },
+                              [&](index_t j) { return x.read(j); });
     };
 
     index_t iter = 0;
     [[maybe_unused]] double last_own_norm = 0.0;
-    // racy-ok(stop): stop only transitions 0 -> 1; a stale read costs one
-    // extra polling pass, nothing more.
-    while (stop.load(std::memory_order_relaxed) == 0) {
-      if (iter >= opts.max_iterations) {
-        // Parked at the iteration cap. Relaxing further would make the
-        // executed (thread, iteration) set — and with it the fault log and
-        // relaxation totals — depend on how long the slower threads take
-        // to flag, i.e. on scheduler timing. This thread's own flag went
-        // up when iter reached the cap, so just keep polling the others
-        // and re-verifying until the stop is decided.
-        int parked_done = 0;
-        // racy-ok(flag): flags are hints; verify_and_maybe_stop re-checks.
-        for (auto& f : flags) parked_done += f.load(std::memory_order_relaxed);
-        if (parked_done == static_cast<int>(opts.num_threads)) {
-          verify_and_maybe_stop();
-        }
-        sched_yield();
+    while (!term.stopped()) {
+      if (term.at_cap(iter)) {  // parked (see terminator.hpp)
+        if (term.park(iter, fresh)) metrics.stop_decided();
         continue;
       }
       if constexpr (Metrics::enabled) metrics.iteration_begin();
@@ -490,10 +429,6 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         }
       }
       ++iter;
-      // racy-ok(monotonic): published for the verification gate; it only
-      // needs an eventually-fresh lower bound.
-      iter_counts[static_cast<std::size_t>(t)].store(
-          iter, std::memory_order_relaxed);
 
       // Step 3: convergence check — norm of the whole shared residual
       // (racy reads, the paper's scheme).
@@ -516,7 +451,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       } else {
         for (index_t i = 0; i < n; ++i) norm += std::abs(r.read(i));
       }
-      const double rel = norm / r0_norm;
+      const double rel = norm / term.r0_norm();
       if constexpr (Metrics::enabled) metrics.residual_check_end();
       if (opts.record_history) {
         // `rel` sums racy relaxed reads of r that interleave with other
@@ -525,24 +460,13 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         // (final_rel_residual_1) is the trustworthy value.
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
-      const bool my_done =
-          (opts.tolerance > 0.0 && rel <= opts.tolerance) ||
-          iter >= opts.max_iterations;
-      // racy-ok(flag): the paper's termination flags rest on racy residual
-      // reads by design; the verification gate re-checks before stopping.
-      flags[static_cast<std::size_t>(t)].store(my_done ? 1 : 0,
-                                               std::memory_order_relaxed);
+      const bool my_done = term.flag(t, iter, 0, rel);
       if constexpr (Metrics::enabled) metrics.flag_update(my_done, iter);
 
       if (opts.synchronous) {
 #pragma omp barrier
       }
-      int done_count = 0;
-      // racy-ok(flag): hint scan; a stale flag only defers verification.
-      for (auto& f : flags) done_count += f.load(std::memory_order_relaxed);
-      if (done_count == static_cast<int>(opts.num_threads)) {
-        verify_and_maybe_stop();
-      }
+      if (term.poll(iter, fresh)) metrics.stop_decided();
       if (opts.synchronous) {
         // Keep lockstep: every thread must pass the same number of
         // barriers, and all see the verified stop decision together.
@@ -557,11 +481,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
                                  : 0);
         }
       }
-      // racy-ok(stop): monotonic 0 -> 1, polled.
-      if (opts.yield &&
-          stop.load(std::memory_order_relaxed) == 0) {
-        sched_yield();
-      }
+      if (opts.yield && !term.stopped()) sched_yield();
     }
     if constexpr (Stream::enabled) {
       // Terminal beacon: the monitor always sees this thread's final state
@@ -586,47 +506,25 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   result.x.resize(static_cast<std::size_t>(n));
   x.snapshot(result.x);
 
-  // Independent serial verification of the final residual.
-  Vector final_r(static_cast<std::size_t>(n));
-  a.residual(result.x, b, final_r);
-  result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-
-  // A thread descheduled mid-iteration may have committed a stale update
-  // after the verified stop; polish sequentially until the tolerance
-  // verifiably holds (bounded — the state is near the fixed point).
-  if (opts.final_polish && opts.tolerance > 0.0 &&
-      result.final_rel_residual_1 > opts.tolerance) {
-    [[maybe_unused]] double polish_t0_us = 0.0;
-    if constexpr (Metrics::enabled) polish_t0_us = timer.seconds() * 1e6;
-    const index_t polish_cap = 20 * opts.num_threads + 200;
-    while (result.polish_sweeps < polish_cap &&
-           result.final_rel_residual_1 > opts.tolerance) {
-      for (index_t i = 0; i < n; ++i) {
-        result.x[i] += inv_diag[i] * final_r[i];
-      }
-      a.residual(result.x, b, final_r);
-      result.final_rel_residual_1 = vec::norm1(final_r) / r0_norm;
-      ++result.polish_sweeps;
-    }
-    if constexpr (Metrics::enabled) {
-      obs::ActorSlot& slot0 = opts.metrics->actor(0);
-      // Post-join epilogue: the workers are gone, this thread owns slot 0.
-      slot0.owner.assert_held();
-      slot0.add(obs::Counter::kPolishSweeps,
-                static_cast<std::uint64_t>(result.polish_sweeps));
-      slot0.span(obs::TraceKind::kPolish, polish_t0_us,
-                 timer.seconds() * 1e6, result.polish_sweeps);
-    }
-  }
+  const PolishOutcome fin = verify_and_polish(
+      a, b, inv_diag, term.r0_norm(), opts.tolerance, opts.final_polish,
+      polish_budget(opts.num_threads), result.x);
+  result.final_rel_residual_1 = fin.rel_residual_1;
+  result.polish_sweeps = fin.sweeps;
+  result.converged = fin.converged;
   if constexpr (Metrics::enabled) {
-    // The whole solve (parallel phase + serial verification + polish) as
-    // one span on actor 0's lane. Post-join: this thread owns the slot.
+    // Post-join epilogue: the workers are gone, this thread owns slot 0.
     obs::ActorSlot& slot0 = opts.metrics->actor(0);
     slot0.owner.assert_held();
+    if (fin.sweeps > 0) {
+      slot0.add(obs::Counter::kPolishSweeps,
+                static_cast<std::uint64_t>(fin.sweeps));
+      slot0.span(obs::TraceKind::kPolish, result.seconds * 1e6,
+                 timer.seconds() * 1e6, fin.sweeps);
+    }
+    // The whole solve (parallel phase + serial verification + polish).
     slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);
   }
-  result.converged =
-      opts.tolerance > 0.0 && result.final_rel_residual_1 <= opts.tolerance;
   for (index_t t = 0; t < opts.num_threads; ++t) {
     result.total_relaxations +=
         result.iterations_per_thread[static_cast<std::size_t>(t)] *

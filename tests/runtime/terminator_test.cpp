@@ -1,0 +1,263 @@
+// Terminator safety and liveness under scripted interleavings.
+//
+// Every test drives one Terminator from a single thread, playing the role
+// of several actors in an explicit order, against a fake fresh-norm
+// callback whose value the script controls. That makes each schedule exact
+// and repeatable: the properties below hold for *every* interleaving the
+// racy runtimes can produce, because a real run is just one such script
+// with stale flag reads mixed in (a stale read can only delay a poll, which
+// the scripts model by polling late or not at all).
+
+#include "ajac/runtime/terminator.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <vector>
+
+#include "ajac/gen/fd.hpp"
+#include "ajac/sparse/vector_ops.hpp"
+#include "test_helpers.hpp"
+
+namespace ajac::runtime {
+namespace {
+
+constexpr double kTol = 1e-3;
+constexpr index_t kCap = 8;
+
+/// Fresh-norm stand-in: returns the scripted absolute norm of each column
+/// and counts how often the verification gate asked for it.
+struct FakeFresh {
+  std::vector<double> norm;
+  int calls = 0;
+  double operator()(index_t c) {
+    ++calls;
+    return norm[static_cast<std::size_t>(c)];
+  }
+};
+
+TEST(Terminator, NoStopWhileFreshNormAboveTolerance) {
+  Terminator term(3, {2.0}, kTol, kCap);
+  FakeFresh fresh{{2.0 * kTol * 1.5}};
+  for (index_t t = 0; t < 3; ++t) EXPECT_TRUE(term.flag(t, 1, 0, 0.0));
+  for (int pass = 0; pass < 4; ++pass) {
+    EXPECT_FALSE(term.poll(1, fresh));
+    EXPECT_FALSE(term.column_stopped(0));
+    EXPECT_FALSE(term.stopped());
+  }
+  // Every flag was up on every pass, so every pass verified — and refused.
+  EXPECT_EQ(fresh.calls, 4);
+
+  // The same flags with a fresh norm at the tolerance do stop.
+  fresh.norm[0] = 2.0 * kTol;
+  EXPECT_TRUE(term.poll(2, fresh));
+  EXPECT_TRUE(term.stopped());
+  EXPECT_EQ(term.stop_iteration(0), 2);
+}
+
+TEST(Terminator, NoVerificationUntilEveryFlagIsUp) {
+  Terminator term(3, {1.0}, kTol, kCap);
+  FakeFresh fresh{{0.0}};
+  EXPECT_TRUE(term.flag(0, 1, 0, kTol));
+  EXPECT_TRUE(term.flag(1, 1, 0, 0.0));
+  EXPECT_FALSE(term.flag(2, 1, 0, 2.0 * kTol));
+  EXPECT_FALSE(term.poll(1, fresh));
+  EXPECT_EQ(fresh.calls, 0);
+  // A flag that went up can come down again: the lowered actor blocks.
+  EXPECT_TRUE(term.flag(2, 2, 0, 0.0));
+  EXPECT_FALSE(term.flag(0, 2, 0, 2.0 * kTol));
+  EXPECT_FALSE(term.poll(2, fresh));
+  EXPECT_EQ(fresh.calls, 0);
+  EXPECT_FALSE(term.stopped());
+}
+
+TEST(Terminator, StopImpliesVerifiedResidualOrEveryActorAtCap) {
+  // Random scripts over 4 actors and 2 columns: actors advance in random
+  // order with random racy norms, polls land at random points, and the
+  // fresh norms wander around the tolerance. Whenever a poll latches a
+  // column, the state it saw must justify it.
+  const std::uint64_t seed = ajac::testing::test_seed(/*salt=*/301);
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  constexpr index_t kActors = 4;
+  constexpr index_t kCols = 2;
+  const std::vector<double> r0 = {1.0, 4.0};
+  int stops = 0;
+  int cap_stops = 0;
+  for (int script = 0; script < 400; ++script) {
+    Terminator term(kActors, r0, kTol, kCap);
+    FakeFresh fresh{{0.0, 0.0}};
+    std::vector<index_t> iter(kActors, 0);
+    int reported = 0;
+    for (int event = 0; event < 200 && !term.stopped(); ++event) {
+      const auto t = static_cast<index_t>(rng() % kActors);
+      auto& it = iter[static_cast<std::size_t>(t)];
+      if (!term.at_cap(it)) {
+        ++it;
+        for (index_t c = 0; c < kCols; ++c) {
+          if (term.column_stopped(c)) continue;  // frozen, as in the batch
+          term.flag(t, it, c, unit(rng) < 0.7 ? 0.5 * kTol : 2.0 * kTol);
+        }
+      }
+      for (index_t c = 0; c < kCols; ++c) {
+        fresh.norm[static_cast<std::size_t>(c)] =
+            r0[static_cast<std::size_t>(c)] * kTol *
+            (unit(rng) < 0.2 ? 0.5 : 3.0);
+      }
+      std::vector<bool> before(kCols);
+      for (index_t c = 0; c < kCols; ++c) {
+        before[static_cast<std::size_t>(c)] = term.column_stopped(c);
+      }
+      reported += term.poll(it, fresh) ? 1 : 0;
+      bool all_at_cap = true;
+      for (const index_t i : iter) all_at_cap = all_at_cap && term.at_cap(i);
+      for (index_t c = 0; c < kCols; ++c) {
+        const auto cs = static_cast<std::size_t>(c);
+        if (before[cs] || !term.column_stopped(c)) continue;
+        EXPECT_TRUE(all_at_cap || fresh.norm[cs] / r0[cs] <= kTol)
+            << "column " << c << " latched without justification";
+        EXPECT_EQ(term.stop_iteration(c), it);
+        cap_stops += all_at_cap && fresh.norm[cs] / r0[cs] > kTol ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(reported, term.stopped() ? 1 : 0);
+    stops += term.stopped() ? 1 : 0;
+  }
+  // The scripts must actually exercise both stop paths.
+  EXPECT_GT(stops, 0);
+  EXPECT_GT(cap_stops, 0);
+}
+
+TEST(Terminator, ActorFlaggingOnlyAtTheCapStillEndsTheSolve) {
+  // Actor 0's racy norm never meets the tolerance, so its flag rises only
+  // when it reaches the cap; the fresh norm never verifies either.
+  Terminator term(3, {1.0}, kTol, kCap);
+  FakeFresh fresh{{1.0}};
+  for (index_t it = 1; it <= kCap; ++it) {
+    EXPECT_EQ(term.flag(0, it, 0, 1.0), it == kCap);
+    if (it < kCap) {
+      EXPECT_FALSE(term.poll(it, fresh));
+    }
+  }
+  // Actor 0 is parked; the others still have work, so parking polls
+  // verify and refuse until they too reach the cap.
+  for (index_t it = 1; it <= kCap; ++it) {
+    term.flag(1, it, 0, 0.0);
+    term.flag(2, it, 0, 0.0);
+    const bool decided = term.park(kCap, fresh);
+    EXPECT_EQ(decided, it == kCap) << "iteration " << it;
+  }
+  EXPECT_TRUE(term.stopped());
+
+  // Same schedule, but the fresh norm verifies as soon as actor 0's cap
+  // flag completes the set: the solve ends without the others at the cap.
+  Terminator early(3, {1.0}, kTol, kCap);
+  FakeFresh good{{0.0}};
+  for (index_t it = 1; it < kCap; ++it) early.flag(0, it, 0, 1.0);
+  early.flag(1, 3, 0, 0.0);
+  early.flag(2, 3, 0, 0.0);
+  EXPECT_FALSE(early.poll(3, good));
+  early.flag(0, kCap, 0, 1.0);
+  EXPECT_TRUE(early.park(kCap, good));
+  EXPECT_TRUE(early.stopped());
+}
+
+TEST(Terminator, ZeroToleranceStopsOnlyAtTheCap) {
+  Terminator term(2, {1.0}, 0.0, kCap);
+  FakeFresh fresh{{0.0}};
+  for (index_t it = 1; it < kCap; ++it) {
+    EXPECT_FALSE(term.flag(0, it, 0, 0.0));
+    EXPECT_FALSE(term.flag(1, it, 0, 0.0));
+    EXPECT_FALSE(term.poll(it, fresh));
+  }
+  term.flag(0, kCap, 0, 0.0);
+  term.flag(1, kCap, 0, 0.0);
+  EXPECT_TRUE(term.poll(kCap, fresh));
+  EXPECT_EQ(fresh.calls, 0);
+}
+
+TEST(Terminator, LatchedColumnNeverUnlatches) {
+  Terminator term(2, {1.0, 1.0}, kTol, kCap);
+  FakeFresh fresh{{0.0, 1.0}};
+  for (index_t t = 0; t < 2; ++t) {
+    term.flag(t, 1, 0, 0.0);
+    term.flag(t, 1, 1, 1.0);
+  }
+  EXPECT_FALSE(term.poll(1, fresh));
+  ASSERT_TRUE(term.column_stopped(0));
+  ASSERT_FALSE(term.column_stopped(1));
+  // Everything that could argue against column 0 now does: lowered flags,
+  // a fresh norm far above the tolerance, later polls.
+  fresh.norm[0] = 1e6;
+  for (index_t it = 2; it < kCap; ++it) {
+    for (index_t t = 0; t < 2; ++t) term.flag(t, it, 0, 1e6);
+    EXPECT_FALSE(term.poll(it, fresh));
+    EXPECT_TRUE(term.column_stopped(0));
+    EXPECT_EQ(term.stop_iteration(0), 1);
+  }
+}
+
+TEST(Terminator, GlobalStopOnlyOnceEveryColumnLatched) {
+  // Three columns with distinct r0 norms latch one at a time; the global
+  // stop waits for the last, and exactly one poll reports setting it.
+  const std::vector<double> r0 = {1.0, 10.0, 0.0};  // 0 is treated as 1
+  Terminator term(2, r0, kTol, kCap);
+  EXPECT_DOUBLE_EQ(term.r0_norm(2), 1.0);
+  FakeFresh fresh{{1.0, 10.0, 1.0}};
+  for (index_t t = 0; t < 2; ++t) {
+    for (index_t c = 0; c < 3; ++c) term.flag(t, 1, c, 0.0);
+  }
+  for (index_t c = 0; c < 3; ++c) {
+    EXPECT_FALSE(term.stopped());
+    fresh.norm[static_cast<std::size_t>(c)] = 0.5 * kTol * term.r0_norm(c);
+    const bool decided = term.poll(2 + c, fresh);
+    EXPECT_TRUE(term.column_stopped(c));
+    EXPECT_EQ(term.stop_iteration(c), 2 + c);
+    EXPECT_EQ(decided, c == 2);
+    EXPECT_EQ(term.stopped(), c == 2);
+  }
+  // Every actor that polls after the stop is told it was not the one.
+  EXPECT_FALSE(term.poll(9, fresh));
+  EXPECT_FALSE(term.park(9, fresh));
+}
+
+TEST(Terminator, VerifyAndPolishMeetsTheToleranceWithinTheBudget) {
+  const CsrMatrix a = gen::fd_laplacian_2d(8, 8);
+  const auto n = static_cast<std::size_t>(a.num_rows());
+  const Vector b(n, 1.0);
+  Vector inv_diag = a.diagonal();
+  for (double& d : inv_diag) d = 1.0 / d;
+  const double r0 = vec::norm1(b);  // x0 = 0
+
+  Vector x(n, 0.0);
+  const PolishOutcome off =
+      verify_and_polish(a, b, inv_diag, r0, 1e-2, false, 1000, x);
+  EXPECT_EQ(off.sweeps, 0);
+  EXPECT_DOUBLE_EQ(off.rel_residual_1, 1.0);
+  EXPECT_FALSE(off.converged);
+
+  const PolishOutcome capped =
+      verify_and_polish(a, b, inv_diag, r0, 1e-2, true, 3, x);
+  EXPECT_EQ(capped.sweeps, 3);
+  EXPECT_FALSE(capped.converged);
+
+  const PolishOutcome on =
+      verify_and_polish(a, b, inv_diag, r0, 1e-2, true, 1000, x);
+  EXPECT_GT(on.sweeps, 0);
+  EXPECT_LT(on.sweeps, 1000);
+  EXPECT_TRUE(on.converged);
+  Vector r(n);
+  a.residual(x, b, r);
+  EXPECT_EQ(on.rel_residual_1, vec::norm1(r) / r0);
+
+  // Already converged: verification only.
+  const PolishOutcome again =
+      verify_and_polish(a, b, inv_diag, r0, 1e-2, true, 1000, x);
+  EXPECT_EQ(again.sweeps, 0);
+  EXPECT_TRUE(again.converged);
+}
+
+}  // namespace
+}  // namespace ajac::runtime

@@ -104,7 +104,9 @@ def test_fixture_dir_is_skipped_in_walks() -> None:
 
 def test_seeded_regression() -> None:
     """Delete one racy-ok tag from a real file: the auditor must notice."""
-    victim = REPO_ROOT / "src" / "runtime" / "shared_jacobi.cpp"
+    victim = (REPO_ROOT / "src" / "runtime" / "include" / "ajac" / "runtime" /
+              "terminator.hpp")
+    scope = victim.relative_to(REPO_ROOT).as_posix()
     text = victim.read_text()
     tagged = [ln for ln in text.split("\n") if re.search(r"racy-ok\(", ln)]
     if not tagged:
@@ -116,10 +118,10 @@ def test_seeded_regression() -> None:
         fail("failed to strip the seeded racy-ok line")
         return
     with tempfile.TemporaryDirectory() as tmp:
-        mutant = Path(tmp) / "shared_jacobi_mutant.cpp"
+        mutant = Path(tmp) / "terminator_mutant.hpp"
         # Keep the original path scoping so path-scoped rules see the file
-        # as the runtime TU it is a copy of.
-        mutant.write_text("// audit-as: src/runtime/shared_jacobi.cpp\n" + mutated)
+        # as the runtime header it is a copy of.
+        mutant.write_text(f"// audit-as: {scope}\n" + mutated)
         rc, findings = audit_json(str(mutant))
         rules = {f["rule"] for f in findings}
         if rc != 1 or "racy-ok-tag" not in rules:
@@ -127,8 +129,8 @@ def test_seeded_regression() -> None:
 
         # Control: the unmutated copy must stay clean, proving the finding
         # above comes from the deletion, not from the copy mechanics.
-        control = Path(tmp) / "shared_jacobi_control.cpp"
-        control.write_text("// audit-as: src/runtime/shared_jacobi.cpp\n" + text)
+        control = Path(tmp) / "terminator_control.hpp"
+        control.write_text(f"// audit-as: {scope}\n" + text)
         rc, findings = audit_json(str(control))
         if rc != 0 or findings:
             fail(f"control copy not clean: {findings[:3]}")
