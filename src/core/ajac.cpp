@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "ajac/sparse/scaling.hpp"
 #include "ajac/sparse/vector_ops.hpp"
@@ -23,9 +24,9 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       opts.tolerance = config.tolerance;
       opts.max_iterations = config.max_iterations;
       WallTimer timer;
-      const solvers::SolveResult r = solvers::jacobi(a, b, x0, opts);
+      solvers::SolveResult r = solvers::jacobi(a, b, x0, opts);
       sol.seconds = timer.seconds();
-      sol.x = r.x;
+      sol.x = std::move(r.x);
       sol.converged = r.converged;
       sol.rel_residual_1 = r.final_rel_residual;
       sol.iterations = r.iterations;
@@ -37,9 +38,9 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       opts.tolerance = config.tolerance;
       opts.max_steps = config.max_iterations;
       WallTimer timer;
-      const model::ModelResult r = model::run_synchronous(a, b, x0, opts);
+      model::ModelResult r = model::run_synchronous(a, b, x0, opts);
       sol.seconds = timer.seconds();
-      sol.x = r.x;
+      sol.x = std::move(r.x);
       sol.converged = r.converged;
       sol.rel_residual_1 = r.final_rel_residual_1;
       sol.iterations = r.steps;
@@ -68,9 +69,9 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
         opts.partition =
             partition::nnz_balanced_partition(a, config.parallelism);
       }
-      const runtime::SharedResult r = runtime::solve_shared(a, b, x0, opts);
+      runtime::SharedResult r = runtime::solve_shared(a, b, x0, opts);
       sol.seconds = r.seconds;
-      sol.x = r.x;
+      sol.x = std::move(r.x);
       sol.converged = r.converged;
       sol.rel_residual_1 = r.final_rel_residual_1;
       index_t max_iter = 0;
@@ -94,9 +95,9 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       // algorithm (DESIGN.md §5g).
       opts.yield = static_cast<unsigned>(config.parallelism) >
                    std::thread::hardware_concurrency();
-      const mesh::MeshResult r = mesh::solve_mesh(a, b, x0, opts);
+      mesh::MeshResult r = mesh::solve_mesh(a, b, x0, opts);
       sol.seconds = r.seconds;
-      sol.x = r.x;
+      sol.x = std::move(r.x);
       sol.converged = r.converged;
       sol.rel_residual_1 = r.final_rel_residual_1;
       index_t max_iter = 0;
@@ -141,7 +142,7 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
         part = partition::contiguous_partition(a.num_rows(),
                                                config.parallelism);
       }
-      const distsim::DistResult r =
+      distsim::DistResult r =
           distsim::solve_distributed(*matrix, *rhs, *start, part, opts);
       sol.seconds = r.sim_seconds;
       sol.converged = r.reached_tolerance;
@@ -154,7 +155,7 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       sol.iterations = max_iter;
       sol.x = (config.partition_first && config.parallelism > 1)
                   ? sys.perm.apply_inverse(r.x)
-                  : r.x;
+                  : std::move(r.x);
       return sol;
     }
   }

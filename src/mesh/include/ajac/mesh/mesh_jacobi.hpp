@@ -17,13 +17,13 @@
 //     on logical coordinates, park-at-cap identical to solve_shared).
 //
 // Termination is the shared runtime's runtime::Terminator: agents publish
-// their committed values and staged residuals to two untraced
-// SharedVector "boards" (control plane only — relaxations never read
-// them), take the racy 1-norm over the residual board in natural row
-// order, raise per-agent flags, and a verified stop recomputes a fresh
-// residual from the x board before latching. Solution data still flows
-// agent-to-agent exclusively through the queues; the boards exist so the
-// mesh stops exactly when solve_shared would, which is what makes the
+// their committed values to an untraced SharedVector "board" (control
+// plane only — relaxations never read it) and the 1-norm of their staged
+// residuals as partial norms, raise per-agent flags on the summed
+// partials, and a verified stop recomputes a fresh residual from the x
+// board before latching. Solution data still flows agent-to-agent
+// exclusively through the queues; the board exists so the mesh stops
+// exactly when solve_shared would, which is what makes the
 // cross-validation contracts above exact. (A fully distributed
 // termination protocol is out of the paper's scope; see DESIGN.md §5g.)
 

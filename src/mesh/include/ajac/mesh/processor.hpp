@@ -52,8 +52,9 @@ concept IterativeProcessorFor =
 /// bitwise-equal to solve_shared.
 class JacobiProcessor {
  public:
-  JacobiProcessor(const CsrMatrix& a, const Vector& b, const Vector& inv_diag)
-      : a_(&a), b_(&b), inv_diag_(&inv_diag) {}
+  JacobiProcessor(const CsrMatrix& a, const Vector& b,
+                  std::span<const double> inv_diag)
+      : a_(&a), b_(&b), inv_diag_(inv_diag) {}
 
   template <class Reader>
   [[nodiscard]] double stage(index_t i, const Reader& read) const {
@@ -66,13 +67,13 @@ class JacobiProcessor {
   }
 
   [[nodiscard]] double apply(index_t i, double xi, double staged) const {
-    return xi + (*inv_diag_)[i] * staged;
+    return xi + inv_diag_[static_cast<std::size_t>(i)] * staged;
   }
 
  private:
   const CsrMatrix* a_;
   const Vector* b_;
-  const Vector* inv_diag_;
+  std::span<const double> inv_diag_;
 };
 
 }  // namespace ajac::mesh

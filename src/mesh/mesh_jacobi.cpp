@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <barrier>
+#include <cmath>
 #include <deque>
 #include <optional>
 #include <span>
@@ -19,6 +20,7 @@
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/validate.hpp"
 #include "ajac/sparse/vector_ops.hpp"
+#include "ajac/util/aligned.hpp"
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
 #include "ajac/util/timer.hpp"
@@ -271,30 +273,80 @@ class ActiveMeshMetrics {
   bool flag_up_ = false;
 };
 
+/// Run `fn(agent)` on one thread per agent and join them.
+template <class Fn>
+void for_each_agent(index_t na, Fn&& fn) {
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(na));
+  for (index_t t = 0; t < na; ++t) workers.emplace_back(fn, t);
+  for (auto& w : workers) w.join();
+}
+
+/// Which of each agent's rows it counts in its partial norm and fills in
+/// the prologue and epilogue: every owned row when the sets are disjoint
+/// (empty masks), else only the rows no lower-numbered agent owns, so each
+/// row is counted exactly once.
+std::vector<std::vector<char>> counted_rows(const MeshTopology& topo) {
+  std::vector<std::vector<char>> counted(topo.agents.size());
+  if (topo.disjoint) return counted;
+  std::vector<char> claimed(static_cast<std::size_t>(topo.num_rows), 0);
+  for (std::size_t t = 0; t < topo.agents.size(); ++t) {
+    for (const index_t i : topo.agents[t].rows) {
+      counted[t].push_back(claimed[static_cast<std::size_t>(i)] == 0 ? 1 : 0);
+      claimed[static_cast<std::size_t>(i)] = 1;
+    }
+  }
+  return counted;
+}
+
 template <bool Sync, class Faults, class Metrics>
 MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
                            const Vector& x0, const MeshOptions& opts,
-                           const MeshTopology& topo, const Vector& inv_diag,
+                           const MeshTopology& topo,
                            const fault::FaultPlan* plan) {
   const index_t n = a.num_rows();
   const index_t na = topo.num_agents();
 
-  // Control-plane boards (see mesh_jacobi.hpp): untraced SharedVectors
-  // holding every agent's committed x and staged residual, read only by
-  // the termination protocol — never by a relaxation. Untraced writes are
-  // single relaxed stores, so overlapping owners committing the same row
-  // are a benign last-write-wins race (and write identical values in
-  // synchronous mode).
+  // Control-plane board (see mesh_jacobi.hpp): an untraced SharedVector
+  // holding every agent's committed x, read only by the termination
+  // protocol — never by a relaxation. Untraced writes are single relaxed
+  // stores, so overlapping owners committing the same row are a benign
+  // last-write-wins race (and write identical values in synchronous mode).
   runtime::SharedVector x_board(n, /*traced=*/false);
-  runtime::SharedVector r_board(n, /*traced=*/false);
-  // Single-threaded setup: momentarily the sole writer of both boards.
-  x_board.writer_role().assert_held();
-  r_board.writer_role().assert_held();
-  x_board.init(x0);
-  Vector r0(static_cast<std::size_t>(n));
-  a.residual(x0, b, r0);
-  r_board.init(r0);
-  runtime::Terminator term(na, {vec::norm1(r0)}, opts.tolerance,
+  const std::vector<std::vector<char>> counted = counted_rows(topo);
+  auto counts = [&](index_t t, std::size_t k) {
+    const auto& mask = counted[static_cast<std::size_t>(t)];
+    return mask.empty() || mask[k] != 0;
+  };
+
+  // Agent-parallel prologue: each agent fills its counted rows of the x
+  // board (x0), of `resid` (b - A x0 row by row: CsrMatrix::residual's
+  // bits) and of inv_diag. r0's norm stays one serial row-order sum.
+  UninitVector<double> resid(static_cast<std::size_t>(n));
+  UninitVector<double> inv_diag(static_cast<std::size_t>(n));
+  std::vector<index_t> zero_row(static_cast<std::size_t>(na), -1);
+  for_each_agent(na, [&](index_t t) {
+    // The topology makes this agent the sole writer of its counted rows.
+    x_board.writer_role().assert_held();
+    const auto& rows = topo.agents[static_cast<std::size_t>(t)].rows;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      if (!counts(t, k)) continue;
+      const index_t i = rows[k];
+      x_board.init(i, x0[i]);
+      resid[static_cast<std::size_t>(i)] = runtime::row_residual(
+          a, i, b[i], [&](index_t j) { return x0[j]; });
+      const double diag = a.at(i, i);
+      inv_diag[static_cast<std::size_t>(i)] = 1.0 / diag;
+      index_t& first = zero_row[static_cast<std::size_t>(t)];
+      if (diag == 0.0 && first < 0) first = i;  // rows ascend
+    }
+  });
+  index_t bad = -1;
+  for (const index_t row : zero_row) {
+    if (row >= 0 && (bad < 0 || row < bad)) bad = row;
+  }
+  AJAC_CHECK_MSG(bad < 0, "zero diagonal at row " << bad);
+  runtime::Terminator term(na, {vec::norm1(resid)}, opts.tolerance,
                            opts.max_iterations);
 
   // One SPSC ring per directed edge, sized to the edge's boundary width.
@@ -352,11 +404,10 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     std::vector<double> packet_buf(max_width);
 
     // Claim the single-writer roles this agent's topology position grants
-    // it: its rows of both boards, the producer end of its outbound
+    // it: its rows of the x board, the producer end of its outbound
     // queues, the consumer end of its inbound queues. Claims, not locks —
     // ownership is established by the topology (see SoleWriterRole).
     x_board.writer_role().assert_held();
-    r_board.writer_role().assert_held();
     for (const index_t e : blk.out_edges) {
       queues[static_cast<std::size_t>(e)].producer.assert_held();
     }
@@ -487,8 +538,10 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
 
       // Step 1: stage every owned row from the local view (Jacobi
-      // discipline: all stages read the pre-commit state) and publish
-      // the staged residuals to the r board for the termination norm.
+      // discipline: all stages read the pre-commit state) and sum the
+      // counted staged residuals into this agent's partial norm
+      // (terminator.hpp), published before the first lockstep point.
+      double partial = 0.0;
       if (opts.record_trace) {
         for (index_t k = 0; k < own_rows; ++k) {
           const index_t i = blk.rows[static_cast<std::size_t>(k)];
@@ -503,7 +556,9 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
                 }
                 return x_local[j];
               });
-          r_board.write(i, staged[static_cast<std::size_t>(k)]);
+          if (counts(t, static_cast<std::size_t>(k))) {
+            partial += std::abs(staged[static_cast<std::size_t>(k)]);
+          }
           my_events.push_back(std::move(event));
         }
       } else {
@@ -511,9 +566,12 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
           const index_t i = blk.rows[static_cast<std::size_t>(k)];
           staged[static_cast<std::size_t>(k)] =
               proc.stage(i, [&](index_t j) { return x_local[j]; });
-          r_board.write(i, staged[static_cast<std::size_t>(k)]);
+          if (counts(t, static_cast<std::size_t>(k))) {
+            partial += std::abs(staged[static_cast<std::size_t>(k)]);
+          }
         }
       }
+      term.publish_partial(t, 0, partial);
 
       // Step 2: commit the staged updates, mirror them to the x board,
       // and ship the new boundary values.
@@ -540,11 +598,9 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
 
       ++iter;
 
-      // Step 3: convergence check — racy 1-norm of the whole residual
-      // board in natural row order (bitwise solve_shared's scan).
-      double norm = 0.0;
-      for (index_t i = 0; i < n; ++i) norm += std::abs(r_board.read(i));
-      const double rel = norm / term.r0_norm();
+      // Step 3: convergence check — the agents' partials summed in agent
+      // order (bitwise solve_shared's aggregation).
+      const double rel = term.racy_rel();
       if (opts.record_history) {
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
@@ -576,19 +632,28 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
 
   // std::thread creation/join are TSan-native happens-before edges, so
   // unlike the OpenMP runtime no manual annotations are needed around the
-  // parallel region.
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(na));
-  for (index_t t = 0; t < na; ++t) workers.emplace_back(agent_main, t);
-  for (auto& w : workers) w.join();
+  // parallel regions.
+  for_each_agent(na, agent_main);
 
+  // Agent-parallel epilogue: each agent copies its counted rows of the x
+  // board into x and writes their residual to `resid` for the serial
+  // verification.
   result.seconds = timer.seconds();
   result.x.resize(static_cast<std::size_t>(n));
-  x_board.snapshot(result.x);
+  for_each_agent(na, [&](index_t t) {
+    const auto& rows = topo.agents[static_cast<std::size_t>(t)].rows;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      if (!counts(t, k)) continue;
+      const index_t i = rows[k];
+      result.x[static_cast<std::size_t>(i)] = x_board.read(i);
+      resid[static_cast<std::size_t>(i)] = runtime::row_residual(
+          a, i, b[i], [&](index_t j) { return x_board.read(j); });
+    }
+  });
 
   const runtime::PolishOutcome fin = runtime::verify_and_polish(
       a, b, inv_diag, term.r0_norm(), opts.tolerance, opts.final_polish,
-      runtime::polish_budget(na), result.x);
+      runtime::polish_budget(na), result.x, resid);
   result.final_rel_residual_1 = fin.rel_residual_1;
   result.polish_sweeps = fin.sweeps;
   result.converged = fin.converged;
@@ -635,22 +700,22 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
 template <bool Sync>
 MeshResult dispatch_hooks(const CsrMatrix& a, const Vector& b,
                           const Vector& x0, const MeshOptions& opts,
-                          const MeshTopology& topo, const Vector& inv_diag,
+                          const MeshTopology& topo,
                           const fault::FaultPlan* plan) {
   if (plan != nullptr && opts.metrics != nullptr) {
     return solve_mesh_impl<Sync, ActiveMeshFaults, ActiveMeshMetrics>(
-        a, b, x0, opts, topo, inv_diag, plan);
+        a, b, x0, opts, topo, plan);
   }
   if (plan != nullptr) {
     return solve_mesh_impl<Sync, ActiveMeshFaults, NullMeshMetrics>(
-        a, b, x0, opts, topo, inv_diag, plan);
+        a, b, x0, opts, topo, plan);
   }
   if (opts.metrics != nullptr) {
     return solve_mesh_impl<Sync, NullMeshFaults, ActiveMeshMetrics>(
-        a, b, x0, opts, topo, inv_diag, nullptr);
+        a, b, x0, opts, topo, nullptr);
   }
   return solve_mesh_impl<Sync, NullMeshFaults, NullMeshMetrics>(
-      a, b, x0, opts, topo, inv_diag, nullptr);
+      a, b, x0, opts, topo, nullptr);
 }
 
 }  // namespace
@@ -681,12 +746,6 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
   AJAC_DBG_VALIDATE(validate::finite(b, "b"));
   AJAC_DBG_VALIDATE(validate::finite(x0, "x0"));
 
-  Vector inv_diag = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(inv_diag[i] != 0.0, "zero diagonal at row " << i);
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
-
   const fault::FaultPlan* plan =
       opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
                                                    : nullptr;
@@ -713,9 +772,9 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
   }
 
   if (opts.synchronous) {
-    return dispatch_hooks<true>(a, b, x0, opts, topo, inv_diag, plan);
+    return dispatch_hooks<true>(a, b, x0, opts, topo, plan);
   }
-  return dispatch_hooks<false>(a, b, x0, opts, topo, inv_diag, plan);
+  return dispatch_hooks<false>(a, b, x0, opts, topo, plan);
 }
 
 }  // namespace ajac::mesh

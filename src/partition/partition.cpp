@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <span>
 
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/csr.hpp"
@@ -34,16 +35,13 @@ Partition contiguous_partition(index_t n, index_t num_parts) {
 Partition nnz_balanced_partition(const CsrMatrix& a, index_t num_parts) {
   AJAC_CHECK(num_parts >= 1);
   const index_t n = a.num_rows();
-  // Prefix sum of row nnz; boundary k sits at the prefix entry nearest to
-  // k/num_parts of the total (binary search), clamped so no part is empty
-  // while rows remain and the tail parts can still each get one row. Each
-  // cut lands within one row's nonzeros of its target, so no part exceeds
-  // the ideal share by more than ~two maximal rows.
-  std::vector<index_t> prefix(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t i = 0; i < n; ++i) {
-    prefix[static_cast<std::size_t>(i) + 1] =
-        prefix[static_cast<std::size_t>(i)] + a.row_nnz(i);
-  }
+  // The CSR row pointer is the prefix sum of row nnz; boundary k sits at
+  // the prefix entry nearest to k/num_parts of the total (binary search),
+  // clamped so no part is empty while rows remain and the tail parts can
+  // still each get one row. Each cut lands within one row's nonzeros of
+  // its target, so no part exceeds the ideal share by more than ~two
+  // maximal rows.
+  const std::span<const index_t> prefix = a.row_ptr();
   const index_t total = prefix[static_cast<std::size_t>(n)];
   Partition p;
   p.block_starts.resize(static_cast<std::size_t>(num_parts) + 1);

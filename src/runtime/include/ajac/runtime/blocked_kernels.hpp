@@ -24,6 +24,7 @@
 // position within the row, which the blocked layout preserves, so the flip
 // decision and the corrupted entry match the reference path exactly.
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <utility>
@@ -80,84 +81,107 @@ inline void refresh_own_block(const BlockedCsr::Block& blk,
   }
 }
 
-/// Residual on the block's interior rows — every column local, so the
-/// inner loop touches only private arrays: no atomics, no seqlocks, no
-/// branches (the fault hooks compile away under NullFaults), and a memory
-/// access pattern the vectorizer can handle. Summation stays in CSR entry
-/// order; only loads are vectorizable, never the accumulation order.
-///
-/// Each row's residual is published to the shared r as it is computed —
-/// the blocked kernels fuse away the reference path's separate publication
-/// pass. Reads of r are racy by contract (the paper's stopping scheme), so
-/// other threads observing a row's residual one pass earlier is legal; at
-/// one thread and in synchronous mode the values every consumer sees are
-/// unchanged, keeping the bitwise contract intact.
+/// Residual of interior row i — every column local, so the inner loop
+/// touches only private arrays: no atomics, no seqlocks, no branches (the
+/// fault hooks compile away under NullFaults), and a memory access
+/// pattern the vectorizer can handle. Summation stays in CSR entry order;
+/// only loads are vectorizable, never the accumulation order.
 template <class Faults>
-inline void relax_interior(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                           std::span<const double> b,
-                           const OwnBlockState& own, Faults& faults,
-                           SharedVector& r)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
-  for (const index_t i : blk.interior_rows) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    double acc = b[static_cast<std::size_t>(i)];
-    if constexpr (Faults::enabled) {
-      const auto row = a.row(i);
-      FlippedEntry flipped;
-      const bool has_flip = faults.flip(i, row.cols, row.vals, flipped);
-      for (std::size_t p = begin; p < end; ++p) {
-        double aij = blk.values[p];
-        if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-        acc -= aij * own.x[static_cast<std::size_t>(blk.col_code[p])];
-      }
-    } else {
-      for (std::size_t p = begin; p < end; ++p) {
-        acc -= blk.values[p] *
-               own.x[static_cast<std::size_t>(blk.col_code[p])];
-      }
-    }
-    r.write(i, acc);
-  }
-}
-
-/// Residual on the block's boundary rows: local entries from the mirror,
-/// ghost entries through the injector (live relaxed-atomic reads, or the
-/// frozen snapshot inside a stale window). Publishes each row's residual
-/// to r like relax_interior.
-template <class Faults>
-inline void relax_boundary(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                           std::span<const double> b,
-                           const OwnBlockState& own, const SharedVector& x,
-                           Faults& faults, SharedVector& r)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
-  for (const index_t i : blk.boundary_rows) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    double acc = b[static_cast<std::size_t>(i)];
+inline double interior_residual(const BlockedCsr::Block& blk,
+                                const CsrMatrix& a, std::span<const double> b,
+                                const OwnBlockState& own, Faults& faults,
+                                index_t i) AJAC_REQUIRES_SHARED(own.owner) {
+  const auto li = static_cast<std::size_t>(i - blk.lo);
+  const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
+  const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
+  double acc = b[static_cast<std::size_t>(i)];
+  if constexpr (Faults::enabled) {
+    const auto row = a.row(i);
     FlippedEntry flipped;
-    bool has_flip = false;
-    if constexpr (Faults::enabled) {
-      const auto row = a.row(i);
-      has_flip = faults.flip(i, row.cols, row.vals, flipped);
-    }
+    const bool has_flip = faults.flip(i, row.cols, row.vals, flipped);
     for (std::size_t p = begin; p < end; ++p) {
       double aij = blk.values[p];
-      if constexpr (Faults::enabled) {
-        if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-      }
-      const index_t code = blk.col_code[p];
-      const double xj =
-          BlockedCsr::is_ghost(code)
-              ? faults.read(x, blk.ghost_cols[static_cast<std::size_t>(
-                                   BlockedCsr::ghost_slot(code))])
-              : own.x[static_cast<std::size_t>(code)];
-      acc -= aij * xj;
+      if (has_flip && p - begin == flipped.entry) aij = flipped.value;
+      acc -= aij * own.x[static_cast<std::size_t>(blk.col_code[p])];
     }
-    r.write(i, acc);
+  } else {
+    for (std::size_t p = begin; p < end; ++p) {
+      acc -= blk.values[p] * own.x[static_cast<std::size_t>(blk.col_code[p])];
+    }
   }
+  return acc;
+}
+
+/// Residual of own row i, interior or boundary: local entries from the
+/// mirror, ghost entries through the injector (live relaxed-atomic reads,
+/// or the frozen snapshot inside a stale window).
+template <class Faults>
+inline double own_row_residual(const BlockedCsr::Block& blk,
+                               const CsrMatrix& a, std::span<const double> b,
+                               const OwnBlockState& own, const SharedVector& x,
+                               Faults& faults, index_t i)
+    AJAC_REQUIRES_SHARED(own.owner) {
+  const auto li = static_cast<std::size_t>(i - blk.lo);
+  const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
+  const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
+  double acc = b[static_cast<std::size_t>(i)];
+  FlippedEntry flipped;
+  bool has_flip = false;
+  if constexpr (Faults::enabled) {
+    const auto row = a.row(i);
+    has_flip = faults.flip(i, row.cols, row.vals, flipped);
+  }
+  for (std::size_t p = begin; p < end; ++p) {
+    double aij = blk.values[p];
+    if constexpr (Faults::enabled) {
+      if (has_flip && p - begin == flipped.entry) aij = flipped.value;
+    }
+    const index_t code = blk.col_code[p];
+    const double xj =
+        BlockedCsr::is_ghost(code)
+            ? faults.read(x, blk.ghost_cols[static_cast<std::size_t>(
+                                 BlockedCsr::ghost_slot(code))])
+            : own.x[static_cast<std::size_t>(code)];
+    acc -= aij * xj;
+  }
+  return acc;
+}
+
+/// Jacobi residual on every row of the block, each published to the
+/// shared r as it is computed. The ascending interior and boundary lists
+/// are walked merged, so rows go in ascending order with no branch inside
+/// a run of one class, and the return value is the block's residual
+/// 1-norm summed in that order: the actor's partial norm (terminator.hpp),
+/// bitwise the reference path's. Reads of r are racy by contract, so other
+/// threads observing a row's residual one pass earlier is legal; at one
+/// thread and in synchronous mode the values every consumer sees are
+/// unchanged, keeping the bitwise contract intact.
+template <class Faults>
+inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
+                          std::span<const double> b, const OwnBlockState& own,
+                          const SharedVector& x, Faults& faults,
+                          SharedVector& r)
+    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
+  double partial = 0.0;
+  auto in = blk.interior_rows.begin();
+  auto bd = blk.boundary_rows.begin();
+  const auto in_end = blk.interior_rows.end();
+  const auto bd_end = blk.boundary_rows.end();
+  while (in != in_end || bd != bd_end) {
+    const index_t next_bd = bd != bd_end ? *bd : blk.hi;
+    for (; in != in_end && *in < next_bd; ++in) {
+      const double acc = interior_residual(blk, a, b, own, faults, *in);
+      r.write(*in, acc);
+      partial += std::abs(acc);
+    }
+    const index_t next_in = in != in_end ? *in : blk.hi;
+    for (; bd != bd_end && *bd < next_in; ++bd) {
+      const double acc = own_row_residual(blk, a, b, own, x, faults, *bd);
+      r.write(*bd, acc);
+      partial += std::abs(acc);
+    }
+  }
+  return partial;
 }
 
 /// Commit the Jacobi correction on the block, ascending row order: the
@@ -177,52 +201,48 @@ inline void commit_block(const BlockedCsr::Block& blk, OwnBlockState& own,
   for (auto& v : own.version) ++v;
 }
 
-/// In-place forward Gauss-Seidel sweep over the block (ascending rows, so
-/// interior/boundary fusion does not apply): each row's update is visible
-/// to the following rows via the mirror and to other threads via x
-/// immediately, matching the reference sweep bitwise.
+/// One in-place relaxation of own row i: residual from the latest
+/// mirror/ghost values, published to r, then the correction committed
+/// immediately, so the thread's later rows see it through the mirror and
+/// other threads through x. Returns the residual. The Gauss-Seidel sweep
+/// applies it in ascending row order; a sampled policy to the rows its
+/// RowSampler draws.
 template <class Faults>
-inline void relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                           std::span<const double> b, OwnBlockState& own,
-                           SharedVector& x, SharedVector& r, Faults& faults)
+inline double relax_row_in_place(const BlockedCsr::Block& blk,
+                                 const CsrMatrix& a, std::span<const double> b,
+                                 OwnBlockState& own, SharedVector& x,
+                                 SharedVector& r, Faults& faults, index_t i)
     AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    double acc = b[static_cast<std::size_t>(i)];
-    FlippedEntry flipped;
-    bool has_flip = false;
-    if constexpr (Faults::enabled) {
-      const auto row = a.row(i);
-      has_flip = faults.flip(i, row.cols, row.vals, flipped);
-    }
-    for (std::size_t p = begin; p < end; ++p) {
-      double aij = blk.values[p];
-      if constexpr (Faults::enabled) {
-        if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-      }
-      const index_t code = blk.col_code[p];
-      const double xj =
-          BlockedCsr::is_ghost(code)
-              ? faults.read(x, blk.ghost_cols[static_cast<std::size_t>(
-                                   BlockedCsr::ghost_slot(code))])
-              : own.x[static_cast<std::size_t>(code)];
-      acc -= aij * xj;
-    }
-    r.write(i, acc);
-    const double nx = own.x[li] + blk.inv_diag[li] * acc;
-    x.write(i, nx);
-    own.x[li] = nx;
-  }
+  const auto li = static_cast<std::size_t>(i - blk.lo);
+  const double acc = own_row_residual(blk, a, b, own, x, faults, i);
+  r.write(i, acc);
+  const double nx = own.x[li] + blk.inv_diag[li] * acc;
+  x.write(i, nx);
+  own.x[li] = nx;
+  return acc;
 }
 
-/// Traced relaxation (record_trace runs): like relax_interior +
-/// relax_boundary but pairing every off-diagonal read with its seqlock
+/// In-place forward Gauss-Seidel sweep over the block (ascending rows),
+/// matching the reference sweep bitwise. Returns the partial norm, as
+/// relax_block does.
+template <class Faults>
+inline double relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
+                             std::span<const double> b, OwnBlockState& own,
+                             SharedVector& x, SharedVector& r, Faults& faults)
+    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
+  double partial = 0.0;
+  for (index_t i = blk.lo; i < blk.hi; ++i) {
+    partial += std::abs(relax_row_in_place(blk, a, b, own, x, r, faults, i));
+  }
+  return partial;
+}
+
+/// Traced relaxation (record_trace runs): like relax_block (interior rows,
+/// then boundary rows) but pairing every off-diagonal read with its seqlock
 /// version for the propagation analysis. Local reads take the version from
 /// the mirror — the owner is the only writer, so the mirrored count *is*
 /// the seqlock version, with none of the seqlock's retry protocol.
-/// Publishes each row's residual to r like relax_interior.
+/// Publishes each row's residual to r like relax_block.
 template <class Faults, class Metrics>
 inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
                          std::span<const double> b, const OwnBlockState& own,
@@ -278,48 +298,7 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
   for (const index_t i : blk.boundary_rows) relax_row(i);
 }
 
-/// One sampled in-place relaxation of own row i (the row a RowSampler
-/// drew): residual from the latest mirror/ghost values, published to r,
-/// then the correction committed immediately — like one row of
-/// relax_block_gs, except the row order comes from the policy instead of
-/// the ascending sweep. Later draws of the same local iteration see the
-/// update through the mirror; other threads see it through x.
-template <class Faults>
-inline void relax_row_sampled(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                              std::span<const double> b, OwnBlockState& own,
-                              SharedVector& x, SharedVector& r, Faults& faults,
-                              index_t i)
-    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
-  const auto li = static_cast<std::size_t>(i - blk.lo);
-  const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-  const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-  double acc = b[static_cast<std::size_t>(i)];
-  FlippedEntry flipped;
-  bool has_flip = false;
-  if constexpr (Faults::enabled) {
-    const auto row = a.row(i);
-    has_flip = faults.flip(i, row.cols, row.vals, flipped);
-  }
-  for (std::size_t p = begin; p < end; ++p) {
-    double aij = blk.values[p];
-    if constexpr (Faults::enabled) {
-      if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-    }
-    const index_t code = blk.col_code[p];
-    const double xj =
-        BlockedCsr::is_ghost(code)
-            ? faults.read(x, blk.ghost_cols[static_cast<std::size_t>(
-                                 BlockedCsr::ghost_slot(code))])
-            : own.x[static_cast<std::size_t>(code)];
-    acc -= aij * xj;
-  }
-  r.write(i, acc);
-  const double nx = own.x[li] + blk.inv_diag[li] * acc;
-  x.write(i, nx);
-  own.x[li] = nx;
-}
-
-/// Traced sampled relaxation: relax_row_sampled plus the read-version
+/// Traced sampled relaxation: relax_row_in_place plus the read-version
 /// recording of relax_traced. The in-place commit bumps the row's seqlock
 /// once, so the version mirror advances with the write — a row drawn twice
 /// in one iteration records two distinct versions, exactly what the

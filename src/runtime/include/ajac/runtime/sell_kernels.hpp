@@ -96,7 +96,8 @@ inline void publish_shadow(const BlockedCsr::Block& blk,
 /// padding entries and no wasted flops. Each row's entries are consumed in
 /// source CSR order (slice s == entry s), keeping the accumulation
 /// bitwise the blocked kernel's. Residuals publish to r per row, like
-/// relax_interior.
+/// relax_block; rows go in chunk order, so the caller sums the partial
+/// norm in a separate ascending pass.
 inline void relax_interior_sell(const SellCsr::Block& sblk,
                                 std::span<const double> b,
                                 const OwnBlockState& own, SharedVector& r)
@@ -147,7 +148,7 @@ inline void relax_interior_sell(const SellCsr::Block& sblk,
 /// Residual on the boundary rows with ghost entries gathered from the
 /// dense per-thread ghost buffer (refreshed once per iteration) instead of
 /// per-entry SharedVector reads. Local entries come from the mirror, like
-/// relax_boundary.
+/// row_residual.
 inline void relax_boundary_buffered(const BlockedCsr::Block& blk,
                                     std::span<const double> b,
                                     const OwnBlockState& own,

@@ -23,12 +23,19 @@
 // owning thread). A second concurrent writer to the same element would
 // corrupt the seqlock protocol; debug builds assert against it.
 //
+// Construction leaves the values indeterminate: they live in a plain,
+// default-initialized double array accessed only through
+// std::atomic_ref, so allocating an n-row vector touches no page and the
+// solver's actor-parallel prologue can first-touch and fill each block
+// from the thread that owns it. Every element must be written (init or
+// write) before it is read.
+//
 // The writer side of that contract is machine-checked: init() and write()
 // require the vector's SoleWriterRole capability (-Wthread-safety), which
 // a worker claims with `x.writer_role().assert_held()` once the partition
 // has made it the sole writer of its rows. Readers never need the role —
 // concurrent racy reads are the point — so read()/read_versioned()/
-// version()/snapshot() are unannotated.
+// version() are unannotated.
 //
 // False sharing at block boundaries: the runtime partitions rows into
 // contiguous per-thread blocks, so the only elements two threads both
@@ -82,17 +89,25 @@ class SharedVector {
     AJAC_DBG_CHECK(x.size() == values_.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-      values_[i].store(x[i], std::memory_order_relaxed);
+      cell(i).store(x[i], std::memory_order_relaxed);
     }
+  }
+
+  /// First write of element i, before the concurrent phase (the solver's
+  /// actor-parallel prologue: each owner fills its own rows). Unlike
+  /// write() it leaves the version at 0, as init() does.
+  void init(index_t i, double v) AJAC_REQUIRES(writer_role_) {
+    AJAC_DBG_CHECK(in_range(i));
+    // racy-ok(init): the prologue's join publishes it before any reader.
+    cell(i).store(v, std::memory_order_relaxed);
   }
 
   /// Plain racy read (the paper's scheme).
   [[nodiscard]] double read(index_t i) const {
     AJAC_DBG_CHECK(in_range(i));
     // racy-ok(intended-race): the paper's racy read; tearing-free because
-    // the element is an aligned atomic double.
-    return values_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
+    // the element is an aligned double accessed atomically.
+    return cell(i).load(std::memory_order_relaxed);
   }
 
   /// Racy read for heuristic snapshots taken at an iteration boundary
@@ -109,8 +124,7 @@ class SharedVector {
     AJAC_DBG_CHECK(in_range(i));
     // racy-ok(weight-snapshot): heuristic sampling weight captured once per
     // refresh cadence; staleness biases row choice, never correctness.
-    return values_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
+    return cell(i).load(std::memory_order_relaxed);
   }
 
   /// Read value + version consistently (seqlock). Only valid when traced.
@@ -129,7 +143,7 @@ class SharedVector {
     AJAC_DBG_CHECK(in_range(i));
     AJAC_DBG_CHECK_MSG(traced_, "read_versioned on an untraced SharedVector");
     const auto& seq = seq_[static_cast<std::size_t>(i)];
-    const auto& value = values_[static_cast<std::size_t>(i)];
+    const std::atomic_ref<double> value = cell(i);
     for (int spins = 0;; ++spins) {
       // Acquire pairs with the writer's release of the closing sequence
       // number: after seeing an even s1 we see the matching value.
@@ -172,13 +186,11 @@ class SharedVector {
       // Release: a reader that acquires this value also sees the odd
       // sequence number above, so it cannot pair the new value with the
       // old version (replaces the release fence of the classic seqlock).
-      values_[static_cast<std::size_t>(i)].store(v,
-                                                 std::memory_order_release);
+      cell(i).store(v, std::memory_order_release);
       seq.store(s + 2, std::memory_order_release);
     } else {
       // racy-ok(intended-race): the paper's racy write (untraced path).
-      values_[static_cast<std::size_t>(i)].store(v,
-                                                 std::memory_order_relaxed);
+      cell(i).store(v, std::memory_order_relaxed);
     }
   }
 
@@ -194,13 +206,6 @@ class SharedVector {
   [[nodiscard]] bool traced() const noexcept { return traced_; }
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
 
-  void snapshot(std::span<double> out) const {
-    AJAC_DBG_CHECK(out.size() == values_.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = read(static_cast<index_t>(i));
-    }
-  }
-
  private:
   static constexpr int kSpinLimit = 64;
 
@@ -208,12 +213,19 @@ class SharedVector {
     return i >= 0 && static_cast<std::size_t>(i) < values_.size();
   }
 
-  using ValueArray =
-      std::vector<std::atomic<double>, CacheAlignedAllocator<std::atomic<double>>>;
+  [[nodiscard]] std::atomic_ref<double> cell(std::size_t i) const noexcept {
+    return std::atomic_ref<double>(values_[i]);
+  }
+  [[nodiscard]] std::atomic_ref<double> cell(index_t i) const noexcept {
+    return cell(static_cast<std::size_t>(i));
+  }
+
+  using ValueArray = UninitVector<double>;
   using SeqArray = std::vector<std::atomic<std::int64_t>,
                                CacheAlignedAllocator<std::atomic<std::int64_t>>>;
 
-  ValueArray values_;
+  // mutable: atomic_ref needs a non-const referent even for loads.
+  mutable ValueArray values_;
   SeqArray seq_;
   bool traced_;
   SoleWriterRole writer_role_;
@@ -232,9 +244,10 @@ class SharedVector {
 ///
 /// Same concurrency contract as the untraced SharedVector: any number of
 /// racy readers, one writer per element (machine-checked via the
-/// SoleWriterRole), aligned atomic floats so reads never tear. Never
-/// traced — fp32 ghosts and read-version traces are mutually exclusive at
-/// the options layer.
+/// SoleWriterRole), aligned floats accessed atomically so reads never
+/// tear, and values indeterminate until first written. Never traced —
+/// fp32 ghosts and read-version traces are mutually exclusive at the
+/// options layer.
 class SharedF32Vector {
  public:
   explicit SharedF32Vector(index_t n)
@@ -245,30 +258,20 @@ class SharedF32Vector {
     return writer_role_;
   }
 
-  /// Single-threaded initialization (before the solve's threads start).
-  void init(std::span<const double> x) AJAC_REQUIRES(writer_role_) {
-    AJAC_DBG_CHECK(x.size() == values_.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      // racy-ok(init): single-threaded setup; the OpenMP fork publishes it.
-      values_[i].store(static_cast<float>(x[i]), std::memory_order_relaxed);
-    }
-  }
-
   /// Plain racy read (the paper's scheme, narrowed to fp32).
   [[nodiscard]] float read(index_t i) const {
     AJAC_DBG_CHECK(in_range(i));
     // racy-ok(intended-race): the paper's racy read; tearing-free because
-    // the element is an aligned atomic float.
-    return values_[static_cast<std::size_t>(i)].load(
-        std::memory_order_relaxed);
+    // the element is an aligned float accessed atomically.
+    return cell(static_cast<std::size_t>(i)).load(std::memory_order_relaxed);
   }
 
   void write(index_t i, double v) AJAC_REQUIRES(writer_role_) {
     AJAC_DBG_CHECK(in_range(i));
     // racy-ok(intended-race): the paper's racy write, narrowed to fp32
     // (ghost publication only; the fp64 vector stays authoritative).
-    values_[static_cast<std::size_t>(i)].store(static_cast<float>(v),
-                                               std::memory_order_relaxed);
+    cell(static_cast<std::size_t>(i))
+        .store(static_cast<float>(v), std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
@@ -278,10 +281,12 @@ class SharedF32Vector {
     return i >= 0 && static_cast<std::size_t>(i) < values_.size();
   }
 
-  using F32Array =
-      std::vector<std::atomic<float>, CacheAlignedAllocator<std::atomic<float>>>;
+  [[nodiscard]] std::atomic_ref<float> cell(std::size_t i) const noexcept {
+    return std::atomic_ref<float>(values_[i]);
+  }
 
-  F32Array values_;
+  // mutable: atomic_ref needs a non-const referent even for loads.
+  mutable UninitVector<float> values_;
   SoleWriterRole writer_role_;
 };
 

@@ -3,12 +3,15 @@
 // per right-hand side; the scalar solvers are k = 1) and solve_mesh.
 //
 // The paper's flag array (Sec. V) rests on racy residual norms, so here
-// all flags up only triggers verification. A column latches its stop iff
-// every actor's iteration counter is at the cap, or a fresh residual norm
-// from the current shared iterate is <= tol; latches never revert, and
-// the global stop follows once every column has latched. Actors at the cap
-// park (poll without relaxing), so the executed (actor, iteration) set
-// never depends on scheduling. After the join, verify_and_polish decides
+// all flags up only triggers verification. The racy norm is aggregated in
+// O(P): each actor publishes the 1-norm of its own rows' residual (its
+// partial, rows ascending) and a reader sums the P partials in actor
+// order (racy_rel). A column latches its stop iff every actor's iteration
+// counter is at the cap, or a fresh residual norm from the current shared
+// iterate is <= tol; latches never revert, and the global stop follows
+// once every column has latched. Actors at the cap park (poll without
+// relaxing), so the executed (actor, iteration) set never depends on
+// scheduling. After the join, verify_and_polish decides
 // `converged` and cleans up a stale commit with bounded serial sweeps.
 // DESIGN.md §2e states the contract; tests/runtime/terminator_test.cpp
 // checks it.
@@ -18,6 +21,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,10 +42,20 @@ class Terminator {
         cap_(max_iterations),
         r0_norms_(std::move(r0_norms)),
         flags_(static_cast<std::size_t>(actors * columns_)),
+        partials_(flags_.size()),
         counters_(static_cast<std::size_t>(actors)),
         latched_(r0_norms_.size()),
         stop_iteration_(r0_norms_.size(), 0) {
     for (double& v : r0_norms_) v = v > 0.0 ? v : 1.0;
+    // Until an actor publishes, its partial counts as the column's whole
+    // initial residual: an overestimate while the solve converges, so an
+    // actor that has not reported yet holds flags down instead of raising
+    // them early.
+    for (std::size_t s = 0; s < partials_.size(); ++s) {
+      // racy-ok(init): single-threaded construction, before any actor runs.
+      partials_[s].v.store(r0_norms_[s % at(columns_)],
+                           std::memory_order_relaxed);
+    }
   }
 
   [[nodiscard]] double r0_norm(index_t c = 0) const {
@@ -59,6 +73,28 @@ class Terminator {
   /// The iteration passed to the poll that latched column c (after join).
   [[nodiscard]] index_t stop_iteration(index_t c) const {
     return stop_iteration_[at(c)];
+  }
+
+  /// Publish `partial`, the 1-norm of column c's residual on `actor`'s own
+  /// rows summed in ascending row order (each row counted by one actor).
+  /// Synchronous drivers publish before the barrier that precedes the
+  /// readers, so every reader sums the partials of the same iteration.
+  void publish_partial(index_t actor, index_t c, double partial) {
+    // racy-ok(flag): a partial only feeds the racy norm behind a flag.
+    partials_[at(actor * columns_ + c)].v.store(partial,
+                                                std::memory_order_relaxed);
+  }
+
+  /// The racy relative residual of column c: the latest published partials
+  /// summed in actor order, over r0. A stale or placeholder partial can
+  /// only delay or spuriously trigger verification, never a stop.
+  [[nodiscard]] double racy_rel(index_t c = 0) const {
+    double norm = 0.0;
+    for (std::size_t s = at(c); s < partials_.size(); s += at(columns_)) {
+      // racy-ok(flag): hint aggregation; poll() verifies before any stop.
+      norm += partials_[s].v.load(std::memory_order_relaxed);
+    }
+    return norm / r0_norm(c);
   }
 
   /// `actor` has finished `iter` local iterations and measured the racy
@@ -135,11 +171,24 @@ class Terminator {
   index_t cap_;
   std::vector<double> r0_norms_;
   std::vector<Padded<bool>> flags_;        ///< [actor * columns + column]
+  std::vector<Padded<double>> partials_;   ///< same layout as flags_
   std::vector<Padded<index_t>> counters_;  ///< local iterations per actor
   std::vector<std::atomic<int>> latched_;  ///< per-column stop latch
   std::vector<index_t> stop_iteration_;
   std::atomic<int> stop_{0};
 };
+
+/// b_i - (A x)_i with entries in CSR order, reading x through `x_at(j)`:
+/// CsrMatrix::residual's expression, so the same values give its bits.
+template <class X>
+double row_residual(const CsrMatrix& a, index_t i, double b_i, X&& x_at) {
+  double acc = b_i;
+  const auto [cols, vals] = a.row(i);
+  for (std::size_t p = 0; p < cols.size(); ++p) {
+    acc -= vals[p] * x_at(cols[p]);
+  }
+  return acc;
+}
 
 /// ||b - A x||_1, rows ascending and entries in CSR order, reading b and
 /// the shared iterate through `b_at(i)` / `x_at(j)`: a verification norm.
@@ -147,12 +196,7 @@ template <class B, class X>
 double fresh_residual_1(const CsrMatrix& a, B&& b_at, X&& x_at) {
   double fresh = 0.0;
   for (index_t i = 0; i < a.num_rows(); ++i) {
-    double acc = b_at(i);
-    const auto [cols, vals] = a.row(i);
-    for (std::size_t p = 0; p < cols.size(); ++p) {
-      acc -= vals[p] * x_at(cols[p]);
-    }
-    fresh += std::abs(acc);
+    fresh += std::abs(row_residual(a, i, b_at(i), x_at));
   }
   return fresh;
 }
@@ -171,14 +215,24 @@ struct PolishOutcome {
 /// until it holds or `cap` sweeps ran. An actor descheduled across the
 /// verified stop may have committed a stale update; x is near the fixed
 /// point, so a few sweeps repair it.
+///
+/// `r` must hold b - A x on entry (a caller may compute it actor-parallel)
+/// and holds the residual of the returned x on exit. An empty `inv_diag`
+/// is built from a's diagonal before the first sweep, so a solve whose
+/// kernels keep 1 / a_ii per block never builds it when no sweep runs.
 inline PolishOutcome verify_and_polish(const CsrMatrix& a, const Vector& b,
-                                       const Vector& inv_diag, double r0_norm,
-                                       double tol, bool polish, index_t cap,
-                                       Vector& x) {
-  Vector r(x.size());
-  a.residual(x, b, r);
+                                       std::span<const double> inv_diag,
+                                       double r0_norm, double tol, bool polish,
+                                       index_t cap, Vector& x,
+                                       std::span<double> r) {
   PolishOutcome out{vec::norm1(r) / r0_norm};
+  Vector built;
   while (polish && tol > 0.0 && out.sweeps < cap && out.rel_residual_1 > tol) {
+    if (inv_diag.empty()) {
+      built = a.diagonal();
+      for (double& d : built) d = 1.0 / d;
+      inv_diag = built;
+    }
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += inv_diag[i] * r[i];
     a.residual(x, b, r);
     out.rel_residual_1 = vec::norm1(r) / r0_norm;
@@ -186,6 +240,16 @@ inline PolishOutcome verify_and_polish(const CsrMatrix& a, const Vector& b,
   }
   out.converged = tol > 0.0 && out.rel_residual_1 <= tol;
   return out;
+}
+
+/// verify_and_polish computing the entry residual serially.
+inline PolishOutcome verify_and_polish(const CsrMatrix& a, const Vector& b,
+                                       const Vector& inv_diag, double r0_norm,
+                                       double tol, bool polish, index_t cap,
+                                       Vector& x) {
+  Vector r(x.size());
+  a.residual(x, b, r);
+  return verify_and_polish(a, b, inv_diag, r0_norm, tol, polish, cap, x, r);
 }
 
 }  // namespace ajac::runtime

@@ -9,8 +9,9 @@
 // of column c — rests on three invariants held throughout this file:
 //
 //   1. Per lane, every arithmetic expression (residual accumulation in CSR
-//      entry order, `x + inv_diag * r`, the ascending-row residual-norm
-//      sum, the verify scan, the polish sweep) is the scalar path's
+//      entry order, `x + inv_diag * r`, the ascending-row partial norm of
+//      the own rows and the actor-order sum of the partials, the verify
+//      scan, the polish sweep) is the scalar path's
 //      expression evaluated on the same values in the same order.
 //   2. A column freezes at exactly the iteration boundary where its
 //      single-RHS run would have exited the while loop: the verified stop
@@ -113,10 +114,10 @@ SharedBatchResult solve_shared_batch_impl(
                               : opts.delay_us[static_cast<std::size_t>(t)];
 
     // All per-iteration scratch is sized here, before the loop: the hot
-    // path performs no allocation (satellite requirement — the per-column
-    // norm reduction in particular runs in the hoisted `norms` buffer).
+    // path performs no allocation (the per-column partial norms in
+    // particular accumulate in the hoisted `partials` buffer).
     std::vector<double> active(k_sz, 1.0);  ///< 1.0 = column still converging
-    std::vector<double> norms(k_sz, 0.0);
+    std::vector<double> partials(k_sz, 0.0);
     std::vector<double> acc(k_sz, 0.0);
     std::vector<double> ghost(k_sz, 0.0);
     std::vector<double> rrow(k_sz, 0.0);
@@ -130,10 +131,6 @@ SharedBatchResult solve_shared_batch_impl(
     Faults faults(a, x0, plan, t, lo, hi, x);
     Metrics metrics(opts.metrics, t, timer);
     Stream stream(opts.stream, t, timer);
-    // Own-block per-column partial norms for the beacon (hoisted with the
-    // rest of the per-iteration scratch; sized 0 on the null path).
-    [[maybe_unused]] std::vector<double> own_norms(
-        Stream::enabled ? k_sz : std::size_t{0}, 0.0);
 
     // Sampled row-selection policy: per-thread counter-based stream over
     // the own rows, same (policy_seed, thread, iter, slot) coordinates as
@@ -339,6 +336,21 @@ SharedBatchResult solve_shared_batch_impl(
       if constexpr (Metrics::enabled && Blocked) {
         metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
       }
+      // Per-column partial norms of the own rows (rows ascending, bitwise
+      // the scalar path's), published before the first barrier so that in
+      // synchronous mode every reader sums the same iteration's partials.
+      std::fill(partials.begin(), partials.end(), 0.0);
+      for (index_t i = lo; i < hi; ++i) {
+        r.read_row(i, rrow);
+#pragma omp simd
+        for (index_t c = 0; c < k; ++c) {
+          partials[static_cast<std::size_t>(c)] +=
+              std::abs(rrow[static_cast<std::size_t>(c)]);
+        }
+      }
+      for (index_t c = 0; c < k; ++c) {
+        term.publish_partial(t, c, partials[static_cast<std::size_t>(c)]);
+      }
 
       if (opts.synchronous) {
 #pragma omp barrier
@@ -377,63 +389,27 @@ SharedBatchResult solve_shared_batch_impl(
         metrics.batch_iteration(rows, active_cols);
       }
 
-      // Step 3: per-column convergence check — the whole shared residual,
-      // racy reads, accumulated column-blocked into the hoisted `norms`
-      // buffer (rows ascending per column, bitwise the scalar scan).
-      if constexpr (Metrics::enabled) metrics.residual_check_begin();
-      std::fill(norms.begin(), norms.end(), 0.0);
-      if constexpr (Stream::enabled) {
-        // Same scan with the own rows' terms mirrored into the per-column
-        // own-block accumulators for the beacon: every term still lands in
-        // `norms` in the original row order, so the streamed run's residual
-        // check is bitwise the unstreamed one's.
-        std::fill(own_norms.begin(), own_norms.end(), 0.0);
-        for (index_t i = 0; i < n; ++i) {
-          r.read_row(i, rrow);
-          if (i >= lo && i < hi) {
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              const double v = std::abs(rrow[static_cast<std::size_t>(c)]);
-              norms[static_cast<std::size_t>(c)] += v;
-              own_norms[static_cast<std::size_t>(c)] += v;
-            }
-          } else {
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              norms[static_cast<std::size_t>(c)] +=
-                  std::abs(rrow[static_cast<std::size_t>(c)]);
-            }
-          }
-        }
-      } else {
-        for (index_t i = 0; i < n; ++i) {
-          r.read_row(i, rrow);
-#pragma omp simd
-          for (index_t c = 0; c < k; ++c) {
-            norms[static_cast<std::size_t>(c)] +=
-                std::abs(rrow[static_cast<std::size_t>(c)]);
-          }
-        }
-      }
-      if constexpr (Metrics::enabled) metrics.residual_check_end();
       if constexpr (Stream::enabled) {
         // Beacon value under kUpperBoundMax: worst still-relative lane,
         // max over columns of (own-block column norm / column r0 norm).
         double worst = 0.0;
         for (index_t c = 0; c < k; ++c) {
           worst = std::max(
-              worst, own_norms[static_cast<std::size_t>(c)] / term.r0_norm(c));
+              worst, partials[static_cast<std::size_t>(c)] / term.r0_norm(c));
         }
         last_own_rel = worst;
       }
 
+      // Step 3: per-column convergence check — each column's P published
+      // partials summed in thread order (racy reads, aggregated in O(P)).
+      if constexpr (Metrics::enabled) metrics.residual_check_begin();
       bool my_all_done = true;
       for (index_t c = 0; c < k; ++c) {
         if (active[static_cast<std::size_t>(c)] == 0.0) continue;
-        const bool my_done = term.flag(
-            t, iter, c, norms[static_cast<std::size_t>(c)] / term.r0_norm(c));
+        const bool my_done = term.flag(t, iter, c, term.racy_rel(c));
         my_all_done = my_all_done && my_done;
       }
+      if constexpr (Metrics::enabled) metrics.residual_check_end();
       if constexpr (Metrics::enabled) {
         if (active_cols > 0) metrics.flag_update(my_all_done, iter);
       }

@@ -20,6 +20,7 @@
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/validate.hpp"
 #include "ajac/sparse/vector_ops.hpp"
+#include "ajac/util/aligned.hpp"
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
 #include "ajac/util/timer.hpp"
@@ -39,6 +40,85 @@ using detail::NullFaults;
 using detail::NullMetrics;
 using detail::NullStream;
 
+/// Sum of |r_i| over rows [lo, hi) in ascending order: an actor's partial
+/// norm (terminator.hpp), for the paths whose relaxation does not already
+/// accumulate it in that order.
+double own_residual_1(const SharedVector& r, index_t lo, index_t hi) {
+  double partial = 0.0;
+  for (index_t i = lo; i < hi; ++i) partial += std::abs(r.read(i));
+  return partial;
+}
+
+/// Actor-parallel prologue: each thread first-touches and fills its own
+/// rows of x (= x0), r and `r0` (= b - A x0 row by row, the expression and
+/// bits of CsrMatrix::residual), the fp32 shadow, and, when `inv_diag` is
+/// non-empty (reference kernels), 1 / a_ii. Its own region, with the same
+/// thread-to-block map as the solve's, so a zero diagonal can be reported
+/// by an exception after the join. Returns the first row whose diagonal
+/// is missing or zero, or -1.
+index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
+                      const partition::Partition& part, index_t threads,
+                      SharedVector& x, SharedVector& r,
+                      UninitVector<double>& r0, UninitVector<double>& inv_diag,
+                      SharedF32Vector* shadow) {
+  std::vector<index_t> zero_row(static_cast<std::size_t>(threads), -1);
+  AJAC_TSAN_RELEASE(&zero_row);
+#pragma omp parallel num_threads(static_cast<int>(threads))
+  {
+    AJAC_TSAN_ACQUIRE(&zero_row);
+    const auto t = static_cast<index_t>(omp_get_thread_num());
+    // The partition makes this thread the sole writer of its rows.
+    x.writer_role().assert_held();
+    r.writer_role().assert_held();
+    index_t& my_zero = zero_row[static_cast<std::size_t>(t)];
+    for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
+      x.init(i, x0[i]);
+      const double acc =
+          row_residual(a, i, b[i], [&](index_t j) { return x0[j]; });
+      r.init(i, acc);
+      r0[static_cast<std::size_t>(i)] = acc;
+      const double diag = a.at(i, i);
+      if (diag == 0.0 && my_zero < 0) my_zero = i;
+      if (!inv_diag.empty()) inv_diag[static_cast<std::size_t>(i)] = 1.0 / diag;
+    }
+    if (shadow != nullptr) {
+      shadow->writer_role().assert_held();
+      for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
+        shadow->write(i, x0[i]);
+      }
+    }
+    AJAC_TSAN_RELEASE(&zero_row);
+  }
+  AJAC_TSAN_ACQUIRE(&zero_row);
+  for (const index_t row : zero_row) {
+    if (row >= 0) return row;
+  }
+  return -1;
+}
+
+/// Actor-parallel epilogue after the stop: each thread copies its rows of
+/// the shared x into `out` and writes their residual b - A x to `resid`
+/// (CsrMatrix::residual's expression and bits), so the serial
+/// verification only sums `resid`.
+void collect_own_rows(const CsrMatrix& a, const Vector& b,
+                      const partition::Partition& part, index_t threads,
+                      const SharedVector& x, Vector& out,
+                      UninitVector<double>& resid) {
+  AJAC_TSAN_RELEASE(&out);
+#pragma omp parallel num_threads(static_cast<int>(threads))
+  {
+    AJAC_TSAN_ACQUIRE(&out);
+    const auto t = static_cast<index_t>(omp_get_thread_num());
+    for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
+      out[static_cast<std::size_t>(i)] = x.read(i);
+      resid[static_cast<std::size_t>(i)] =
+          row_residual(a, i, b[i], [&](index_t j) { return x.read(j); });
+    }
+    AJAC_TSAN_RELEASE(&out);
+  }
+  AJAC_TSAN_ACQUIRE(&out);
+}
+
 // `sell` and `shadow` are the kSellCS data plane (both null otherwise):
 // runtime pointers rather than a third template axis — the per-iteration
 // `sell != nullptr` branch is noise next to an O(nnz) sweep, and the
@@ -47,23 +127,26 @@ template <class Faults, class Metrics, class Stream, bool Blocked>
 SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
                                const Vector& x0, const SharedOptions& opts,
                                const partition::Partition& part,
-                               const Vector& inv_diag,
                                const fault::FaultPlan* plan,
                                const BlockedCsr* blocked, const SellCsr* sell,
                                SharedF32Vector* shadow) {
   const index_t n = a.num_rows();
 
+  // No serial O(n) pass here: the vectors are allocated unfilled and
+  // fill_own_rows writes every row from its owning thread. The blocked
+  // kernels keep 1 / a_ii per block, so only the reference path builds
+  // inv_diag.
   SharedVector x(n, opts.record_trace);
   SharedVector r(n, /*traced=*/false);
-  // Single-threaded setup: this thread is momentarily the sole writer of
-  // both shared vectors (the workers have not been forked yet).
-  x.writer_role().assert_held();
-  r.writer_role().assert_held();
-  x.init(x0);
-  Vector r0(static_cast<std::size_t>(n));
-  a.residual(x0, b, r0);
-  r.init(r0);
-  Terminator term(opts.num_threads, {vec::norm1(r0)}, opts.tolerance,
+  UninitVector<double> resid(static_cast<std::size_t>(n));
+  UninitVector<double> inv_diag(Blocked ? std::size_t{0}
+                                        : static_cast<std::size_t>(n));
+  const index_t zero_row = fill_own_rows(a, b, x0, part, opts.num_threads, x,
+                                         r, resid, inv_diag, shadow);
+  AJAC_CHECK_MSG(zero_row < 0, "zero diagonal at row " << zero_row);
+  // r0's norm stays one serial row-order sum (vec::norm1), so the reported
+  // relative residuals keep their bits.
+  Terminator term(opts.num_threads, {vec::norm1(resid)}, opts.tolerance,
                   opts.max_iterations);
   if constexpr (Stream::enabled) {
     // Telemetry denominator for the monitor's global residual estimate;
@@ -170,7 +253,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     };
 
     index_t iter = 0;
-    [[maybe_unused]] double last_own_norm = 0.0;
+    // This thread's last partial norm (terminator.hpp), also its beacon.
+    double partial = 0.0;
     while (!term.stopped()) {
       if (term.at_cap(iter)) {  // parked (see terminator.hpp)
         if (term.park(iter, fresh)) metrics.stop_decided();
@@ -190,7 +274,10 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
       if constexpr (Metrics::enabled) metrics.sync_faults(faults);
 
-      // Step 1: residual on own rows from the shared (racy) x.
+      // Step 1: residual on own rows from the shared (racy) x, and the
+      // partial norm of those rows, published before the first barrier so
+      // that in synchronous mode every reader sums the same iteration's
+      // partials.
       if (sampled) {
         // Sampled policies: block-size in-place relaxations of drawn rows
         // (iteration counting, termination, and total_relaxations keep
@@ -238,7 +325,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
               relax_row_sampled_traced(*blk, a, b, own, x, faults, metrics,
                                        iter, r, my_events, i);
             } else {
-              relax_row_sampled(*blk, a, b, own, x, r, faults, i);
+              relax_row_in_place(*blk, a, b, own, x, r, faults, i);
             }
           } else if (opts.record_trace) {
             model::RelaxationEvent event;
@@ -290,12 +377,15 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
             x.write(i, x.read(i) + inv_diag[i] * acc);
           }
         }
+        // Draws revisit rows in policy order: sum the partial afterwards.
+        partial = own_residual_1(r, lo, hi);
       } else if (opts.local_gauss_seidel) {
         // In-place forward sweep: each row's update is visible to the
         // following rows (and to other threads) immediately.
         if constexpr (Blocked) {
-          relax_block_gs(*blk, a, b, own, x, r, faults);
+          partial = relax_block_gs(*blk, a, b, own, x, r, faults);
         } else {
+          partial = 0.0;
           for (index_t i = lo; i < hi; ++i) {
             double acc = b[i];
             const auto [cols, vals] = a.row(i);
@@ -311,8 +401,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
               }
               acc -= aij * faults.read(x, cols[pp]);
             }
-            local_r[i - lo] = acc;
             r.write(i, acc);
+            partial += std::abs(acc);
             x.write(i, x.read(i) + inv_diag[i] * acc);
           }
         }
@@ -320,6 +410,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         if constexpr (Blocked) {
           relax_traced(*blk, a, b, own, x, faults, metrics, iter, r,
                        my_events);
+          partial = own_residual_1(r, lo, hi);
         } else {
           for (index_t i = lo; i < hi; ++i) {
             model::RelaxationEvent event;
@@ -369,9 +460,9 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
             if constexpr (Metrics::enabled) metrics.ghost_refresh();
             relax_interior_sell(*sblk, b, own, r);
             relax_boundary_buffered(*blk, b, own, ghosts, r);
+            partial = own_residual_1(r, lo, hi);
           } else {
-            relax_interior(*blk, a, b, own, faults, r);
-            relax_boundary(*blk, a, b, own, x, faults, r);
+            partial = relax_block(*blk, a, b, own, x, faults, r);
           }
         } else {
           for (index_t i = lo; i < hi; ++i) {
@@ -400,11 +491,16 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         // The blocked kernels publish each row's residual to r as part of
         // step 1 (the GS sweep and the sampled policies write it in-place
         // on both paths); only the reference Jacobi step needs this
-        // separate pass.
+        // separate pass, which also sums its partial.
         if (!opts.local_gauss_seidel && !sampled) {
-          for (index_t i = lo; i < hi; ++i) r.write(i, local_r[i - lo]);
+          partial = 0.0;
+          for (index_t i = lo; i < hi; ++i) {
+            r.write(i, local_r[i - lo]);
+            partial += std::abs(local_r[i - lo]);
+          }
         }
       }
+      term.publish_partial(t, 0, partial);
 
       if (opts.synchronous) {
 #pragma omp barrier
@@ -430,34 +526,17 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
       ++iter;
 
-      // Step 3: convergence check — norm of the whole shared residual
-      // (racy reads, the paper's scheme).
+      // Step 3: convergence check — the P published partials summed in
+      // thread order (racy reads of other threads' slots, the paper's
+      // scheme aggregated in O(P)).
       if constexpr (Metrics::enabled) metrics.residual_check_begin();
-      double norm = 0.0;
-      if constexpr (Stream::enabled) {
-        // Same scan with the own-block terms mirrored into a second
-        // accumulator for the beacon: every term still lands in `norm` in
-        // the original row order, so the streamed run's residual check is
-        // bitwise the unstreamed one's.
-        double own_sum = 0.0;
-        for (index_t i = 0; i < lo; ++i) norm += std::abs(r.read(i));
-        for (index_t i = lo; i < hi; ++i) {
-          const double v = std::abs(r.read(i));
-          norm += v;
-          own_sum += v;
-        }
-        for (index_t i = hi; i < n; ++i) norm += std::abs(r.read(i));
-        last_own_norm = own_sum;
-      } else {
-        for (index_t i = 0; i < n; ++i) norm += std::abs(r.read(i));
-      }
-      const double rel = norm / term.r0_norm();
+      const double rel = term.racy_rel();
       if constexpr (Metrics::enabled) metrics.residual_check_end();
       if (opts.record_history) {
-        // `rel` sums racy relaxed reads of r that interleave with other
-        // threads' writes: this point records the residual *as this thread
-        // saw it*, not a consistent global norm. The serial post-run check
-        // (final_rel_residual_1) is the trustworthy value.
+        // `rel` sums racy relaxed reads of partials that interleave with
+        // other threads' publications: this point records the residual
+        // *as this thread saw it*, not a consistent global norm. The serial
+        // post-run check (final_rel_residual_1) is the trustworthy value.
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
       const bool my_done = term.flag(t, iter, 0, rel);
@@ -475,7 +554,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, hi - lo);
       if constexpr (Stream::enabled) {
         if (stream.due(iter)) {
-          stream.publish(iter, hi - lo, last_own_norm,
+          stream.publish(iter, hi - lo, partial,
                          sampled ? static_cast<std::uint64_t>(iter) *
                                        static_cast<std::uint64_t>(hi - lo)
                                  : 0);
@@ -486,7 +565,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     if constexpr (Stream::enabled) {
       // Terminal beacon: the monitor always sees this thread's final state
       // even when the last iteration missed the stride.
-      stream.finish(iter, hi - lo, last_own_norm,
+      stream.finish(iter, hi - lo, partial,
                     sampled ? static_cast<std::uint64_t>(iter) *
                                   static_cast<std::uint64_t>(hi - lo)
                             : 0);
@@ -504,11 +583,11 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
 
   result.seconds = timer.seconds();
   result.x.resize(static_cast<std::size_t>(n));
-  x.snapshot(result.x);
+  collect_own_rows(a, b, part, opts.num_threads, x, result.x, resid);
 
   const PolishOutcome fin = verify_and_polish(
       a, b, inv_diag, term.r0_norm(), opts.tolerance, opts.final_polish,
-      polish_budget(opts.num_threads), result.x);
+      polish_budget(opts.num_threads), result.x, resid);
   result.final_rel_residual_1 = fin.rel_residual_1;
   result.polish_sweeps = fin.sweeps;
   result.converged = fin.converged;
@@ -564,16 +643,15 @@ template <class Faults, class Metrics, class Stream>
 SharedResult dispatch_kernel(const CsrMatrix& a, const Vector& b,
                              const Vector& x0, const SharedOptions& opts,
                              const partition::Partition& part,
-                             const Vector& inv_diag,
                              const fault::FaultPlan* plan,
                              const BlockedCsr* blocked, const SellCsr* sell,
                              SharedF32Vector* shadow) {
   if (blocked != nullptr) {
     return solve_shared_impl<Faults, Metrics, Stream, true>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+        a, b, x0, opts, part, plan, blocked, sell, shadow);
   }
   return solve_shared_impl<Faults, Metrics, Stream, false>(
-      a, b, x0, opts, part, inv_diag, plan, nullptr, nullptr, nullptr);
+      a, b, x0, opts, part, plan, nullptr, nullptr, nullptr);
 }
 
 /// Fold the telemetry-hub choice into the Stream hook axis; the null path
@@ -582,16 +660,15 @@ template <class Faults, class Metrics>
 SharedResult dispatch_stream(const CsrMatrix& a, const Vector& b,
                              const Vector& x0, const SharedOptions& opts,
                              const partition::Partition& part,
-                             const Vector& inv_diag,
                              const fault::FaultPlan* plan,
                              const BlockedCsr* blocked, const SellCsr* sell,
                              SharedF32Vector* shadow) {
   if (opts.stream != nullptr) {
     return dispatch_kernel<Faults, Metrics, ActiveStream>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+        a, b, x0, opts, part, plan, blocked, sell, shadow);
   }
   return dispatch_kernel<Faults, Metrics, NullStream>(
-      a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+      a, b, x0, opts, part, plan, blocked, sell, shadow);
 }
 
 }  // namespace
@@ -653,12 +730,6 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   AJAC_DBG_VALIDATE(validate::finite(b, "b"));
   AJAC_DBG_VALIDATE(validate::finite(x0, "x0"));
 
-  Vector inv_diag = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(inv_diag[i] != 0.0, "zero diagonal at row " << i);
-    inv_diag[i] = 1.0 / inv_diag[i];
-  }
-
   const fault::FaultPlan* plan =
       opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
                                                    : nullptr;
@@ -694,18 +765,13 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   // kSellCS additions: the SELL interior repack (boundary rows keep
   // relaxing through the blocked layout) and, for fp32 ghosts, the float
   // shadow of x that neighbours refresh from. Both built before the
-  // threads start; the shadow starts at x0 so the first refresh reads the
-  // same values the blocked path would.
+  // threads start; the prologue fills the shadow with x0 so the first
+  // refresh reads the same values the blocked path would.
   std::optional<SellCsr> sell_a;
   if (sellcs) sell_a.emplace(*blocked_a);
   const SellCsr* sell = sell_a ? &*sell_a : nullptr;
   std::optional<SharedF32Vector> shadow_a;
-  if (opts.ghost_precision == GhostPrecision::kFp32) {
-    shadow_a.emplace(n);
-    // Single-threaded setup: momentarily the sole writer (as for x and r).
-    shadow_a->writer_role().assert_held();
-    shadow_a->init(x0);
-  }
+  if (opts.ghost_precision == GhostPrecision::kFp32) shadow_a.emplace(n);
   SharedF32Vector* shadow = shadow_a ? &*shadow_a : nullptr;
 
   if (opts.stream != nullptr) {
@@ -719,18 +785,18 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   // no hub) path is exactly the plain solver.
   if (plan != nullptr && metrics != nullptr) {
     return dispatch_stream<ActiveFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+        a, b, x0, opts, part, plan, blocked, sell, shadow);
   }
   if (plan != nullptr) {
     return dispatch_stream<ActiveFaults, NullMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked, sell, shadow);
+        a, b, x0, opts, part, plan, blocked, sell, shadow);
   }
   if (metrics != nullptr) {
     return dispatch_stream<NullFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, nullptr, blocked, sell, shadow);
+        a, b, x0, opts, part, nullptr, blocked, sell, shadow);
   }
   return dispatch_stream<NullFaults, NullMetrics>(
-      a, b, x0, opts, part, inv_diag, nullptr, blocked, sell, shadow);
+      a, b, x0, opts, part, nullptr, blocked, sell, shadow);
 }
 
 }  // namespace ajac::runtime

@@ -51,13 +51,16 @@ CsrMatrix CooBuilder::to_csr(bool drop_zeros) const {
   for (index_t i = 0; i < num_rows_; ++i) {
     const index_t begin = row_count[i];
     const index_t end = row_count[i + 1];
-    // Sort this row's entry indices by column. Stability matters:
+    // Sort this row's entry indices by column, ties by entry index:
     // duplicates must be summed in insertion order, so that the result is
     // deterministic and add_symmetric yields bitwise-symmetric matrices
-    // ((i,j) and (j,i) see their duplicates in the same order).
-    std::stable_sort(
-        order.begin() + begin, order.begin() + end,
-        [&](std::size_t a, std::size_t b) { return cols_[a] < cols_[b]; });
+    // ((i,j) and (j,i) see their duplicates in the same order). The
+    // tie-break makes the order total, so an in-place std::sort gives
+    // std::stable_sort's order without its per-call buffer.
+    std::sort(order.begin() + begin, order.begin() + end,
+              [&](std::size_t a, std::size_t b) {
+                return cols_[a] != cols_[b] ? cols_[a] < cols_[b] : a < b;
+              });
     index_t p = begin;
     while (p < end) {
       const index_t col = cols_[order[p]];

@@ -19,6 +19,9 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace ajac {
 
@@ -47,5 +50,36 @@ struct CacheAlignedAllocator {
     return true;
   }
 };
+
+/// CacheAlignedAllocator that default-initializes: a std::vector of a
+/// trivial T sized with it leaves its elements indeterminate instead of
+/// zero-filling them, so allocation touches no page and each thread can
+/// first-touch (and fill) the slice it will use. Elements must be written
+/// before they are read.
+template <class T>
+struct UninitAlignedAllocator : CacheAlignedAllocator<T> {
+  template <class U>
+  struct rebind {
+    using other = UninitAlignedAllocator<U>;
+  };
+
+  UninitAlignedAllocator() noexcept = default;
+  template <class U>
+  UninitAlignedAllocator(const UninitAlignedAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Cache-line-aligned vector whose sizing constructor leaves trivial
+/// elements unwritten (see UninitAlignedAllocator).
+template <class T>
+using UninitVector = std::vector<T, UninitAlignedAllocator<T>>;
 
 }  // namespace ajac

@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "ajac/gen/fd.hpp"
+#include "ajac/gen/problem.hpp"
+#include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "test_helpers.hpp"
 
@@ -72,20 +75,31 @@ TEST(Terminator, NoVerificationUntilEveryFlagIsUp) {
   EXPECT_FALSE(term.stopped());
 }
 
-TEST(Terminator, StopImpliesVerifiedResidualOrEveryActorAtCap) {
-  // Random scripts over 4 actors and 2 columns: actors advance in random
-  // order with random racy norms, polls land at random points, and the
-  // fresh norms wander around the tolerance. Whenever a poll latches a
-  // column, the state it saw must justify it.
-  const std::uint64_t seed = ajac::testing::test_seed(/*salt=*/301);
+/// Where a scripted actor's racy norm comes from.
+enum class RacyNorm {
+  kDrawn,     ///< a random draw, converged-looking or not
+  kPartials,  ///< publish a random partial, then read the summed partials
+};
+
+struct ScriptStats {
+  int stops = 0;      ///< scripts that ended in a global stop
+  int cap_stops = 0;  ///< latches justified only by every actor at the cap
+  int refused = 0;    ///< (column, poll) pairs whose verification refused
+};
+
+/// Random scripts over 4 actors and 2 columns: actors advance in random
+/// order and flag on racy norms from `source`, polls land at random
+/// points, and the fresh norms wander around the tolerance. Whenever a
+/// poll latches a column, the state it saw must justify it.
+ScriptStats run_latch_scripts(std::uint64_t salt, RacyNorm source) {
+  const std::uint64_t seed = ajac::testing::test_seed(salt);
   SCOPED_TRACE(::testing::Message() << "seed=" << seed);
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   constexpr index_t kActors = 4;
   constexpr index_t kCols = 2;
   const std::vector<double> r0 = {1.0, 4.0};
-  int stops = 0;
-  int cap_stops = 0;
+  ScriptStats stats;
   for (int script = 0; script < 400; ++script) {
     Terminator term(kActors, r0, kTol, kCap);
     FakeFresh fresh{{0.0, 0.0}};
@@ -98,7 +112,16 @@ TEST(Terminator, StopImpliesVerifiedResidualOrEveryActorAtCap) {
         ++it;
         for (index_t c = 0; c < kCols; ++c) {
           if (term.column_stopped(c)) continue;  // frozen, as in the batch
-          term.flag(t, it, c, unit(rng) < 0.7 ? 0.5 * kTol : 2.0 * kTol);
+          const bool low = unit(rng) < 0.7;
+          if (source == RacyNorm::kDrawn) {
+            term.flag(t, it, c, low ? 0.5 * kTol : 2.0 * kTol);
+          } else {
+            // The partials have nothing to do with the fresh norm.
+            const double share = r0[static_cast<std::size_t>(c)] * kTol /
+                                 static_cast<double>(kActors);
+            term.publish_partial(t, c, share * (low ? 0.5 : 5.0));
+            term.flag(t, it, c, term.racy_rel(c));
+          }
         }
       }
       for (index_t c = 0; c < kCols; ++c) {
@@ -110,24 +133,34 @@ TEST(Terminator, StopImpliesVerifiedResidualOrEveryActorAtCap) {
       for (index_t c = 0; c < kCols; ++c) {
         before[static_cast<std::size_t>(c)] = term.column_stopped(c);
       }
+      const int calls = fresh.calls;
       reported += term.poll(it, fresh) ? 1 : 0;
       bool all_at_cap = true;
       for (const index_t i : iter) all_at_cap = all_at_cap && term.at_cap(i);
       for (index_t c = 0; c < kCols; ++c) {
         const auto cs = static_cast<std::size_t>(c);
-        if (before[cs] || !term.column_stopped(c)) continue;
+        if (before[cs] || !term.column_stopped(c)) {
+          stats.refused += fresh.calls > calls && !before[cs] ? 1 : 0;
+          continue;
+        }
         EXPECT_TRUE(all_at_cap || fresh.norm[cs] / r0[cs] <= kTol)
             << "column " << c << " latched without justification";
         EXPECT_EQ(term.stop_iteration(c), it);
-        cap_stops += all_at_cap && fresh.norm[cs] / r0[cs] > kTol ? 1 : 0;
+        stats.cap_stops +=
+            all_at_cap && fresh.norm[cs] / r0[cs] > kTol ? 1 : 0;
       }
     }
     EXPECT_EQ(reported, term.stopped() ? 1 : 0);
-    stops += term.stopped() ? 1 : 0;
+    stats.stops += term.stopped() ? 1 : 0;
   }
+  return stats;
+}
+
+TEST(Terminator, StopImpliesVerifiedResidualOrEveryActorAtCap) {
+  const ScriptStats stats = run_latch_scripts(/*salt=*/301, RacyNorm::kDrawn);
   // The scripts must actually exercise both stop paths.
-  EXPECT_GT(stops, 0);
-  EXPECT_GT(cap_stops, 0);
+  EXPECT_GT(stats.stops, 0);
+  EXPECT_GT(stats.cap_stops, 0);
 }
 
 TEST(Terminator, ActorFlaggingOnlyAtTheCapStillEndsTheSolve) {
@@ -257,6 +290,112 @@ TEST(Terminator, VerifyAndPolishMeetsTheToleranceWithinTheBudget) {
       verify_and_polish(a, b, inv_diag, r0, 1e-2, true, 1000, x);
   EXPECT_EQ(again.sweeps, 0);
   EXPECT_TRUE(again.converged);
+}
+
+// --- O(P) aggregation: the racy norm is the sum of published partials ---
+
+TEST(Terminator, MissingOrStalePartialOnlyDelaysTheStop) {
+  // An actor that has not published counts at the whole r0 norm, which
+  // holds every flag down.
+  Terminator term(3, {2.0}, kTol, kCap);
+  EXPECT_EQ(term.racy_rel(), 3.0);
+  term.publish_partial(0, 0, 0.0);
+  term.publish_partial(1, 0, 0.0);
+  EXPECT_EQ(term.racy_rel(), 1.0);
+  FakeFresh fresh{{0.0}};
+  for (index_t t = 0; t < 3; ++t) {
+    EXPECT_FALSE(term.flag(t, 1, 0, term.racy_rel()));
+  }
+  EXPECT_FALSE(term.poll(1, fresh));
+  EXPECT_EQ(fresh.calls, 0);
+
+  // Stale partials that look converged raise every flag, but the fresh
+  // norm is above the tolerance: verification refuses the stop.
+  term.publish_partial(2, 0, 0.0);
+  fresh.norm[0] = 2.0 * kTol * 1.5;
+  for (index_t t = 0; t < 3; ++t) {
+    EXPECT_TRUE(term.flag(t, 2, 0, term.racy_rel()));
+  }
+  EXPECT_FALSE(term.poll(2, fresh));
+  EXPECT_EQ(fresh.calls, 1);
+  EXPECT_FALSE(term.stopped());
+}
+
+TEST(Terminator, StalePartialsNeverCauseAnUnverifiedStop) {
+  // Actors flag on summed partials that look converged or not at random;
+  // every latch must still be justified by the fresh norm or the cap.
+  const ScriptStats stats =
+      run_latch_scripts(/*salt=*/302, RacyNorm::kPartials);
+  // Stale partials must actually trigger refused verifications.
+  EXPECT_GT(stats.stops, 0);
+  EXPECT_GT(stats.refused, 0);
+}
+
+TEST(Terminator, PartialsAreSummedInActorOrder) {
+  // 1e16 + 1 rounds back to 1e16, so the three partials sum to 1e16 in
+  // actor order and to 1e16 + 2 in reverse order, which adds the ones
+  // first.
+  const std::vector<double> partials = {1e16, 1.0, 1.0};
+  const double in_order = (partials[0] + partials[1]) + partials[2];
+  ASSERT_NE(in_order, (partials[2] + partials[1]) + partials[0]);
+  Terminator term(3, {1.0}, kTol, kCap);
+  for (index_t t = 2; t >= 0; --t) {  // publication order does not matter
+    term.publish_partial(t, 0, partials[static_cast<std::size_t>(t)]);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(term.racy_rel()),
+            std::bit_cast<std::uint64_t>(in_order));
+
+  // Columns aggregate separately, each over its own r0.
+  Terminator cols(2, {1.0, 2.0}, kTol, kCap);
+  cols.publish_partial(0, 0, 1.0);
+  cols.publish_partial(1, 0, 2.0);
+  cols.publish_partial(0, 1, 10.0);
+  cols.publish_partial(1, 1, 20.0);
+  EXPECT_EQ(cols.racy_rel(0), 3.0);
+  EXPECT_EQ(cols.racy_rel(1), 15.0);
+}
+
+TEST(Terminator, SingleThreadNormIsBitwiseTheSequentialScan) {
+  // At one thread the aggregated norm of iteration k is the 1-norm of
+  // b - A x_(k-1) summed over all rows ascending, divided by r0's, for
+  // every kernel: x_(k-1) is the iterate a (k-1)-iteration solve returns.
+  const auto p = gen::make_problem("fd12", gen::fd_laplacian_2d(12, 12),
+                                   ajac::testing::test_seed(/*salt=*/303));
+  const auto n = static_cast<std::size_t>(p.a.num_rows());
+  constexpr index_t kIters = 6;
+  auto rel_of = [&](const Vector& x, double r0) {
+    Vector r(n);
+    p.a.residual(x, p.b, r);
+    return vec::norm1(r) / r0;
+  };
+  const double r0 = rel_of(p.x0, 1.0);
+  for (const KernelKind kernel :
+       {KernelKind::kBlocked, KernelKind::kReference, KernelKind::kSellCS}) {
+    SCOPED_TRACE(::testing::Message() << "kernel " << static_cast<int>(kernel));
+    SharedOptions so;
+    so.num_threads = 1;
+    so.synchronous = true;
+    so.tolerance = 0.0;
+    so.max_iterations = kIters;
+    so.record_history = true;
+    so.kernel = kernel;
+    const SharedResult run = solve_shared(p.a, p.b, p.x0, so);
+    ASSERT_EQ(run.history.size(), static_cast<std::size_t>(kIters));
+    Vector x = p.x0;
+    for (index_t k = 1; k <= kIters; ++k) {
+      if (k > 1) {
+        SharedOptions prefix = so;
+        prefix.max_iterations = k - 1;
+        prefix.record_history = false;
+        x = solve_shared(p.a, p.b, p.x0, prefix).x;
+      }
+      const double seen =
+          run.history[static_cast<std::size_t>(k - 1)].rel_residual_1;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(seen),
+                std::bit_cast<std::uint64_t>(rel_of(x, r0)))
+          << "iteration " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
@@ -164,6 +168,82 @@ TEST(PropCooCsr, DropZerosRemovesExactCancellations) {
     }
     if (cancelled == 0) {
       EXPECT_EQ(dropped, kept);
+    }
+  }
+}
+
+/// The conversion to_csr specifies, written with std::stable_sort on every
+/// row: entries bucketed by row in insertion order, sorted by column
+/// stably, duplicates summed in insertion order.
+CsrMatrix stable_sort_reference(const Triplets& t, bool drop_zeros) {
+  std::vector<std::vector<std::size_t>> by_row(
+      static_cast<std::size_t>(t.rows));
+  for (std::size_t k = 0; k < t.v.size(); ++k) {
+    by_row[static_cast<std::size_t>(t.i[k])].push_back(k);
+  }
+  std::vector<index_t> row_ptr{0};
+  std::vector<index_t> col_idx;
+  std::vector<double> values;
+  for (auto& row : by_row) {
+    std::stable_sort(row.begin(), row.end(), [&](std::size_t a, std::size_t b) {
+      return t.j[a] < t.j[b];
+    });
+    for (std::size_t p = 0; p < row.size();) {
+      const index_t col = t.j[row[p]];
+      double sum = 0.0;
+      for (; p < row.size() && t.j[row[p]] == col; ++p) sum += t.v[row[p]];
+      if (drop_zeros && sum == 0.0) continue;
+      col_idx.push_back(col);
+      values.push_back(sum);
+    }
+    row_ptr.push_back(static_cast<index_t>(col_idx.size()));
+  }
+  return CsrMatrix(t.rows, t.cols, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
+}
+
+// Few columns and many entries per row: every row is dense in duplicates,
+// rows run from a handful to about a hundred entries (both sides of the
+// length where sort implementations switch algorithm), and values span
+// six decades so a different summation order would change the sums' bits.
+TEST(PropCooCsr, DuplicateHeavyRowsMatchStableSortReferenceBitwise) {
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << ", AJAC_TEST_SEED base "
+                 << ajac::testing::test_seed());
+    Rng rng(ajac::testing::test_seed(5000 + static_cast<std::uint64_t>(c)));
+    Triplets t;
+    t.rows = 1 + static_cast<index_t>(rng.uniform_index(6));
+    t.cols = 1 + static_cast<index_t>(rng.uniform_index(8));
+    const auto entries = rng.uniform_index(
+        static_cast<std::uint64_t>(t.rows) * 80 + 1);
+    for (std::uint64_t k = 0; k < entries; ++k) {
+      t.i.push_back(static_cast<index_t>(rng.uniform_index(t.rows)));
+      t.j.push_back(static_cast<index_t>(rng.uniform_index(t.cols)));
+      const double scale =
+          std::pow(10.0, static_cast<double>(rng.uniform_index(7)) - 3.0);
+      // Some exact cancellations so drop_zeros has work to do.
+      t.v.push_back(rng.uniform() < 0.1 ? 0.0 : scale * rng.uniform(-1.0, 1.0));
+    }
+    CooBuilder coo(t.rows, t.cols);
+    for (std::size_t k = 0; k < t.v.size(); ++k) {
+      coo.add(t.i[k], t.j[k], t.v[k]);
+    }
+    for (const bool drop : {false, true}) {
+      const CsrMatrix got = coo.to_csr(drop);
+      const CsrMatrix want = stable_sort_reference(t, drop);
+      ASSERT_EQ(got.num_rows(), want.num_rows());
+      ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+      for (index_t i = 0; i < got.num_rows(); ++i) {
+        ASSERT_TRUE(std::ranges::equal(got.row_cols(i), want.row_cols(i)));
+        const auto gv = got.row_values(i);
+        const auto wv = want.row_values(i);
+        for (std::size_t p = 0; p < gv.size(); ++p) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(gv[p]),
+                    std::bit_cast<std::uint64_t>(wv[p]))
+              << "row " << i << " entry " << p;
+        }
+      }
     }
   }
 }
