@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
         (dir.empty() ? std::string(".") : dir) + "/scale_roundtrip.mtx";
     const CsrMatrix generated = gen::fd_laplacian_2d(mtx_edge, mtx_edge);
     write_matrix_market(generated, path);
-    const CsrMatrix reread = read_matrix_market(path);
+    CsrMatrix reread = read_matrix_market(path);
     std::remove(path.c_str());
     if (reread.num_rows() != generated.num_rows() ||
         reread.num_nonzeros() != generated.num_nonzeros()) {
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     problems.push_back({"mtxrt-" + std::to_string(mtx_edge),
-                        gen::make_problem("mtxrt", reread, seed)});
+                        gen::make_problem("mtxrt", std::move(reread), seed)});
   }
 
   Table table({"problem/kernel", "n", "nnz", "threads", "sweeps", "seconds",

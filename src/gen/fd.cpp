@@ -1,13 +1,22 @@
 #include "ajac/gen/fd.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
+#include "ajac/sparse/csr_writer.hpp"
 #include "ajac/util/check.hpp"
 #include "ajac/util/rng.hpp"
 
 namespace ajac::gen {
+
+// The constant-coefficient stencils below emit each row's entries in
+// ascending column order straight into a CsrRowWriter. The edge-assembled
+// generators (fd_varcoef_*, random_wdd_matrix) stay on CooBuilder: they sum
+// several contributions into each diagonal, and the order CooBuilder sums
+// them in fixes the result's bits.
 
 namespace {
 
@@ -22,49 +31,41 @@ constexpr index_t idx3(index_t nx, index_t ny, index_t i, index_t j,
 
 CsrMatrix fd_laplacian_1d(index_t n) {
   AJAC_CHECK(n >= 1);
-  CooBuilder coo(n, n);
+  CsrRowWriter w(n, n, 3 * static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
-    coo.add(i, i, 2.0);
-    if (i > 0) coo.add(i, i - 1, -1.0);
-    if (i + 1 < n) coo.add(i, i + 1, -1.0);
+    if (i > 0) w.push(i - 1, -1.0);
+    w.push(i, 2.0);
+    if (i + 1 < n) w.push(i + 1, -1.0);
+    w.end_row();
   }
-  return coo.to_csr();
+  return std::move(w).finish();
 }
 
 CsrMatrix fd_laplacian_2d(index_t nx, index_t ny) {
-  AJAC_CHECK(nx >= 1 && ny >= 1);
-  CooBuilder coo(nx * ny, nx * ny);
-  for (index_t j = 0; j < ny; ++j) {
-    for (index_t i = 0; i < nx; ++i) {
-      const index_t row = idx2(nx, i, j);
-      coo.add(row, row, 4.0);
-      if (i > 0) coo.add(row, idx2(nx, i - 1, j), -1.0);
-      if (i + 1 < nx) coo.add(row, idx2(nx, i + 1, j), -1.0);
-      if (j > 0) coo.add(row, idx2(nx, i, j - 1), -1.0);
-      if (j + 1 < ny) coo.add(row, idx2(nx, i, j + 1), -1.0);
-    }
-  }
-  return coo.to_csr();
+  return fd_anisotropic_2d(nx, ny, 1.0);
 }
 
 CsrMatrix fd_laplacian_3d(index_t nx, index_t ny, index_t nz) {
   AJAC_CHECK(nx >= 1 && ny >= 1 && nz >= 1);
-  CooBuilder coo(nx * ny * nz, nx * ny * nz);
+  const index_t n = nx * ny * nz;
+  const index_t plane = nx * ny;
+  CsrRowWriter w(n, n, 7 * static_cast<std::size_t>(n));
   for (index_t k = 0; k < nz; ++k) {
     for (index_t j = 0; j < ny; ++j) {
       for (index_t i = 0; i < nx; ++i) {
         const index_t row = idx3(nx, ny, i, j, k);
-        coo.add(row, row, 6.0);
-        if (i > 0) coo.add(row, idx3(nx, ny, i - 1, j, k), -1.0);
-        if (i + 1 < nx) coo.add(row, idx3(nx, ny, i + 1, j, k), -1.0);
-        if (j > 0) coo.add(row, idx3(nx, ny, i, j - 1, k), -1.0);
-        if (j + 1 < ny) coo.add(row, idx3(nx, ny, i, j + 1, k), -1.0);
-        if (k > 0) coo.add(row, idx3(nx, ny, i, j, k - 1), -1.0);
-        if (k + 1 < nz) coo.add(row, idx3(nx, ny, i, j, k + 1), -1.0);
+        if (k > 0) w.push(row - plane, -1.0);
+        if (j > 0) w.push(row - nx, -1.0);
+        if (i > 0) w.push(row - 1, -1.0);
+        w.push(row, 6.0);
+        if (i + 1 < nx) w.push(row + 1, -1.0);
+        if (j + 1 < ny) w.push(row + nx, -1.0);
+        if (k + 1 < nz) w.push(row + plane, -1.0);
+        w.end_row();
       }
     }
   }
-  return coo.to_csr();
+  return std::move(w).finish();
 }
 
 CsrMatrix fd_varcoef_2d(
@@ -190,40 +191,43 @@ CsrMatrix fd_random_blocks_3d(index_t nx, index_t ny, index_t nz,
 
 CsrMatrix fd_laplacian_2d_9pt(index_t nx, index_t ny) {
   AJAC_CHECK(nx >= 1 && ny >= 1);
-  CooBuilder coo(nx * ny, nx * ny);
+  const index_t n = nx * ny;
+  CsrRowWriter w(n, n, 9 * static_cast<std::size_t>(n));
   for (index_t j = 0; j < ny; ++j) {
     for (index_t i = 0; i < nx; ++i) {
-      const index_t row = idx2(nx, i, j);
-      coo.add(row, row, 8.0);
-      for (index_t dj = -1; dj <= 1; ++dj) {
-        for (index_t di = -1; di <= 1; ++di) {
-          if (di == 0 && dj == 0) continue;
-          const index_t ii = i + di;
-          const index_t jj = j + dj;
-          if (ii < 0 || ii >= nx || jj < 0 || jj >= ny) continue;
-          coo.add(row, idx2(nx, ii, jj), -1.0);
+      // (jj, ii) ascending visits the stencil in ascending column order,
+      // the diagonal in its sorted place.
+      for (index_t jj = std::max<index_t>(j - 1, 0);
+           jj <= std::min(j + 1, ny - 1); ++jj) {
+        for (index_t ii = std::max<index_t>(i - 1, 0);
+             ii <= std::min(i + 1, nx - 1); ++ii) {
+          w.push(idx2(nx, ii, jj), ii == i && jj == j ? 8.0 : -1.0);
         }
       }
+      w.end_row();
     }
   }
-  return coo.to_csr();
+  return std::move(w).finish();
 }
 
 CsrMatrix fd_anisotropic_2d(index_t nx, index_t ny, double eps) {
   AJAC_CHECK(nx >= 1 && ny >= 1);
   AJAC_CHECK(eps > 0.0);
-  CooBuilder coo(nx * ny, nx * ny);
+  const index_t n = nx * ny;
+  const double diag = 2.0 * eps + 2.0;
+  CsrRowWriter w(n, n, 5 * static_cast<std::size_t>(n));
   for (index_t j = 0; j < ny; ++j) {
     for (index_t i = 0; i < nx; ++i) {
       const index_t row = idx2(nx, i, j);
-      coo.add(row, row, 2.0 * eps + 2.0);
-      if (i > 0) coo.add(row, idx2(nx, i - 1, j), -eps);
-      if (i + 1 < nx) coo.add(row, idx2(nx, i + 1, j), -eps);
-      if (j > 0) coo.add(row, idx2(nx, i, j - 1), -1.0);
-      if (j + 1 < ny) coo.add(row, idx2(nx, i, j + 1), -1.0);
+      if (j > 0) w.push(row - nx, -1.0);
+      if (i > 0) w.push(row - 1, -eps);
+      w.push(row, diag);
+      if (i + 1 < nx) w.push(row + 1, -eps);
+      if (j + 1 < ny) w.push(row + nx, -1.0);
+      w.end_row();
     }
   }
-  return coo.to_csr();
+  return std::move(w).finish();
 }
 
 CsrMatrix random_wdd_matrix(index_t n, index_t extra_edges, Rng& rng) {

@@ -18,8 +18,9 @@ struct LinearProblem {
 };
 
 /// Build a LinearProblem from a raw SPD matrix: applies the symmetric
-/// scaling D^{-1/2} A D^{-1/2}, then draws b and x0 from `seed`.
-[[nodiscard]] LinearProblem make_problem(std::string name, const CsrMatrix& a,
+/// scaling D^{-1/2} A D^{-1/2}, then draws b and x0 from `seed`. Pass a
+/// temporary (or std::move) to scale the matrix in place without a copy.
+[[nodiscard]] LinearProblem make_problem(std::string name, CsrMatrix a,
                                          std::uint64_t seed);
 
 }  // namespace ajac::gen

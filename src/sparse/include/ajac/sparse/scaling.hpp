@@ -13,7 +13,12 @@ class CsrMatrix;
 /// Returns D^{-1/2} A D^{-1/2}. Requires a strictly positive stored
 /// diagonal. If `b` is non-null, it is transformed consistently
 /// (b <- D^{-1/2} b) so that the scaled system has solution D^{1/2} x.
+/// The rvalue overload scales a's values in place and returns a with its
+/// row_ptr and col_idx moved, not copied; the const& overload copies a
+/// first. Both give bitwise-equal results.
 [[nodiscard]] CsrMatrix scale_to_unit_diagonal(const CsrMatrix& a,
+                                               Vector* b = nullptr);
+[[nodiscard]] CsrMatrix scale_to_unit_diagonal(CsrMatrix&& a,
                                                Vector* b = nullptr);
 
 /// Returns D^{-1} A (row scaling). Requires a nonzero stored diagonal.

@@ -1,6 +1,7 @@
 #include "ajac/sparse/scaling.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "ajac/sparse/csr.hpp"
@@ -9,6 +10,10 @@
 namespace ajac {
 
 CsrMatrix scale_to_unit_diagonal(const CsrMatrix& a, Vector* b) {
+  return scale_to_unit_diagonal(CsrMatrix(a), b);
+}
+
+CsrMatrix scale_to_unit_diagonal(CsrMatrix&& a, Vector* b) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   const index_t n = a.num_rows();
   Vector d = a.diagonal();
@@ -18,9 +23,9 @@ CsrMatrix scale_to_unit_diagonal(const CsrMatrix& a, Vector* b) {
                                                  << " is not positive");
     inv_sqrt[i] = 1.0 / std::sqrt(d[i]);
   }
-  std::vector<index_t> row_ptr(a.row_ptr().begin(), a.row_ptr().end());
-  std::vector<index_t> col_idx(a.col_idx().begin(), a.col_idx().end());
-  std::vector<double> values(a.values().begin(), a.values().end());
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto values = a.mutable_values();
   for (index_t i = 0; i < n; ++i) {
     for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       values[p] *= inv_sqrt[i] * inv_sqrt[col_idx[p]];
@@ -30,8 +35,7 @@ CsrMatrix scale_to_unit_diagonal(const CsrMatrix& a, Vector* b) {
     AJAC_CHECK(b->size() == static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) (*b)[i] *= inv_sqrt[i];
   }
-  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  return std::move(a);
 }
 
 CsrMatrix scale_rows_by_diagonal(const CsrMatrix& a, Vector* b) {

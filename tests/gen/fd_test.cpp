@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ajac/eig/lanczos.hpp"
+#include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/properties.hpp"
 #include "ajac/util/rng.hpp"
@@ -54,10 +58,147 @@ TEST(FdLaplacian, JacobiSpectralRadiusMatchesClosedForm) {
 }
 
 TEST(FdLaplacian, NonzeroCountFormula) {
-  const index_t nx = 6, ny = 9;
-  const CsrMatrix a = gen::fd_laplacian_2d(nx, ny);
+  const index_t nx = 6, ny = 9, nz = 4;
   const index_t edges = (nx - 1) * ny + nx * (ny - 1);
-  EXPECT_EQ(a.num_nonzeros(), nx * ny + 2 * edges);
+  EXPECT_EQ(gen::fd_laplacian_2d(nx, ny).num_nonzeros(), nx * ny + 2 * edges);
+  // 9-point: each interior cell square adds its two diagonals as edges.
+  const index_t diagonals = 2 * (nx - 1) * (ny - 1);
+  EXPECT_EQ(gen::fd_laplacian_2d_9pt(nx, ny).num_nonzeros(),
+            nx * ny + 2 * (edges + diagonals));
+  const index_t edges3 = (nx - 1) * ny * nz + nx * (ny - 1) * nz +
+                         nx * ny * (nz - 1);
+  EXPECT_EQ(gen::fd_laplacian_3d(nx, ny, nz).num_nonzeros(),
+            nx * ny * nz + 2 * edges3);
+}
+
+// The stencil generators write CSR rows directly. These are the COO
+// assembly loops they replaced, kept as the reference: the direct writes
+// must reproduce CooBuilder::to_csr's output bit for bit.
+namespace coo_reference {
+
+index_t idx2(index_t nx, index_t i, index_t j) { return j * nx + i; }
+index_t idx3(index_t nx, index_t ny, index_t i, index_t j, index_t k) {
+  return (k * ny + j) * nx + i;
+}
+
+CsrMatrix laplacian_1d(index_t n) {
+  CooBuilder coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    coo.add(i, i, 2.0);
+    if (i > 0) coo.add(i, i - 1, -1.0);
+    if (i + 1 < n) coo.add(i, i + 1, -1.0);
+  }
+  return coo.to_csr();
+}
+
+CsrMatrix laplacian_2d(index_t nx, index_t ny) {
+  CooBuilder coo(nx * ny, nx * ny);
+  for (index_t j = 0; j < ny; ++j) {
+    for (index_t i = 0; i < nx; ++i) {
+      const index_t row = idx2(nx, i, j);
+      coo.add(row, row, 4.0);
+      if (i > 0) coo.add(row, idx2(nx, i - 1, j), -1.0);
+      if (i + 1 < nx) coo.add(row, idx2(nx, i + 1, j), -1.0);
+      if (j > 0) coo.add(row, idx2(nx, i, j - 1), -1.0);
+      if (j + 1 < ny) coo.add(row, idx2(nx, i, j + 1), -1.0);
+    }
+  }
+  return coo.to_csr();
+}
+
+CsrMatrix laplacian_3d(index_t nx, index_t ny, index_t nz) {
+  CooBuilder coo(nx * ny * nz, nx * ny * nz);
+  for (index_t k = 0; k < nz; ++k) {
+    for (index_t j = 0; j < ny; ++j) {
+      for (index_t i = 0; i < nx; ++i) {
+        const index_t row = idx3(nx, ny, i, j, k);
+        coo.add(row, row, 6.0);
+        if (i > 0) coo.add(row, idx3(nx, ny, i - 1, j, k), -1.0);
+        if (i + 1 < nx) coo.add(row, idx3(nx, ny, i + 1, j, k), -1.0);
+        if (j > 0) coo.add(row, idx3(nx, ny, i, j - 1, k), -1.0);
+        if (j + 1 < ny) coo.add(row, idx3(nx, ny, i, j + 1, k), -1.0);
+        if (k > 0) coo.add(row, idx3(nx, ny, i, j, k - 1), -1.0);
+        if (k + 1 < nz) coo.add(row, idx3(nx, ny, i, j, k + 1), -1.0);
+      }
+    }
+  }
+  return coo.to_csr();
+}
+
+CsrMatrix laplacian_2d_9pt(index_t nx, index_t ny) {
+  CooBuilder coo(nx * ny, nx * ny);
+  for (index_t j = 0; j < ny; ++j) {
+    for (index_t i = 0; i < nx; ++i) {
+      const index_t row = idx2(nx, i, j);
+      coo.add(row, row, 8.0);
+      for (index_t dj = -1; dj <= 1; ++dj) {
+        for (index_t di = -1; di <= 1; ++di) {
+          if (di == 0 && dj == 0) continue;
+          const index_t ii = i + di;
+          const index_t jj = j + dj;
+          if (ii < 0 || ii >= nx || jj < 0 || jj >= ny) continue;
+          coo.add(row, idx2(nx, ii, jj), -1.0);
+        }
+      }
+    }
+  }
+  return coo.to_csr();
+}
+
+CsrMatrix anisotropic_2d(index_t nx, index_t ny, double eps) {
+  CooBuilder coo(nx * ny, nx * ny);
+  for (index_t j = 0; j < ny; ++j) {
+    for (index_t i = 0; i < nx; ++i) {
+      const index_t row = idx2(nx, i, j);
+      coo.add(row, row, 2.0 * eps + 2.0);
+      if (i > 0) coo.add(row, idx2(nx, i - 1, j), -eps);
+      if (i + 1 < nx) coo.add(row, idx2(nx, i + 1, j), -eps);
+      if (j > 0) coo.add(row, idx2(nx, i, j - 1), -1.0);
+      if (j + 1 < ny) coo.add(row, idx2(nx, i, j + 1), -1.0);
+    }
+  }
+  return coo.to_csr();
+}
+
+}  // namespace coo_reference
+
+const std::vector<std::pair<index_t, index_t>> kShapes2d = {
+    {1, 1}, {1, 7}, {7, 1}, {2, 3}, {16, 17}, {64, 64}};
+
+TEST(FdDirectCsr, OneDimensionalMatchesCooBitwise) {
+  for (index_t n : {1, 2, 7, 64}) {
+    SCOPED_TRACE(n);
+    testing::expect_csr_bitwise_equal(gen::fd_laplacian_1d(n),
+                                      coo_reference::laplacian_1d(n));
+  }
+}
+
+TEST(FdDirectCsr, TwoDimensionalStencilsMatchCooBitwise) {
+  for (const auto& [nx, ny] : kShapes2d) {
+    SCOPED_TRACE(::testing::Message() << nx << "x" << ny);
+    testing::expect_csr_bitwise_equal(gen::fd_laplacian_2d(nx, ny),
+                                      coo_reference::laplacian_2d(nx, ny));
+    testing::expect_csr_bitwise_equal(
+        gen::fd_laplacian_2d_9pt(nx, ny),
+        coo_reference::laplacian_2d_9pt(nx, ny));
+    for (double eps : {1e-3, 1.0, 7.5}) {
+      SCOPED_TRACE(::testing::Message() << "eps " << eps);
+      testing::expect_csr_bitwise_equal(
+          gen::fd_anisotropic_2d(nx, ny, eps),
+          coo_reference::anisotropic_2d(nx, ny, eps));
+    }
+  }
+}
+
+TEST(FdDirectCsr, ThreeDimensionalMatchesCooBitwise) {
+  const std::vector<std::vector<index_t>> shapes = {
+      {1, 1, 1}, {2, 3, 4}, {5, 1, 3}};
+  for (const auto& s : shapes) {
+    SCOPED_TRACE(::testing::Message() << s[0] << "x" << s[1] << "x" << s[2]);
+    testing::expect_csr_bitwise_equal(
+        gen::fd_laplacian_3d(s[0], s[1], s[2]),
+        coo_reference::laplacian_3d(s[0], s[1], s[2]));
+  }
 }
 
 TEST(FdVarCoef, ConstantCoefficientReducesToLaplacian) {

@@ -9,6 +9,7 @@
 #include "ajac/sparse/properties.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "ajac/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace ajac {
 namespace {
@@ -49,6 +50,30 @@ TEST(Scaling, SymmetricScalingTransformsRhs) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(ax[i], std::sqrt(d[i]) * sy[i], 1e-12);
   }
+}
+
+TEST(Scaling, InPlaceScalingMatchesCopyBitwise) {
+  for (const CsrMatrix& a :
+       {gen::fd_laplacian_2d(7, 5), gen::fd_varcoef_2d(6, 4, [](double x,
+                                                                double y) {
+          return 1.0 + 3.0 * x * y;
+        })}) {
+    Rng rng(11);
+    Vector b(static_cast<std::size_t>(a.num_rows()));
+    vec::fill_uniform(b, rng);
+    Vector b_copy = b;
+    Vector b_moved = b;
+    const CsrMatrix from_copy = scale_to_unit_diagonal(a, &b_copy);
+    const CsrMatrix in_place = scale_to_unit_diagonal(CsrMatrix(a), &b_moved);
+    testing::expect_csr_bitwise_equal(in_place, from_copy);
+    EXPECT_EQ(b_moved, b_copy);
+  }
+}
+
+TEST(Scaling, InPlaceScalingRejectsNonPositiveDiagonal) {
+  EXPECT_THROW(
+      scale_to_unit_diagonal(CsrMatrix(1, 1, {0, 1}, {0}, {0.0})),
+      std::logic_error);
 }
 
 TEST(Scaling, RowScalingGivesUnitDiagonalAndKeepsSolution) {

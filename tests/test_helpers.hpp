@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -66,6 +68,21 @@ inline double apply_diff_inf(const CsrMatrix& a, const Vector& x,
     acc = std::max(acc, std::abs(ax[i] - y[i]));
   }
   return acc;
+}
+
+/// Asserts a and b have the same shape, row_ptr and col_idx, and values
+/// equal bit for bit (so -0.0 differs from 0.0, unlike CsrMatrix::==).
+inline void expect_csr_bitwise_equal(const CsrMatrix& a, const CsrMatrix& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.num_cols(), b.num_cols());
+  ASSERT_TRUE(std::ranges::equal(a.row_ptr(), b.row_ptr()));
+  ASSERT_TRUE(std::ranges::equal(a.col_idx(), b.col_idx()));
+  ASSERT_EQ(a.values().size(), b.values().size());
+  for (std::size_t p = 0; p < a.values().size(); ++p) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values()[p]),
+              std::bit_cast<std::uint64_t>(b.values()[p]))
+        << "value " << p;
+  }
 }
 
 }  // namespace ajac::testing
