@@ -5,6 +5,7 @@
 #include <optional>
 #include <queue>
 
+#include "ajac/fault/actor_faults.hpp"
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
 #include "ajac/runtime/row_policy.hpp"
@@ -232,9 +233,12 @@ double compute_seconds(const ProcessState& ps, const CostModel& cost,
   return work_seconds(ps, cost, jitter) + overhead_seconds(ps, cost, jitter);
 }
 
-/// Per-rank fault-injection state. The specs are resolved once up front;
-/// decisions come from the (stateless) FaultClock, so the simulator's RNGs
-/// are untouched and a faulty run perturbs only what the plan names.
+/// Per-rank fault-injection state. The specs are resolved once up front
+/// (fault::resolve_actor, the lookup every runtime shares); decisions come
+/// from the (stateless) FaultClock, so the simulator's RNGs are untouched
+/// and a faulty run perturbs only what the plan names. Crashes, stragglers
+/// and stale windows act in simulated time here, so they are applied by
+/// the event loop rather than by fault::ActorFaults.
 struct RankFaults {
   const fault::StragglerSpec* straggler = nullptr;
   const fault::StaleReadSpec* stale = nullptr;
@@ -294,10 +298,8 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
     AJAC_CHECK_MSG(!opts.synchronous,
                    "fault injection targets the asynchronous scheme (BSP "
                    "supersteps serialize every fault away)");
-    AJAC_CHECK_MSG(plan->bit_flips.empty(),
-                   "bit-flip faults are a shared-runtime feature (use "
-                   "solve_shared); the simulator's block relaxations are "
-                   "not instrumented per matrix entry");
+    fault::require_honoured(*plan, "solve_distributed",
+                            {.message_faults = true, .message_reorder = true});
     plan->validate(num_procs);
   }
   const fault::FaultClock fclock(plan != nullptr ? plan->seed : 0);
@@ -400,15 +402,10 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
     for (index_t p = 0; p < num_procs; ++p) {
       RankFaults& rf = rank_faults[p];
       rf.sent_on_link.assign(procs[p].blk->neighbors.size(), 0);
-      for (const auto& s : plan->stragglers) {
-        if (s.actor == p) rf.straggler = &s;
-      }
-      for (const auto& s : plan->stale_reads) {
-        if (s.actor == p || s.actor == -1) rf.stale = &s;
-      }
-      for (const auto& s : plan->crashes) {
-        if (s.actor == p) rf.crash = &s;
-      }
+      const fault::ActorSpecs specs = fault::resolve_actor(*plan, p);
+      rf.straggler = specs.straggler;
+      rf.stale = specs.stale;
+      rf.crash = specs.crash;
     }
   }
 

@@ -1,6 +1,7 @@
 #include "ajac/fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <tuple>
 
@@ -20,6 +21,12 @@ void check_actor(index_t actor, index_t num_actors, bool allow_any,
 void check_probability(double p, const char* what) {
   AJAC_CHECK_MSG(p >= 0.0 && p <= 1.0,
                  what << " probability " << p << " outside [0, 1]");
+}
+
+/// A non-finite duration or factor would stall an actor forever (the
+/// shared runtime and the mesh spin on it in wall time).
+void check_finite(double v, const char* what) {
+  AJAC_CHECK_MSG(std::isfinite(v), what << " " << v << " is not finite");
 }
 
 void check_duty(index_t period, double duty, const char* what) {
@@ -50,8 +57,10 @@ void FaultPlan::validate(index_t num_actors) const {
   for (const StragglerSpec& s : stragglers) {
     check_actor(s.actor, num_actors, /*allow_any=*/false, "straggler");
     check_duty(s.period, s.duty, "straggler");
+    check_finite(s.extra_delay_us, "straggler extra_delay_us");
     AJAC_CHECK_MSG(s.extra_delay_us >= 0.0,
                    "straggler extra_delay_us " << s.extra_delay_us << " < 0");
+    check_finite(s.delay_factor, "straggler delay_factor");
     AJAC_CHECK_MSG(s.delay_factor >= 1.0,
                    "straggler delay_factor " << s.delay_factor << " < 1");
     actors.push_back(s.actor);
@@ -73,6 +82,7 @@ void FaultPlan::validate(index_t num_actors) const {
     check_probability(s.drop_probability, "message drop");
     check_probability(s.duplicate_probability, "message duplicate");
     check_probability(s.reorder_probability, "message reorder");
+    check_finite(s.reorder_latency_factor, "reorder_latency_factor");
     AJAC_CHECK_MSG(s.reorder_latency_factor >= 1.0,
                    "reorder_latency_factor " << s.reorder_latency_factor
                                              << " < 1");
@@ -87,7 +97,7 @@ void FaultPlan::validate(index_t num_actors) const {
     AJAC_CHECK_MSG(s.bit >= -1 && s.bit < 63,
                    "bit-flip bit " << s.bit << " outside [-1, 62]");
     AJAC_CHECK_MSG(s.first_iteration >= 0 &&
-                       s.first_iteration <= s.last_iteration,
+                       s.first_iteration < s.last_iteration,
                    "bit-flip window [" << s.first_iteration << ", "
                                        << s.last_iteration << ") is empty");
   }
@@ -97,6 +107,7 @@ void FaultPlan::validate(index_t num_actors) const {
     check_actor(s.actor, num_actors, /*allow_any=*/false, "crash");
     AJAC_CHECK_MSG(s.crash_iteration >= 0,
                    "crash_iteration " << s.crash_iteration << " < 0");
+    check_finite(s.dead_seconds, "crash dead_seconds");
     AJAC_CHECK_MSG(s.dead_seconds >= 0.0,
                    "crash dead_seconds " << s.dead_seconds << " < 0");
     actors.push_back(s.actor);

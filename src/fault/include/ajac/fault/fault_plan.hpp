@@ -4,9 +4,21 @@
 // A FaultPlan is a declarative description of a failure scenario: straggler
 // workers with duty cycles, stale-read windows, dropped / duplicated /
 // reordered messages, transient bit flips in off-diagonal matrix entries,
-// and crash-and-recover workers. The shared-memory runtime (solve_shared)
-// and the distributed simulator (solve_distributed) both accept a plan and
-// emit a FaultLog of everything they injected.
+// and crash-and-recover workers. Four runtimes accept a plan and emit a
+// FaultLog of everything they injected. Each honours stragglers, stale-read
+// windows and crashes, plus:
+//
+//   solve_shared, solve_shared_batch   bit flips (they read matrix entries
+//                                      one by one; no messages to fault)
+//   solve_mesh                         message drop and duplicate (its
+//                                      per-edge queues are FIFO: no reorder)
+//   solve_distributed                  message drop, duplicate and reorder
+//                                      (block relaxations: no bit flips)
+//
+// A runtime rejects a plan naming a kind it does not honour
+// (require_honoured in ajac/fault/actor_faults.hpp), so no scenario is
+// silently vacuous. The shared, batch and mesh runtimes draw every decision
+// from one per-actor schedule, fault::ActorFaults.
 //
 // Determinism is the whole point. Every injection decision is a pure hash
 // of (plan seed, actor id, local counter, decision stream) via FaultClock —
@@ -138,13 +150,13 @@ struct StaleReadSpec {
   double duty = 0.25;
 };
 
-/// Per-edge message faults (simulator only). Decisions are keyed by the
+/// Per-edge message faults (mesh and simulator). Decisions are keyed by the
 /// directed edge and the sender's per-edge message counter, so they are
 /// independent of delivery order. A dropped put vanishes (it never counts
 /// as in flight); a duplicated put is delivered twice, the copy one extra
 /// latency later (a retransmission); a reordered put has its latency
 /// multiplied by reorder_latency_factor, making younger puts overtake it
-/// (raw RMA semantics, amplified).
+/// (raw RMA semantics, amplified; simulator only).
 struct MessageFaultSpec {
   index_t sender = -1;    ///< -1 = any
   index_t receiver = -1;  ///< -1 = any
@@ -157,8 +169,9 @@ struct MessageFaultSpec {
 /// Transient single-bit corruption: with `probability` per (actor,
 /// iteration, row), one off-diagonal entry of that row is read with one
 /// bit flipped for that relaxation only (the matrix itself is untouched —
-/// a soft error in a load, not in memory). Shared runtime only: the
-/// simulator's block relaxations are not instrumented per entry.
+/// a soft error in a load, not in memory). Shared and batch runtimes only:
+/// the mesh's and the simulator's block relaxations are not instrumented
+/// per entry.
 struct BitFlipSpec {
   index_t actor = -1;  ///< -1 = any
   double probability = 1e-3;
@@ -221,7 +234,8 @@ struct FaultPlan {
 
   /// Check every spec against the actor count (threads or ranks); throws
   /// std::logic_error on out-of-range actors, probabilities outside [0, 1],
-  /// non-positive periods, or duplicate per-actor specs of one kind.
+  /// non-positive periods, non-finite durations or factors, empty bit-flip
+  /// windows, or duplicate per-actor specs of one kind.
   void validate(index_t num_actors) const;
 };
 

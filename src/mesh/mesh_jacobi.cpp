@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "ajac/fault/actor_faults.hpp"
 #include "ajac/mesh/processor.hpp"
 #include "ajac/mesh/spsc_queue.hpp"
 #include "ajac/mesh/topology.hpp"
@@ -37,149 +38,6 @@ struct AgentTotals {
   index_t dropped = 0;
   index_t duplicated = 0;
   index_t queue_full = 0;
-};
-
-/// Fault context for the default (no plan) path: `enabled` is false and
-/// every hook site below is `if constexpr`-guarded, so this instantiation
-/// compiles to the plain mesh driver (same Null/Active pattern as
-/// src/runtime/solve_hooks.hpp).
-struct NullMeshFaults {
-  static constexpr bool enabled = false;
-
-  NullMeshFaults(const fault::FaultPlan* /*plan*/, index_t /*agent*/) {}
-
-  void begin_iteration(index_t /*iter*/) {}
-  [[nodiscard]] bool stale_window_active() const { return false; }
-  [[nodiscard]] bool consume_state_reset() { return false; }
-  [[nodiscard]] bool drop_message(std::uint64_t /*edge*/, index_t /*recv*/,
-                                  index_t /*k*/) {
-    return false;
-  }
-  [[nodiscard]] bool duplicate_message(std::uint64_t /*edge*/,
-                                       index_t /*recv*/, index_t /*k*/) {
-    return false;
-  }
-  [[nodiscard]] fault::FaultLog take_log() { return {}; }
-};
-
-/// Per-agent fault injector. Straggler / crash / stale-window decisions
-/// are keyed on the local iteration exactly like the shared runtime's
-/// ActiveFaults; message drop / duplicate decisions are keyed on
-/// (directed edge, sender's per-edge packet counter) exactly like
-/// distsim, so the injected sequence is a pure function of the plan —
-/// independent of scheduling — and one plan means the same thing on the
-/// simulator and the real mesh.
-class ActiveMeshFaults {
- public:
-  static constexpr bool enabled = true;
-
-  ActiveMeshFaults(const fault::FaultPlan* plan, index_t agent)
-      : clock_(plan->seed), agent_(agent) {
-    for (const auto& s : plan->stragglers) {
-      if (s.actor == agent) straggler_ = &s;
-    }
-    for (const auto& s : plan->stale_reads) {
-      if (s.actor == agent || s.actor == -1) stale_ = &s;
-    }
-    for (const auto& s : plan->crashes) {
-      if (s.actor == agent) crash_ = &s;
-    }
-    for (const auto& s : plan->message_faults) {
-      if (s.sender == -1 || s.sender == agent) msg_specs_.push_back(&s);
-    }
-  }
-
-  /// Straggler stall, crash-and-recover, and stale-window bookkeeping, in
-  /// that order, at the top of local iteration `iter` (the shared
-  /// runtime's sequencing, so one plan injects at the same logical
-  /// instants in both runtimes).
-  void begin_iteration(index_t iter) {
-    if (straggler_ != nullptr) {
-      const bool on =
-          fault::duty_active(straggler_->period, straggler_->duty, iter);
-      if (on && !straggler_on_) {
-        log_.push_back({fault::FaultKind::kStragglerOn, agent_, iter, 0, 0});
-      }
-      straggler_on_ = on;
-      if (on) spin_wait_us(straggler_->extra_delay_us);
-    }
-    if (crash_ != nullptr && !crashed_ && iter >= crash_->crash_iteration) {
-      // A mesh crash is an agent that stops participating for
-      // dead_seconds and resumes — optionally from the initial guess on
-      // its rows (lost memory; the driver performs the reset). Packets
-      // that arrive while it is down pile up in its bounded inbound rings
-      // and the overflow is dropped: the mesh analogue of distsim's
-      // "messages to a dead rank are lost".
-      crashed_ = true;
-      log_.push_back({fault::FaultKind::kCrash, agent_, iter, 0, 0});
-      spin_wait_us(crash_->dead_seconds * 1e6);
-      state_reset_ = crash_->reset_state_on_recovery;
-      log_.push_back({fault::FaultKind::kRecover, agent_, iter, 0, 0});
-    }
-    if (stale_ != nullptr) {
-      const bool on = fault::duty_active(stale_->period, stale_->duty, iter);
-      if (on && !stale_on_) {
-        log_.push_back({fault::FaultKind::kStaleWindowOn, agent_, iter, 0, 0});
-      }
-      stale_on_ = on;
-    }
-  }
-
-  /// While active the driver skips its queue drains, freezing the ghost
-  /// values in place — the message-passing realization of the shared
-  /// runtime's frozen off-block snapshot.
-  [[nodiscard]] bool stale_window_active() const { return stale_on_; }
-
-  /// True exactly once after a crash recovery requested a state reset;
-  /// consuming clears it.
-  [[nodiscard]] bool consume_state_reset() {
-    return std::exchange(state_reset_, false);
-  }
-
-  [[nodiscard]] bool drop_message(std::uint64_t edge, index_t receiver,
-                                  index_t k) {
-    for (const fault::MessageFaultSpec* s : msg_specs_) {
-      if (s->receiver >= 0 && s->receiver != receiver) continue;
-      if (clock_.bernoulli(s->drop_probability,
-                           fault::FaultClock::kMessageDrop, edge,
-                           static_cast<std::uint64_t>(k))) {
-        log_.push_back(
-            {fault::FaultKind::kMessageDrop, agent_, k, receiver, 0});
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool duplicate_message(std::uint64_t edge, index_t receiver,
-                                       index_t k) {
-    for (const fault::MessageFaultSpec* s : msg_specs_) {
-      if (s->receiver >= 0 && s->receiver != receiver) continue;
-      if (clock_.bernoulli(s->duplicate_probability,
-                           fault::FaultClock::kMessageDuplicate, edge,
-                           static_cast<std::uint64_t>(k))) {
-        log_.push_back(
-            {fault::FaultKind::kMessageDuplicate, agent_, k, receiver, 0});
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] fault::FaultLog take_log() { return std::move(log_); }
-
- private:
-  fault::FaultClock clock_;
-  index_t agent_;
-  const fault::StragglerSpec* straggler_ = nullptr;
-  const fault::StaleReadSpec* stale_ = nullptr;
-  const fault::CrashSpec* crash_ = nullptr;
-  std::vector<const fault::MessageFaultSpec*> msg_specs_;
-  bool straggler_on_ = false;
-  bool stale_on_ = false;
-  bool crashed_ = false;
-  bool state_reset_ = false;
-  fault::FaultLog log_;
 };
 
 /// Metrics context for the uninstrumented path.
@@ -299,7 +157,10 @@ std::vector<std::vector<char>> counted_rows(const MeshTopology& topo) {
   return counted;
 }
 
-template <bool Sync, class Faults, class Metrics>
+// Faulted: each agent runs its fault::ActorFaults schedule (see
+// begin_iteration and publish below); the unfaulted instantiation carries
+// no fault branches at all.
+template <bool Sync, bool Faulted, class Metrics>
 MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
                            const Vector& x0, const MeshOptions& opts,
                            const MeshTopology& topo,
@@ -415,7 +276,14 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       queues[static_cast<std::size_t>(e)].consumer.assert_held();
     }
 
-    Faults faults(plan, t);
+    // Straggler, crash and stale-window decisions are keyed on the local
+    // iteration and message drop / duplicate decisions on (directed edge,
+    // sender's per-edge packet counter), exactly like the shared runtime
+    // and distsim: the injected sequence is a pure function of the plan,
+    // independent of scheduling, and one plan means the same thing on
+    // every runtime.
+    std::optional<fault::ActorFaults> faults;
+    if constexpr (Faulted) faults.emplace(*plan, t);
     Metrics metrics(opts.metrics, t, timer);
     AgentTotals totals;
     auto& my_history = histories[static_cast<std::size_t>(t)];
@@ -477,8 +345,8 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         const index_t k = sent_on_edge[ei]++;
         [[maybe_unused]] const std::uint64_t key =
             directed_edge_key(edge.sender, edge.receiver);
-        if constexpr (Faults::enabled) {
-          if (faults.drop_message(key, edge.receiver, k)) {
+        if constexpr (Faulted) {
+          if (faults->drop_message(key, edge.receiver, k)) {
             ++totals.dropped;
             continue;
           }
@@ -490,8 +358,8 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
                                               edge.rows.size());
         ++totals.sent;
         if (!q.try_push(iter, payload)) ++totals.queue_full;
-        if constexpr (Faults::enabled) {
-          if (faults.duplicate_message(key, edge.receiver, k)) {
+        if constexpr (Faulted) {
+          if (faults->duplicate_message(key, edge.receiver, k)) {
             ++totals.duplicated;
             ++totals.sent;
             if (!q.try_push(iter, payload)) ++totals.queue_full;
@@ -515,9 +383,19 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         continue;
       }
       if constexpr (Metrics::enabled) metrics.iteration_begin();
-      if constexpr (Faults::enabled) {
-        faults.begin_iteration(iter);
-        if (faults.consume_state_reset()) {
+      // Inside a stale window the asynchronous drains are skipped: the
+      // ghosts freeze at their last applied values while packets queue up
+      // behind the window (the message-passing form of the shared
+      // runtime's frozen off-block snapshot).
+      bool frozen = false;
+      if constexpr (Faulted) {
+        const fault::IterationFaults f = faults->begin_iteration(iter);
+        // A stalled or crashed agent stops participating. Packets that
+        // arrive meanwhile pile up in its bounded inbound rings and the
+        // overflow is dropped: the mesh analogue of distsim's "messages to
+        // a dead rank are lost".
+        spin_wait_us(f.stall_us);
+        if (f.reset_state) {
           // Crash recovery with lost memory: restart the own rows from
           // the initial guess, locally and on the board (so the verified
           // stop sees the reset state). Neighbors keep their last
@@ -527,14 +405,10 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
             x_board.write(i, x0[i]);
           }
         }
+        frozen = f.stale_active;
       }
       if constexpr (!Sync) {
-        // Asynchronous ghost refresh. Inside a stale window the drains
-        // are skipped: the ghosts freeze at their last applied values
-        // while packets queue up behind the window.
-        bool frozen = false;
-        if constexpr (Faults::enabled) frozen = faults.stale_window_active();
-        if (!frozen) drain(opts.record_trace);
+        if (!frozen) drain(opts.record_trace);  // asynchronous ghost refresh
       }
 
       // Step 1: stage every owned row from the local view (Jacobi
@@ -622,8 +496,8 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
 
     result.iterations_per_agent[static_cast<std::size_t>(t)] = iter;
     agent_totals[static_cast<std::size_t>(t)] = totals;
-    if constexpr (Faults::enabled) {
-      fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
+    if constexpr (Faulted) {
+      fault_logs[static_cast<std::size_t>(t)] = faults->take_log();
     }
     if constexpr (Metrics::enabled) {
       metrics.fold_totals(totals, fault_logs[static_cast<std::size_t>(t)]);
@@ -687,7 +561,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     }
     result.trace = std::move(trace);
   }
-  if constexpr (Faults::enabled) {
+  if constexpr (Faulted) {
     for (auto& log : fault_logs) {
       result.fault_events.insert(result.fault_events.end(), log.begin(),
                                  log.end());
@@ -703,18 +577,18 @@ MeshResult dispatch_hooks(const CsrMatrix& a, const Vector& b,
                           const MeshTopology& topo,
                           const fault::FaultPlan* plan) {
   if (plan != nullptr && opts.metrics != nullptr) {
-    return solve_mesh_impl<Sync, ActiveMeshFaults, ActiveMeshMetrics>(
+    return solve_mesh_impl<Sync, true, ActiveMeshMetrics>(
         a, b, x0, opts, topo, plan);
   }
   if (plan != nullptr) {
-    return solve_mesh_impl<Sync, ActiveMeshFaults, NullMeshMetrics>(
+    return solve_mesh_impl<Sync, true, NullMeshMetrics>(
         a, b, x0, opts, topo, plan);
   }
   if (opts.metrics != nullptr) {
-    return solve_mesh_impl<Sync, NullMeshFaults, ActiveMeshMetrics>(
+    return solve_mesh_impl<Sync, false, ActiveMeshMetrics>(
         a, b, x0, opts, topo, nullptr);
   }
-  return solve_mesh_impl<Sync, NullMeshFaults, NullMeshMetrics>(
+  return solve_mesh_impl<Sync, false, NullMeshMetrics>(
       a, b, x0, opts, topo, nullptr);
 }
 
@@ -754,14 +628,7 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
                    "fault injection targets the asynchronous mesh (the "
                    "synchronous barriers serialize every fault away)");
     plan->validate(opts.num_agents);
-    AJAC_CHECK_MSG(plan->bit_flips.empty(),
-                   "bit-flip injection instruments the shared-memory "
-                   "kernels, not the mesh");
-    for (const auto& s : plan->message_faults) {
-      AJAC_CHECK_MSG(s.reorder_probability == 0.0,
-                     "message reordering is meaningless on the mesh's FIFO "
-                     "SPSC queues (use distsim for reorder scenarios)");
-    }
+    fault::require_honoured(*plan, "solve_mesh", {.message_faults = true});
   }
 
   obs::MetricsRegistry* metrics = opts.metrics;

@@ -19,10 +19,12 @@
 // identical. The kernel-equivalence suite (tests/runtime/kernel_equiv_*)
 // holds this line.
 //
-// Faults template parameter: the per-thread injector of shared_jacobi.cpp
-// (NullFaults compiles every hook away). Bit flips index entries by their
-// position within the row, which the blocked layout preserves, so the flip
-// decision and the corrupted entry match the reference path exactly.
+// Faults template parameter: the per-thread fault context of the shared
+// and batch solvers (solve_hooks.hpp): NullFaults compiles every hook away;
+// ActiveFaults applies a fault::ActorFaults schedule to the vector. Bit
+// flips index entries by their position within the row, which the blocked
+// layout preserves, so the flip decision and the corrupted entry match the
+// reference path exactly.
 
 #include <cmath>
 #include <cstddef>

@@ -125,7 +125,8 @@ struct SharedOptions {
   /// keeps the zero-fault path branch-free: the solve dispatches to a
   /// template instantiation whose injection hooks compile to no-ops.
   /// Asynchronous mode only — the synchronous barriers define the
-  /// interesting faults away.
+  /// interesting faults away. Message faults are rejected: threads
+  /// exchange no messages (fault::require_honoured).
   std::shared_ptr<const fault::FaultPlan> fault_plan;
   /// Observability sink (see ajac/obs/metrics.hpp): per-thread relaxation
   /// counts and rates, seqlock retry counts, a read-staleness histogram

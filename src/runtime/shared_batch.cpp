@@ -32,6 +32,7 @@
 #include <span>
 #include <vector>
 
+#include "ajac/fault/actor_faults.hpp"
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
 #include "ajac/runtime/blocked_kernels.hpp"
@@ -53,12 +54,42 @@ namespace ajac::runtime {
 
 namespace {
 
-using detail::ActiveBatchFaults;
+using ActiveFaults = detail::ActiveFaults<SharedMultiVector>;
 using detail::ActiveMetrics;
 using detail::ActiveStream;
-using detail::NullBatchFaults;
+using detail::NullFaults;
 using detail::NullMetrics;
 using detail::NullStream;
+
+/// Reference-kernel residual row of row i into out[0, k): b_i - sum_j a_ij
+/// x_j per lane, entries in CSR order, x rows read through the fault
+/// context (`xrow` is their k-wide buffer) and a flipped entry read
+/// corrupted in every lane. The Jacobi and the sampled reference paths
+/// both relax through it.
+template <class Faults>
+void reference_residual_row(const CsrMatrix& a, const MultiVector& b,
+                            const SharedMultiVector& x, Faults& faults,
+                            index_t i, double* out, std::span<double> xrow) {
+  const index_t k = b.num_cols();
+  const auto [cols, vals] = a.row(i);
+  const double* br = b.row(i);
+#pragma omp simd
+  for (index_t c = 0; c < k; ++c) out[c] = br[c];
+  FlippedEntry flipped;
+  bool has_flip = false;
+  if constexpr (Faults::enabled) has_flip = faults.flip(i, cols, vals, flipped);
+  for (std::size_t p = 0; p < cols.size(); ++p) {
+    double aij = vals[p];
+    if constexpr (Faults::enabled) {
+      if (has_flip && flipped.entry == p) aij = flipped.value;
+    }
+    faults.read_row(x, cols[p], xrow);
+#pragma omp simd
+    for (index_t c = 0; c < k; ++c) {
+      out[c] -= aij * xrow[static_cast<std::size_t>(c)];
+    }
+  }
+}
 
 template <class Faults, class Metrics, class Stream, bool Blocked>
 SharedBatchResult solve_shared_batch_impl(
@@ -264,29 +295,7 @@ SharedBatchResult solve_shared_batch_impl(
             relax_row_sampled_batch(*blk, a, b, own, x, faults, r, active,
                                     acc, ghost, i);
           } else {
-            const auto [cols, vals] = a.row(i);
-            const double* br = b.row(i);
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              acc[static_cast<std::size_t>(c)] = br[c];
-            }
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              faults.read_row(x, cols[p], xrow);
-#pragma omp simd
-              for (index_t c = 0; c < k; ++c) {
-                acc[static_cast<std::size_t>(c)] -=
-                    aij * xrow[static_cast<std::size_t>(c)];
-              }
-            }
+            reference_residual_row(a, b, x, faults, i, acc.data(), xrow);
             r.write_row(i, {acc.data(), k_sz});
             x.read_row(i, xrow);
             const double inv = inv_diag[i];
@@ -307,27 +316,8 @@ SharedBatchResult solve_shared_batch_impl(
         relax_boundary_batch(*blk, a, b, own, x, faults, r, acc, ghost);
       } else {
         for (index_t i = lo; i < hi; ++i) {
-          const auto [cols, vals] = a.row(i);
-          const double* br = b.row(i);
-          double* lr = local_r.row(i - lo);
-#pragma omp simd
-          for (index_t c = 0; c < k; ++c) lr[c] = br[c];
-          FlippedEntry flipped;
-          bool has_flip = false;
-          if constexpr (Faults::enabled) {
-            has_flip = faults.flip(i, cols, vals, flipped);
-          }
-          for (std::size_t p = 0; p < cols.size(); ++p) {
-            double aij = vals[p];
-            if constexpr (Faults::enabled) {
-              if (has_flip && flipped.entry == p) aij = flipped.value;
-            }
-            faults.read_row(x, cols[p], xrow);
-#pragma omp simd
-            for (index_t c = 0; c < k; ++c) {
-              lr[c] -= aij * xrow[static_cast<std::size_t>(c)];
-            }
-          }
+          reference_residual_row(a, b, x, faults, i, local_r.row(i - lo),
+                                 xrow);
         }
         for (index_t i = lo; i < hi; ++i) {
           r.write_row(i, {local_r.row(i - lo), k_sz});
@@ -606,6 +596,7 @@ SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,
                    "fault injection targets the asynchronous runtime (the "
                    "synchronous barriers serialize every fault away)");
     plan->validate(opts.num_threads);
+    fault::require_honoured(*plan, "solve_shared_batch", {.bit_flips = true});
   }
 
   obs::MetricsRegistry* metrics = opts.metrics;
@@ -628,18 +619,18 @@ SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,
   }
 
   if (plan != nullptr && metrics != nullptr) {
-    return dispatch_batch_stream<ActiveBatchFaults, ActiveMetrics>(
+    return dispatch_batch_stream<ActiveFaults, ActiveMetrics>(
         a, b, x0, opts, part, inv_diag, plan, blocked);
   }
   if (plan != nullptr) {
-    return dispatch_batch_stream<ActiveBatchFaults, NullMetrics>(
+    return dispatch_batch_stream<ActiveFaults, NullMetrics>(
         a, b, x0, opts, part, inv_diag, plan, blocked);
   }
   if (metrics != nullptr) {
-    return dispatch_batch_stream<NullBatchFaults, ActiveMetrics>(
+    return dispatch_batch_stream<NullFaults, ActiveMetrics>(
         a, b, x0, opts, part, inv_diag, nullptr, blocked);
   }
-  return dispatch_batch_stream<NullBatchFaults, NullMetrics>(
+  return dispatch_batch_stream<NullFaults, NullMetrics>(
       a, b, x0, opts, part, inv_diag, nullptr, blocked);
 }
 

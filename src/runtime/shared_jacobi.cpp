@@ -9,6 +9,7 @@
 #include <span>
 #include <utility>
 
+#include "ajac/fault/actor_faults.hpp"
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
 #include "ajac/runtime/blocked_kernels.hpp"
@@ -33,7 +34,7 @@ namespace {
 // The fault/metrics hook contexts (NullFaults/ActiveFaults and
 // NullMetrics/ActiveMetrics) live in solve_hooks.hpp, shared with the
 // batched solver translation unit (shared_batch.cpp).
-using detail::ActiveFaults;
+using ActiveFaults = detail::ActiveFaults<SharedVector>;
 using detail::ActiveMetrics;
 using detail::ActiveStream;
 using detail::NullFaults;
@@ -47,6 +48,58 @@ double own_residual_1(const SharedVector& r, index_t lo, index_t hi) {
   double partial = 0.0;
   for (index_t i = lo; i < hi; ++i) partial += std::abs(r.read(i));
   return partial;
+}
+
+/// Reference-kernel residual of row i, b_i - sum_j a_ij x_j in CSR entry
+/// order, with x read through the fault context and a flipped entry read
+/// corrupted. Every reference path (Jacobi, local Gauss-Seidel, sampled)
+/// relaxes through this or its traced twin below.
+template <class Faults>
+double reference_residual(const CsrMatrix& a, const Vector& b,
+                          const SharedVector& x, Faults& faults, index_t i) {
+  double acc = b[i];
+  const auto [cols, vals] = a.row(i);
+  FlippedEntry flipped;
+  bool has_flip = false;
+  if constexpr (Faults::enabled) has_flip = faults.flip(i, cols, vals, flipped);
+  for (std::size_t p = 0; p < cols.size(); ++p) {
+    double aij = vals[p];
+    if constexpr (Faults::enabled) {
+      if (has_flip && flipped.entry == p) aij = flipped.value;
+    }
+    acc -= aij * faults.read(x, cols[p]);
+  }
+  return acc;
+}
+
+/// reference_residual with versioned reads: records each off-diagonal
+/// read's (column, version) in `event` and its staleness in `metrics`.
+template <class Faults, class Metrics>
+double reference_residual_traced(const CsrMatrix& a, const Vector& b,
+                                 const SharedVector& x, Faults& faults,
+                                 Metrics& metrics, index_t iter, index_t i,
+                                 model::RelaxationEvent& event) {
+  event.row = i;
+  double acc = b[i];
+  const auto [cols, vals] = a.row(i);
+  FlippedEntry flipped;
+  bool has_flip = false;
+  if constexpr (Faults::enabled) has_flip = faults.flip(i, cols, vals, flipped);
+  event.reads.reserve(cols.size());
+  for (std::size_t p = 0; p < cols.size(); ++p) {
+    const index_t j = cols[p];
+    double aij = vals[p];
+    if constexpr (Faults::enabled) {
+      if (has_flip && flipped.entry == p) aij = flipped.value;
+    }
+    const auto [value, version] =
+        faults.read_versioned(x, j, metrics.retry_sink());
+    acc -= aij * value;
+    if (j == i) continue;
+    if constexpr (Metrics::enabled) metrics.staleness(iter, version);
+    event.reads.push_back({j, version});
+  }
+  return acc;
 }
 
 /// Actor-parallel prologue: each thread first-touches and fills its own
@@ -327,51 +380,16 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
             } else {
               relax_row_in_place(*blk, a, b, own, x, r, faults, i);
             }
-          } else if (opts.record_trace) {
-            model::RelaxationEvent event;
-            event.row = i;
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            event.reads.reserve(cols.size());
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              if (j == i) {
-                acc -= aij *
-                       faults.read_versioned(x, j, metrics.retry_sink()).first;
-                continue;
-              }
-              const auto [value, version] =
-                  faults.read_versioned(x, j, metrics.retry_sink());
-              acc -= aij * value;
-              if constexpr (Metrics::enabled) metrics.staleness(iter, version);
-              event.reads.push_back({j, version});
-            }
-            r.write(i, acc);
-            x.write(i, x.read(i) + inv_diag[i] * acc);
-            my_events.push_back(std::move(event));
           } else {
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              acc -= aij * faults.read(x, cols[p]);
+            // In-place relaxation of the drawn row.
+            double acc = 0.0;
+            if (opts.record_trace) {
+              model::RelaxationEvent event;
+              acc = reference_residual_traced(a, b, x, faults, metrics, iter,
+                                              i, event);
+              my_events.push_back(std::move(event));
+            } else {
+              acc = reference_residual(a, b, x, faults, i);
             }
             r.write(i, acc);
             x.write(i, x.read(i) + inv_diag[i] * acc);
@@ -387,20 +405,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         } else {
           partial = 0.0;
           for (index_t i = lo; i < hi; ++i) {
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t pp = 0; pp < cols.size(); ++pp) {
-              double aij = vals[pp];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == pp) aij = flipped.value;
-              }
-              acc -= aij * faults.read(x, cols[pp]);
-            }
+            const double acc = reference_residual(a, b, x, faults, i);
             r.write(i, acc);
             partial += std::abs(acc);
             x.write(i, x.read(i) + inv_diag[i] * acc);
@@ -414,33 +419,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         } else {
           for (index_t i = lo; i < hi; ++i) {
             model::RelaxationEvent event;
-            event.row = i;
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            event.reads.reserve(cols.size());
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              if (j == i) {
-                acc -= aij *
-                       faults.read_versioned(x, j, metrics.retry_sink()).first;
-                continue;
-              }
-              const auto [value, version] =
-                  faults.read_versioned(x, j, metrics.retry_sink());
-              acc -= aij * value;
-              if constexpr (Metrics::enabled) metrics.staleness(iter, version);
-              event.reads.push_back({j, version});
-            }
-            local_r[i - lo] = acc;
+            local_r[i - lo] = reference_residual_traced(
+                a, b, x, faults, metrics, iter, i, event);
             my_events.push_back(std::move(event));
           }
         }
@@ -466,21 +446,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
           }
         } else {
           for (index_t i = lo; i < hi; ++i) {
-            double acc = b[i];
-            const auto [cols, vals] = a.row(i);
-            FlippedEntry flipped;
-            bool has_flip = false;
-            if constexpr (Faults::enabled) {
-              has_flip = faults.flip(i, cols, vals, flipped);
-            }
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              double aij = vals[p];
-              if constexpr (Faults::enabled) {
-                if (has_flip && flipped.entry == p) aij = flipped.value;
-              }
-              acc -= aij * faults.read(x, cols[p]);
-            }
-            local_r[i - lo] = acc;
+            local_r[i - lo] = reference_residual(a, b, x, faults, i);
           }
         }
       }
@@ -742,6 +708,7 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
                    "buffered data plane amortizes those reads away (use "
                    "kBlocked)");
     plan->validate(opts.num_threads);
+    fault::require_honoured(*plan, "solve_shared", {.bit_flips = true});
   }
 
   obs::MetricsRegistry* metrics = opts.metrics;

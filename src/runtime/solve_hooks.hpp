@@ -1,24 +1,30 @@
 #pragma once
-// Internal fault / metrics hook contexts shared by the single-RHS solver
-// (shared_jacobi.cpp) and the batched solver (shared_batch.cpp). Not
-// installed: this header lives next to the two translation units that
-// include it and is not part of the public ajac/runtime interface.
+// Internal fault / metrics / telemetry hook contexts shared by the
+// single-RHS solver (shared_jacobi.cpp) and the batched solver
+// (shared_batch.cpp). Not installed: this header lives next to the two
+// translation units that include it and is not part of the public
+// ajac/runtime interface.
 //
 // Each hook pair follows the same pattern: a Null context whose `enabled`
 // is false and whose methods are empty (every call site is `if constexpr`
 // guarded, so the unfaulted/uninstrumented instantiation compiles to the
 // plain solver, branch-free), and an Active context holding thread-local
-// state. The batch variants mirror the scalar ones over SharedMultiVector:
-// the FaultClock coordinates (seed, thread, iteration, row) are identical,
-// so a fault decision on the batch path is ONE decision per row per
-// iteration applied to all k lanes — determinism does not depend on k.
+// state. The fault pair serves both solvers: ActiveFaults<SharedVector> and
+// ActiveFaults<SharedMultiVector> are payload adapters over one
+// fault::ActorFaults schedule, which keys every decision on (seed, thread,
+// iteration[, row]). A fault decision on the batch path is therefore ONE
+// decision per row per iteration applied to all k lanes: determinism does
+// not depend on k.
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "ajac/fault/actor_faults.hpp"
 #include "ajac/fault/fault_plan.hpp"
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
@@ -34,15 +40,16 @@
 namespace ajac::runtime::detail {
 
 /// Fault context for the default (no plan) path. `enabled` is false and
-/// every hook site in solve_shared_impl is `if constexpr`-guarded, so this
+/// every hook site in the solvers is `if constexpr`-guarded, so this
 /// instantiation compiles to exactly the pre-fault solver: the zero-fault
 /// path carries no fault branches at all.
 struct NullFaults {
   static constexpr bool enabled = false;
 
-  NullFaults(const CsrMatrix& /*a*/, const Vector& /*x0*/,
+  template <class Initial, class X>
+  NullFaults(const CsrMatrix& /*a*/, const Initial& /*x0*/,
              const fault::FaultPlan* /*plan*/, index_t /*thread*/,
-             index_t /*lo*/, index_t /*hi*/, SharedVector& /*x*/) {}
+             index_t /*lo*/, index_t /*hi*/, X& /*x*/) {}
 
   void begin_iteration(index_t /*iter*/) {}
   [[nodiscard]] bool consume_state_reset() { return false; }
@@ -57,103 +64,71 @@ struct NullFaults {
       const SharedVector& x, index_t j, std::uint64_t* retries) const {
     return x.read_versioned(j, retries);
   }
+  void read_row(const SharedMultiVector& x, index_t j,
+                std::span<double> out) const {
+    x.read_row(j, out);
+  }
   [[nodiscard]] fault::FaultLog take_log() { return {}; }
 };
 
-/// Per-thread fault injector. All state is thread-local; every decision is
-/// a FaultClock hash of (seed, thread, iteration[, row]), so the injected
-/// sequence is independent of how the OS interleaves the threads.
+/// Per-thread payload adapter over this thread's fault::ActorFaults, for
+/// the single-RHS solver (X = SharedVector: scalar reads) and the batch
+/// solver (X = SharedMultiVector: k-wide row reads). The schedule makes
+/// every decision; the adapter applies it to x. It spins for the stall,
+/// rewrites the own rows [lo, hi) from x0 on a state reset, and inside a
+/// stale window serves the off-block columns from a snapshot frozen at
+/// window entry. A bit flip corrupts one a_ij, which on the batch path
+/// feeds all k lanes of that row's relaxation.
+template <class X>
 class ActiveFaults {
+  static constexpr bool kRows = std::is_same_v<X, SharedMultiVector>;
+  using Initial = std::conditional_t<kRows, MultiVector, Vector>;
+
  public:
   static constexpr bool enabled = true;
 
-  ActiveFaults(const CsrMatrix& a, const Vector& x0,
+  ActiveFaults(const CsrMatrix& a, const Initial& x0,
                const fault::FaultPlan* plan, index_t thread, index_t lo,
-               index_t hi, SharedVector& x)
-      : clock_(plan->seed), x0_(&x0), x_(&x), thread_(thread), lo_(lo),
-        hi_(hi) {
-    for (const auto& s : plan->stragglers) {
-      if (s.actor == thread) straggler_ = &s;
-    }
-    for (const auto& s : plan->stale_reads) {
-      if (s.actor == thread || s.actor == -1) stale_ = &s;
-    }
-    for (const auto& s : plan->crashes) {
-      if (s.actor == thread) crash_ = &s;
-    }
-    for (const auto& s : plan->bit_flips) {
-      if (s.actor == thread || s.actor == -1) flips_.push_back(&s);
-    }
-    if (stale_ != nullptr) {
-      // The off-block columns this thread's rows read — the "ghost layer"
-      // a stale window freezes. Own-block reads (including the in-place
-      // Gauss-Seidel sweep) always see live values.
-      for (index_t i = lo; i < hi; ++i) {
-        for (const index_t j : a.row_cols(i)) {
-          if (j < lo || j >= hi) ghost_cols_.push_back(j);
-        }
+               index_t hi, X& x)
+      : schedule_(*plan, thread), x0_(&x0), x_(&x), lo_(lo), hi_(hi) {
+    if (!schedule_.has_stale_reads()) return;
+    // The off-block columns this thread's rows read — the "ghost layer" a
+    // stale window freezes. Own-block reads (including the in-place
+    // Gauss-Seidel sweep) always see live values.
+    for (index_t i = lo; i < hi; ++i) {
+      for (const index_t j : a.row_cols(i)) {
+        if (j < lo || j >= hi) ghost_cols_.push_back(j);
       }
-      std::sort(ghost_cols_.begin(), ghost_cols_.end());
-      ghost_cols_.erase(std::unique(ghost_cols_.begin(), ghost_cols_.end()),
-                        ghost_cols_.end());
-      ghost_values_.resize(ghost_cols_.size());
-      ghost_versions_.assign(ghost_cols_.size(), 0);
     }
+    std::sort(ghost_cols_.begin(), ghost_cols_.end());
+    ghost_cols_.erase(std::unique(ghost_cols_.begin(), ghost_cols_.end()),
+                      ghost_cols_.end());
+    ghost_values_.resize(ghost_cols_.size() * width());
+    if constexpr (!kRows) ghost_versions_.assign(ghost_cols_.size(), 0);
   }
 
-  /// Straggler stall, crash-and-recover, and stale-window bookkeeping, in
-  /// that order, at the top of local iteration `iter`.
+  /// Apply the schedule's decisions for the top of local iteration `iter`.
   void begin_iteration(index_t iter) {
     iter_ = iter;
-    if (straggler_ != nullptr) {
-      const bool on =
-          fault::duty_active(straggler_->period, straggler_->duty, iter);
-      if (on && !straggler_on_) {
-        log_.push_back({fault::FaultKind::kStragglerOn, thread_, iter, 0, 0});
-      }
-      straggler_on_ = on;
-      if (on) {
-        spin_wait_us(straggler_->extra_delay_us);
-        stalled_us_ += straggler_->extra_delay_us;
-      }
-    }
-    if (crash_ != nullptr && !crashed_ && iter >= crash_->crash_iteration) {
-      // A crash in shared memory is a worker that stops participating for
-      // dead_seconds and then resumes — optionally from the initial guess
-      // on its rows (lost memory). The blocking wait is exactly that: no
-      // relaxations, no flag updates, neighbors keep reading its last
-      // published values.
-      crashed_ = true;
-      log_.push_back({fault::FaultKind::kCrash, thread_, iter, 0, 0});
-      spin_wait_us(crash_->dead_seconds * 1e6);
-      stalled_us_ += crash_->dead_seconds * 1e6;
-      if (crash_->reset_state_on_recovery) {
-        // This injector belongs to the thread owning rows [lo_, hi_), so
-        // the sole-writer role on x holds here by the partition contract.
-        x_->writer_role().assert_held();
-        for (index_t i = lo_; i < hi_; ++i) x_->write(i, (*x0_)[i]);
-        // The write went behind any thread-private mirror of the own rows;
-        // the blocked kernel path polls consume_state_reset() and reloads.
-        state_reset_ = true;
-      }
-      log_.push_back({fault::FaultKind::kRecover, thread_, iter, 0, 0});
-    }
-    if (stale_ != nullptr) {
-      const bool on = fault::duty_active(stale_->period, stale_->duty, iter);
-      if (on && !stale_on_) {
-        log_.push_back({fault::FaultKind::kStaleWindowOn, thread_, iter, 0, 0});
-        for (std::size_t k = 0; k < ghost_cols_.size(); ++k) {
-          if (x_->traced()) {
-            const auto [value, version] = x_->read_versioned(ghost_cols_[k]);
-            ghost_values_[k] = value;
-            ghost_versions_[k] = version;
-          } else {
-            ghost_values_[k] = x_->read(ghost_cols_[k]);
-          }
+    const fault::IterationFaults f = schedule_.begin_iteration(iter);
+    spin_wait_us(f.stall_us);
+    if (f.reset_state) {
+      // This adapter belongs to the thread owning rows [lo_, hi_), so the
+      // sole-writer role on x holds here by the partition contract.
+      x_->writer_role().assert_held();
+      for (index_t i = lo_; i < hi_; ++i) {
+        if constexpr (kRows) {
+          x_->write_row(i, {x0_->row(i), width()});
+        } else {
+          x_->write(i, (*x0_)[i]);
         }
       }
-      stale_on_ = on;
+      // The write went behind any thread-private mirror of the own rows;
+      // the blocked kernel path polls consume_state_reset() and reloads.
+      state_reset_ = true;
     }
+    if (f.stale_entered) freeze_ghosts();
+    stale_on_ = f.stale_active;
   }
 
   /// True exactly once after a crash recovery rewrote this thread's rows of
@@ -166,289 +141,59 @@ class ActiveFaults {
   /// `out` when one off-diagonal entry should be read corrupted.
   bool flip(index_t row, std::span<const index_t> cols,
             std::span<const double> vals, FlippedEntry& out) {
-    for (const fault::BitFlipSpec* s : flips_) {
-      if (iter_ < s->first_iteration || iter_ >= s->last_iteration) continue;
-      if (!clock_.bernoulli(s->probability, fault::FaultClock::kBitFlipTrigger,
-                            static_cast<std::uint64_t>(thread_),
-                            static_cast<std::uint64_t>(iter_),
-                            static_cast<std::uint64_t>(row))) {
-        continue;
-      }
-      std::size_t off_diag = 0;
-      for (const index_t j : cols) off_diag += (j != row) ? 1 : 0;
-      if (off_diag == 0) continue;
-      const std::uint64_t target =
-          clock_.pick(off_diag, fault::FaultClock::kBitFlipEntry,
-                      static_cast<std::uint64_t>(thread_),
-                      static_cast<std::uint64_t>(iter_),
-                      static_cast<std::uint64_t>(row));
-      std::uint64_t seen = 0;
-      std::size_t entry = 0;
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        if (cols[p] == row) continue;
-        if (seen++ == target) {
-          entry = p;
-          break;
-        }
-      }
-      const int bit =
-          s->bit >= 0
-              ? s->bit
-              : static_cast<int>(clock_.pick(
-                    52, fault::FaultClock::kBitFlipBit,
-                    static_cast<std::uint64_t>(thread_),
-                    static_cast<std::uint64_t>(iter_),
-                    static_cast<std::uint64_t>(row)));
-      out.entry = entry;
-      out.value = fault::flip_bit(vals[entry], bit);
-      log_.push_back({fault::FaultKind::kBitFlip, thread_, iter_, row,
-                      static_cast<index_t>(bit)});
-      return true;
-    }
-    return false;
+    const std::optional<fault::RowFlip> f = schedule_.flip(iter_, row, cols);
+    if (!f) return false;
+    out.entry = f->entry;
+    out.value = fault::flip_bit(vals[f->entry], f->bit);
+    return true;
   }
 
-  /// Reads go through the injector: inside a stale window, off-block
+  /// Reads go through the adapter: inside a stale window, off-block
   /// columns come from the frozen snapshot instead of the live vector.
   [[nodiscard]] double read(const SharedVector& x, index_t j) const {
-    if (stale_on_ && (j < lo_ || j >= hi_)) {
-      return ghost_values_[ghost_slot(j)];
-    }
+    if (frozen(j)) return ghost_values_[ghost_slot(j)];
     return x.read(j);
   }
 
   [[nodiscard]] std::pair<double, index_t> read_versioned(
       const SharedVector& x, index_t j, std::uint64_t* retries) const {
-    if (stale_on_ && (j < lo_ || j >= hi_)) {
-      const std::size_t k = ghost_slot(j);
-      return {ghost_values_[k], ghost_versions_[k]};
+    if (frozen(j)) {
+      const std::size_t g = ghost_slot(j);
+      return {ghost_values_[g], ghost_versions_[g]};
     }
     return x.read_versioned(j, retries);
   }
 
-  /// Append-only within the thread; the metrics layer diffs its size to
-  /// timestamp this iteration's injections.
-  [[nodiscard]] const fault::FaultLog& log() const { return log_; }
-
-  /// Cumulative injected stall (straggler delays + crash dead time), in
-  /// microseconds; the metrics layer diffs it per iteration.
-  [[nodiscard]] double stalled_us() const { return stalled_us_; }
-
-  [[nodiscard]] fault::FaultLog take_log() { return std::move(log_); }
-
- private:
-  [[nodiscard]] std::size_t ghost_slot(index_t j) const {
-    const auto it =
-        std::lower_bound(ghost_cols_.begin(), ghost_cols_.end(), j);
-    AJAC_DBG_CHECK(it != ghost_cols_.end() && *it == j);
-    return static_cast<std::size_t>(it - ghost_cols_.begin());
-  }
-
-  fault::FaultClock clock_;
-  const Vector* x0_;
-  SharedVector* x_;
-  index_t thread_;
-  index_t lo_;
-  index_t hi_;
-  index_t iter_ = 0;
-
-  const fault::StragglerSpec* straggler_ = nullptr;
-  const fault::StaleReadSpec* stale_ = nullptr;
-  const fault::CrashSpec* crash_ = nullptr;
-  std::vector<const fault::BitFlipSpec*> flips_;
-
-  bool straggler_on_ = false;
-  bool stale_on_ = false;
-  bool crashed_ = false;
-  bool state_reset_ = false;
-  double stalled_us_ = 0.0;
-
-  std::vector<index_t> ghost_cols_;  ///< sorted off-block columns
-  std::vector<double> ghost_values_;
-  std::vector<index_t> ghost_versions_;
-
-  fault::FaultLog log_;
-};
-
-/// Fault context for the batch path without a plan: same no-op shape as
-/// NullFaults, over row-wide reads.
-struct NullBatchFaults {
-  static constexpr bool enabled = false;
-
-  NullBatchFaults(const CsrMatrix& /*a*/, const MultiVector& /*x0*/,
-                  const fault::FaultPlan* /*plan*/, index_t /*thread*/,
-                  index_t /*lo*/, index_t /*hi*/, SharedMultiVector& /*x*/) {}
-
-  void begin_iteration(index_t /*iter*/) {}
-  [[nodiscard]] bool consume_state_reset() { return false; }
-  bool flip(index_t /*row*/, std::span<const index_t> /*cols*/,
-            std::span<const double> /*vals*/, FlippedEntry& /*out*/) {
-    return false;
-  }
   void read_row(const SharedMultiVector& x, index_t j,
                 std::span<double> out) const {
-    x.read_row(j, out);
-  }
-  [[nodiscard]] fault::FaultLog take_log() { return {}; }
-};
-
-/// Per-thread fault injector for the batch path. The decision machinery
-/// (straggler duty cycles, crash schedule, stale windows, bit-flip hashes)
-/// is ActiveFaults' verbatim — same FaultClock streams, same (thread,
-/// iteration, row) coordinates — so a plan injects the same faults at the
-/// same logical instants regardless of the batch width; only the payloads
-/// widen. A stale window freezes k-wide ghost ROW snapshots, a bit flip
-/// corrupts the one shared a_ij (reused by all k lanes), and a
-/// crash-with-state-reset rewrites whole rows of the shared x from x0.
-class ActiveBatchFaults {
- public:
-  static constexpr bool enabled = true;
-
-  ActiveBatchFaults(const CsrMatrix& a, const MultiVector& x0,
-                    const fault::FaultPlan* plan, index_t thread, index_t lo,
-                    index_t hi, SharedMultiVector& x)
-      : clock_(plan->seed), x0_(&x0), x_(&x), thread_(thread), lo_(lo),
-        hi_(hi), k_(x.num_cols()) {
-    for (const auto& s : plan->stragglers) {
-      if (s.actor == thread) straggler_ = &s;
-    }
-    for (const auto& s : plan->stale_reads) {
-      if (s.actor == thread || s.actor == -1) stale_ = &s;
-    }
-    for (const auto& s : plan->crashes) {
-      if (s.actor == thread) crash_ = &s;
-    }
-    for (const auto& s : plan->bit_flips) {
-      if (s.actor == thread || s.actor == -1) flips_.push_back(&s);
-    }
-    if (stale_ != nullptr) {
-      for (index_t i = lo; i < hi; ++i) {
-        for (const index_t j : a.row_cols(i)) {
-          if (j < lo || j >= hi) ghost_cols_.push_back(j);
-        }
-      }
-      std::sort(ghost_cols_.begin(), ghost_cols_.end());
-      ghost_cols_.erase(std::unique(ghost_cols_.begin(), ghost_cols_.end()),
-                        ghost_cols_.end());
-      ghost_values_.resize(ghost_cols_.size() * static_cast<std::size_t>(k_));
-    }
-  }
-
-  void begin_iteration(index_t iter) {
-    iter_ = iter;
-    if (straggler_ != nullptr) {
-      const bool on =
-          fault::duty_active(straggler_->period, straggler_->duty, iter);
-      if (on && !straggler_on_) {
-        log_.push_back({fault::FaultKind::kStragglerOn, thread_, iter, 0, 0});
-      }
-      straggler_on_ = on;
-      if (on) {
-        spin_wait_us(straggler_->extra_delay_us);
-        stalled_us_ += straggler_->extra_delay_us;
-      }
-    }
-    if (crash_ != nullptr && !crashed_ && iter >= crash_->crash_iteration) {
-      crashed_ = true;
-      log_.push_back({fault::FaultKind::kCrash, thread_, iter, 0, 0});
-      spin_wait_us(crash_->dead_seconds * 1e6);
-      stalled_us_ += crash_->dead_seconds * 1e6;
-      if (crash_->reset_state_on_recovery) {
-        // Sole-writer role on x holds: this thread owns rows [lo_, hi_).
-        x_->writer_role().assert_held();
-        for (index_t i = lo_; i < hi_; ++i) {
-          x_->write_row(i, {x0_->row(i), static_cast<std::size_t>(k_)});
-        }
-        state_reset_ = true;
-      }
-      log_.push_back({fault::FaultKind::kRecover, thread_, iter, 0, 0});
-    }
-    if (stale_ != nullptr) {
-      const bool on = fault::duty_active(stale_->period, stale_->duty, iter);
-      if (on && !stale_on_) {
-        log_.push_back({fault::FaultKind::kStaleWindowOn, thread_, iter, 0, 0});
-        for (std::size_t g = 0; g < ghost_cols_.size(); ++g) {
-          x_->read_row(ghost_cols_[g],
-                       std::span<double>(ghost_values_.data() +
-                                             g * static_cast<std::size_t>(k_),
-                                         static_cast<std::size_t>(k_)));
-        }
-      }
-      stale_on_ = on;
-    }
-  }
-
-  [[nodiscard]] bool consume_state_reset() {
-    return std::exchange(state_reset_, false);
-  }
-
-  /// Identical to ActiveFaults::flip — one decision per (iteration, row),
-  /// and the corrupted a_ij feeds every lane of that row's relaxation.
-  bool flip(index_t row, std::span<const index_t> cols,
-            std::span<const double> vals, FlippedEntry& out) {
-    for (const fault::BitFlipSpec* s : flips_) {
-      if (iter_ < s->first_iteration || iter_ >= s->last_iteration) continue;
-      if (!clock_.bernoulli(s->probability, fault::FaultClock::kBitFlipTrigger,
-                            static_cast<std::uint64_t>(thread_),
-                            static_cast<std::uint64_t>(iter_),
-                            static_cast<std::uint64_t>(row))) {
-        continue;
-      }
-      std::size_t off_diag = 0;
-      for (const index_t j : cols) off_diag += (j != row) ? 1 : 0;
-      if (off_diag == 0) continue;
-      const std::uint64_t target =
-          clock_.pick(off_diag, fault::FaultClock::kBitFlipEntry,
-                      static_cast<std::uint64_t>(thread_),
-                      static_cast<std::uint64_t>(iter_),
-                      static_cast<std::uint64_t>(row));
-      std::uint64_t seen = 0;
-      std::size_t entry = 0;
-      for (std::size_t p = 0; p < cols.size(); ++p) {
-        if (cols[p] == row) continue;
-        if (seen++ == target) {
-          entry = p;
-          break;
-        }
-      }
-      const int bit =
-          s->bit >= 0
-              ? s->bit
-              : static_cast<int>(clock_.pick(
-                    52, fault::FaultClock::kBitFlipBit,
-                    static_cast<std::uint64_t>(thread_),
-                    static_cast<std::uint64_t>(iter_),
-                    static_cast<std::uint64_t>(row)));
-      out.entry = entry;
-      out.value = fault::flip_bit(vals[entry], bit);
-      log_.push_back({fault::FaultKind::kBitFlip, thread_, iter_, row,
-                      static_cast<index_t>(bit)});
-      return true;
-    }
-    return false;
-  }
-
-  /// Row reads go through the injector: inside a stale window, off-block
-  /// rows come from the frozen k-wide snapshot instead of the live vector.
-  void read_row(const SharedMultiVector& x, index_t j,
-                std::span<double> out) const {
-    if (stale_on_ && (j < lo_ || j >= hi_)) {
-      const std::size_t g = ghost_slot(j);
-      const double* src =
-          ghost_values_.data() + g * static_cast<std::size_t>(k_);
-      for (index_t c = 0; c < k_; ++c) {
-        out[static_cast<std::size_t>(c)] = src[c];
-      }
+    if (frozen(j)) {
+      std::copy_n(ghost_values_.begin() +
+                      static_cast<std::ptrdiff_t>(ghost_slot(j) * width()),
+                  width(), out.begin());
       return;
     }
     x.read_row(j, out);
   }
 
-  [[nodiscard]] const fault::FaultLog& log() const { return log_; }
-  [[nodiscard]] double stalled_us() const { return stalled_us_; }
-  [[nodiscard]] fault::FaultLog take_log() { return std::move(log_); }
+  /// The metrics layer diffs these per iteration (see ActiveMetrics).
+  [[nodiscard]] const fault::FaultLog& log() const { return schedule_.log(); }
+  [[nodiscard]] double stalled_us() const { return schedule_.stalled_us(); }
+
+  [[nodiscard]] fault::FaultLog take_log() { return schedule_.take_log(); }
 
  private:
+  [[nodiscard]] std::size_t width() const {
+    if constexpr (kRows) {
+      return static_cast<std::size_t>(x_->num_cols());
+    } else {
+      return 1;
+    }
+  }
+
+  [[nodiscard]] bool frozen(index_t j) const {
+    return stale_on_ && (j < lo_ || j >= hi_);
+  }
+
   [[nodiscard]] std::size_t ghost_slot(index_t j) const {
     const auto it =
         std::lower_bound(ghost_cols_.begin(), ghost_cols_.end(), j);
@@ -456,30 +201,33 @@ class ActiveBatchFaults {
     return static_cast<std::size_t>(it - ghost_cols_.begin());
   }
 
-  fault::FaultClock clock_;
-  const MultiVector* x0_;
-  SharedMultiVector* x_;
-  index_t thread_;
+  void freeze_ghosts() {
+    for (std::size_t g = 0; g < ghost_cols_.size(); ++g) {
+      if constexpr (kRows) {
+        x_->read_row(ghost_cols_[g],
+                     {ghost_values_.data() + g * width(), width()});
+      } else if (x_->traced()) {
+        const auto [value, version] = x_->read_versioned(ghost_cols_[g]);
+        ghost_values_[g] = value;
+        ghost_versions_[g] = version;
+      } else {
+        ghost_values_[g] = x_->read(ghost_cols_[g]);
+      }
+    }
+  }
+
+  fault::ActorFaults schedule_;
+  const Initial* x0_;
+  X* x_;
   index_t lo_;
   index_t hi_;
-  index_t k_;
   index_t iter_ = 0;
-
-  const fault::StragglerSpec* straggler_ = nullptr;
-  const fault::StaleReadSpec* stale_ = nullptr;
-  const fault::CrashSpec* crash_ = nullptr;
-  std::vector<const fault::BitFlipSpec*> flips_;
-
-  bool straggler_on_ = false;
   bool stale_on_ = false;
-  bool crashed_ = false;
   bool state_reset_ = false;
-  double stalled_us_ = 0.0;
 
   std::vector<index_t> ghost_cols_;  ///< sorted off-block columns
-  std::vector<double> ghost_values_;  ///< row-major ghosts x k snapshot
-
-  fault::FaultLog log_;
+  std::vector<double> ghost_values_;  ///< ghosts x width, row-major
+  std::vector<index_t> ghost_versions_;  ///< scalar traced runs only
 };
 
 /// Metrics context for the default (no registry) path. Mirrors NullFaults:

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -131,6 +132,28 @@ TEST(FaultPlan, ValidateRejectsBadParameters) {
   plan = valid_plan();
   plan.stragglers[0].delay_factor = 0.5;
   EXPECT_THROW(plan.validate(4), std::logic_error);
+  // An empty bit-flip window [5, 5).
+  plan = valid_plan();
+  plan.bit_flips[0].first_iteration = 5;
+  plan.bit_flips[0].last_iteration = 5;
+  EXPECT_THROW(plan.validate(4), std::logic_error);
+  // Non-finite durations and factors would stall an actor forever.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan}) {
+    plan = valid_plan();
+    plan.stragglers[0].extra_delay_us = bad;
+    EXPECT_THROW(plan.validate(4), std::logic_error);
+    plan = valid_plan();
+    plan.stragglers[0].delay_factor = bad;
+    EXPECT_THROW(plan.validate(4), std::logic_error);
+    plan = valid_plan();
+    plan.crashes[0].dead_seconds = bad;
+    EXPECT_THROW(plan.validate(4), std::logic_error);
+    plan = valid_plan();
+    plan.message_faults[0].reorder_latency_factor = bad;
+    EXPECT_THROW(plan.validate(4), std::logic_error);
+  }
 }
 
 TEST(FaultPlan, ValidateRejectsDoubleInjection) {

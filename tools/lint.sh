@@ -16,6 +16,13 @@
 #   checked-entry    public solver/runtime entry points validate their inputs:
 #                    each listed translation unit must contain AJAC_CHECK (or
 #                    an explicit validation throw, as in the IO parsers).
+#   fault-decisions  `duty_active(` and `FaultClock::kBitFlip*` appear only
+#                    under src/fault/ and src/distsim/ (tests may check the
+#                    schedule against them). The shared, batch and mesh
+#                    runtimes take every fault decision from one per-actor
+#                    schedule (fault::ActorFaults), so no runtime grows its
+#                    own injector again. distsim is exempt because its
+#                    stragglers and stale windows act in simulated time.
 #
 # The auditor carries the concurrency-contract rules (racy-ok tags on
 # relaxed atomics, atomic/seqlock/omp scoping) plus include-hygiene and
@@ -117,6 +124,15 @@ for tu in "${ENTRY_POINTS[@]}"; do
     fail "public entry-point TU has no input validation (AJAC_CHECK or explicit throw): $tu"
   fi
 done
+
+# --- fault-decisions -------------------------------------------------------
+mapfile -t PROGRAM_SOURCES < <(find src bench examples \
+  \( -name '*.cpp' -o -name '*.hpp' \) -type f | sort)
+HITS=$(grep -nE 'duty_active\(|FaultClock::kBitFlip' "${PROGRAM_SOURCES[@]}" \
+  | grep -vE '^src/(fault|distsim)/' || true)
+if [ -n "$HITS" ]; then
+  fail "fault decision outside src/fault and src/distsim (ask fault::ActorFaults instead of re-deriving it):" "$HITS"
+fi
 
 # --- concurrency-contract auditor ------------------------------------------
 echo "lint: running tools/analyze/ajac_audit.py ..."
