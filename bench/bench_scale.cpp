@@ -13,16 +13,17 @@
 //
 // The traffic model counts the streams a sweep must move at minimum:
 //   matrix stream   nnz x (8B value + idx-bytes index), idx = 8 for the
-//                   CSR kernels, 4 for the SELL interior (the int32 local
-//                   offsets are the point of the layout), plus the per-row
-//                   stream (8B row_ptr for CSR, 4B row_len for SELL);
-//   vector streams  32B x n per sweep (b read, r publish, x read+commit);
-//   residual scan   8B x n x threads per sweep (step 3 reads the whole
-//                   shared r on every thread — the paper's scheme).
-// x gathers and ghost traffic are deliberately excluded: gathers mostly
-// hit cache on banded problems and ghost volume is O(edge), noise at
-// these sizes. The model is for comparing kernels on one host, not for
-// quoting absolute DRAM rates.
+//                   reference CSR kernel, 4 for the blocked and SELL
+//                   layouts (int32 block-local codes), plus the per-row
+//                   stream (8B row_ptr for CSR, 4B block row_ptr for
+//                   blocked, 4B row_len for SELL);
+//   vector streams  32B x n per sweep (b read, the residual or staged
+//                   correction, x read+commit).
+// The convergence check sums one partial norm per thread, O(threads), so
+// it adds no per-row term. x gathers and ghost traffic are deliberately
+// excluded: gathers mostly hit cache on banded problems and ghost volume
+// is O(edge), noise at these sizes. The model is for comparing kernels on
+// one host, not for quoting absolute DRAM rates.
 //
 // CI gates the resulting table with tools/check_kernel_speedup.py --scale
 // (blocked >= reference and best-of-sellcs >= blocked at the largest FD
@@ -66,13 +67,11 @@ struct NamedProblem {
   gen::LinearProblem problem;
 };
 
-double model_bytes_per_sweep(const KernelConfig& k, double n, double nnz,
-                             double threads) {
-  const bool sell = k.kind == runtime::KernelKind::kSellCS;
-  const double idx_bytes = sell ? 4.0 : 8.0;
-  const double row_bytes = sell ? 4.0 : 8.0;
-  return nnz * (8.0 + idx_bytes) + n * row_bytes + 32.0 * n +
-         8.0 * n * threads;
+double model_bytes_per_sweep(const KernelConfig& k, double n, double nnz) {
+  const bool csr = k.kind == runtime::KernelKind::kReference;
+  const double idx_bytes = csr ? 8.0 : 4.0;
+  const double row_bytes = csr ? 8.0 : 4.0;
+  return nnz * (8.0 + idx_bytes) + n * row_bytes + 32.0 * n;
 }
 
 }  // namespace
@@ -199,9 +198,8 @@ int main(int argc, char** argv) {
       std::sort(seconds.begin(), seconds.end());
       const double med = seconds[seconds.size() / 2];
       const double mrows = static_cast<double>(relaxations) / med / 1e6;
-      const double bytes = static_cast<double>(sweeps) *
-                           model_bytes_per_sweep(k, n, nnz,
-                                                 static_cast<double>(threads));
+      const double bytes =
+          static_cast<double>(sweeps) * model_bytes_per_sweep(k, n, nnz);
       table.add_row({np.label + "/" + k.label,
                      static_cast<std::int64_t>(p.a.num_rows()),
                      static_cast<std::int64_t>(p.a.num_nonzeros()),

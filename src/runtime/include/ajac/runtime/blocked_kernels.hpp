@@ -12,8 +12,10 @@
 // Bitwise contract with the reference kernels: every kernel accumulates a
 // row's residual in the row's original CSR entry order (BlockedCsr
 // preserves it), reads values that are bitwise those the reference path
-// would read from the same vector state, and commits in ascending row
-// order with the same `x + inv_diag * r` expression. Given identical read
+// would read from the same vector state, evaluates the same
+// `x + inv_diag * r` correction, and publishes it in ascending row order.
+// The Jacobi kernels evaluate it as they relax, into the owner-only
+// `next` slice, and commit_block only publishes it. Given identical read
 // values — guaranteed at num_threads=1 and in synchronous mode, where x is
 // stable throughout step 1 — blocked and reference solves are bitwise
 // identical. The kernel-equivalence suite (tests/runtime/kernel_equiv_*)
@@ -59,6 +61,9 @@ struct FlippedEntry {
 struct OwnBlockState {
   SoleWriterRole owner;  ///< claimed by the owning thread at region entry
   std::vector<double> x AJAC_SOLE_WRITER(owner);  ///< x[lo..hi), kept exact
+  /// The Jacobi step's corrected rows, staged during the relax pass and
+  /// published (then swapped with x) by commit_block.
+  std::vector<double> next AJAC_SOLE_WRITER(owner);
   std::vector<index_t> version
       AJAC_SOLE_WRITER(owner);  ///< seqlock versions; empty when untraced
 };
@@ -72,6 +77,7 @@ inline void refresh_own_block(const BlockedCsr::Block& blk,
     AJAC_REQUIRES(own.owner) {
   const auto rows = static_cast<std::size_t>(blk.num_rows());
   own.x.resize(rows);
+  own.next.resize(rows);
   for (index_t i = blk.lo; i < blk.hi; ++i) {
     own.x[static_cast<std::size_t>(i - blk.lo)] = x.read(i);
   }
@@ -138,7 +144,7 @@ inline double own_row_residual(const BlockedCsr::Block& blk,
     if constexpr (Faults::enabled) {
       if (has_flip && p - begin == flipped.entry) aij = flipped.value;
     }
-    const index_t code = blk.col_code[p];
+    const BlockedCsr::code_t code = blk.col_code[p];
     const double xj =
         BlockedCsr::is_ghost(code)
             ? faults.read(x, blk.ghost_cols[static_cast<std::size_t>(
@@ -149,56 +155,56 @@ inline double own_row_residual(const BlockedCsr::Block& blk,
   return acc;
 }
 
-/// Jacobi residual on every row of the block, each published to the
-/// shared r as it is computed. The ascending interior and boundary lists
-/// are walked merged, so rows go in ascending order with no branch inside
-/// a run of one class, and the return value is the block's residual
-/// 1-norm summed in that order: the actor's partial norm (terminator.hpp),
-/// bitwise the reference path's. Reads of r are racy by contract, so other
-/// threads observing a row's residual one pass earlier is legal; at one
-/// thread and in synchronous mode the values every consumer sees are
-/// unchanged, keeping the bitwise contract intact.
+/// Stage own row li's Jacobi correction in the `next` slice: the
+/// `x_i + inv_diag_i * r_i` of the reference step 2, with the exact mirror
+/// read in place of x.read. commit_block publishes it.
+inline void stage_correction(const BlockedCsr::Block& blk, OwnBlockState& own,
+                             std::size_t li, double acc)
+    AJAC_REQUIRES(own.owner) {
+  own.next[li] = own.x[li] + blk.inv_diag[li] * acc;
+}
+
+/// Jacobi relaxation of every row of the block: each row's residual is
+/// turned into its staged correction at once, so the step streams the
+/// matrix, b and 1/a_ii once and never touches the shared r. The rows go
+/// in ascending order, one tight loop per run of one class, and the
+/// return value is the block's residual 1-norm summed in that order: the
+/// actor's partial norm (terminator.hpp), bitwise the reference path's.
 template <class Faults>
 inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                          std::span<const double> b, const OwnBlockState& own,
-                          const SharedVector& x, Faults& faults,
-                          SharedVector& r)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
+                          std::span<const double> b, OwnBlockState& own,
+                          const SharedVector& x, Faults& faults)
+    AJAC_REQUIRES(own.owner) {
   double partial = 0.0;
-  auto in = blk.interior_rows.begin();
-  auto bd = blk.boundary_rows.begin();
-  const auto in_end = blk.interior_rows.end();
-  const auto bd_end = blk.boundary_rows.end();
-  while (in != in_end || bd != bd_end) {
-    const index_t next_bd = bd != bd_end ? *bd : blk.hi;
-    for (; in != in_end && *in < next_bd; ++in) {
-      const double acc = interior_residual(blk, a, b, own, faults, *in);
-      r.write(*in, acc);
-      partial += std::abs(acc);
-    }
-    const index_t next_in = in != in_end ? *in : blk.hi;
-    for (; bd != bd_end && *bd < next_in; ++bd) {
-      const double acc = own_row_residual(blk, a, b, own, x, faults, *bd);
-      r.write(*bd, acc);
-      partial += std::abs(acc);
+  for (const BlockedCsr::RowRun& run : blk.runs) {
+    if (run.boundary) {
+      for (index_t i = run.begin; i < run.end; ++i) {
+        const double acc = own_row_residual(blk, a, b, own, x, faults, i);
+        stage_correction(blk, own, static_cast<std::size_t>(i - blk.lo), acc);
+        partial += std::abs(acc);
+      }
+    } else {
+      for (index_t i = run.begin; i < run.end; ++i) {
+        const double acc = interior_residual(blk, a, b, own, faults, i);
+        stage_correction(blk, own, static_cast<std::size_t>(i - blk.lo), acc);
+        partial += std::abs(acc);
+      }
     }
   }
   return partial;
 }
 
-/// Commit the Jacobi correction on the block, ascending row order: the
-/// same `x_i + inv_diag_i * r_i` the reference step 2 evaluates (the
-/// mirror read replaces x.read — exact, single writer), then keep the
-/// mirror and its version count in sync with the shared write.
+/// Commit the staged Jacobi step on the block: publish `next` to the shared
+/// x in ascending row order, make it the mirror, and keep the version
+/// mirror in step with the shared writes. The one commit of the blocked,
+/// traced and SELL Jacobi kernels.
 inline void commit_block(const BlockedCsr::Block& blk, OwnBlockState& own,
-                         SharedVector& x, const SharedVector& r)
+                         SharedVector& x)
     AJAC_REQUIRES(own.owner, x.writer_role()) {
   for (index_t i = blk.lo; i < blk.hi; ++i) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const double nx = own.x[li] + blk.inv_diag[li] * r.read(i);
-    x.write(i, nx);
-    own.x[li] = nx;
+    x.write(i, own.next[static_cast<std::size_t>(i - blk.lo)]);
   }
+  std::swap(own.x, own.next);
   // Every x.write above bumped the element's seqlock once.
   for (auto& v : own.version) ++v;
 }
@@ -239,24 +245,26 @@ inline double relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
   return partial;
 }
 
-/// Traced relaxation (record_trace runs): like relax_block (interior rows,
-/// then boundary rows) but pairing every off-diagonal read with its seqlock
-/// version for the propagation analysis. Local reads take the version from
-/// the mirror — the owner is the only writer, so the mirrored count *is*
-/// the seqlock version, with none of the seqlock's retry protocol.
-/// Publishes each row's residual to r like relax_block.
+/// Traced relaxation (record_trace runs): like relax_block, but interior
+/// rows first, then boundary rows, pairing every off-diagonal read with its
+/// seqlock version for the propagation analysis. Local reads take the
+/// version from the mirror — the owner is the only writer, so the mirrored
+/// count *is* the seqlock version, with none of the seqlock's retry
+/// protocol. Stages each row's correction like relax_block and stores its
+/// residual in `acc_out` (indexed by local row), from which the caller
+/// sums the partial norm in ascending order.
 template <class Faults, class Metrics>
 inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
-                         std::span<const double> b, const OwnBlockState& own,
+                         std::span<const double> b, OwnBlockState& own,
                          const SharedVector& x, Faults& faults,
-                         Metrics& metrics, index_t iter, SharedVector& r,
+                         Metrics& metrics, index_t iter,
+                         std::span<double> acc_out,
                          std::vector<model::RelaxationEvent>& events)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
+    AJAC_REQUIRES(own.owner) {
   auto relax_row = [&](index_t i) {
     // Lambdas are analyzed as separate functions: re-claim the enclosing
-    // kernel's roles (held by its REQUIRES contract) for this body.
-    own.owner.assert_shared();
-    r.writer_role().assert_held();
+    // kernel's role (held by its REQUIRES contract) for this body.
+    own.owner.assert_held();
     const auto li = static_cast<std::size_t>(i - blk.lo);
     const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
     const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
@@ -275,7 +283,7 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
       if constexpr (Faults::enabled) {
         if (has_flip && p - begin == flipped.entry) aij = flipped.value;
       }
-      const index_t code = blk.col_code[p];
+      const BlockedCsr::code_t code = blk.col_code[p];
       if (!BlockedCsr::is_ghost(code)) {
         acc -= aij * own.x[static_cast<std::size_t>(code)];
         const index_t j = blk.lo + code;
@@ -293,7 +301,8 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
       if constexpr (Metrics::enabled) metrics.staleness(iter, version);
       event.reads.push_back({j, version});
     }
-    r.write(i, acc);
+    acc_out[li] = acc;
+    stage_correction(blk, own, li, acc);
     events.push_back(std::move(event));
   };
   for (const index_t i : blk.interior_rows) relax_row(i);
@@ -330,7 +339,7 @@ inline void relax_row_sampled_traced(
     if constexpr (Faults::enabled) {
       if (has_flip && p - begin == flipped.entry) aij = flipped.value;
     }
-    const index_t code = blk.col_code[p];
+    const BlockedCsr::code_t code = blk.col_code[p];
     if (!BlockedCsr::is_ghost(code)) {
       acc -= aij * own.x[static_cast<std::size_t>(code)];
       const index_t j = blk.lo + code;
@@ -464,7 +473,7 @@ inline void relax_boundary_batch(const BlockedCsr::Block& blk,
       if constexpr (Faults::enabled) {
         if (has_flip && p - begin == flipped.entry) aij = flipped.value;
       }
-      const index_t code = blk.col_code[p];
+      const BlockedCsr::code_t code = blk.col_code[p];
       const double* xr;
       if (BlockedCsr::is_ghost(code)) {
         faults.read_row(x,
@@ -545,7 +554,7 @@ inline void relax_row_sampled_batch(
     if constexpr (Faults::enabled) {
       if (has_flip && p - begin == flipped.entry) aij = flipped.value;
     }
-    const index_t code = blk.col_code[p];
+    const BlockedCsr::code_t code = blk.col_code[p];
     const double* xr;
     if (BlockedCsr::is_ghost(code)) {
       faults.read_row(x,

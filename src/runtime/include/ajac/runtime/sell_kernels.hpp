@@ -18,9 +18,9 @@
 //      shadow; neighbours refresh their ghost buffers from it, halving
 //      boundary read traffic. All residuals, the verified-stop protocol,
 //      and the commit arithmetic stay fp64 (see shared_vector.hpp).
-//   3. SELL-C-sigma interior (sparse/sell_csr.hpp): int32 local column
-//      offsets (half the index stream), slice-major unit-stride value
-//      walks, and a software prefetch of the next slice's x gathers.
+//   3. SELL-C-sigma interior (sparse/sell_csr.hpp): slice-major
+//      unit-stride value and index walks, no row pointers, and a software
+//      prefetch of the next slice's x gathers.
 //
 // Bitwise contract: with fp64 ghosts, one thread or synchronous mode makes
 // x stable throughout step 1, so the once-per-iteration ghost refresh
@@ -95,13 +95,15 @@ inline void publish_shadow(const BlockedCsr::Block& blk,
 /// the active rows of every slice are a prefix (`cnt`), so there are no
 /// padding entries and no wasted flops. Each row's entries are consumed in
 /// source CSR order (slice s == entry s), keeping the accumulation
-/// bitwise the blocked kernel's. Residuals publish to r per row, like
-/// relax_block; rows go in chunk order, so the caller sums the partial
-/// norm in a separate ascending pass.
+/// bitwise the blocked kernel's. Each row's correction is staged like
+/// relax_block's and its residual stored in `acc_out` (indexed by local
+/// row); rows go in chunk order, so the caller sums the partial norm from
+/// `acc_out` in a separate ascending pass.
 inline void relax_interior_sell(const SellCsr::Block& sblk,
-                                std::span<const double> b,
-                                const OwnBlockState& own, SharedVector& r)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
+                                const BlockedCsr::Block& blk,
+                                std::span<const double> b, OwnBlockState& own,
+                                std::span<double> acc_out)
+    AJAC_REQUIRES(own.owner) {
   const double* xs = own.x.data();
   const std::size_t limit = sblk.cols.size();
   const index_t packed = sblk.num_packed_rows();
@@ -140,7 +142,10 @@ inline void relax_interior_sell(const SellCsr::Block& sblk,
       base = next;
     }
     for (index_t rr = 0; rr < nrows; ++rr) {
-      r.write(sblk.rows[static_cast<std::size_t>(first + rr)], acc[rr]);
+      const auto li = static_cast<std::size_t>(
+          sblk.rows[static_cast<std::size_t>(first + rr)] - blk.lo);
+      acc_out[li] = acc[rr];
+      stage_correction(blk, own, li, acc[rr]);
     }
   }
 }
@@ -148,27 +153,29 @@ inline void relax_interior_sell(const SellCsr::Block& sblk,
 /// Residual on the boundary rows with ghost entries gathered from the
 /// dense per-thread ghost buffer (refreshed once per iteration) instead of
 /// per-entry SharedVector reads. Local entries come from the mirror, like
-/// row_residual.
+/// own_row_residual; the correction and residual are kept like
+/// relax_interior_sell's.
 inline void relax_boundary_buffered(const BlockedCsr::Block& blk,
                                     std::span<const double> b,
-                                    const OwnBlockState& own,
+                                    OwnBlockState& own,
                                     std::span<const double> ghosts,
-                                    SharedVector& r)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
+                                    std::span<double> acc_out)
+    AJAC_REQUIRES(own.owner) {
   for (const index_t i : blk.boundary_rows) {
     const auto li = static_cast<std::size_t>(i - blk.lo);
     const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
     const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
     double acc = b[static_cast<std::size_t>(i)];
     for (std::size_t p = begin; p < end; ++p) {
-      const index_t code = blk.col_code[p];
+      const BlockedCsr::code_t code = blk.col_code[p];
       const double xj =
           BlockedCsr::is_ghost(code)
               ? ghosts[static_cast<std::size_t>(BlockedCsr::ghost_slot(code))]
               : own.x[static_cast<std::size_t>(code)];
       acc -= blk.values[p] * xj;
     }
-    r.write(i, acc);
+    acc_out[li] = acc;
+    stage_correction(blk, own, li, acc);
   }
 }
 

@@ -42,8 +42,8 @@ using detail::NullMetrics;
 using detail::NullStream;
 
 /// Sum of |r_i| over rows [lo, hi) in ascending order: an actor's partial
-/// norm (terminator.hpp), for the paths whose relaxation does not already
-/// accumulate it in that order.
+/// norm (terminator.hpp), for the sampled policies, which relax rows in
+/// draw order and publish them to r in place.
 double own_residual_1(const SharedVector& r, index_t lo, index_t hi) {
   double partial = 0.0;
   for (index_t i = lo; i < hi; ++i) partial += std::abs(r.read(i));
@@ -232,12 +232,15 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     const index_t hi = part.part_end(t);
     const double delay =
         opts.delay_us.empty() ? 0.0 : opts.delay_us[static_cast<std::size_t>(t)];
-    // Relax->commit carrier for the reference kernels. The blocked kernels
-    // need no private carrier: each thread is the sole writer of its own
-    // rows of the shared r, so the residual published during step 1 reads
-    // back bit-exact in commit_block.
+    // Residuals of the own rows, by local row: the reference kernels'
+    // relax->commit carrier, and the traced and SELL kernels' record for
+    // the ascending partial-norm pass (they relax rows out of order). The
+    // blocked Jacobi kernel stages its corrections in the mirror's `next`
+    // slice and sums as it goes, so it needs none.
     std::vector<double> local_r(
-        Blocked ? std::size_t{0} : static_cast<std::size_t>(hi - lo));
+        Blocked && !opts.record_trace && sell == nullptr
+            ? std::size_t{0}
+            : static_cast<std::size_t>(hi - lo));
     auto& my_history = histories[static_cast<std::size_t>(t)];
     auto& my_events = thread_events[static_cast<std::size_t>(t)];
     if (opts.record_history) {
@@ -413,9 +416,9 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         }
       } else if (opts.record_trace) {
         if constexpr (Blocked) {
-          relax_traced(*blk, a, b, own, x, faults, metrics, iter, r,
+          relax_traced(*blk, a, b, own, x, faults, metrics, iter, local_r,
                        my_events);
-          partial = own_residual_1(r, lo, hi);
+          partial = vec::norm1(local_r);
         } else {
           for (index_t i = lo; i < hi; ++i) {
             model::RelaxationEvent event;
@@ -438,11 +441,11 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
               refresh_ghosts(*blk, x, ghosts);
             }
             if constexpr (Metrics::enabled) metrics.ghost_refresh();
-            relax_interior_sell(*sblk, b, own, r);
-            relax_boundary_buffered(*blk, b, own, ghosts, r);
-            partial = own_residual_1(r, lo, hi);
+            relax_interior_sell(*sblk, *blk, b, own, local_r);
+            relax_boundary_buffered(*blk, b, own, ghosts, local_r);
+            partial = vec::norm1(local_r);
           } else {
-            partial = relax_block(*blk, a, b, own, x, faults, r);
+            partial = relax_block(*blk, a, b, own, x, faults);
           }
         } else {
           for (index_t i = lo; i < hi; ++i) {
@@ -454,10 +457,10 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
       }
       if constexpr (!Blocked) {
-        // The blocked kernels publish each row's residual to r as part of
-        // step 1 (the GS sweep and the sampled policies write it in-place
-        // on both paths); only the reference Jacobi step needs this
-        // separate pass, which also sums its partial.
+        // The blocked Jacobi kernels keep their residuals private (the GS
+        // sweep and the sampled policies write r in place on both paths);
+        // only the reference Jacobi step publishes r, in this separate
+        // pass, which also sums its partial.
         if (!opts.local_gauss_seidel && !sampled) {
           partial = 0.0;
           for (index_t i = lo; i < hi; ++i) {
@@ -473,10 +476,11 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
 
       // Step 2: correct own rows (already done in-place for the GS sweep
-      // and the sampled policies).
+      // and the sampled policies; the blocked kernels staged the values in
+      // step 1 and only publish them here).
       if (!opts.local_gauss_seidel && !sampled) {
         if constexpr (Blocked) {
-          commit_block(*blk, own, x, r);
+          commit_block(*blk, own, x);
           if (shadow != nullptr) {
             // fp32 ghost runs: republish the freshly committed own rows to
             // the float shadow neighbours refresh from. The partition makes

@@ -1,7 +1,10 @@
 #include "ajac/sparse/blocked_csr.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ajac/sparse/csr.hpp"
@@ -29,19 +32,28 @@ void validate_block_starts(std::span<const index_t> block_starts,
   }
 }
 
-/// Fill one block from its rows of `a`. Runs on the thread that will later
+/// Fill block `t` from its rows of `a`. Runs on the thread that will later
 /// relax the block (first touch).
-BlockedCsr::Block build_block(const CsrMatrix& a, index_t lo, index_t hi) {
+BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
+                              index_t hi) {
+  using code_t = BlockedCsr::code_t;
   BlockedCsr::Block blk;
   blk.lo = lo;
   blk.hi = hi;
   const index_t rows = hi - lo;
+  const auto src_ptr = a.row_ptr();
+  const index_t base = src_ptr[static_cast<std::size_t>(lo)];
+  const index_t nnz = src_ptr[static_cast<std::size_t>(hi)] - base;
+  // Local offsets are < rows, row_ptr values <= nnz and ghost slots <
+  // the slot count, so these checks and the slot check below make every
+  // narrowing in this function exact.
+  (void)BlockedCsr::checked_code(rows, t, "row count");
+  (void)BlockedCsr::checked_code(nnz, t, "entry count");
 
   blk.row_ptr.resize(static_cast<std::size_t>(rows) + 1, 0);
-  index_t nnz = 0;
   for (index_t i = lo; i < hi; ++i) {
-    nnz += a.row_nnz(i);
-    blk.row_ptr[static_cast<std::size_t>(i - lo) + 1] = nnz;
+    blk.row_ptr[static_cast<std::size_t>(i - lo) + 1] =
+        static_cast<code_t>(src_ptr[static_cast<std::size_t>(i) + 1] - base);
   }
 
   // Pass 1: collect the block's ghost columns (sorted, unique) so ghost
@@ -55,6 +67,8 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t lo, index_t hi) {
   blk.ghost_cols.erase(
       std::unique(blk.ghost_cols.begin(), blk.ghost_cols.end()),
       blk.ghost_cols.end());
+  (void)BlockedCsr::checked_code(
+      static_cast<index_t>(blk.ghost_cols.size()), t, "ghost-slot count");
 
   // The block's rows are contiguous in the parent CSR, so the value slice
   // is a zero-copy view (row_values of an empty row still points at the
@@ -63,8 +77,9 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t lo, index_t hi) {
     blk.values = {a.row_values(lo).data(), static_cast<std::size_t>(nnz)};
   }
 
-  // Pass 2: encode entries in their original order and split rows into
-  // interior (no ghost entries) and boundary.
+  // Pass 2: encode entries in their original order, split rows into
+  // interior (no ghost entries) and boundary, and merge consecutive rows
+  // of one class into runs.
   blk.col_code.reserve(static_cast<std::size_t>(nnz));
   blk.interior_rows.reserve(static_cast<std::size_t>(rows));
   blk.inv_diag.resize(static_cast<std::size_t>(rows), 0.0);
@@ -78,24 +93,39 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t lo, index_t hi) {
         blk.inv_diag[static_cast<std::size_t>(i - lo)] = 1.0 / vals[p];
       }
       if (j >= lo && j < hi) {
-        blk.col_code.push_back(j - lo);
+        blk.col_code.push_back(static_cast<code_t>(j - lo));
         ++blk.local_nnz;
       } else {
         const auto it = std::lower_bound(blk.ghost_cols.begin(),
                                          blk.ghost_cols.end(), j);
-        const auto slot =
-            static_cast<index_t>(it - blk.ghost_cols.begin());
+        const auto slot = static_cast<code_t>(it - blk.ghost_cols.begin());
         blk.col_code.push_back(BlockedCsr::ghost_code(slot));
         ++blk.ghost_nnz;
         has_ghost = true;
       }
     }
     (has_ghost ? blk.boundary_rows : blk.interior_rows).push_back(i);
+    if (blk.runs.empty() || blk.runs.back().boundary != has_ghost) {
+      blk.runs.push_back({i, i + 1, has_ghost});
+    } else {
+      blk.runs.back().end = i + 1;
+    }
   }
   return blk;
 }
 
 }  // namespace
+
+BlockedCsr::code_t BlockedCsr::checked_code(index_t value, index_t block,
+                                            const char* what) {
+  if (value < std::numeric_limits<code_t>::min() ||
+      value > std::numeric_limits<code_t>::max()) {
+    throw std::logic_error("BlockedCsr: block " + std::to_string(block) +
+                           " " + what + " " + std::to_string(value) +
+                           " does not fit a 32-bit block index");
+  }
+  return static_cast<code_t>(value);
+}
 
 BlockedCsr::BlockedCsr(const CsrMatrix& a,
                        std::span<const index_t> block_starts) {
@@ -110,16 +140,26 @@ BlockedCsr::BlockedCsr(const CsrMatrix& a,
   // assignment solve_shared's parallel region uses — so first touch places
   // each block's arrays near its relaxing thread. The fork/join edges live
   // in uninstrumented libgomp, so hand them to TSan explicitly (the same
-  // pattern solve_shared uses around its parallel region).
+  // pattern solve_shared uses around its parallel region). An exception
+  // must not leave the region, so each block's is carried out and the
+  // first one rethrown after the join.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_blocks));
   AJAC_TSAN_RELEASE(&blocks_);
 #pragma omp parallel for schedule(static, 1)
   for (index_t t = 0; t < num_blocks; ++t) {
     AJAC_TSAN_ACQUIRE(&blocks_);
-    blocks_[static_cast<std::size_t>(t)] =
-        build_block(a, block_starts[t], block_starts[t + 1]);
+    try {
+      blocks_[static_cast<std::size_t>(t)] =
+          build_block(a, t, block_starts[t], block_starts[t + 1]);
+    } catch (...) {
+      errors[static_cast<std::size_t>(t)] = std::current_exception();
+    }
     AJAC_TSAN_RELEASE(&blocks_);
   }
   AJAC_TSAN_ACQUIRE(&blocks_);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 CsrMatrix BlockedCsr::reassemble() const {
@@ -135,7 +175,7 @@ CsrMatrix BlockedCsr::reassemble() const {
       const auto begin = static_cast<std::size_t>(blk.row_ptr[r]);
       const auto end = static_cast<std::size_t>(blk.row_ptr[r + 1]);
       for (std::size_t p = begin; p < end; ++p) {
-        const index_t code = blk.col_code[p];
+        const code_t code = blk.col_code[p];
         col_idx.push_back(is_ghost(code)
                               ? blk.ghost_cols[static_cast<std::size_t>(
                                     ghost_slot(code))]

@@ -31,6 +31,7 @@
 // machines first-touch places a block's rows on the socket of the thread
 // that will relax them.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -42,18 +43,35 @@ class CsrMatrix;
 
 class BlockedCsr {
  public:
+  /// Block-local index type of row_ptr and col_code. 32 bits halve the
+  /// index stream of a sweep against index_t; construction rejects any
+  /// block whose row, entry or ghost-slot count does not fit.
+  using code_t = std::int32_t;
+
   /// Column codes: non-negative codes are local column offsets (global
   /// column j owned by a block starting at lo is stored as j - lo);
   /// negative codes address the block's ghost table (slot s stored as ~s).
-  [[nodiscard]] static constexpr bool is_ghost(index_t code) noexcept {
+  [[nodiscard]] static constexpr bool is_ghost(code_t code) noexcept {
     return code < 0;
   }
-  [[nodiscard]] static constexpr index_t ghost_slot(index_t code) noexcept {
+  [[nodiscard]] static constexpr code_t ghost_slot(code_t code) noexcept {
     return ~code;
   }
-  [[nodiscard]] static constexpr index_t ghost_code(index_t slot) noexcept {
+  [[nodiscard]] static constexpr code_t ghost_code(code_t slot) noexcept {
     return ~slot;
   }
+
+  /// Narrow a block-local count to code_t. Throws std::logic_error naming
+  /// the block and the quantity (`what`) when `value` does not fit.
+  [[nodiscard]] static code_t checked_code(index_t value, index_t block,
+                                           const char* what);
+
+  /// A maximal ascending range [begin, end) of global rows of one class.
+  struct RowRun {
+    index_t begin = 0;
+    index_t end = 0;
+    bool boundary = false;  ///< true: every row has >= 1 ghost entry
+  };
 
   struct Block {
     index_t lo = 0;  ///< first row owned by this block
@@ -61,10 +79,10 @@ class BlockedCsr {
 
     /// CSR over the block's rows in their original order: entries of local
     /// row r (global row lo + r) are [row_ptr[r], row_ptr[r + 1]).
-    std::vector<index_t> row_ptr;
+    std::vector<code_t> row_ptr;
     /// Per entry: local offset or ~(ghost slot); see is_ghost/ghost_slot.
     /// Entry order within a row matches the source CSR row exactly.
-    std::vector<index_t> col_code;
+    std::vector<code_t> col_code;
     /// The block's value slice, aliasing the source matrix's value array
     /// (the block's rows are contiguous in the parent CSR, so this is
     /// zero-copy). The BlockedCsr is a *view* in this one respect: it must
@@ -80,6 +98,10 @@ class BlockedCsr {
     /// each class in row order.
     std::vector<index_t> interior_rows;
     std::vector<index_t> boundary_rows;
+    /// The same split as ascending runs that tile [lo, hi), alternating in
+    /// class, so a sweep walks rows in order with one class test per run.
+    /// Empty for an empty block.
+    std::vector<RowRun> runs;
 
     /// 1 / a_ii per owned row; 0.0 where the diagonal entry is missing or
     /// stored as zero (callers that relax must reject such matrices — the
@@ -98,7 +120,8 @@ class BlockedCsr {
   /// block_starts[t+1]). Requires block_starts to describe a valid
   /// partition of a.num_rows() (starts at 0, non-decreasing, ends at
   /// num_rows); empty blocks are allowed. Throws std::logic_error
-  /// otherwise. Each block's `values` aliases `a`'s value array, so the
+  /// otherwise, or when a block's row, entry or ghost-slot count does not
+  /// fit code_t. Each block's `values` aliases `a`'s value array, so the
   /// BlockedCsr must not outlive `a`.
   BlockedCsr(const CsrMatrix& a, std::span<const index_t> block_starts);
 

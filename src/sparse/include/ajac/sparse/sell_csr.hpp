@@ -9,11 +9,10 @@
 // at least s + 1 entries form a prefix: slice s stores exactly those rows'
 // s-th entries, contiguously, with no padding entries and no wasted
 // multiply-by-zero flops (the beta = 1 packing of the SELL-C-sigma
-// family). The per-entry streams this buys over the blocked CSR walk:
+// family). Column indices are the BlockedCsr's std::int32_t local
+// offsets, copied in slice order. What the packing buys over the blocked
+// CSR walk:
 //
-//   * column indices shrink from index_t (8 bytes) to std::int32_t local
-//     offsets (4 bytes) — block-local column positions always fit, and at
-//     bandwidth-bound sizes the index stream is pure traffic;
 //   * values and indices are read unit-stride slice-major, a pattern the
 //     vectorizer and the hardware prefetcher both handle, with an explicit
 //     software prefetch of the next slice's x gathers layered on top (see
@@ -84,8 +83,8 @@ class SellCsr {
 
   /// Repack the interior rows of every block of `blocked`. Boundary rows
   /// are untouched — the runtime keeps relaxing them through the blocked
-  /// layout's ghost machinery. Requires every block to have fewer than
-  /// 2^31 rows (the int32 local-offset encoding; checked).
+  /// layout's ghost machinery. The int32 local offsets are BlockedCsr's
+  /// own codes, whose range its construction checks.
   explicit SellCsr(const BlockedCsr& blocked,
                    index_t sigma = kDefaultSigma);
 

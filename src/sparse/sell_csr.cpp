@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/util/annotate.hpp"
@@ -16,10 +15,6 @@ namespace {
 SellCsr::Block build_block(const BlockedCsr::Block& src, index_t sigma) {
   SellCsr::Block blk;
   blk.lo = src.lo;
-  if (src.num_rows() >= (index_t{1} << 31)) {
-    throw std::logic_error(
-        "SellCsr: block too large for int32 local column offsets");
-  }
 
   const auto num_interior = static_cast<index_t>(src.interior_rows.size());
   blk.rows.resize(static_cast<std::size_t>(num_interior));
@@ -44,7 +39,7 @@ SellCsr::Block build_block(const BlockedCsr::Block& src, index_t sigma) {
   blk.row_len.resize(static_cast<std::size_t>(num_interior));
   std::size_t total = 0;
   for (std::size_t p = 0; p < blk.rows.size(); ++p) {
-    blk.row_len[p] = static_cast<std::int32_t>(row_nnz(blk.rows[p]));
+    blk.row_len[p] = row_nnz(blk.rows[p]);
     total += static_cast<std::size_t>(blk.row_len[p]);
   }
 
@@ -74,7 +69,7 @@ SellCsr::Block build_block(const BlockedCsr::Block& src, index_t sigma) {
             static_cast<std::size_t>(src.row_ptr[li]) +
             static_cast<std::size_t>(s);
         // Interior rows have no ghost entries: every code is a local offset.
-        blk.cols[out] = static_cast<std::int32_t>(src.col_code[entry]);
+        blk.cols[out] = src.col_code[entry];
         blk.vals[out] = src.values[entry];
         ++out;
       }

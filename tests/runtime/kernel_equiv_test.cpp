@@ -201,6 +201,34 @@ TEST(KernelEquiv, MultiThreadSynchronousZeroUlp) {
   }
 }
 
+TEST(KernelEquiv, MoreThreadsThanRowsLeavesEmptyBlocks) {
+  // P > n: FD 2x2 has 4 rows, so at 6 threads the contiguous partition
+  // gives two threads no rows — empty blocks with no runs and empty
+  // mirrors. Those threads still pass every barrier and publish a zero
+  // partial, so the synchronous runs must stay 0 ULP from the reference
+  // and the asynchronous run must still converge.
+  const auto p = gen::make_problem("fd2x2", gen::fd_laplacian_2d(2, 2),
+                                   ajac::testing::test_seed(81));
+  for (const index_t iters : {1, 7, 40}) {
+    SCOPED_TRACE(::testing::Message() << iters << " iterations");
+    SharedOptions opts;
+    opts.num_threads = 6;
+    opts.synchronous = true;
+    opts.tolerance = 0.0;
+    opts.max_iterations = iters;
+    opts.record_history = false;
+    expect_kernels_agree(p, opts);
+  }
+  SharedOptions opts;
+  opts.num_threads = 6;
+  opts.tolerance = 1e-8;
+  opts.max_iterations = 100000;
+  opts.record_history = false;
+  const SharedResult async = solve_shared(p.a, p.b, p.x0, opts);
+  EXPECT_TRUE(async.converged);
+  EXPECT_LE(async.final_rel_residual_1, 1e-8);
+}
+
 TEST(KernelEquiv, SingleThreadFaultPathsBitwiseIdentical) {
   // Bit flips and a crash-with-state-reset at one thread: decisions are
   // pure FaultClock hashes of logical coordinates, and the blocked layout

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ajac/sparse/coo.hpp"
@@ -231,6 +234,67 @@ TEST(PropBlockedCsr, DegenerateShapesAreHandled) {
                 std::vector<index_t>{t});
     }
     EXPECT_EQ(blocked.reassemble(), a);
+  }
+}
+
+TEST(PropBlockedCsr, RunsTileEachBlockInMaximalAlternatingRanges) {
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << ", AJAC_TEST_SEED base "
+                 << ajac::testing::test_seed());
+    Rng rng(ajac::testing::test_seed(9000 + static_cast<std::uint64_t>(c)));
+    const CsrMatrix a = random_matrix(rng);
+    const auto starts = random_block_starts(rng, a.num_rows());
+    const BlockedCsr blocked(a, starts);
+    for (index_t t = 0; t < blocked.num_blocks(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "block " << t);
+      const auto& blk = blocked.block(t);
+      if (blk.num_rows() == 0) {
+        ASSERT_TRUE(blk.runs.empty());
+        continue;
+      }
+      ASSERT_FALSE(blk.runs.empty());
+      // Tiling: non-empty runs, each starting where the last one ended,
+      // from lo to hi.
+      index_t next = blk.lo;
+      for (std::size_t k = 0; k < blk.runs.size(); ++k) {
+        const auto& run = blk.runs[k];
+        ASSERT_EQ(run.begin, next) << "run " << k;
+        ASSERT_LT(run.begin, run.end) << "run " << k;
+        // Maximal: neighbouring runs differ in class, so no two merge.
+        if (k > 0) {
+          ASSERT_NE(run.boundary, blk.runs[k - 1].boundary) << "run " << k;
+        }
+        next = run.end;
+      }
+      ASSERT_EQ(next, blk.hi);
+      // Agreement with the row lists: expanding the runs of each class in
+      // order reproduces interior_rows and boundary_rows exactly.
+      std::vector<index_t> interior;
+      std::vector<index_t> boundary;
+      for (const auto& run : blk.runs) {
+        for (index_t i = run.begin; i < run.end; ++i) {
+          (run.boundary ? boundary : interior).push_back(i);
+        }
+      }
+      ASSERT_EQ(interior, blk.interior_rows);
+      ASSERT_EQ(boundary, blk.boundary_rows);
+    }
+  }
+}
+
+TEST(PropBlockedCsr, CheckedCodeNarrowsExactlyUpToInt32Max) {
+  constexpr index_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_EQ(BlockedCsr::checked_code(kMax, 3, "row count"),
+            std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(BlockedCsr::checked_code(0, 3, "row count"), 0);
+  try {
+    (void)BlockedCsr::checked_code(kMax + 1, 3, "entry count");
+    FAIL() << "INT32_MAX + 1 narrowed without an error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("block 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("entry count"), std::string::npos) << what;
   }
 }
 
