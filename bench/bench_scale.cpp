@@ -6,7 +6,7 @@
 // Market import via --matrix, and a self-contained Matrix Market
 // round-trip that writes a generated grid with write_matrix_market and
 // benches the re-read copy) and each kernel configuration (reference,
-// blocked, sellcs, sellcs + fp32 ghosts), this runs fixed-sweep solves
+// blocked, sellcs), this runs fixed-sweep solves
 // (tolerance 0, no polish — every variant does identical work) and
 // reports the median wall time, relaxation throughput, and effective
 // bandwidth from an explicit traffic model.
@@ -26,7 +26,7 @@
 // one host, not for quoting absolute DRAM rates.
 //
 // CI gates the resulting table with tools/check_kernel_speedup.py --scale
-// (blocked >= reference and best-of-sellcs >= blocked at the largest FD
+// (blocked >= reference and sellcs >= blocked at the largest FD
 // problem) and diffs it against BENCH_scale_baseline.json with
 // tools/compare_bench.py.
 
@@ -49,17 +49,12 @@ using namespace ajac;
 struct KernelConfig {
   const char* label;
   runtime::KernelKind kind;
-  runtime::GhostPrecision ghosts;
 };
 
 constexpr KernelConfig kKernels[] = {
-    {"reference", runtime::KernelKind::kReference,
-     runtime::GhostPrecision::kFp64},
-    {"blocked", runtime::KernelKind::kBlocked,
-     runtime::GhostPrecision::kFp64},
-    {"sellcs", runtime::KernelKind::kSellCS, runtime::GhostPrecision::kFp64},
-    {"sellcs-fp32", runtime::KernelKind::kSellCS,
-     runtime::GhostPrecision::kFp32},
+    {"reference", runtime::KernelKind::kReference},
+    {"blocked", runtime::KernelKind::kBlocked},
+    {"sellcs", runtime::KernelKind::kSellCS},
 };
 
 struct NamedProblem {
@@ -176,7 +171,6 @@ int main(int argc, char** argv) {
       runtime::SharedOptions opts;
       opts.num_threads = threads;
       opts.kernel = k.kind;
-      opts.ghost_precision = k.ghosts;
       opts.tolerance = 0.0;  // fixed sweep count: equal work per variant
       opts.max_iterations = sweeps;
       opts.record_history = false;

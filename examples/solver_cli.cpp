@@ -92,13 +92,6 @@ bool parse_balance(const std::string& name) {
   throw std::invalid_argument("unknown balance '" + name + "' (rows | nnz)");
 }
 
-runtime::GhostPrecision parse_ghost_precision(const std::string& name) {
-  if (name == "fp64") return runtime::GhostPrecision::kFp64;
-  if (name == "fp32") return runtime::GhostPrecision::kFp32;
-  throw std::invalid_argument("unknown ghost precision '" + name +
-                              "' (fp64 | fp32)");
-}
-
 runtime::RowPolicy parse_policy(const std::string& name) {
   if (name == "natural") return runtime::RowPolicy::kNaturalOrder;
   if (name == "uniform") return runtime::RowPolicy::kUniformRandom;
@@ -131,9 +124,6 @@ int main(int argc, char** argv) {
                  "shared backend partition balance: nnz (contiguous blocks "
                  "equalized by nonzero count; default) | rows (equal row "
                  "counts; reference kernel always uses rows)");
-  cli.add_option("ghost-precision", "fp64",
-                 "sellcs kernel: precision of published ghost values, "
-                 "fp64 | fp32 (residuals and termination stay fp64)");
   cli.add_option("policy", "natural",
                  "async row-selection policy: natural | uniform | weighted "
                  "(shared and distsim backends)");
@@ -191,7 +181,6 @@ int main(int argc, char** argv) {
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     cfg.shared_kernel = parse_kernel(cli.get_string("kernel"));
     cfg.balance_by_nnz = parse_balance(cli.get_string("balance"));
-    cfg.ghost_precision = parse_ghost_precision(cli.get_string("ghost-precision"));
     cfg.num_rhs = cli.get_int("nrhs");
     cfg.policy = parse_policy(cli.get_string("policy"));
     cfg.weight_refresh = cli.get_int("weight-refresh");

@@ -55,7 +55,6 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       opts.max_iterations = config.max_iterations;
       opts.record_history = false;
       opts.kernel = config.shared_kernel;
-      opts.ghost_precision = config.ghost_precision;
       opts.policy = config.policy;
       opts.weight_refresh = config.weight_refresh;
       opts.policy_seed = config.seed;
@@ -192,7 +191,6 @@ BatchSolution solve_batch(const CsrMatrix& a, const MultiVector& b,
   opts.max_iterations = config.max_iterations;
   opts.record_history = false;
   opts.kernel = config.shared_kernel;
-  opts.ghost_precision = config.ghost_precision;
   opts.policy = config.policy;
   opts.weight_refresh = config.weight_refresh;
   opts.policy_seed = config.seed;
@@ -217,6 +215,9 @@ BatchSolution solve_spd_batch(const CsrMatrix& a, const MultiVector& b,
                               const SolveConfig& config) {
   const index_t n = a.num_rows();
   const index_t k = b.num_cols();
+  // Checked before the scaling loop reads b.row(i) for every row of A.
+  AJAC_CHECK_MSG(b.num_rows() == n, "b has " << b.num_rows()
+                                             << " rows but A has " << n);
   // Scale the system once; each RHS column scales by the same D^{-1/2}.
   Vector probe(static_cast<std::size_t>(n), 0.0);
   const CsrMatrix scaled = scale_to_unit_diagonal(a, &probe);

@@ -64,10 +64,6 @@ struct SolveConfig {
   /// runtime partition always wins over this switch. The reference kernel
   /// ignores it (its baselines are defined on row-balanced blocks).
   bool balance_by_nnz = true;
-  /// kSharedMemory with shared_kernel == kSellCS: precision at which
-  /// committed iterates are published for neighbours' ghost reads
-  /// (runtime::GhostPrecision). Residuals and termination stay fp64.
-  runtime::GhostPrecision ghost_precision = runtime::GhostPrecision::kFp64;
   /// kSharedMemory: number of right-hand sides solved together. 1 runs the
   /// single-RHS path; > 1 routes through solve_shared_batch (b must carry
   /// exactly num_rhs columns via solve_batch), amortizing every matrix

@@ -8,6 +8,7 @@
 #include "ajac/fault/actor_faults.hpp"
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
+#include "ajac/partition/partition.hpp"
 #include "ajac/runtime/row_policy.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/validate.hpp"
@@ -264,7 +265,9 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
   const index_t n = a.num_rows();
   AJAC_CHECK(b.size() == static_cast<std::size_t>(n));
   AJAC_CHECK(x0.size() == static_cast<std::size_t>(n));
-  AJAC_CHECK(part.num_rows() == n);
+  // O(P), and always on: a partition that skips or repeats rows would give
+  // rows no owner (or two) in the local blocks built below.
+  partition::validate(part, n);
   AJAC_CHECK(part.num_parts() == opts.num_processes);
   AJAC_CHECK(opts.max_iterations >= 1);
   AJAC_CHECK(opts.omega > 0.0);
@@ -283,7 +286,6 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
                  "weight_refresh must be a positive iteration cadence");
   AJAC_DBG_VALIDATE(validate::csr_structure(
       a, {.require_diagonal = true, .require_square = true}));
-  AJAC_DBG_VALIDATE(partition::validate(part, n));
   AJAC_DBG_VALIDATE(validate::finite(b, "b"));
   AJAC_DBG_VALIDATE(validate::finite(x0, "x0"));
 

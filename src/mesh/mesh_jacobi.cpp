@@ -40,40 +40,27 @@ struct AgentTotals {
   index_t queue_full = 0;
 };
 
-/// Metrics context for the uninstrumented path.
-struct NullMeshMetrics {
-  static constexpr bool enabled = false;
-
-  NullMeshMetrics(obs::MetricsRegistry* /*reg*/, index_t /*agent*/,
-                  const WallTimer& /*timer*/) {}
-
-  void iteration_begin() {}
-  void iteration_end(index_t /*iter*/, index_t /*own_rows*/) {}
-  void flag_update(bool /*done*/) {}
-  void stop_decided() {}
-  void drain_summary(index_t /*popped*/) {}
-  void ghost_age(index_t /*iter*/, index_t /*header*/) {}
-  void fold_totals(const AgentTotals& /*totals*/,
-                   const fault::FaultLog& /*log*/) {}
-};
-
-/// Per-agent metrics slot feeding obs::MetricsRegistry (EventRing-backed
-/// timeline + counters/histograms), one "agent" lane per mesh agent.
-class ActiveMeshMetrics {
+/// Per-agent metrics recorder feeding obs::MetricsRegistry (EventRing-backed
+/// timeline + counters/histograms), one "agent" lane per mesh agent. Built
+/// from a possibly-null registry: without one every hook returns at once
+/// (no timer read, no slot write), so the uninstrumented solve computes
+/// the same bits at the cost of one branch per hook. One slot per agent by
+/// the registry's contract: the agent's thread is the slot's sole writer
+/// for the whole run, and each hook claims that role.
+class MeshRecorder {
  public:
-  static constexpr bool enabled = true;
+  MeshRecorder(obs::MetricsRegistry* reg, index_t agent,
+               const WallTimer& timer)
+      : slot_(reg != nullptr ? &reg->actor(agent) : nullptr),
+        timer_(&timer) {}
 
-  ActiveMeshMetrics(obs::MetricsRegistry* reg, index_t agent,
-                    const WallTimer& timer)
-      : slot_(&reg->actor(agent)), timer_(&timer) {
-    // One slot per agent by the registry's contract: this thread is the
-    // slot's sole writer for the whole run.
-    slot_->owner.assert_held();
+  void iteration_begin() {
+    if (slot_ == nullptr) return;
+    t0_us_ = timer_->microseconds();
   }
 
-  void iteration_begin() { t0_us_ = timer_->microseconds(); }
-
   void iteration_end(index_t iter, index_t own_rows) {
+    if (slot_ == nullptr) return;
     slot_->owner.assert_held();
     const double t1 = timer_->microseconds();
     slot_->add(obs::Counter::kIterations);
@@ -85,30 +72,35 @@ class ActiveMeshMetrics {
   }
 
   void flag_update(bool done) {
+    if (slot_ == nullptr) return;
     slot_->owner.assert_held();
     if (done && !flag_up_) slot_->add(obs::Counter::kFlagRaises);
     flag_up_ = done;
   }
 
   void stop_decided() {
+    if (slot_ == nullptr) return;
     slot_->owner.assert_held();
     slot_->instant(obs::TraceKind::kStop, timer_->microseconds());
   }
 
   /// Mailbox depth observed by one drain pass (popped packet count).
   void drain_summary(index_t popped) {
+    if (slot_ == nullptr) return;
     slot_->owner.assert_held();
     slot_->record(obs::Hist::kQueueDepth, static_cast<std::uint64_t>(popped));
   }
 
   /// Sender-iteration lag of an applied ghost packet.
   void ghost_age(index_t iter, index_t header) {
+    if (slot_ == nullptr) return;
     slot_->owner.assert_held();
     const index_t age = iter > header ? iter - header : 0;
     slot_->record(obs::Hist::kGhostReadAge, static_cast<std::uint64_t>(age));
   }
 
   void fold_totals(const AgentTotals& totals, const fault::FaultLog& log) {
+    if (slot_ == nullptr) return;
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kMessagesSent,
                static_cast<std::uint64_t>(totals.sent));
@@ -125,7 +117,7 @@ class ActiveMeshMetrics {
   }
 
  private:
-  obs::ActorSlot* slot_;
+  obs::ActorSlot* slot_;  ///< null without a registry
   const WallTimer* timer_;
   double t0_us_ = 0.0;
   bool flag_up_ = false;
@@ -159,8 +151,8 @@ std::vector<std::vector<char>> counted_rows(const MeshTopology& topo) {
 
 // Faulted: each agent runs its fault::ActorFaults schedule (see
 // begin_iteration and publish below); the unfaulted instantiation carries
-// no fault branches at all.
-template <bool Sync, bool Faulted, class Metrics>
+// no fault branches at all. Metrics are runtime-null (MeshRecorder).
+template <bool Sync, bool Faulted>
 MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
                            const Vector& x0, const MeshOptions& opts,
                            const MeshTopology& topo,
@@ -284,7 +276,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     // every runtime.
     std::optional<fault::ActorFaults> faults;
     if constexpr (Faulted) faults.emplace(*plan, t);
-    Metrics metrics(opts.metrics, t, timer);
+    MeshRecorder metrics(opts.metrics, t, timer);
     AgentTotals totals;
     auto& my_history = histories[static_cast<std::size_t>(t)];
     auto& my_events = agent_events[static_cast<std::size_t>(t)];
@@ -325,11 +317,11 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
               versions[static_cast<std::size_t>(row)] = header + 1;
             }
           }
-          if constexpr (Metrics::enabled) metrics.ghost_age(iter, header);
+          metrics.ghost_age(iter, header);
         }
       }
       totals.received += popped;
-      if constexpr (Metrics::enabled) metrics.drain_summary(popped);
+      metrics.drain_summary(popped);
     };
 
     // Ship the committed boundary values to every subscriber, applying
@@ -382,7 +374,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         if (term.park(iter, fresh)) metrics.stop_decided();
         continue;
       }
-      if constexpr (Metrics::enabled) metrics.iteration_begin();
+      metrics.iteration_begin();
       // Inside a stale window the asynchronous drains are skipped: the
       // ghosts freeze at their last applied values while packets queue up
       // behind the window (the message-passing form of the shared
@@ -479,7 +471,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
       const bool my_done = term.flag(t, iter, 0, rel);
-      if constexpr (Metrics::enabled) metrics.flag_update(my_done);
+      metrics.flag_update(my_done);
 
       if constexpr (Sync) gate->arrive_and_wait();
       if (term.poll(iter, fresh)) metrics.stop_decided();
@@ -488,7 +480,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         // and sees the verified stop decision together.
         gate->arrive_and_wait();
       }
-      if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, own_rows);
+      metrics.iteration_end(iter - 1, own_rows);
       if constexpr (!Sync) {
         if (opts.yield && !term.stopped()) sched_yield();
       }
@@ -499,9 +491,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     if constexpr (Faulted) {
       fault_logs[static_cast<std::size_t>(t)] = faults->take_log();
     }
-    if constexpr (Metrics::enabled) {
-      metrics.fold_totals(totals, fault_logs[static_cast<std::size_t>(t)]);
-    }
+    metrics.fold_totals(totals, fault_logs[static_cast<std::size_t>(t)]);
   };
 
   // std::thread creation/join are TSan-native happens-before edges, so
@@ -572,24 +562,14 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
 }
 
 template <bool Sync>
-MeshResult dispatch_hooks(const CsrMatrix& a, const Vector& b,
-                          const Vector& x0, const MeshOptions& opts,
-                          const MeshTopology& topo,
-                          const fault::FaultPlan* plan) {
-  if (plan != nullptr && opts.metrics != nullptr) {
-    return solve_mesh_impl<Sync, true, ActiveMeshMetrics>(
-        a, b, x0, opts, topo, plan);
-  }
+MeshResult dispatch_faults(const CsrMatrix& a, const Vector& b,
+                           const Vector& x0, const MeshOptions& opts,
+                           const MeshTopology& topo,
+                           const fault::FaultPlan* plan) {
   if (plan != nullptr) {
-    return solve_mesh_impl<Sync, true, NullMeshMetrics>(
-        a, b, x0, opts, topo, plan);
+    return solve_mesh_impl<Sync, true>(a, b, x0, opts, topo, plan);
   }
-  if (opts.metrics != nullptr) {
-    return solve_mesh_impl<Sync, false, ActiveMeshMetrics>(
-        a, b, x0, opts, topo, nullptr);
-  }
-  return solve_mesh_impl<Sync, false, NullMeshMetrics>(
-      a, b, x0, opts, topo, nullptr);
+  return solve_mesh_impl<Sync, false>(a, b, x0, opts, topo, nullptr);
 }
 
 }  // namespace
@@ -639,9 +619,9 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
   }
 
   if (opts.synchronous) {
-    return dispatch_hooks<true>(a, b, x0, opts, topo, plan);
+    return dispatch_faults<true>(a, b, x0, opts, topo, plan);
   }
-  return dispatch_hooks<false>(a, b, x0, opts, topo, plan);
+  return dispatch_faults<false>(a, b, x0, opts, topo, plan);
 }
 
 }  // namespace ajac::mesh

@@ -26,11 +26,10 @@
 //    viewable in Perfetto / chrome://tracing.
 //
 // Enabling is opt-in per run: SharedOptions::metrics, DistOptions::metrics,
-// and SolveOptions::metrics all default to nullptr, and the runtimes
-// dispatch to template instantiations whose recording hooks compile to
-// no-ops (the same pattern as fault::NullFaults), so a disabled run carries
-// no metrics branches at all and its results are bitwise those of the
-// uninstrumented solver.
+// and SolveOptions::metrics all default to nullptr, and on a null registry
+// every recording hook returns at once (no timer read, no slot write), so
+// a disabled run pays one branch per hook and its results are bitwise
+// those of an instrumented run.
 //
 // Threading contract: reset() and snapshot() are single-threaded (call
 // them before starting / after joining the workers); between them, actor t

@@ -5,9 +5,8 @@
 // metadata the ConvergenceMonitor needs to interpret beacons (residual
 // scale, tolerance, time base). Solvers accept a hub pointer the same way
 // they accept a MetricsRegistry: `SharedOptions::stream` / ``DistOptions::
-// stream`` default to nullptr, and the null path dispatches to a template
-// instantiation whose hooks compile away (bitwise-identical results; see
-// solve_hooks.hpp).
+// stream`` default to nullptr, and on the null path every publish hook
+// returns at once (bitwise-identical results; see solve_hooks.hpp).
 //
 // Concurrency contract:
 //  - Rings are allocated once, at hub construction, and never reallocated

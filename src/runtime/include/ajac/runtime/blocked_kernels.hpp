@@ -27,6 +27,11 @@
 // flips index entries by their position within the row, which the blocked
 // layout preserves, so the flip decision and the corrupted entry match the
 // reference path exactly.
+//
+// Metrics template parameter (traced kernels only): the shared solver's
+// per-thread recorder (solve_hooks.hpp), called unguarded. Without a
+// registry its staleness hook returns at once and its retry_sink() is
+// null, so the read loop records nothing and computes the same bits.
 
 #include <cmath>
 #include <cstddef>
@@ -289,7 +294,7 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
         const index_t j = blk.lo + code;
         if (j == i) continue;
         const index_t version = own.version[static_cast<std::size_t>(code)];
-        if constexpr (Metrics::enabled) metrics.staleness(iter, version);
+        metrics.staleness(iter, version);
         event.reads.push_back({j, version});
         continue;
       }
@@ -298,7 +303,7 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
       const auto [value, version] =
           faults.read_versioned(x, j, metrics.retry_sink());
       acc -= aij * value;
-      if constexpr (Metrics::enabled) metrics.staleness(iter, version);
+      metrics.staleness(iter, version);
       event.reads.push_back({j, version});
     }
     acc_out[li] = acc;
@@ -345,7 +350,7 @@ inline void relax_row_sampled_traced(
       const index_t j = blk.lo + code;
       if (j == i) continue;
       const index_t version = own.version[static_cast<std::size_t>(code)];
-      if constexpr (Metrics::enabled) metrics.staleness(iter, version);
+      metrics.staleness(iter, version);
       event.reads.push_back({j, version});
       continue;
     }
@@ -354,7 +359,7 @@ inline void relax_row_sampled_traced(
     const auto [value, version] =
         faults.read_versioned(x, j, metrics.retry_sink());
     acc -= aij * value;
-    if constexpr (Metrics::enabled) metrics.staleness(iter, version);
+    metrics.staleness(iter, version);
     event.reads.push_back({j, version});
   }
   r.write(i, acc);

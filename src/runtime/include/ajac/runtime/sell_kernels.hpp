@@ -2,7 +2,7 @@
 // Bandwidth-engineered relaxation kernels — the KernelKind::kSellCS path
 // of solve_shared (the "rebuilt data plane" of the large-n experiments).
 //
-// Three coordinated changes over the blocked kernels, all aimed at the
+// Two coordinated changes over the blocked kernels, both aimed at the
 // memory-bound regime (>= 10^7 unknowns, where a sweep streams the matrix
 // from DRAM and the paper's async-beats-sync effect actually lives):
 //
@@ -13,18 +13,13 @@
 //      double buffer once per local iteration. Boundary rows then gather
 //      unit-indexed from private memory; the shared cache lines are
 //      touched ghost-count times per sweep, not ghost-nnz times.
-//   2. Optional fp32 ghost publication (SharedOptions::ghost_precision).
-//      Owners additionally publish committed iterates to a SharedF32Vector
-//      shadow; neighbours refresh their ghost buffers from it, halving
-//      boundary read traffic. All residuals, the verified-stop protocol,
-//      and the commit arithmetic stay fp64 (see shared_vector.hpp).
-//   3. SELL-C-sigma interior (sparse/sell_csr.hpp): slice-major
+//   2. SELL-C-sigma interior (sparse/sell_csr.hpp): slice-major
 //      unit-stride value and index walks, no row pointers, and a software
 //      prefetch of the next slice's x gathers.
 //
-// Bitwise contract: with fp64 ghosts, one thread or synchronous mode makes
-// x stable throughout step 1, so the once-per-iteration ghost refresh
-// reads exactly the values the blocked kernels' per-entry reads would, and
+// Bitwise contract: one thread or synchronous mode makes x stable
+// throughout step 1, so the once-per-iteration ghost refresh reads
+// exactly the values the blocked kernels' per-entry reads would, and
 // the SELL slice accumulation visits each row's entries in CSR order (see
 // sell_csr.hpp). kSellCS is then bit-identical to kBlocked — the contract
 // the kernel-equivalence suite extends to this path. Asynchronously at
@@ -64,28 +59,6 @@ inline void refresh_ghosts(const BlockedCsr::Block& blk, const SharedVector& x,
                            std::span<double> ghosts) {
   for (std::size_t s = 0; s < blk.ghost_cols.size(); ++s) {
     ghosts[s] = x.read(blk.ghost_cols[s]);
-  }
-}
-
-/// Refresh the dense ghost buffer from the fp32 shadow (half the read
-/// traffic); widened back to double once, here, so the relaxation
-/// arithmetic itself stays fp64.
-inline void refresh_ghosts_f32(const BlockedCsr::Block& blk,
-                               const SharedF32Vector& shadow,
-                               std::span<double> ghosts) {
-  for (std::size_t s = 0; s < blk.ghost_cols.size(); ++s) {
-    ghosts[s] = static_cast<double>(shadow.read(blk.ghost_cols[s]));
-  }
-}
-
-/// Publish the block's committed iterates to the fp32 shadow (fp32 ghost
-/// runs only; called right after commit_block, whose mirror holds exactly
-/// the values just written to the fp64 x).
-inline void publish_shadow(const BlockedCsr::Block& blk,
-                           const OwnBlockState& own, SharedF32Vector& shadow)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(shadow.writer_role()) {
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
-    shadow.write(i, own.x[static_cast<std::size_t>(i - blk.lo)]);
   }
 }
 

@@ -53,33 +53,14 @@ enum class KernelKind {
   kBlocked,
   /// Bandwidth-engineered large-n path (runtime/sell_kernels.hpp): interior
   /// rows relax through a SELL-C-sigma repack with int32 local column
-  /// offsets and software prefetch (sparse/sell_csr.hpp); boundary rows
-  /// gather their ghost columns from a dense per-thread buffer refreshed
-  /// once per local iteration instead of per-entry shared reads; and with
-  /// ghost_precision = kFp32 the refresh reads a float shadow, halving
-  /// boundary traffic. Bitwise-equivalent to kBlocked whenever the reads
-  /// see the same values (num_threads=1, or synchronous mode, with fp64
-  /// ghosts). Not composable with record_trace, local_gauss_seidel,
-  /// sampled row policies, fault plans, or the batch path (checked).
+  /// offsets and software prefetch (sparse/sell_csr.hpp), and boundary
+  /// rows gather their ghost columns from a dense per-thread buffer
+  /// refreshed once per local iteration instead of per-entry shared reads.
+  /// Bitwise-equivalent to kBlocked whenever the reads see the same values
+  /// (num_threads=1, or synchronous mode). Not composable with
+  /// record_trace, local_gauss_seidel, sampled row policies, fault plans,
+  /// or the batch path (checked).
   kSellCS,
-};
-
-/// Precision at which committed iterates are *published for neighbours'
-/// ghost reads* on the kSellCS path. The authoritative x, every residual,
-/// the commit arithmetic, and the verified-stop / final-polish termination
-/// checks always stay fp64 — kFp32 only narrows what boundary rows read,
-/// trading ~1e-7 relative rounding noise on ghost reads for half the
-/// boundary read traffic. The noise is re-injected every sweep, so it puts
-/// a *floor* under the achievable residual: boundary rows keep absorbing
-/// O(eps_fp32) perturbations and the fp64-verified relative residual
-/// stalls around 1e-7 (observed ~5e-7 on a 128x128 FD Laplacian).
-/// Tolerances at or below that floor never verify — the solve runs to
-/// max_iterations and reports converged=false honestly. Use kFp32 for
-/// moderate tolerances (>= ~1e-6) where bandwidth, not accuracy, is the
-/// binding constraint.
-enum class GhostPrecision {
-  kFp64,  ///< ghosts read the authoritative vector (default; bitwise path)
-  kFp32,  ///< ghosts read a float shadow published after each commit
 };
 
 struct SharedOptions {
@@ -134,28 +115,23 @@ struct SharedOptions {
   /// check and spin-wait time, and a timeline of iteration spans /
   /// flag-raise / fault instants exportable via obs::TraceEventSink. The
   /// registry is reset for num_threads actors on entry; snapshot it after
-  /// the solve returns. Null keeps the uninstrumented path branch-free:
-  /// the solve dispatches to a template instantiation whose recording
-  /// hooks compile to no-ops (same pattern as the fault hooks), so results
-  /// are bitwise those of a build without the metrics layer.
+  /// the solve returns. Null turns every recording hook into an early
+  /// return (no timer read, no slot write): one predictable branch per
+  /// iteration, and results bitwise those of an instrumented solve.
   obs::MetricsRegistry* metrics = nullptr;
   /// Live telemetry hub (see ajac/obs/stream.hpp): each thread publishes
   /// coarse progress beacons (iteration, own-block residual, relaxation
   /// and policy-draw counts) into its own lock-free ring every
   /// `beacon_stride`-th iteration, for a ConvergenceMonitor to consume
-  /// concurrently. Null keeps the non-streaming path branch-free — the
-  /// solve dispatches to a template instantiation whose publish hooks
-  /// compile to no-ops, so results are bitwise those of a build without
-  /// the telemetry layer. The hub must outlive the solve and be sized for
-  /// num_threads actors (TelemetryOptions::max_actors).
+  /// concurrently. Null turns every publish hook into an early return, so
+  /// results are bitwise those of a streaming solve. The hub must outlive
+  /// the solve and be sized for num_threads actors
+  /// (TelemetryOptions::max_actors).
   obs::TelemetryHub* stream = nullptr;
   /// Relaxation kernels (see KernelKind). The blocked layer is the default;
   /// kReference selects the original unsplit path (differential testing,
   /// perf baselines).
   KernelKind kernel = KernelKind::kBlocked;
-  /// Ghost publication precision (kSellCS only; see GhostPrecision).
-  /// kFp32 requires kernel == kSellCS (checked).
-  GhostPrecision ghost_precision = GhostPrecision::kFp64;
   /// Row-selection policy (see ajac/runtime/row_policy.hpp). The default
   /// natural-order sweep is the paper's schedule and leaves the solve
   /// bitwise identical to a build without the policy layer. Sampled

@@ -231,63 +231,4 @@ class SharedVector {
   SoleWriterRole writer_role_;
 };
 
-/// Single-precision shadow of a SharedVector, for the mixed-precision
-/// ghost publication of the kSellCS kernel path (SharedOptions::
-/// ghost_precision == kFp32). Owners publish their committed iterates here
-/// *in addition to* the authoritative fp64 vector; neighbours refresh
-/// their dense ghost buffers from this shadow, halving the boundary read
-/// traffic. Everything that decides — residual checks, the verified-stop
-/// protocol, the final serial verification — keeps reading the fp64
-/// vector, so the paper's termination story is untouched; the shadow only
-/// perturbs *which* (slightly rounded) neighbour values a relaxation
-/// consumes, which asynchronous convergence tolerates by construction.
-///
-/// Same concurrency contract as the untraced SharedVector: any number of
-/// racy readers, one writer per element (machine-checked via the
-/// SoleWriterRole), aligned floats accessed atomically so reads never
-/// tear, and values indeterminate until first written. Never traced —
-/// fp32 ghosts and read-version traces are mutually exclusive at the
-/// options layer.
-class SharedF32Vector {
- public:
-  explicit SharedF32Vector(index_t n)
-      : values_(static_cast<std::size_t>(n)) {}
-
-  [[nodiscard]] const SoleWriterRole& writer_role() const
-      AJAC_RETURN_CAPABILITY(writer_role_) {
-    return writer_role_;
-  }
-
-  /// Plain racy read (the paper's scheme, narrowed to fp32).
-  [[nodiscard]] float read(index_t i) const {
-    AJAC_DBG_CHECK(in_range(i));
-    // racy-ok(intended-race): the paper's racy read; tearing-free because
-    // the element is an aligned float accessed atomically.
-    return cell(static_cast<std::size_t>(i)).load(std::memory_order_relaxed);
-  }
-
-  void write(index_t i, double v) AJAC_REQUIRES(writer_role_) {
-    AJAC_DBG_CHECK(in_range(i));
-    // racy-ok(intended-race): the paper's racy write, narrowed to fp32
-    // (ghost publication only; the fp64 vector stays authoritative).
-    cell(static_cast<std::size_t>(i))
-        .store(static_cast<float>(v), std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-
- private:
-  [[nodiscard]] bool in_range(index_t i) const noexcept {
-    return i >= 0 && static_cast<std::size_t>(i) < values_.size();
-  }
-
-  [[nodiscard]] std::atomic_ref<float> cell(std::size_t i) const noexcept {
-    return std::atomic_ref<float>(values_[i]);
-  }
-
-  // mutable: atomic_ref needs a non-const referent even for loads.
-  mutable UninitVector<float> values_;
-  SoleWriterRole writer_role_;
-};
-
 }  // namespace ajac::runtime

@@ -55,11 +55,9 @@ namespace ajac::runtime {
 namespace {
 
 using ActiveFaults = detail::ActiveFaults<SharedMultiVector>;
-using detail::ActiveMetrics;
-using detail::ActiveStream;
+using detail::MetricsRecorder;
 using detail::NullFaults;
-using detail::NullMetrics;
-using detail::NullStream;
+using detail::StreamPublisher;
 
 /// Reference-kernel residual row of row i into out[0, k): b_i - sum_j a_ij
 /// x_j per lane, entries in CSR order, x rows read through the fault
@@ -91,7 +89,7 @@ void reference_residual_row(const CsrMatrix& a, const MultiVector& b,
   }
 }
 
-template <class Faults, class Metrics, class Stream, bool Blocked>
+template <class Faults, bool Blocked>
 SharedBatchResult solve_shared_batch_impl(
     const CsrMatrix& a, const MultiVector& b, const MultiVector& x0,
     const SharedOptions& opts, const partition::Partition& part,
@@ -160,8 +158,8 @@ SharedBatchResult solve_shared_batch_impl(
     MultiVector local_r(Blocked ? 0 : rows, k);
 
     Faults faults(a, x0, plan, t, lo, hi, x);
-    Metrics metrics(opts.metrics, t, timer);
-    Stream stream(opts.stream, t, timer);
+    MetricsRecorder metrics(opts.metrics, t, timer);
+    StreamPublisher stream(opts.stream, t, timer);
 
     // Sampled row-selection policy: per-thread counter-based stream over
     // the own rows, same (policy_seed, thread, iter, slot) coordinates as
@@ -178,9 +176,11 @@ SharedBatchResult solve_shared_batch_impl(
         snapshot_r.assign(static_cast<std::size_t>(rows), 0.0);
       }
     }
-    [[maybe_unused]] std::vector<std::uint32_t> pick_counts;
-    if constexpr (Metrics::enabled) {
-      if (sampled) pick_counts.assign(static_cast<std::size_t>(rows), 0);
+    // Per-row draw counts for the row-selection-skew metric (empty
+    // without a registry).
+    std::vector<std::uint32_t> pick_counts;
+    if (sampled && metrics.on()) {
+      pick_counts.assign(static_cast<std::size_t>(rows), 0);
     }
 
     [[maybe_unused]] const BlockedCsr::Block* blk = nullptr;
@@ -204,22 +204,22 @@ SharedBatchResult solve_shared_batch_impl(
     };
 
     index_t iter = 0;
-    [[maybe_unused]] double last_own_rel = 0.0;
+    double last_own_rel = 0.0;
     while (!term.stopped()) {
       if (term.at_cap(iter)) {  // parked (see terminator.hpp)
         if (term.park(iter, fresh)) metrics.stop_decided();
         continue;
       }
-      if constexpr (Metrics::enabled) metrics.iteration_begin();
+      metrics.iteration_begin();
       if (delay > 0.0) {
         spin_wait_us(delay);
-        if constexpr (Metrics::enabled) metrics.spin_wait(delay);
+        metrics.spin_wait(delay);
       }
       if constexpr (Faults::enabled) faults.begin_iteration(iter);
       if constexpr (Faults::enabled && Blocked) {
         if (faults.consume_state_reset()) refresh_own_block_batch(*blk, x, own);
       }
-      if constexpr (Metrics::enabled) metrics.sync_faults(faults);
+      metrics.sync_faults(faults);
 
       // Refresh the freeze mask. Column latches only ever go 0 -> 1, so a
       // racy read is safe: once a thread observes a column stopped it stays
@@ -283,12 +283,12 @@ SharedBatchResult solve_shared_batch_impl(
             }
             return w;
           });
-          if constexpr (Metrics::enabled) metrics.weight_refresh();
-          if constexpr (Stream::enabled) stream.weight_refresh();
+          metrics.weight_refresh();
+          stream.weight_refresh();
         }
         for (index_t slot = 0; slot < rows; ++slot) {
           const index_t i = sampler->next(iter, slot);
-          if constexpr (Metrics::enabled) {
+          if (!pick_counts.empty()) {
             ++pick_counts[static_cast<std::size_t>(i - lo)];
           }
           if constexpr (Blocked) {
@@ -323,9 +323,7 @@ SharedBatchResult solve_shared_batch_impl(
           r.write_row(i, {local_r.row(i - lo), k_sz});
         }
       }
-      if constexpr (Metrics::enabled && Blocked) {
-        metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
-      }
+      if constexpr (Blocked) metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
       // Per-column partial norms of the own rows (rows ascending, bitwise
       // the scalar path's), published before the first barrier so that in
       // synchronous mode every reader sums the same iteration's partials.
@@ -375,11 +373,9 @@ SharedBatchResult solve_shared_batch_impl(
           my_col_relax[static_cast<std::size_t>(c)] += rows;
         }
       }
-      if constexpr (Metrics::enabled) {
-        metrics.batch_iteration(rows, active_cols);
-      }
+      metrics.batch_iteration(rows, active_cols);
 
-      if constexpr (Stream::enabled) {
+      if (stream.on()) {
         // Beacon value under kUpperBoundMax: worst still-relative lane,
         // max over columns of (own-block column norm / column r0 norm).
         double worst = 0.0;
@@ -392,17 +388,15 @@ SharedBatchResult solve_shared_batch_impl(
 
       // Step 3: per-column convergence check — each column's P published
       // partials summed in thread order (racy reads, aggregated in O(P)).
-      if constexpr (Metrics::enabled) metrics.residual_check_begin();
+      metrics.residual_check_begin();
       bool my_all_done = true;
       for (index_t c = 0; c < k; ++c) {
         if (active[static_cast<std::size_t>(c)] == 0.0) continue;
         const bool my_done = term.flag(t, iter, c, term.racy_rel(c));
         my_all_done = my_all_done && my_done;
       }
-      if constexpr (Metrics::enabled) metrics.residual_check_end();
-      if constexpr (Metrics::enabled) {
-        if (active_cols > 0) metrics.flag_update(my_all_done, iter);
-      }
+      metrics.residual_check_end();
+      if (active_cols > 0) metrics.flag_update(my_all_done, iter);
 
       if (opts.synchronous) {
 #pragma omp barrier
@@ -413,29 +407,15 @@ SharedBatchResult solve_shared_batch_impl(
         // barriers, and all see the verified stop decisions together.
 #pragma omp barrier
       }
-      if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, rows);
-      if constexpr (Stream::enabled) {
-        if (stream.due(iter)) {
-          stream.publish(iter, rows, last_own_rel,
-                         sampled ? static_cast<std::uint64_t>(iter) *
-                                       static_cast<std::uint64_t>(rows)
-                                 : 0);
-        }
-      }
+      metrics.iteration_end(iter - 1, rows);
+      stream.beacon(iter, rows, last_own_rel, sampled);
       if (opts.yield && !term.stopped()) sched_yield();
     }
-    if constexpr (Stream::enabled) {
-      // Terminal beacon: the monitor always sees this thread's final state
-      // even when the last iteration missed the stride.
-      stream.finish(iter, rows, last_own_rel,
-                    sampled ? static_cast<std::uint64_t>(iter) *
-                                  static_cast<std::uint64_t>(rows)
-                            : 0);
-    }
+    // Terminal beacon: the monitor always sees this thread's final state
+    // even when the last iteration missed the stride.
+    stream.finish(iter, rows, last_own_rel, sampled);
     result.iterations_per_thread[static_cast<std::size_t>(t)] = iter;
-    if constexpr (Metrics::enabled) {
-      if (sampled) metrics.policy_counts(pick_counts);
-    }
+    metrics.policy_counts(pick_counts);
     if constexpr (Faults::enabled) {
       fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
     }
@@ -462,18 +442,7 @@ SharedBatchResult solve_shared_batch_impl(
     result.stop_iteration.push_back(term.stop_iteration(c));
     total_polish += fin.sweeps;
   }
-  if constexpr (Metrics::enabled) {
-    obs::ActorSlot& slot0 = opts.metrics->actor(0);
-    // Post-join epilogue: the workers are gone, this thread owns slot 0.
-    slot0.owner.assert_held();
-    if (total_polish > 0) {
-      slot0.add(obs::Counter::kPolishSweeps,
-                static_cast<std::uint64_t>(total_polish));
-      slot0.span(obs::TraceKind::kPolish, result.seconds * 1e6,
-                 timer.seconds() * 1e6, total_polish);
-    }
-    slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);
-  }
+  detail::record_solve_end(opts.metrics, timer, result.seconds, total_polish);
 
   for (index_t c = 0; c < k; ++c) {
     index_t sum = 0;
@@ -482,7 +451,7 @@ SharedBatchResult solve_shared_batch_impl(
     }
     result.relaxations_per_column[static_cast<std::size_t>(c)] = sum;
     result.total_relaxations += sum;
-    if constexpr (Metrics::enabled) {
+    if (opts.metrics != nullptr) {
       obs::ActorSlot& sl = opts.metrics->actor(0);
       sl.owner.assert_held();  // post-join epilogue
       sl.record(obs::Hist::kColumnRelaxations,
@@ -501,35 +470,20 @@ SharedBatchResult solve_shared_batch_impl(
 }
 
 /// Fold the runtime kernel choice into the compile-time Blocked flag, so
-/// the faults/metrics dispatch below stays a flat 2x2 (x stream).
-template <class Faults, class Metrics, class Stream>
+/// the fault dispatch below stays a flat 2x2. The metrics and telemetry
+/// hooks are runtime-null (solve_hooks.hpp), not template axes.
+template <class Faults>
 SharedBatchResult dispatch_batch_kernel(
     const CsrMatrix& a, const MultiVector& b, const MultiVector& x0,
     const SharedOptions& opts, const partition::Partition& part,
     const Vector& inv_diag, const fault::FaultPlan* plan,
     const BlockedCsr* blocked) {
   if (blocked != nullptr) {
-    return solve_shared_batch_impl<Faults, Metrics, Stream, true>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
+    return solve_shared_batch_impl<Faults, true>(a, b, x0, opts, part,
+                                                 inv_diag, plan, blocked);
   }
-  return solve_shared_batch_impl<Faults, Metrics, Stream, false>(
-      a, b, x0, opts, part, inv_diag, plan, nullptr);
-}
-
-/// Fold the telemetry-hub choice into the Stream hook axis; the null path
-/// instantiates NullStream, whose hooks compile away entirely.
-template <class Faults, class Metrics>
-SharedBatchResult dispatch_batch_stream(
-    const CsrMatrix& a, const MultiVector& b, const MultiVector& x0,
-    const SharedOptions& opts, const partition::Partition& part,
-    const Vector& inv_diag, const fault::FaultPlan* plan,
-    const BlockedCsr* blocked) {
-  if (opts.stream != nullptr) {
-    return dispatch_batch_kernel<Faults, Metrics, ActiveStream>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
-  }
-  return dispatch_batch_kernel<Faults, Metrics, NullStream>(
-      a, b, x0, opts, part, inv_diag, plan, blocked);
+  return solve_shared_batch_impl<Faults, false>(a, b, x0, opts, part,
+                                                inv_diag, plan, nullptr);
 }
 
 }  // namespace
@@ -565,20 +519,18 @@ SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,
   AJAC_CHECK_MSG(opts.kernel != KernelKind::kSellCS,
                  "the bandwidth-engineered kSellCS data plane has no batched "
                  "kernel (use kBlocked for multi-RHS runs)");
-  AJAC_CHECK_MSG(opts.ghost_precision == GhostPrecision::kFp64,
-                 "fp32 ghost publication is kSellCS-only, which the batch "
-                 "path does not support");
 
   const partition::Partition part =
       opts.partition.value_or(partition::contiguous_partition(
           n, opts.num_threads));
+  // O(P), and always on: the reference kernels build no blocked layout
+  // that would catch a partition skipping or repeating rows.
+  partition::validate(part, n);
   AJAC_CHECK(part.num_parts() == opts.num_threads);
-  AJAC_CHECK(part.num_rows() == n);
 
   AJAC_DBG_VALIDATE(validate::csr_structure(
       a, {.require_sorted_rows = true, .require_diagonal = true,
           .require_finite = true, .require_square = true}));
-  AJAC_DBG_VALIDATE(partition::validate(part, n));
   AJAC_DBG_VALIDATE(validate::finite(b.raw(), "b"));
   AJAC_DBG_VALIDATE(validate::finite(x0.raw(), "x0"));
 
@@ -618,20 +570,12 @@ SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,
                            /*sim_time=*/false);
   }
 
-  if (plan != nullptr && metrics != nullptr) {
-    return dispatch_batch_stream<ActiveFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
-  }
   if (plan != nullptr) {
-    return dispatch_batch_stream<ActiveFaults, NullMetrics>(
-        a, b, x0, opts, part, inv_diag, plan, blocked);
+    return dispatch_batch_kernel<ActiveFaults>(a, b, x0, opts, part, inv_diag,
+                                               plan, blocked);
   }
-  if (metrics != nullptr) {
-    return dispatch_batch_stream<NullFaults, ActiveMetrics>(
-        a, b, x0, opts, part, inv_diag, nullptr, blocked);
-  }
-  return dispatch_batch_stream<NullFaults, NullMetrics>(
-      a, b, x0, opts, part, inv_diag, nullptr, blocked);
+  return dispatch_batch_kernel<NullFaults>(a, b, x0, opts, part, inv_diag,
+                                           nullptr, blocked);
 }
 
 }  // namespace ajac::runtime

@@ -31,15 +31,13 @@ namespace ajac::runtime {
 
 namespace {
 
-// The fault/metrics hook contexts (NullFaults/ActiveFaults and
-// NullMetrics/ActiveMetrics) live in solve_hooks.hpp, shared with the
-// batched solver translation unit (shared_batch.cpp).
+// The fault contexts (NullFaults/ActiveFaults), the metrics recorder and
+// the telemetry publisher live in solve_hooks.hpp, shared with the batched
+// solver translation unit (shared_batch.cpp).
 using ActiveFaults = detail::ActiveFaults<SharedVector>;
-using detail::ActiveMetrics;
-using detail::ActiveStream;
+using detail::MetricsRecorder;
 using detail::NullFaults;
-using detail::NullMetrics;
-using detail::NullStream;
+using detail::StreamPublisher;
 
 /// Sum of |r_i| over rows [lo, hi) in ascending order: an actor's partial
 /// norm (terminator.hpp), for the sampled policies, which relax rows in
@@ -74,11 +72,11 @@ double reference_residual(const CsrMatrix& a, const Vector& b,
 
 /// reference_residual with versioned reads: records each off-diagonal
 /// read's (column, version) in `event` and its staleness in `metrics`.
-template <class Faults, class Metrics>
+template <class Faults>
 double reference_residual_traced(const CsrMatrix& a, const Vector& b,
                                  const SharedVector& x, Faults& faults,
-                                 Metrics& metrics, index_t iter, index_t i,
-                                 model::RelaxationEvent& event) {
+                                 MetricsRecorder& metrics, index_t iter,
+                                 index_t i, model::RelaxationEvent& event) {
   event.row = i;
   double acc = b[i];
   const auto [cols, vals] = a.row(i);
@@ -96,7 +94,7 @@ double reference_residual_traced(const CsrMatrix& a, const Vector& b,
         faults.read_versioned(x, j, metrics.retry_sink());
     acc -= aij * value;
     if (j == i) continue;
-    if constexpr (Metrics::enabled) metrics.staleness(iter, version);
+    metrics.staleness(iter, version);
     event.reads.push_back({j, version});
   }
   return acc;
@@ -104,16 +102,16 @@ double reference_residual_traced(const CsrMatrix& a, const Vector& b,
 
 /// Actor-parallel prologue: each thread first-touches and fills its own
 /// rows of x (= x0), r and `r0` (= b - A x0 row by row, the expression and
-/// bits of CsrMatrix::residual), the fp32 shadow, and, when `inv_diag` is
-/// non-empty (reference kernels), 1 / a_ii. Its own region, with the same
+/// bits of CsrMatrix::residual) and, when `inv_diag` is non-empty
+/// (reference kernels), 1 / a_ii. Its own region, with the same
 /// thread-to-block map as the solve's, so a zero diagonal can be reported
 /// by an exception after the join. Returns the first row whose diagonal
 /// is missing or zero, or -1.
 index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
                       const partition::Partition& part, index_t threads,
                       SharedVector& x, SharedVector& r,
-                      UninitVector<double>& r0, UninitVector<double>& inv_diag,
-                      SharedF32Vector* shadow) {
+                      UninitVector<double>& r0,
+                      UninitVector<double>& inv_diag) {
   std::vector<index_t> zero_row(static_cast<std::size_t>(threads), -1);
   AJAC_TSAN_RELEASE(&zero_row);
 #pragma omp parallel num_threads(static_cast<int>(threads))
@@ -133,12 +131,6 @@ index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
       const double diag = a.at(i, i);
       if (diag == 0.0 && my_zero < 0) my_zero = i;
       if (!inv_diag.empty()) inv_diag[static_cast<std::size_t>(i)] = 1.0 / diag;
-    }
-    if (shadow != nullptr) {
-      shadow->writer_role().assert_held();
-      for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
-        shadow->write(i, x0[i]);
-      }
     }
     AJAC_TSAN_RELEASE(&zero_row);
   }
@@ -172,17 +164,18 @@ void collect_own_rows(const CsrMatrix& a, const Vector& b,
   AJAC_TSAN_ACQUIRE(&out);
 }
 
-// `sell` and `shadow` are the kSellCS data plane (both null otherwise):
-// runtime pointers rather than a third template axis — the per-iteration
-// `sell != nullptr` branch is noise next to an O(nnz) sweep, and the
-// blocked/reference instantiations stay exactly as before.
-template <class Faults, class Metrics, class Stream, bool Blocked>
+// `sell` is the kSellCS data plane (null otherwise): a runtime pointer
+// rather than a third template axis — the per-iteration `sell != nullptr`
+// branch is noise next to an O(nnz) sweep. The metrics and telemetry hooks
+// are runtime-null the same way (solve_hooks.hpp); only the fault context
+// and the kernel family, whose hooks sit in the per-entry loops, are
+// template axes.
+template <class Faults, bool Blocked>
 SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
                                const Vector& x0, const SharedOptions& opts,
                                const partition::Partition& part,
                                const fault::FaultPlan* plan,
-                               const BlockedCsr* blocked, const SellCsr* sell,
-                               SharedF32Vector* shadow) {
+                               const BlockedCsr* blocked, const SellCsr* sell) {
   const index_t n = a.num_rows();
 
   // No serial O(n) pass here: the vectors are allocated unfilled and
@@ -195,13 +188,13 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   UninitVector<double> inv_diag(Blocked ? std::size_t{0}
                                         : static_cast<std::size_t>(n));
   const index_t zero_row = fill_own_rows(a, b, x0, part, opts.num_threads, x,
-                                         r, resid, inv_diag, shadow);
+                                         r, resid, inv_diag);
   AJAC_CHECK_MSG(zero_row < 0, "zero diagonal at row " << zero_row);
   // r0's norm stays one serial row-order sum (vec::norm1), so the reported
   // relative residuals keep their bits.
   Terminator term(opts.num_threads, {vec::norm1(resid)}, opts.tolerance,
                   opts.max_iterations);
-  if constexpr (Stream::enabled) {
+  if (opts.stream != nullptr) {
     // Telemetry denominator for the monitor's global residual estimate;
     // single-threaded setup, before any beacon of this run.
     opts.stream->set_residual_scale(term.r0_norm());
@@ -252,13 +245,13 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       my_history.reserve(static_cast<std::size_t>(opts.max_iterations));
     }
     Faults faults(a, x0, plan, t, lo, hi, x);
-    Metrics metrics(opts.metrics, t, timer);
-    Stream stream(opts.stream, t, timer);
+    MetricsRecorder metrics(opts.metrics, t, timer);
+    StreamPublisher stream(opts.stream, t, timer);
 
     // Sampled row policies: per-thread sampler (no shared state; see
     // row_policy.hpp for the draw-coordinate discipline) and, when
     // instrumented, the per-row draw counts behind the row-selection-skew
-    // metric. Natural order pays for neither.
+    // metric (empty without a registry). Natural order pays for neither.
     const bool sampled = is_sampled(opts.policy);
     std::optional<RowSampler> sampler;
     // Scratch for the weighted refresh: |true residual| of each own row,
@@ -272,9 +265,9 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         snapshot_r.assign(static_cast<std::size_t>(hi - lo), 0.0);
       }
     }
-    [[maybe_unused]] std::vector<std::uint32_t> pick_counts;
-    if constexpr (Metrics::enabled) {
-      if (sampled) pick_counts.assign(static_cast<std::size_t>(hi - lo), 0);
+    std::vector<std::uint32_t> pick_counts;
+    if (sampled && metrics.on()) {
+      pick_counts.assign(static_cast<std::size_t>(hi - lo), 0);
     }
 
     // Blocked path: thread-private mirror of the own rows, allocated and
@@ -316,10 +309,10 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         if (term.park(iter, fresh)) metrics.stop_decided();
         continue;
       }
-      if constexpr (Metrics::enabled) metrics.iteration_begin();
+      metrics.iteration_begin();
       if (delay > 0.0) {
         spin_wait_us(delay);
-        if constexpr (Metrics::enabled) metrics.spin_wait(delay);
+        metrics.spin_wait(delay);
       }
       if constexpr (Faults::enabled) faults.begin_iteration(iter);
       if constexpr (Faults::enabled && Blocked) {
@@ -328,7 +321,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         // kernel reads through it.
         if (faults.consume_state_reset()) refresh_own_block(*blk, x, own);
       }
-      if constexpr (Metrics::enabled) metrics.sync_faults(faults);
+      metrics.sync_faults(faults);
 
       // Step 1: residual on own rows from the shared (racy) x, and the
       // partial norm of those rows, published before the first barrier so
@@ -367,13 +360,13 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
             }
             return w;
           });
-          if constexpr (Metrics::enabled) metrics.weight_refresh();
-          if constexpr (Stream::enabled) stream.weight_refresh();
+          metrics.weight_refresh();
+          stream.weight_refresh();
         }
         const index_t draws = hi - lo;
         for (index_t slot = 0; slot < draws; ++slot) {
           const index_t i = sampler->next(iter, slot);
-          if constexpr (Metrics::enabled) {
+          if (!pick_counts.empty()) {
             ++pick_counts[static_cast<std::size_t>(i - lo)];
           }
           if constexpr (Blocked) {
@@ -430,17 +423,12 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       } else {
         if constexpr (Blocked) {
           if (sell != nullptr) {
-            // kSellCS: refresh the dense ghost buffer once (from the fp32
-            // shadow when one exists, else the authoritative fp64 vector),
-            // then relax the SELL-packed interior and the buffered
-            // boundary. Faults/trace/GS/sampling never reach this branch
-            // (rejected in solve_shared).
-            if (shadow != nullptr) {
-              refresh_ghosts_f32(*blk, *shadow, ghosts);
-            } else {
-              refresh_ghosts(*blk, x, ghosts);
-            }
-            if constexpr (Metrics::enabled) metrics.ghost_refresh();
+            // kSellCS: refresh the dense ghost buffer once, then relax the
+            // SELL-packed interior and the buffered boundary.
+            // Faults/trace/GS/sampling never reach this branch (rejected
+            // in solve_shared).
+            refresh_ghosts(*blk, x, ghosts);
+            metrics.ghost_refresh();
             relax_interior_sell(*sblk, *blk, b, own, local_r);
             relax_boundary_buffered(*blk, b, own, ghosts, local_r);
             partial = vec::norm1(local_r);
@@ -453,9 +441,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
           }
         }
       }
-      if constexpr (Metrics::enabled && Blocked) {
-        metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
-      }
+      if constexpr (Blocked) metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
       if constexpr (!Blocked) {
         // The blocked Jacobi kernels keep their residuals private (the GS
         // sweep and the sampled policies write r in place on both paths);
@@ -481,13 +467,6 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       if (!opts.local_gauss_seidel && !sampled) {
         if constexpr (Blocked) {
           commit_block(*blk, own, x);
-          if (shadow != nullptr) {
-            // fp32 ghost runs: republish the freshly committed own rows to
-            // the float shadow neighbours refresh from. The partition makes
-            // this thread the shadow's sole writer on these rows.
-            shadow->writer_role().assert_held();
-            publish_shadow(*blk, own, *shadow);
-          }
         } else {
           for (index_t i = lo; i < hi; ++i) {
             x.write(i, x.read(i) + inv_diag[i] * local_r[i - lo]);
@@ -499,9 +478,9 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       // Step 3: convergence check — the P published partials summed in
       // thread order (racy reads of other threads' slots, the paper's
       // scheme aggregated in O(P)).
-      if constexpr (Metrics::enabled) metrics.residual_check_begin();
+      metrics.residual_check_begin();
       const double rel = term.racy_rel();
-      if constexpr (Metrics::enabled) metrics.residual_check_end();
+      metrics.residual_check_end();
       if (opts.record_history) {
         // `rel` sums racy relaxed reads of partials that interleave with
         // other threads' publications: this point records the residual
@@ -510,7 +489,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
       const bool my_done = term.flag(t, iter, 0, rel);
-      if constexpr (Metrics::enabled) metrics.flag_update(my_done, iter);
+      metrics.flag_update(my_done, iter);
 
       if (opts.synchronous) {
 #pragma omp barrier
@@ -521,29 +500,15 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         // barriers, and all see the verified stop decision together.
 #pragma omp barrier
       }
-      if constexpr (Metrics::enabled) metrics.iteration_end(iter - 1, hi - lo);
-      if constexpr (Stream::enabled) {
-        if (stream.due(iter)) {
-          stream.publish(iter, hi - lo, partial,
-                         sampled ? static_cast<std::uint64_t>(iter) *
-                                       static_cast<std::uint64_t>(hi - lo)
-                                 : 0);
-        }
-      }
+      metrics.iteration_end(iter - 1, hi - lo);
+      stream.beacon(iter, hi - lo, partial, sampled);
       if (opts.yield && !term.stopped()) sched_yield();
     }
-    if constexpr (Stream::enabled) {
-      // Terminal beacon: the monitor always sees this thread's final state
-      // even when the last iteration missed the stride.
-      stream.finish(iter, hi - lo, partial,
-                    sampled ? static_cast<std::uint64_t>(iter) *
-                                  static_cast<std::uint64_t>(hi - lo)
-                            : 0);
-    }
+    // Terminal beacon: the monitor always sees this thread's final state
+    // even when the last iteration missed the stride.
+    stream.finish(iter, hi - lo, partial, sampled);
     result.iterations_per_thread[static_cast<std::size_t>(t)] = iter;
-    if constexpr (Metrics::enabled) {
-      if (sampled) metrics.policy_counts(pick_counts);
-    }
+    metrics.policy_counts(pick_counts);
     if constexpr (Faults::enabled) {
       fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
     }
@@ -561,19 +526,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   result.final_rel_residual_1 = fin.rel_residual_1;
   result.polish_sweeps = fin.sweeps;
   result.converged = fin.converged;
-  if constexpr (Metrics::enabled) {
-    // Post-join epilogue: the workers are gone, this thread owns slot 0.
-    obs::ActorSlot& slot0 = opts.metrics->actor(0);
-    slot0.owner.assert_held();
-    if (fin.sweeps > 0) {
-      slot0.add(obs::Counter::kPolishSweeps,
-                static_cast<std::uint64_t>(fin.sweeps));
-      slot0.span(obs::TraceKind::kPolish, result.seconds * 1e6,
-                 timer.seconds() * 1e6, fin.sweeps);
-    }
-    // The whole solve (parallel phase + serial verification + polish).
-    slot0.span(obs::TraceKind::kSolve, 0.0, timer.seconds() * 1e6);
-  }
+  detail::record_solve_end(opts.metrics, timer, result.seconds, fin.sweeps);
   for (index_t t = 0; t < opts.num_threads; ++t) {
     result.total_relaxations +=
         result.iterations_per_thread[static_cast<std::size_t>(t)] *
@@ -608,37 +561,19 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
 }
 
 /// Fold the runtime kernel choice into the compile-time Blocked flag, so
-/// the faults/metrics dispatch below stays a flat 2x2 (x stream).
-template <class Faults, class Metrics, class Stream>
+/// the fault dispatch below stays a flat 2x2.
+template <class Faults>
 SharedResult dispatch_kernel(const CsrMatrix& a, const Vector& b,
                              const Vector& x0, const SharedOptions& opts,
                              const partition::Partition& part,
                              const fault::FaultPlan* plan,
-                             const BlockedCsr* blocked, const SellCsr* sell,
-                             SharedF32Vector* shadow) {
+                             const BlockedCsr* blocked, const SellCsr* sell) {
   if (blocked != nullptr) {
-    return solve_shared_impl<Faults, Metrics, Stream, true>(
-        a, b, x0, opts, part, plan, blocked, sell, shadow);
+    return solve_shared_impl<Faults, true>(a, b, x0, opts, part, plan,
+                                           blocked, sell);
   }
-  return solve_shared_impl<Faults, Metrics, Stream, false>(
-      a, b, x0, opts, part, plan, nullptr, nullptr, nullptr);
-}
-
-/// Fold the telemetry-hub choice into the Stream hook axis; the null path
-/// instantiates NullStream, whose hooks compile away entirely.
-template <class Faults, class Metrics>
-SharedResult dispatch_stream(const CsrMatrix& a, const Vector& b,
-                             const Vector& x0, const SharedOptions& opts,
-                             const partition::Partition& part,
-                             const fault::FaultPlan* plan,
-                             const BlockedCsr* blocked, const SellCsr* sell,
-                             SharedF32Vector* shadow) {
-  if (opts.stream != nullptr) {
-    return dispatch_kernel<Faults, Metrics, ActiveStream>(
-        a, b, x0, opts, part, plan, blocked, sell, shadow);
-  }
-  return dispatch_kernel<Faults, Metrics, NullStream>(
-      a, b, x0, opts, part, plan, blocked, sell, shadow);
+  return solve_shared_impl<Faults, false>(a, b, x0, opts, part, plan, nullptr,
+                                          nullptr);
 }
 
 }  // namespace
@@ -680,23 +615,20 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   AJAC_CHECK_MSG(!(sellcs && is_sampled(opts.policy)),
                  "sampled row policies relax drawn rows in place; the SELL "
                  "interior relaxes whole chunks (use kBlocked)");
-  AJAC_CHECK_MSG(
-      !(opts.ghost_precision == GhostPrecision::kFp32 && !sellcs),
-      "fp32 ghost publication is part of the kSellCS data plane; the "
-      "blocked and reference kernels read the fp64 vector per entry");
 
   const partition::Partition part =
       opts.partition.value_or(partition::contiguous_partition(
           n, opts.num_threads));
+  // O(P), and always on: a caller partition that skips or repeats rows
+  // would leave rows of the unfilled vectors never written.
+  partition::validate(part, n);
   AJAC_CHECK(part.num_parts() == opts.num_threads);
-  AJAC_CHECK(part.num_rows() == n);
 
   // Debug invariant layer: full structural audit of the inputs before the
   // threads start (compiled out in release builds).
   AJAC_DBG_VALIDATE(validate::csr_structure(
       a, {.require_sorted_rows = true, .require_diagonal = true,
           .require_finite = true, .require_square = true}));
-  AJAC_DBG_VALIDATE(partition::validate(part, n));
   AJAC_DBG_VALIDATE(validate::finite(b, "b"));
   AJAC_DBG_VALIDATE(validate::finite(x0, "x0"));
 
@@ -733,17 +665,11 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   }
   const BlockedCsr* blocked = blocked_a ? &*blocked_a : nullptr;
 
-  // kSellCS additions: the SELL interior repack (boundary rows keep
-  // relaxing through the blocked layout) and, for fp32 ghosts, the float
-  // shadow of x that neighbours refresh from. Both built before the
-  // threads start; the prologue fills the shadow with x0 so the first
-  // refresh reads the same values the blocked path would.
+  // kSellCS addition: the SELL interior repack (boundary rows keep
+  // relaxing through the blocked layout), built before the threads start.
   std::optional<SellCsr> sell_a;
   if (sellcs) sell_a.emplace(*blocked_a);
   const SellCsr* sell = sell_a ? &*sell_a : nullptr;
-  std::optional<SharedF32Vector> shadow_a;
-  if (opts.ghost_precision == GhostPrecision::kFp32) shadow_a.emplace(n);
-  SharedF32Vector* shadow = shadow_a ? &*shadow_a : nullptr;
 
   if (opts.stream != nullptr) {
     opts.stream->begin_run(opts.num_threads, "thread", opts.tolerance,
@@ -751,23 +677,14 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
                            /*sim_time=*/false);
   }
 
-  // 2x2 (x2 kernel, x2 stream) dispatch: faults, metrics, and telemetry
-  // each compile to no-ops when off, so the common (no plan, no registry,
-  // no hub) path is exactly the plain solver.
-  if (plan != nullptr && metrics != nullptr) {
-    return dispatch_stream<ActiveFaults, ActiveMetrics>(
-        a, b, x0, opts, part, plan, blocked, sell, shadow);
-  }
+  // Faults x kernel dispatch: the fault hooks compile to no-ops without a
+  // plan, so the unfaulted path is exactly the plain solver.
   if (plan != nullptr) {
-    return dispatch_stream<ActiveFaults, NullMetrics>(
-        a, b, x0, opts, part, plan, blocked, sell, shadow);
+    return dispatch_kernel<ActiveFaults>(a, b, x0, opts, part, plan, blocked,
+                                         sell);
   }
-  if (metrics != nullptr) {
-    return dispatch_stream<NullFaults, ActiveMetrics>(
-        a, b, x0, opts, part, nullptr, blocked, sell, shadow);
-  }
-  return dispatch_stream<NullFaults, NullMetrics>(
-      a, b, x0, opts, part, nullptr, blocked, sell, shadow);
+  return dispatch_kernel<NullFaults>(a, b, x0, opts, part, nullptr, blocked,
+                                     sell);
 }
 
 }  // namespace ajac::runtime

@@ -5,11 +5,17 @@
 // translation units that include it and is not part of the public
 // ajac/runtime interface.
 //
-// Each hook pair follows the same pattern: a Null context whose `enabled`
-// is false and whose methods are empty (every call site is `if constexpr`
-// guarded, so the unfaulted/uninstrumented instantiation compiles to the
-// plain solver, branch-free), and an Active context holding thread-local
-// state. The fault pair serves both solvers: ActiveFaults<SharedVector> and
+// Two kinds of hook. The fault context is a compile-time axis, because its
+// hooks sit inside the per-entry read loops (reads, ghost reads, bit
+// flips): NullFaults, whose `enabled` is false and whose methods are empty
+// (every call site is `if constexpr` guarded, so the unfaulted
+// instantiation compiles to the plain solver, branch-free), and
+// ActiveFaults, holding thread-local state. The metrics recorder and the
+// telemetry publisher fire once per iteration, so each is one class built
+// from a possibly-null sink whose hooks return at once when nothing is
+// attached: they cost a predictable branch, not an instantiation.
+//
+// The fault pair serves both solvers: ActiveFaults<SharedVector> and
 // ActiveFaults<SharedMultiVector> are payload adapters over one
 // fault::ActorFaults schedule, which keys every decision on (seed, thread,
 // iteration[, row]). A fault decision on the batch path is therefore ONE
@@ -175,7 +181,7 @@ class ActiveFaults {
     x.read_row(j, out);
   }
 
-  /// The metrics layer diffs these per iteration (see ActiveMetrics).
+  /// The metrics layer diffs these per iteration (see MetricsRecorder).
   [[nodiscard]] const fault::FaultLog& log() const { return schedule_.log(); }
   [[nodiscard]] double stalled_us() const { return schedule_.stalled_us(); }
 
@@ -230,34 +236,6 @@ class ActiveFaults {
   std::vector<index_t> ghost_versions_;  ///< scalar traced runs only
 };
 
-/// Metrics context for the default (no registry) path. Mirrors NullFaults:
-/// `enabled` is false and every hook site is `if constexpr`-guarded, so the
-/// uninstrumented solve carries no metrics branches, no extra timer reads,
-/// and produces bitwise the results of a build without the metrics layer.
-struct NullMetrics {
-  static constexpr bool enabled = false;
-
-  NullMetrics(obs::MetricsRegistry* /*reg*/, index_t /*thread*/,
-              const WallTimer& /*timer*/) {}
-
-  void iteration_begin() {}
-  void spin_wait(double /*us*/) {}
-  template <class Faults>
-  void sync_faults(const Faults& /*faults*/) {}
-  void staleness(index_t /*iter*/, index_t /*version*/) {}
-  void read_mix(index_t /*local_entries*/, index_t /*ghost_entries*/) {}
-  [[nodiscard]] std::uint64_t* retry_sink() { return nullptr; }
-  void residual_check_begin() {}
-  void residual_check_end() {}
-  void iteration_end(index_t /*iter*/, index_t /*rows*/) {}
-  void batch_iteration(index_t /*rows*/, index_t /*active_cols*/) {}
-  void flag_update(bool /*my_done*/, index_t /*iter*/) {}
-  void stop_decided() {}
-  void weight_refresh() {}
-  void ghost_refresh() {}
-  void policy_counts(std::span<const std::uint32_t> /*counts*/) {}
-};
-
 [[nodiscard]] inline obs::TraceKind fault_trace_kind(fault::FaultKind k) {
   switch (k) {
     case fault::FaultKind::kStragglerOn: return obs::TraceKind::kStragglerOn;
@@ -275,25 +253,38 @@ struct NullMetrics {
   return obs::TraceKind::kBitFlip;  // unreachable
 }
 
-/// Per-thread recorder writing into this thread's ActorSlot. All state is
-/// thread-local; the only shared object touched is the slot, which has a
-/// single writer by the registry's threading contract. Each recording
-/// method claims the slot's sole-writer role (assert_held) before touching
-/// it — the claim is what lets -Wthread-safety verify every slot mutation
-/// flows through the owning thread's recorder.
-class ActiveMetrics {
+/// Per-thread metrics recorder over this thread's ActorSlot, built from a
+/// possibly-null registry. Without one every hook returns at once: no
+/// timer read, no slot write, and retry_sink() stays nullptr, so the
+/// seqlock readers count nothing. The hooks fire once per iteration
+/// (staleness fires per read, on traced runs only), so the branch each
+/// one costs is noise next to a sweep, and no hook touches the solve's
+/// arithmetic: a solve with and without a registry is bitwise the same.
+///
+/// All state is thread-local; the only shared object touched is the slot,
+/// which has a single writer by the registry's threading contract. Each
+/// recording method claims the slot's sole-writer role (assert_held)
+/// before touching it — the claim is what lets -Wthread-safety verify
+/// every slot mutation flows through the owning thread's recorder.
+class MetricsRecorder {
  public:
-  static constexpr bool enabled = true;
+  MetricsRecorder(obs::MetricsRegistry* reg, index_t thread,
+                  const WallTimer& timer)
+      : slot_(reg != nullptr ? &reg->actor(thread) : nullptr),
+        timer_(&timer) {}
 
-  ActiveMetrics(obs::MetricsRegistry* reg, index_t thread,
-                const WallTimer& timer)
-      : slot_(&reg->actor(thread)), timer_(&timer) {}
+  /// True when a registry is attached.
+  [[nodiscard]] bool on() const { return slot_ != nullptr; }
 
-  void iteration_begin() { t0_us_ = timer_->seconds() * 1e6; }
+  void iteration_begin() {
+    if (!on()) return;
+    t0_us_ = timer_->seconds() * 1e6;
+  }
 
   /// Injected busy-wait (per-thread delay or straggler stall), attributed
   /// by duration rather than timed: the wait is synthetic and exact.
   void spin_wait(double us) {
+    if (!on()) return;
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kSpinWaitNs,
                static_cast<std::uint64_t>(us * 1e3));
@@ -306,6 +297,7 @@ class ActiveMetrics {
   template <class Faults>
   void sync_faults(const Faults& faults) {
     if constexpr (Faults::enabled) {
+      if (!on()) return;
       slot_->owner.assert_held();
       const double stalled = faults.stalled_us();
       if (stalled > seen_stall_us_) {
@@ -330,6 +322,7 @@ class ActiveMetrics {
   /// `iter` (0-based) sees version `iter` of every neighbor; the shortfall
   /// is the staleness l of the paper's Φ(l) propagation analysis.
   void staleness(index_t iter, index_t version) {
+    if (!on()) return;
     slot_->owner.assert_held();
     const std::uint64_t lag =
         version < iter ? static_cast<std::uint64_t>(iter - version) : 0;
@@ -342,6 +335,7 @@ class ActiveMetrics {
   /// counter adds per iteration, nothing per entry. The reference path
   /// leaves both lanes at zero.
   void read_mix(index_t local_entries, index_t ghost_entries) {
+    if (!on()) return;
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kLocalReads,
                static_cast<std::uint64_t>(local_entries));
@@ -349,11 +343,18 @@ class ActiveMetrics {
                static_cast<std::uint64_t>(ghost_entries));
   }
 
-  /// Thread-local seqlock retry accumulator, flushed per iteration.
-  [[nodiscard]] std::uint64_t* retry_sink() { return &retries_; }
+  /// Thread-local seqlock retry accumulator, flushed per iteration; null
+  /// (nothing counted) without a registry.
+  [[nodiscard]] std::uint64_t* retry_sink() {
+    return on() ? &retries_ : nullptr;
+  }
 
-  void residual_check_begin() { tr0_us_ = timer_->seconds() * 1e6; }
+  void residual_check_begin() {
+    if (!on()) return;
+    tr0_us_ = timer_->seconds() * 1e6;
+  }
   void residual_check_end() {
+    if (!on()) return;
     slot_->owner.assert_held();
     const double us = timer_->seconds() * 1e6 - tr0_us_;
     slot_->add(obs::Counter::kResidualCheckNs,
@@ -363,6 +364,7 @@ class ActiveMetrics {
   }
 
   void iteration_end(index_t iter, index_t rows) {
+    if (!on()) return;
     slot_->owner.assert_held();
     const double t1_us = timer_->seconds() * 1e6;
     slot_->add(obs::Counter::kIterations);
@@ -381,6 +383,7 @@ class ActiveMetrics {
   /// only active lanes are useful work) and the occupancy sample for the
   /// batch-efficiency histogram.
   void batch_iteration(index_t rows, index_t active_cols) {
+    if (!on()) return;
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kLaneRelaxations,
                static_cast<std::uint64_t>(rows) *
@@ -390,7 +393,7 @@ class ActiveMetrics {
   }
 
   void flag_update(bool my_done, index_t iter) {
-    if (my_done == flag_up_) return;
+    if (!on() || my_done == flag_up_) return;
     slot_->owner.assert_held();
     flag_up_ = my_done;
     const double now_us = timer_->seconds() * 1e6;
@@ -403,12 +406,14 @@ class ActiveMetrics {
   }
 
   void stop_decided() {
+    if (!on()) return;
     slot_->owner.assert_held();
     slot_->instant(obs::TraceKind::kStop, timer_->seconds() * 1e6);
   }
 
   /// Sampled row policies: one |r_i| prefix-sum rebuild happened.
   void weight_refresh() {
+    if (!on()) return;
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kWeightRefreshes);
   }
@@ -417,6 +422,7 @@ class ActiveMetrics {
   /// per distinct ghost column; kGhostReads still counts the per-entry
   /// gather volume those refreshes replace, via read_mix).
   void ghost_refresh() {
+    if (!on()) return;
     slot_->owner.assert_held();
     slot_->add(obs::Counter::kGhostRefreshes);
   }
@@ -425,9 +431,10 @@ class ActiveMetrics {
   /// relaxation counts (kRowRelaxations histogram — natural order would be
   /// a point mass at the iteration count) and the block's selection skew,
   /// max over mean as a percentage (100 = perfectly even; residual-weighted
-  /// runs on skewed problems push it far above).
+  /// runs on skewed problems push it far above). The drivers count draws
+  /// only when a registry is attached, so `counts` is empty without one.
   void policy_counts(std::span<const std::uint32_t> counts) {
-    if (counts.empty()) return;
+    if (!on() || counts.empty()) return;
     slot_->owner.assert_held();
     std::uint64_t total = 0;
     std::uint64_t max = 0;
@@ -444,7 +451,7 @@ class ActiveMetrics {
   }
 
  private:
-  obs::ActorSlot* slot_;
+  obs::ActorSlot* slot_;  ///< null without a registry
   const WallTimer* timer_;
   double t0_us_ = 0.0;
   double tr0_us_ = 0.0;
@@ -454,71 +461,78 @@ class ActiveMetrics {
   bool flag_up_ = false;
 };
 
-/// Telemetry-stream context for the default (no hub) path. Like the other
-/// Null hooks every call site is `if constexpr (Stream::enabled)`-guarded,
-/// so this instantiation is the pre-telemetry solver verbatim — including
-/// the step-3 norm accumulation, which is only split into own/foreign
-/// partial sums on the streaming instantiation (results stay bitwise
-/// identical to a build without telemetry at all).
-struct NullStream {
-  static constexpr bool enabled = false;
+/// Post-join epilogue on actor 0's slot, a no-op without a registry: the
+/// polish sweeps and their span (from the end of the parallel phase at
+/// `parallel_s`), then the span of the whole solve. The workers are gone,
+/// so the calling thread owns slot 0.
+inline void record_solve_end(obs::MetricsRegistry* reg, const WallTimer& timer,
+                             double parallel_s, index_t polish_sweeps) {
+  if (reg == nullptr) return;
+  obs::ActorSlot& slot0 = reg->actor(0);
+  slot0.owner.assert_held();
+  const double end_us = timer.seconds() * 1e6;
+  if (polish_sweeps > 0) {
+    slot0.add(obs::Counter::kPolishSweeps,
+              static_cast<std::uint64_t>(polish_sweeps));
+    slot0.span(obs::TraceKind::kPolish, parallel_s * 1e6, end_us,
+               polish_sweeps);
+  }
+  slot0.span(obs::TraceKind::kSolve, 0.0, end_us);
+}
 
-  NullStream(obs::TelemetryHub* /*hub*/, index_t /*thread*/,
-             const WallTimer& /*timer*/) {}
-
-  [[nodiscard]] bool due(index_t /*iter*/) const { return false; }
-  void weight_refresh() {}
-  void publish(index_t /*iter*/, index_t /*rows*/, double /*own_norm*/,
-               std::uint64_t /*draws*/) {}
-  void finish(index_t /*iter*/, index_t /*rows*/, double /*own_norm*/,
-              std::uint64_t /*draws*/) {}
-};
-
-/// Per-thread beacon publisher. Owns (claims) this thread's EventRing via
-/// the hub's one-ring-per-actor contract; publish() is wait-free and
-/// touches nothing shared but the ring, so the observed solve's memory
-/// traffic gains only a strided handful of atomic stores.
-class ActiveStream {
+/// Per-thread beacon publisher over this thread's EventRing, built from a
+/// possibly-null hub; without one every hook returns at once. It claims
+/// the ring via the hub's one-ring-per-actor contract; a publish is
+/// wait-free and touches nothing shared but the ring, so the observed
+/// solve's memory traffic gains only a strided handful of atomic stores.
+class StreamPublisher {
  public:
-  static constexpr bool enabled = true;
-
-  ActiveStream(obs::TelemetryHub* hub, index_t thread,
-               const WallTimer& timer)
-      : ring_(&hub->ring(thread)),
+  StreamPublisher(obs::TelemetryHub* hub, index_t thread,
+                  const WallTimer& timer)
+      : ring_(hub != nullptr ? &hub->ring(thread) : nullptr),
         timer_(&timer),
-        stride_(std::max<index_t>(1, hub->options().beacon_stride)) {}
+        stride_(hub != nullptr
+                    ? std::max<index_t>(1, hub->options().beacon_stride)
+                    : 1) {}
 
-  /// True on iterations that should publish (iter is 1-based here: the
-  /// call sites test after `++iter`).
-  [[nodiscard]] bool due(index_t iter) const { return iter % stride_ == 0; }
+  /// True when a hub is attached.
+  [[nodiscard]] bool on() const { return ring_ != nullptr; }
 
-  void weight_refresh() { ++weight_refreshes_; }
+  void weight_refresh() {
+    if (on()) ++weight_refreshes_;
+  }
 
-  void publish(index_t iter, index_t rows, double own_norm,
-               std::uint64_t draws) {
+  /// Beacon on every stride-th iteration (iter is 1-based here: the call
+  /// sites beacon after `++iter`). A sampled policy draws one row per
+  /// relaxation, so its draw count is the relaxation count.
+  void beacon(index_t iter, index_t rows, double own_norm, bool sampled) {
+    if (!on() || iter % stride_ != 0) return;
+    publish(iter, rows, own_norm, sampled);
+  }
+
+  /// Final beacon at loop exit, so the monitor always sees the terminal
+  /// state; skipped when the last iteration already published at stride.
+  void finish(index_t iter, index_t rows, double own_norm, bool sampled) {
+    if (!on() || iter == last_iter_ || iter <= 0) return;
+    publish(iter, rows, own_norm, sampled);
+  }
+
+ private:
+  void publish(index_t iter, index_t rows, double own_norm, bool sampled) {
     obs::Beacon b;
     b.ts_us = timer_->seconds() * 1e6;
     b.iteration = iter;
     b.relaxations =
         static_cast<std::uint64_t>(iter) * static_cast<std::uint64_t>(rows);
     b.own_residual_1 = own_norm;
-    b.policy_draws = draws;
+    b.policy_draws = sampled ? b.relaxations : 0;
     b.weight_refreshes = weight_refreshes_;
     ring_->writer.assert_held();
     ring_->publish(b);
     last_iter_ = iter;
   }
 
-  /// Final beacon at loop exit, so the monitor always sees the terminal
-  /// state; skipped when the last iteration already published at stride.
-  void finish(index_t iter, index_t rows, double own_norm,
-              std::uint64_t draws) {
-    if (iter == last_iter_ || iter <= 0) return;
-    publish(iter, rows, own_norm, draws);
-  }
-
- private:
-  obs::EventRing* ring_;
+  obs::EventRing* ring_;  ///< null without a hub
   const WallTimer* timer_;
   index_t stride_;
   index_t last_iter_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ajac/gen/fd.hpp"
+#include "ajac/sparse/multi_vector.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "ajac/util/rng.hpp"
 
@@ -94,6 +95,15 @@ TEST(Api, ReportsRelaxationCounts) {
   const Solution sol = solve(p.a, p.b, p.x0, cfg);
   EXPECT_EQ(sol.iterations, 10);
   EXPECT_EQ(sol.relaxations, 10 * p.a.num_rows());
+}
+
+TEST(Api, SolveSpdBatchRejectsShortRightHandSide) {
+  // b has fewer rows than A: the scaling pass must not read past it.
+  const CsrMatrix a = gen::fd_laplacian_2d(6, 6);
+  const MultiVector b(a.num_rows() - 1, 2);
+  SolveConfig cfg;
+  cfg.num_rhs = 2;
+  EXPECT_THROW((void)solve_spd_batch(a, b, cfg), std::logic_error);
 }
 
 }  // namespace

@@ -234,6 +234,17 @@ TEST(DistOptionsValidation, PartitionMismatchThrows) {
       std::logic_error);
 }
 
+TEST(DistOptionsValidation, MalformedPartitionThrows) {
+  // Right part count and row total, but row 0 is owned by nobody.
+  const auto p = fd_problem(4, 4, 29);
+  const index_t n = p.a.num_rows();
+  DistOptions o;
+  o.num_processes = 2;
+  EXPECT_THROW(solve_distributed(p.a, p.b, p.x0,
+                                 partition::Partition{{1, n / 2, n}}, o),
+               std::logic_error);
+}
+
 TEST(DistAsync, RowLevelPutsStillConverge) {
   const auto p = fd_problem(10, 10, 31);
   DistOptions o;

@@ -38,6 +38,7 @@
 #include "ajac/mesh/row_sets.hpp"
 #include "ajac/model/executor.hpp"
 #include "ajac/model/trace.hpp"
+#include "ajac/obs/metrics.hpp"
 #include "ajac/partition/partition.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/sparse/csr.hpp"
@@ -149,6 +150,32 @@ TEST(MeshEquiv, SynchronousBitwiseMatchesBlockedKernels) {
 
   expect_bitwise_equal(mesh.x, shared.x);
   EXPECT_EQ(mesh.converged, shared.converged);
+}
+
+// The metrics recorder only observes: a synchronous mesh solve with a
+// registry attached is bitwise the solve without one.
+TEST(MeshEquiv, MetricsRegistryDoesNotPerturbSynchronousSolve) {
+  const auto p = gen::make_problem("fd12", gen::fd_laplacian_2d(12, 12),
+                                   testing::test_seed(/*salt=*/14));
+  MeshOptions mo;
+  mo.num_agents = 4;
+  mo.synchronous = true;
+  mo.tolerance = 1e-8;
+  mo.max_iterations = 4000;
+  mo.record_history = false;
+  const auto plain = solve_mesh(p.a, p.b, p.x0, mo);
+
+  obs::MetricsRegistry reg;
+  mo.metrics = &reg;
+  const auto observed = solve_mesh(p.a, p.b, p.x0, mo);
+
+  expect_bitwise_equal(observed.x, plain.x);
+  EXPECT_EQ(observed.iterations_per_agent, plain.iterations_per_agent);
+  EXPECT_EQ(observed.total_relaxations, plain.total_relaxations);
+  // The registry did record the run it observed.
+  EXPECT_EQ(reg.snapshot().totals[static_cast<std::size_t>(
+                obs::Counter::kRelaxations)],
+            static_cast<std::uint64_t>(plain.total_relaxations));
 }
 
 // Fixed-iteration synchronous runs (tolerance 0) must also agree: this

@@ -222,6 +222,19 @@ TEST(BatchEquiv, MetricsRegistryDoesNotPerturbResults) {
   EXPECT_LE(lanes, rows * static_cast<std::uint64_t>(p.b.num_cols()));
 }
 
+TEST(BatchEquiv, MalformedPartitionThrows) {
+  // Right part count and row total, but row 0 is owned by nobody.
+  const BatchProblem p = make_batch_problem(gen::fd_laplacian_2d(4, 4), 2,
+                                            ajac::testing::test_seed(101));
+  const index_t n = p.a.num_rows();
+  SharedOptions opts;
+  opts.num_threads = 2;
+  opts.kernel = KernelKind::kReference;
+  opts.record_history = false;
+  opts.partition = partition::Partition{{1, n / 2, n}};
+  EXPECT_THROW(solve_shared_batch(p.a, p.b, p.x0, opts), std::logic_error);
+}
+
 TEST(BatchEquiv, SingleColumnFaultRunMatchesScalar) {
   // k = 1 batch under a fault plan must reproduce the scalar fault run
   // bitwise, including the injected-event log: ActiveBatchFaults hashes

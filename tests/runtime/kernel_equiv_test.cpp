@@ -395,33 +395,6 @@ TEST(KernelEquiv, SellCSNnzPartitionSynchronousZeroUlp) {
   }
 }
 
-TEST(KernelEquiv, SellCSFp32GhostsConvergeWithFp64Termination) {
-  // fp32 ghost publication perturbs only what neighbours read — the
-  // verified stop recomputes a fresh fp64 residual from the authoritative
-  // x, so a converged=true result certifies the fp64 tolerance exactly as
-  // on the other kernels. The rounding does put a floor under the
-  // achievable residual (boundary rows re-read fp32-rounded neighbours
-  // every sweep, so the iterate stalls around eps_fp32 ~ 6e-8 relative);
-  // the tolerance here sits safely above that floor. Asynchronous
-  // multi-thread runs, several seeds.
-  for (const int salt : {95, 97, 99}) {
-    SCOPED_TRACE(::testing::Message() << "salt " << salt);
-    const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(24, 24),
-                                     ajac::testing::test_seed(salt));
-    SharedOptions opts;
-    opts.num_threads = 4;
-    opts.tolerance = 1e-5;
-    opts.max_iterations = 200000;
-    opts.record_history = false;
-    opts.yield = true;
-    opts.kernel = KernelKind::kSellCS;
-    opts.ghost_precision = GhostPrecision::kFp32;
-    const SharedResult r = solve_shared(p.a, p.b, p.x0, opts);
-    EXPECT_TRUE(r.converged);
-    EXPECT_LE(r.final_rel_residual_1, opts.tolerance);
-  }
-}
-
 TEST(KernelEquiv, SellCSMetricsCountGhostRefreshes) {
   // The registry must not perturb the solve, and the kSellCS-specific
   // counter must tally exactly one buffer refresh per local iteration.

@@ -203,5 +203,20 @@ TEST(SharedOptions, Validation) {
   EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error);
 }
 
+TEST(SharedOptions, MalformedPartitionThrows) {
+  // Right part count and row total, but row 0 is owned by nobody: without
+  // the check the reference kernels would never write it.
+  const auto p = fd_problem(4, 4, 25);
+  const index_t n = p.a.num_rows();
+  for (const KernelKind kernel :
+       {KernelKind::kReference, KernelKind::kBlocked}) {
+    SharedOptions so;
+    so.num_threads = 2;
+    so.kernel = kernel;
+    so.partition = partition::Partition{{1, n / 2, n}};
+    EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error);
+  }
+}
+
 }  // namespace
 }  // namespace ajac::runtime

@@ -34,24 +34,53 @@ const obs::Histogram& hist(const obs::MetricsSnapshot& snap, obs::Hist h) {
 TEST(SharedMetrics, NullRegistryResultIsBitwiseIdentical) {
   // Synchronous mode is deterministic, so instrumented and uninstrumented
   // runs must agree bit for bit — the metrics hooks may not perturb the
-  // arithmetic.
+  // arithmetic. Covers both kernel families and the traced read loops,
+  // where the recorder is called per read (staleness, retry sink).
   const auto p = fd_problem(10, 10, 3);
-  SharedOptions base;
-  base.num_threads = 4;
-  base.synchronous = true;
-  base.tolerance = 0.0;
-  base.max_iterations = 40;
-  const SharedResult plain = solve_shared(p.a, p.b, p.x0, base);
+  for (const KernelKind kernel :
+       {KernelKind::kBlocked, KernelKind::kReference}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "reference=" << (kernel == KernelKind::kReference)
+                   << " traced=" << traced);
+      SharedOptions base;
+      base.num_threads = 4;
+      base.synchronous = true;
+      base.tolerance = 0.0;
+      base.max_iterations = 40;
+      base.kernel = kernel;
+      base.record_trace = traced;
+      const SharedResult plain = solve_shared(p.a, p.b, p.x0, base);
 
-  SharedOptions instrumented = base;
-  obs::MetricsRegistry reg;
-  instrumented.metrics = &reg;
-  const SharedResult observed = solve_shared(p.a, p.b, p.x0, instrumented);
+      SharedOptions instrumented = base;
+      obs::MetricsRegistry reg;
+      instrumented.metrics = &reg;
+      const SharedResult observed =
+          solve_shared(p.a, p.b, p.x0, instrumented);
 
-  EXPECT_DOUBLE_EQ(vec::max_abs_diff(plain.x, observed.x), 0.0);
-  EXPECT_EQ(plain.total_relaxations, observed.total_relaxations);
-  EXPECT_EQ(plain.iterations_per_thread, observed.iterations_per_thread);
-  EXPECT_EQ(plain.polish_sweeps, observed.polish_sweeps);
+      EXPECT_DOUBLE_EQ(vec::max_abs_diff(plain.x, observed.x), 0.0);
+      EXPECT_EQ(plain.total_relaxations, observed.total_relaxations);
+      EXPECT_EQ(plain.iterations_per_thread, observed.iterations_per_thread);
+      EXPECT_EQ(plain.polish_sweeps, observed.polish_sweeps);
+      ASSERT_EQ(plain.trace.has_value(), traced);
+      ASSERT_EQ(observed.trace.has_value(), traced);
+      if (traced) {
+        // Lockstep reads are deterministic, so the traces match read for
+        // read (thread-order merge of per-thread execution order).
+        const auto& want = plain.trace->events();
+        const auto& got = observed.trace->events();
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(want[e].row, got[e].row) << "event " << e;
+          ASSERT_EQ(want[e].reads.size(), got[e].reads.size()) << "event " << e;
+          for (std::size_t k = 0; k < want[e].reads.size(); ++k) {
+            EXPECT_EQ(want[e].reads[k].source_row, got[e].reads[k].source_row);
+            EXPECT_EQ(want[e].reads[k].version, got[e].reads[k].version);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SharedMetrics, CountersAgreeWithSharedResult) {

@@ -2,21 +2,16 @@
 // under ThreadSanitizer: `ctest --preset tsan` — the suite name matches
 // the tsan preset's test filter).
 //
-// What makes this path racier than the blocked kernel it extends:
+// What makes this path racier than the blocked kernel it extends: each
+// thread refreshes a dense ghost buffer once per local iteration with a
+// burst of x.read() calls against columns its neighbours are concurrently
+// committing — a bulk racy-read pattern the per-entry blocked reads never
+// batch up.
 //
-//   * each thread refreshes a dense ghost buffer once per local iteration
-//     with a burst of x.read() calls against columns its neighbours are
-//     concurrently committing — a bulk racy-read pattern the per-entry
-//     blocked reads never batch up;
-//   * with fp32 ghosts every commit is followed by publish_shadow()
-//     rewriting the thread's slice of the SharedF32Vector while neighbour
-//     refreshes read it relaxed — a second shared vector with its own
-//     lifetime and initialization handoff.
-//
-// Both races are intended (relaxed atomics; see racy-ok annotations in
+// The race is intended (relaxed atomics; see racy-ok annotations in
 // shared_vector.hpp), so the point under TSan is proving the *rest* of
-// the machinery — buffer sizing, shadow init, first-touch SELL
-// construction, fork/join edges — is clean. Each run also verifies the
+// the machinery — buffer sizing, first-touch SELL construction, fork/join
+// edges — is clean. Each run also verifies the
 // solver's postconditions, so the file doubles as a correctness soak.
 
 #include "ajac/runtime/shared_jacobi.hpp"
@@ -68,25 +63,6 @@ TEST(StressSellCS, AsyncThreadSweep) {
   }
 }
 
-TEST(StressSellCS, Fp32ShadowUnderPressure) {
-  // The fp32 shadow adds a publish after every commit and redirects every
-  // refresh read — the densest producer/consumer traffic the path has.
-  // Tolerance sits above the fp32 ghost noise floor (see GhostPrecision).
-  const auto p = small_problem(63);
-  for (index_t threads : {2, 4, 8}) {
-    SharedOptions so;
-    so.num_threads = threads;
-    so.kernel = KernelKind::kSellCS;
-    so.ghost_precision = GhostPrecision::kFp32;
-    so.tolerance = 1e-5;
-    so.max_iterations = 200000;
-    so.record_history = false;
-    so.yield = true;
-    const SharedResult r = solve_shared(p.a, p.b, p.x0, so);
-    verify_result(p, r, so.tolerance);
-  }
-}
-
 TEST(StressSellCS, SynchronousBarrierSweep) {
   // Synchronous mode hands the whole committed x across a barrier into
   // the next round's refreshes — the handoff the bitwise-equivalence
@@ -123,16 +99,14 @@ TEST(StressSellCS, NnzPartitionWithStragglers) {
 }
 
 TEST(StressSellCS, BackToBackSolvesReuseThreadPool) {
-  // Alternate fp64/fp32 ghosts across pooled-thread reuse: the SellCsr
-  // and shadow are rebuilt per solve, so stale happens-before edges from
-  // a previous solve's first-touch fill would surface here.
+  // Solves across pooled-thread reuse: the SellCsr is rebuilt per solve,
+  // so stale happens-before edges from a previous solve's first-touch
+  // fill would surface here.
   const auto p = small_problem(69);
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round < 3; ++round) {
     SharedOptions so;
     so.num_threads = 3;
     so.kernel = KernelKind::kSellCS;
-    so.ghost_precision =
-        (round % 2 == 0) ? GhostPrecision::kFp64 : GhostPrecision::kFp32;
     so.tolerance = 1e-4;
     so.max_iterations = 200000;
     so.record_history = false;

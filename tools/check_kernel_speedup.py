@@ -24,8 +24,8 @@ carry.
 --edge 2048, local runs default to 4096), and gates the large-n ordering
 the bandwidth work promises, on mrows_per_s:
 
-    blocked                    >= reference x --min-speedup
-    best of sellcs/sellcs-fp32 >= blocked   x --min-new-speedup
+    blocked >= reference x --min-speedup
+    sellcs  >= blocked   x --min-new-speedup
 
 bench_scale already reports medians over --reps, so the rows are used
 directly; the same --noise-tolerance-pct allowance applies to both floors.
@@ -44,7 +44,7 @@ import sys
 REFERENCE = "BM_SolveSharedAsync/256/real_time"
 BLOCKED = "BM_SolveSharedBlocked/256/real_time"
 
-SCALE_NEW_KERNELS = ("sellcs", "sellcs-fp32")
+SCALE_NEW_KERNELS = ("sellcs",)
 
 
 def items_per_second(report: dict, name: str) -> float:
@@ -143,7 +143,7 @@ def main() -> int:
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="minimum blocked/reference throughput ratio")
     parser.add_argument("--min-new-speedup", type=float, default=1.0,
-                        help="--scale only: minimum best-of-sellcs/blocked "
+                        help="--scale only: minimum sellcs/blocked "
                              "throughput ratio")
     parser.add_argument("--noise-tolerance-pct", type=float, default=3.0,
                         help="run-to-run jitter allowance subtracted from "
