@@ -17,8 +17,11 @@
 //                   layouts (int32 block-local codes), plus the per-row
 //                   stream (8B row_ptr for CSR, 4B block row_ptr for
 //                   blocked, 4B row_len for SELL);
-//   vector streams  32B x n per sweep (b read, the residual or staged
-//                   correction, x read+commit).
+//   vector streams  32B x n per sweep for the reference kernel (b read,
+//                   the residual, x read+commit); 24B x n for the blocked
+//                   and SELL kernels, whose commit stores to the shared x
+//                   only the rows other blocks read (O(edge) per block),
+//                   so they move b, the staged correction and the mirror.
 // The convergence check sums one partial norm per thread, O(threads), so
 // it adds no per-row term. x gathers and ghost traffic are deliberately
 // excluded: gathers mostly hit cache on banded problems and ghost volume
@@ -66,7 +69,8 @@ double model_bytes_per_sweep(const KernelConfig& k, double n, double nnz) {
   const bool csr = k.kind == runtime::KernelKind::kReference;
   const double idx_bytes = csr ? 8.0 : 4.0;
   const double row_bytes = csr ? 8.0 : 4.0;
-  return nnz * (8.0 + idx_bytes) + n * row_bytes + 32.0 * n;
+  const double vector_bytes = csr ? 32.0 : 24.0;
+  return nnz * (8.0 + idx_bytes) + n * row_bytes + vector_bytes * n;
 }
 
 }  // namespace

@@ -20,8 +20,9 @@
 // their committed values to an untraced SharedVector "board" (control
 // plane only — relaxations never read it) and the 1-norm of their staged
 // residuals as partial norms, raise per-agent flags on the summed
-// partials, and a verified stop recomputes a fresh residual from the x
-// board before latching. Solution data still flows agent-to-agent
+// partials, and a stop latches only after a verification round in which
+// every agent adds the fresh residual norm of its counted rows, read from
+// the x board. Solution data still flows agent-to-agent
 // exclusively through the queues; the board exists so the mesh stops
 // exactly when solve_shared would, which is what makes the
 // cross-validation contracts above exact. (A fully distributed

@@ -11,9 +11,9 @@
 //   apply(i, x_i, staged)      fold the staged quantity into x_i.
 //
 // The driver stages ALL owned rows before applying any of them (Jacobi
-// discipline), publishes `staged` to the shared residual board (for
-// Jacobi and Richardson the staged quantity IS the row residual, which is
-// what the paper's racy termination norm sums), and ships the applied
+// discipline), sums `staged` into the agent's partial norm (for Jacobi
+// and Richardson the staged quantity IS the row residual, which is what
+// the paper's racy termination norm sums), and ships the applied
 // values to the subscribers. The split is exactly what asynchronous
 // Richardson (arXiv:2009.02015) and the power method need:
 //

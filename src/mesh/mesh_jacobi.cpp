@@ -360,10 +360,17 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       }
     };
 
-    const auto fresh = [&](index_t) {  // verification norm of the x board
-      return runtime::fresh_residual_1(
-          a, [&](index_t i) { return b[i]; },
-          [&](index_t j) { return x_board.read(j); });
+    // This agent's share of a verification round (terminator.hpp): the
+    // fresh residual 1-norm of the rows it counts, read from the x board.
+    const auto own_fresh = [&](index_t) {
+      double norm = 0.0;
+      for (std::size_t k = 0; k < blk.rows.size(); ++k) {
+        if (!counts(t, k)) continue;
+        const index_t i = blk.rows[k];
+        norm += std::abs(runtime::row_residual(
+            a, i, b[i], [&](index_t j) { return x_board.read(j); }));
+      }
+      return norm;
     };
 
     while (!term.stopped()) {
@@ -371,7 +378,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
         // Park-at-cap, the shared runtime's policy (see terminator.hpp).
         // Unreachable in synchronous mode: lockstep flags all rise at the
         // cap iteration and the poll latches stop before re-entry.
-        if (term.park(iter, fresh)) metrics.stop_decided();
+        if (term.park(t, iter, own_fresh)) metrics.stop_decided();
         continue;
       }
       metrics.iteration_begin();
@@ -474,7 +481,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       metrics.flag_update(my_done);
 
       if constexpr (Sync) gate->arrive_and_wait();
-      if (term.poll(iter, fresh)) metrics.stop_decided();
+      if (term.poll(t, iter, own_fresh)) metrics.stop_decided();
       if constexpr (Sync) {
         // Keep lockstep: every agent passes the same number of barriers
         // and sees the verified stop decision together.

@@ -15,7 +15,10 @@
 // would read from the same vector state, evaluates the same
 // `x + inv_diag * r` correction, and publishes it in ascending row order.
 // The Jacobi kernels evaluate it as they relax, into the owner-only
-// `next` slice, and commit_block only publishes it. Given identical read
+// `next` slice, and commit_block publishes only the rows other blocks
+// read (BlockedCsr::Block::export_runs); the rest of the block lives in
+// the mirror until publish_private_rows writes it after the actor's
+// loop. Given identical read
 // values — guaranteed at num_threads=1 and in synchronous mode, where x is
 // stable throughout step 1 — blocked and reference solves are bitwise
 // identical. The kernel-equivalence suite (tests/runtime/kernel_equiv_*)
@@ -69,14 +72,15 @@ struct OwnBlockState {
   /// The Jacobi step's corrected rows, staged during the relax pass and
   /// published (then swapped with x) by commit_block.
   std::vector<double> next AJAC_SOLE_WRITER(owner);
-  std::vector<index_t> version
-      AJAC_SOLE_WRITER(owner);  ///< seqlock versions; empty when untraced
+  /// Commits per own row, private ones included: the version a traced
+  /// read of the row records. The shared seqlock equals it on exported
+  /// rows only. Empty when untraced.
+  std::vector<index_t> version AJAC_SOLE_WRITER(owner);
 };
 
-/// (Re)load the mirror from the shared vector. Called once inside the
-/// parallel region (first touch: the owning thread allocates and fills its
-/// own mirror) and again after a crash-with-state-reset fault wrote x0
-/// directly to the shared x behind the mirror's back.
+/// Load the mirror from the shared vector. Called once inside the
+/// parallel region, before the first relaxation (first touch: the owning
+/// thread allocates and fills its own mirror).
 inline void refresh_own_block(const BlockedCsr::Block& blk,
                               const SharedVector& x, OwnBlockState& own)
     AJAC_REQUIRES(own.owner) {
@@ -92,6 +96,20 @@ inline void refresh_own_block(const BlockedCsr::Block& blk,
       own.version[static_cast<std::size_t>(i - blk.lo)] = x.version(i);
     }
   }
+}
+
+/// Reload the mirror after a crash-with-state-reset fault wrote x0 to
+/// every own row of the shared x behind the mirror's back. The values come
+/// from x; each version advances by the one write the reset made. The
+/// versions are not reloaded from x: the halo-only commit leaves the
+/// shared seqlock of the unexported rows behind the mirror's count.
+inline void reload_after_reset(const BlockedCsr::Block& blk,
+                               const SharedVector& x, OwnBlockState& own)
+    AJAC_REQUIRES(own.owner) {
+  for (index_t i = blk.lo; i < blk.hi; ++i) {
+    own.x[static_cast<std::size_t>(i - blk.lo)] = x.read(i);
+  }
+  for (auto& v : own.version) ++v;
 }
 
 /// Residual of interior row i — every column local, so the inner loop
@@ -171,7 +189,7 @@ inline void stage_correction(const BlockedCsr::Block& blk, OwnBlockState& own,
 
 /// Jacobi relaxation of every row of the block: each row's residual is
 /// turned into its staged correction at once, so the step streams the
-/// matrix, b and 1/a_ii once and never touches the shared r. The rows go
+/// matrix, b and 1/a_ii once and stores no residual. The rows go
 /// in ascending order, one tight loop per run of one class, and the
 /// return value is the block's residual 1-norm summed in that order: the
 /// actor's partial norm (terminator.hpp), bitwise the reference path's.
@@ -200,35 +218,83 @@ inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
 }
 
 /// Commit the staged Jacobi step on the block: publish `next` to the shared
-/// x in ascending row order, make it the mirror, and keep the version
-/// mirror in step with the shared writes. The one commit of the blocked,
-/// traced and SELL Jacobi kernels.
+/// x on the exported rows only, ascending, make it the mirror, and count
+/// the step in the version mirror. The one commit of the blocked, traced
+/// and SELL Jacobi kernels. No other block reads an unexported row, so
+/// those live in the mirror alone until publish_private_rows; the version
+/// mirror counts every row's commits, which the shared seqlock matches on
+/// the exported rows.
 inline void commit_block(const BlockedCsr::Block& blk, OwnBlockState& own,
                          SharedVector& x)
     AJAC_REQUIRES(own.owner, x.writer_role()) {
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
-    x.write(i, own.next[static_cast<std::size_t>(i - blk.lo)]);
+  for (const BlockedCsr::RowRange& run : blk.export_runs) {
+    for (index_t i = run.begin; i < run.end; ++i) {
+      x.write(i, own.next[static_cast<std::size_t>(i - blk.lo)]);
+    }
   }
   std::swap(own.x, own.next);
-  // Every x.write above bumped the element's seqlock once.
   for (auto& v : own.version) ++v;
 }
 
+/// Publish the rows commit_block keeps private (the gaps between the
+/// export runs) from the mirror, once, after the actor's loop, so that
+/// the shared x holds the final iterate for the epilogue. No other actor
+/// reads these rows, so the late store races with nothing.
+inline void publish_private_rows(const BlockedCsr::Block& blk,
+                                 const OwnBlockState& own, SharedVector& x)
+    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(x.writer_role()) {
+  index_t i = blk.lo;
+  for (const BlockedCsr::RowRange& run : blk.export_runs) {
+    for (; i < run.begin; ++i) {
+      x.write(i, own.x[static_cast<std::size_t>(i - blk.lo)]);
+    }
+    i = run.end;
+  }
+  for (; i < blk.hi; ++i) {
+    x.write(i, own.x[static_cast<std::size_t>(i - blk.lo)]);
+  }
+}
+
+/// ||b - A x||_1 over the block's rows, ascending, each row's entries in
+/// CSR order (CsrMatrix::residual's expression): local columns from the
+/// mirror, ghosts live from x with no fault injection. The actor's share
+/// of a verification round (terminator.hpp) on the blocked path.
+inline double block_residual_1(const BlockedCsr::Block& blk,
+                               std::span<const double> b,
+                               const OwnBlockState& own, const SharedVector& x)
+    AJAC_REQUIRES_SHARED(own.owner) {
+  double norm = 0.0;
+  for (index_t i = blk.lo; i < blk.hi; ++i) {
+    const auto li = static_cast<std::size_t>(i - blk.lo);
+    double acc = b[static_cast<std::size_t>(i)];
+    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
+    for (auto p = static_cast<std::size_t>(blk.row_ptr[li]); p < end; ++p) {
+      const BlockedCsr::code_t code = blk.col_code[p];
+      const double xj =
+          BlockedCsr::is_ghost(code)
+              ? x.read(blk.ghost_cols[static_cast<std::size_t>(
+                    BlockedCsr::ghost_slot(code))])
+              : own.x[static_cast<std::size_t>(code)];
+      acc -= blk.values[p] * xj;
+    }
+    norm += std::abs(acc);
+  }
+  return norm;
+}
+
 /// One in-place relaxation of own row i: residual from the latest
-/// mirror/ghost values, published to r, then the correction committed
-/// immediately, so the thread's later rows see it through the mirror and
-/// other threads through x. Returns the residual. The Gauss-Seidel sweep
-/// applies it in ascending row order; a sampled policy to the rows its
-/// RowSampler draws.
+/// mirror/ghost values, then the correction committed immediately, so the
+/// thread's later rows see it through the mirror and other threads through
+/// x. Returns the residual. The Gauss-Seidel sweep applies it in ascending
+/// row order; a sampled policy to the rows its RowSampler draws.
 template <class Faults>
 inline double relax_row_in_place(const BlockedCsr::Block& blk,
                                  const CsrMatrix& a, std::span<const double> b,
                                  OwnBlockState& own, SharedVector& x,
-                                 SharedVector& r, Faults& faults, index_t i)
-    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
+                                 Faults& faults, index_t i)
+    AJAC_REQUIRES(own.owner, x.writer_role()) {
   const auto li = static_cast<std::size_t>(i - blk.lo);
   const double acc = own_row_residual(blk, a, b, own, x, faults, i);
-  r.write(i, acc);
   const double nx = own.x[li] + blk.inv_diag[li] * acc;
   x.write(i, nx);
   own.x[li] = nx;
@@ -241,11 +307,11 @@ inline double relax_row_in_place(const BlockedCsr::Block& blk,
 template <class Faults>
 inline double relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
                              std::span<const double> b, OwnBlockState& own,
-                             SharedVector& x, SharedVector& r, Faults& faults)
-    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
+                             SharedVector& x, Faults& faults)
+    AJAC_REQUIRES(own.owner, x.writer_role()) {
   double partial = 0.0;
   for (index_t i = blk.lo; i < blk.hi; ++i) {
-    partial += std::abs(relax_row_in_place(blk, a, b, own, x, r, faults, i));
+    partial += std::abs(relax_row_in_place(blk, a, b, own, x, faults, i));
   }
   return partial;
 }
@@ -318,14 +384,14 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
 /// recording of relax_traced. The in-place commit bumps the row's seqlock
 /// once, so the version mirror advances with the write — a row drawn twice
 /// in one iteration records two distinct versions, exactly what the
-/// propagation analysis needs to order repeated relaxations.
+/// propagation analysis needs to order repeated relaxations. Returns the
+/// residual.
 template <class Faults, class Metrics>
-inline void relax_row_sampled_traced(
+inline double relax_row_sampled_traced(
     const BlockedCsr::Block& blk, const CsrMatrix& a, std::span<const double> b,
     OwnBlockState& own, SharedVector& x, Faults& faults, Metrics& metrics,
-    index_t iter, SharedVector& r,
-    std::vector<model::RelaxationEvent>& events, index_t i)
-    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
+    index_t iter, std::vector<model::RelaxationEvent>& events, index_t i)
+    AJAC_REQUIRES(own.owner, x.writer_role()) {
   const auto li = static_cast<std::size_t>(i - blk.lo);
   const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
   const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
@@ -362,12 +428,12 @@ inline void relax_row_sampled_traced(
     metrics.staleness(iter, version);
     event.reads.push_back({j, version});
   }
-  r.write(i, acc);
   const double nx = own.x[li] + blk.inv_diag[li] * acc;
   x.write(i, nx);
   own.x[li] = nx;
   ++own.version[li];  // the x.write bumped the element's seqlock once
   events.push_back(std::move(event));
+  return acc;
 }
 
 // ---------------------------------------------------------------------------

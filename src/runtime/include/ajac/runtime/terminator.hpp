@@ -6,21 +6,26 @@
 // all flags up only triggers verification. The racy norm is aggregated in
 // O(P): each actor publishes the 1-norm of its own rows' residual (its
 // partial, rows ascending) and a reader sums the P partials in actor
-// order (racy_rel). A column latches its stop iff every actor's iteration
-// counter is at the cap, or a fresh residual norm from the current shared
-// iterate is <= tol; latches never revert, and the global stop follows
-// once every column has latched. Actors at the cap park (poll without
-// relaxing), so the executed (actor, iteration) set never depends on
-// scheduling. After the join, verify_and_polish decides
-// `converged` and cleans up a stale commit with bounded serial sweeps.
-// DESIGN.md §2e states the contract; tests/runtime/terminator_test.cpp
-// checks it.
+// order (racy_rel). Verification is split across the actors too: a poller
+// that sees every flag of a column up opens a verification round, and
+// each actor adds its share, the fresh 1-norm of its own rows' residual,
+// once, at its next poll or park. The last contributor sums the shares in
+// actor order and latches the column iff that norm is <= tol (relative to
+// r0); a failed round closes and a later poll can open the next. A column
+// also latches, with no round, once every actor's iteration counter is at
+// the cap. Latches never revert, and the global stop follows once every
+// column has latched. Actors at the cap park (poll without relaxing), so
+// the executed (actor, iteration) set never depends on scheduling. After
+// the join, verify_and_polish decides `converged` and cleans up a stale
+// commit with bounded serial sweeps. DESIGN.md §2e states the contract;
+// tests/runtime/terminator_test.cpp checks it.
 
 #include <sched.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -37,13 +42,16 @@ class Terminator {
   /// disables the residual test: the solve then stops only at the cap.
   Terminator(index_t actors, std::vector<double> r0_norms, double tolerance,
              index_t max_iterations)
-      : columns_(static_cast<index_t>(r0_norms.size())),
+      : actors_(actors),
+        columns_(static_cast<index_t>(r0_norms.size())),
         tolerance_(tolerance),
         cap_(max_iterations),
         r0_norms_(std::move(r0_norms)),
         flags_(static_cast<std::size_t>(actors * columns_)),
         partials_(flags_.size()),
+        shares_(flags_.size()),
         counters_(static_cast<std::size_t>(actors)),
+        rounds_(r0_norms_.size()),
         latched_(r0_norms_.size()),
         stop_iteration_(r0_norms_.size(), 0) {
     for (double& v : r0_norms_) v = v > 0.0 ? v : 1.0;
@@ -109,20 +117,20 @@ class Terminator {
     return done;
   }
 
-  /// Verify and latch every unlatched column whose flags are all up, then
-  /// set the global stop once all are latched. `fresh(c)` must return
-  /// ||b_c - A x_c||_1 from the current shared iterate. True iff this call
-  /// set the global stop, so exactly one caller records the stop.
-  template <class FreshNorm>
-  bool poll(index_t iter, FreshNorm&& fresh) {
+  /// One termination poll by `actor` after its local iteration `iter`
+  /// (or while parked at the cap). Per unlatched column c: if every flag
+  /// is up and no round is open, latch at once when every actor is at the
+  /// cap, else open a verification round; then, if a round is open that
+  /// this actor has not served, add its share `own_fresh(c)`: the fresh
+  /// ||b_c - A x_c||_1 over the actor's own rows, rows ascending. The
+  /// actor whose share completes the round sums the P shares in actor
+  /// order and latches iff the sum over r0 is <= tol. Returns true iff
+  /// this call set the global stop, so exactly one caller records it.
+  template <class OwnFresh>
+  bool poll(index_t actor, index_t iter, OwnFresh&& own_fresh) {
     index_t latched = 0;
     for (index_t c = 0; c < columns_; ++c) {
-      if (!column_stopped(c) && all_flags_up(c) && verified(c, fresh) &&
-          // racy-ok(monotonic): 0 -> 1; the exchange elects the writer of
-          // stop_iteration_, which is read after the join.
-          latched_[at(c)].exchange(1, std::memory_order_relaxed) == 0) {
-        stop_iteration_[at(c)] = iter;
-      }
+      if (!column_stopped(c)) verify(actor, iter, c, own_fresh);
       latched += column_stopped(c) ? 1 : 0;
     }
     // racy-ok(stop): 0 -> 1; the exchange elects the one reporting caller.
@@ -131,11 +139,21 @@ class Terminator {
   }
 
   /// One pass of an actor parked at the cap: poll, then yield the core.
-  template <class FreshNorm>
-  bool park(index_t iter, FreshNorm&& fresh) {
-    const bool decided = poll(iter, fresh);
+  /// A parked actor serves every round, so it never holds one open.
+  template <class OwnFresh>
+  bool park(index_t actor, index_t iter, OwnFresh&& own_fresh) {
+    const bool decided = poll(actor, iter, own_fresh);
     sched_yield();
     return decided;
+  }
+
+  /// Verification rounds opened so far for column c (0 before the first).
+  [[nodiscard]] std::uint32_t rounds(index_t c) const {
+    return round_id(rounds_[at(c)].v.load(std::memory_order_acquire));
+  }
+  /// True while column c has a round waiting for shares.
+  [[nodiscard]] bool round_open(index_t c) const {
+    return is_open(rounds_[at(c)].v.load(std::memory_order_acquire));
   }
 
  private:
@@ -154,25 +172,95 @@ class Terminator {
     return true;
   }
 
-  template <class FreshNorm>
-  [[nodiscard]] bool verified(index_t c, FreshNorm& fresh) const {
-    bool all_at_cap = true;
+  // A round word: bits 0-31 count the shares added, bit 32 is set while
+  // the round is open, bits 33-63 number the round (1 for the first).
+  static constexpr std::uint64_t kOpen = std::uint64_t{1} << 32;
+  static constexpr int kIdShift = 33;
+  static std::uint32_t round_id(std::uint64_t word) {
+    return static_cast<std::uint32_t>(word >> kIdShift);
+  }
+  static bool is_open(std::uint64_t word) { return (word & kOpen) != 0; }
+  static index_t arrivals(std::uint64_t word) {
+    return static_cast<index_t>(word & (kOpen - 1));
+  }
+  static std::uint64_t closed_word(std::uint32_t id) {
+    return std::uint64_t{id} << kIdShift;
+  }
+
+  /// One actor's share of column c's verification rounds. Only its actor
+  /// writes it; the round word orders every access: the actor writes
+  /// `value` before its acq_rel arrival on the word, the completing actor
+  /// reads it after its own, and the next round's writes follow that
+  /// actor's release store of the closed word. So no atomics are needed.
+  struct alignas(kCacheLineBytes) Share {
+    double value = 0.0;
+    std::uint32_t round = 0;  ///< the last round served; 0 = none
+  };
+
+  [[nodiscard]] bool all_at_cap() const {
     for (const auto& n : counters_) {
       // racy-ok(monotonic): counters only grow; a stale read can only
       // delay the stop, never cause a premature one.
-      all_at_cap = all_at_cap && n.v.load(std::memory_order_relaxed) >= cap_;
+      if (n.v.load(std::memory_order_relaxed) < cap_) return false;
     }
-    return all_at_cap ||
-           (tolerance_ > 0.0 && fresh(c) / r0_norm(c) <= tolerance_);
+    return true;
   }
 
+  void latch(index_t c, index_t iter) {
+    // racy-ok(monotonic): 0 -> 1; the exchange elects the writer of
+    // stop_iteration_, which is read after the join.
+    if (latched_[at(c)].exchange(1, std::memory_order_relaxed) == 0) {
+      stop_iteration_[at(c)] = iter;
+    }
+  }
+
+  template <class OwnFresh>
+  void verify(index_t actor, index_t iter, index_t c, OwnFresh& own_fresh) {
+    std::atomic<std::uint64_t>& word = rounds_[at(c)].v;
+    std::uint64_t seen = word.load(std::memory_order_acquire);
+    if (!is_open(seen)) {
+      if (!all_flags_up(c)) return;
+      if (all_at_cap()) {
+        latch(c, iter);
+        return;
+      }
+      if (tolerance_ <= 0.0) return;
+      const std::uint64_t opened = closed_word(round_id(seen) + 1) | kOpen;
+      if (word.compare_exchange_strong(seen, opened,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+        seen = opened;
+      } else if (!is_open(seen)) {
+        return;  // another poller's round opened and closed: try next poll
+      }
+    }
+    // A round can only close once every actor has served it, so a round
+    // this actor has not served is still the open one when it arrives.
+    Share& mine = shares_[at(actor * columns_ + c)];
+    if (mine.round == round_id(seen)) return;
+    mine.value = own_fresh(c);
+    mine.round = round_id(seen);
+    const std::uint64_t arrived =
+        word.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (arrivals(arrived) < actors_) return;
+    double norm = 0.0;
+    for (std::size_t s = at(c); s < shares_.size(); s += at(columns_)) {
+      norm += shares_[s].value;
+    }
+    if (norm / r0_norm(c) <= tolerance_) latch(c, iter);
+    word.store(closed_word(round_id(arrived)), std::memory_order_release);
+  }
+
+  index_t actors_;
   index_t columns_;
   double tolerance_;
   index_t cap_;
   std::vector<double> r0_norms_;
   std::vector<Padded<bool>> flags_;        ///< [actor * columns + column]
   std::vector<Padded<double>> partials_;   ///< same layout as flags_
+  std::vector<Share> shares_;              ///< same layout as flags_
   std::vector<Padded<index_t>> counters_;  ///< local iterations per actor
+  std::vector<Padded<std::uint64_t>> rounds_;  ///< per-column round word
   std::vector<std::atomic<int>> latched_;  ///< per-column stop latch
   std::vector<index_t> stop_iteration_;
   std::atomic<int> stop_{0};
@@ -188,17 +276,6 @@ double row_residual(const CsrMatrix& a, index_t i, double b_i, X&& x_at) {
     acc -= vals[p] * x_at(cols[p]);
   }
   return acc;
-}
-
-/// ||b - A x||_1, rows ascending and entries in CSR order, reading b and
-/// the shared iterate through `b_at(i)` / `x_at(j)`: a verification norm.
-template <class B, class X>
-double fresh_residual_1(const CsrMatrix& a, B&& b_at, X&& x_at) {
-  double fresh = 0.0;
-  for (index_t i = 0; i < a.num_rows(); ++i) {
-    fresh += std::abs(row_residual(a, i, b_at(i), x_at));
-  }
-  return fresh;
 }
 
 /// Serial polish sweep budget of a solve run by `actors` threads or agents.

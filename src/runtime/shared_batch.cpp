@@ -10,8 +10,9 @@
 //
 //   1. Per lane, every arithmetic expression (residual accumulation in CSR
 //      entry order, `x + inv_diag * r`, the ascending-row partial norm of
-//      the own rows and the actor-order sum of the partials, the verify
-//      scan, the polish sweep) is the scalar path's
+//      the own rows and the actor-order sum of the partials, the
+//      verification shares and their actor-order sum, the polish sweep)
+//      is the scalar path's
 //      expression evaluated on the same values in the same order.
 //   2. A column freezes at exactly the iteration boundary where its
 //      single-RHS run would have exited the while loop: the verified stop
@@ -198,16 +199,23 @@ SharedBatchResult solve_shared_batch_impl(
       refresh_own_block_batch(*blk, x, own);
     }
 
-    const auto fresh = [&](index_t c) {  // column c's verification norm
-      return fresh_residual_1(a, [&](index_t i) { return b(i, c); },
-                              [&](index_t j) { return x.read(j, c); });
+    // This thread's share of column c's verification round
+    // (terminator.hpp): the fresh residual 1-norm of its own rows of the
+    // column, from the shared x, which every commit writes in full.
+    const auto own_fresh = [&](index_t c) {
+      double norm = 0.0;
+      for (index_t i = lo; i < hi; ++i) {
+        norm += std::abs(row_residual(a, i, b(i, c),
+                                      [&](index_t j) { return x.read(j, c); }));
+      }
+      return norm;
     };
 
     index_t iter = 0;
     double last_own_rel = 0.0;
     while (!term.stopped()) {
       if (term.at_cap(iter)) {  // parked (see terminator.hpp)
-        if (term.park(iter, fresh)) metrics.stop_decided();
+        if (term.park(t, iter, own_fresh)) metrics.stop_decided();
         continue;
       }
       metrics.iteration_begin();
@@ -401,7 +409,7 @@ SharedBatchResult solve_shared_batch_impl(
       if (opts.synchronous) {
 #pragma omp barrier
       }
-      if (term.poll(iter, fresh)) metrics.stop_decided();
+      if (term.poll(t, iter, own_fresh)) metrics.stop_decided();
       if (opts.synchronous) {
         // Keep lockstep: every thread must pass the same number of
         // barriers, and all see the verified stop decisions together.

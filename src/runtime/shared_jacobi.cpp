@@ -39,15 +39,6 @@ using detail::MetricsRecorder;
 using detail::NullFaults;
 using detail::StreamPublisher;
 
-/// Sum of |r_i| over rows [lo, hi) in ascending order: an actor's partial
-/// norm (terminator.hpp), for the sampled policies, which relax rows in
-/// draw order and publish them to r in place.
-double own_residual_1(const SharedVector& r, index_t lo, index_t hi) {
-  double partial = 0.0;
-  for (index_t i = lo; i < hi; ++i) partial += std::abs(r.read(i));
-  return partial;
-}
-
 /// Reference-kernel residual of row i, b_i - sum_j a_ij x_j in CSR entry
 /// order, with x read through the fault context and a flipped entry read
 /// corrupted. Every reference path (Jacobi, local Gauss-Seidel, sampled)
@@ -101,7 +92,7 @@ double reference_residual_traced(const CsrMatrix& a, const Vector& b,
 }
 
 /// Actor-parallel prologue: each thread first-touches and fills its own
-/// rows of x (= x0), r and `r0` (= b - A x0 row by row, the expression and
+/// rows of x (= x0) and `r0` (= b - A x0 row by row, the expression and
 /// bits of CsrMatrix::residual) and, when `inv_diag` is non-empty
 /// (reference kernels), 1 / a_ii. Its own region, with the same
 /// thread-to-block map as the solve's, so a zero diagonal can be reported
@@ -109,8 +100,7 @@ double reference_residual_traced(const CsrMatrix& a, const Vector& b,
 /// is missing or zero, or -1.
 index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
                       const partition::Partition& part, index_t threads,
-                      SharedVector& x, SharedVector& r,
-                      UninitVector<double>& r0,
+                      SharedVector& x, UninitVector<double>& r0,
                       UninitVector<double>& inv_diag) {
   std::vector<index_t> zero_row(static_cast<std::size_t>(threads), -1);
   AJAC_TSAN_RELEASE(&zero_row);
@@ -120,13 +110,11 @@ index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
     const auto t = static_cast<index_t>(omp_get_thread_num());
     // The partition makes this thread the sole writer of its rows.
     x.writer_role().assert_held();
-    r.writer_role().assert_held();
     index_t& my_zero = zero_row[static_cast<std::size_t>(t)];
     for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
       x.init(i, x0[i]);
       const double acc =
           row_residual(a, i, b[i], [&](index_t j) { return x0[j]; });
-      r.init(i, acc);
       r0[static_cast<std::size_t>(i)] = acc;
       const double diag = a.at(i, i);
       if (diag == 0.0 && my_zero < 0) my_zero = i;
@@ -144,7 +132,8 @@ index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
 /// Actor-parallel epilogue after the stop: each thread copies its rows of
 /// the shared x into `out` and writes their residual b - A x to `resid`
 /// (CsrMatrix::residual's expression and bits), so the serial
-/// verification only sums `resid`.
+/// verification only sums `resid`. The blocked actors published their
+/// private rows before the join, so x holds the whole final iterate.
 void collect_own_rows(const CsrMatrix& a, const Vector& b,
                       const partition::Partition& part, index_t threads,
                       const SharedVector& x, Vector& out,
@@ -183,12 +172,11 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   // kernels keep 1 / a_ii per block, so only the reference path builds
   // inv_diag.
   SharedVector x(n, opts.record_trace);
-  SharedVector r(n, /*traced=*/false);
   UninitVector<double> resid(static_cast<std::size_t>(n));
   UninitVector<double> inv_diag(Blocked ? std::size_t{0}
                                         : static_cast<std::size_t>(n));
   const index_t zero_row = fill_own_rows(a, b, x0, part, opts.num_threads, x,
-                                         r, resid, inv_diag);
+                                         resid, inv_diag);
   AJAC_CHECK_MSG(zero_row < 0, "zero diagonal at row " << zero_row);
   // r0's norm stays one serial row-order sum (vec::norm1), so the reported
   // relative residuals keep their bits.
@@ -225,15 +213,18 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     const index_t hi = part.part_end(t);
     const double delay =
         opts.delay_us.empty() ? 0.0 : opts.delay_us[static_cast<std::size_t>(t)];
-    // Residuals of the own rows, by local row: the reference kernels'
-    // relax->commit carrier, and the traced and SELL kernels' record for
-    // the ascending partial-norm pass (they relax rows out of order). The
-    // blocked Jacobi kernel stages its corrections in the mirror's `next`
-    // slice and sums as it goes, so it needs none.
-    std::vector<double> local_r(
-        Blocked && !opts.record_trace && sell == nullptr
-            ? std::size_t{0}
-            : static_cast<std::size_t>(hi - lo));
+    const bool sampled = is_sampled(opts.policy);
+    // Residuals of the own rows, by local row, seeded with the prologue's
+    // r0 rows: the reference kernels' relax->commit carrier, the traced
+    // and SELL kernels' record for the ascending partial-norm pass (they
+    // relax rows out of order), and the sampled policies' latest residual
+    // per row (a draw replaces its row's). The blocked Jacobi kernel
+    // stages its corrections in the mirror's `next` slice and sums as it
+    // goes, so it needs none.
+    std::vector<double> local_r;
+    if (!Blocked || opts.record_trace || sell != nullptr || sampled) {
+      local_r.assign(resid.begin() + lo, resid.begin() + hi);
+    }
     auto& my_history = histories[static_cast<std::size_t>(t)];
     auto& my_events = thread_events[static_cast<std::size_t>(t)];
     if (opts.record_history) {
@@ -252,7 +243,6 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     // row_policy.hpp for the draw-coordinate discipline) and, when
     // instrumented, the per-row draw counts behind the row-selection-skew
     // metric (empty without a registry). Natural order pays for neither.
-    const bool sampled = is_sampled(opts.policy);
     std::optional<RowSampler> sampler;
     // Scratch for the weighted refresh: |true residual| of each own row,
     // computed in a first pass so the weight of row i can sum its whole
@@ -280,11 +270,10 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     std::vector<double> ghosts;
 
     // The partition makes this thread the sole writer of rows [lo, hi) of
-    // x and r, and of its private mirror: claim the roles every protocol
-    // write and kernel call below requires. Claims, not locks — ownership
-    // is established by the partition, so there is nothing to acquire.
+    // x, and of its private mirror: claim the roles every protocol write
+    // and kernel call below requires. Claims, not locks — ownership is
+    // established by the partition, so there is nothing to acquire.
     x.writer_role().assert_held();
-    r.writer_role().assert_held();
     own.owner.assert_held();
 
     if constexpr (Blocked) {
@@ -296,9 +285,22 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
     }
 
-    const auto fresh = [&](index_t) {  // verification norm of the shared x
-      return fresh_residual_1(a, [&](index_t i) { return b[i]; },
-                              [&](index_t j) { return x.read(j); });
+    // This thread's share of a verification round (terminator.hpp): the
+    // fresh residual 1-norm of its own rows, from the mirror and live
+    // ghosts on the blocked path (the shared x lags on private rows), from
+    // the shared x on the reference path.
+    const auto own_fresh = [&](index_t) {
+      if constexpr (Blocked) {
+        own.owner.assert_held();
+        return block_residual_1(*blk, b, own, x);
+      } else {
+        double norm = 0.0;
+        for (index_t i = lo; i < hi; ++i) {
+          norm += std::abs(
+              row_residual(a, i, b[i], [&](index_t j) { return x.read(j); }));
+        }
+        return norm;
+      }
     };
 
     index_t iter = 0;
@@ -306,7 +308,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     double partial = 0.0;
     while (!term.stopped()) {
       if (term.at_cap(iter)) {  // parked (see terminator.hpp)
-        if (term.park(iter, fresh)) metrics.stop_decided();
+        if (term.park(t, iter, own_fresh)) metrics.stop_decided();
         continue;
       }
       metrics.iteration_begin();
@@ -317,9 +319,9 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       if constexpr (Faults::enabled) faults.begin_iteration(iter);
       if constexpr (Faults::enabled && Blocked) {
         // A crash recovery with state reset rewrote the shared x on the own
-        // rows behind the mirror; reload it (versions included) before any
-        // kernel reads through it.
-        if (faults.consume_state_reset()) refresh_own_block(*blk, x, own);
+        // rows behind the mirror; reload it before any kernel reads
+        // through it.
+        if (faults.consume_state_reset()) reload_after_reset(*blk, x, own);
       }
       metrics.sync_faults(faults);
 
@@ -333,9 +335,9 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         // their natural-order meaning). The weighted sampler rebuilds its
         // prefix sum here, at the iteration boundary, in two passes: the
         // TRUE residual of every own row recomputed from an x snapshot
-        // (never the published r, whose pre-update values go stale under
-        // in-place draws), then the stencil-smoothed weight (|A| |r|)_i
-        // over the own block — see row_policy.hpp for why both the
+        // (never the stored per-row residuals, whose pre-update values go
+        // stale under in-place draws), then the stencil-smoothed weight
+        // (|A| |r|)_i over the own block — see row_policy.hpp for why both the
         // recompute and the smoothing are load-bearing. Weights read x
         // directly, bypassing fault injection: the policy stream must not
         // consume fault decisions.
@@ -369,12 +371,13 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
           if (!pick_counts.empty()) {
             ++pick_counts[static_cast<std::size_t>(i - lo)];
           }
+          double& ri = local_r[static_cast<std::size_t>(i - lo)];
           if constexpr (Blocked) {
             if (opts.record_trace) {
-              relax_row_sampled_traced(*blk, a, b, own, x, faults, metrics,
-                                       iter, r, my_events, i);
+              ri = relax_row_sampled_traced(*blk, a, b, own, x, faults,
+                                            metrics, iter, my_events, i);
             } else {
-              relax_row_in_place(*blk, a, b, own, x, r, faults, i);
+              ri = relax_row_in_place(*blk, a, b, own, x, faults, i);
             }
           } else {
             // In-place relaxation of the drawn row.
@@ -387,22 +390,21 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
             } else {
               acc = reference_residual(a, b, x, faults, i);
             }
-            r.write(i, acc);
+            ri = acc;
             x.write(i, x.read(i) + inv_diag[i] * acc);
           }
         }
         // Draws revisit rows in policy order: sum the partial afterwards.
-        partial = own_residual_1(r, lo, hi);
+        partial = vec::norm1(local_r);
       } else if (opts.local_gauss_seidel) {
         // In-place forward sweep: each row's update is visible to the
         // following rows (and to other threads) immediately.
         if constexpr (Blocked) {
-          partial = relax_block_gs(*blk, a, b, own, x, r, faults);
+          partial = relax_block_gs(*blk, a, b, own, x, faults);
         } else {
           partial = 0.0;
           for (index_t i = lo; i < hi; ++i) {
             const double acc = reference_residual(a, b, x, faults, i);
-            r.write(i, acc);
             partial += std::abs(acc);
             x.write(i, x.read(i) + inv_diag[i] * acc);
           }
@@ -443,16 +445,10 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
       if constexpr (Blocked) metrics.read_mix(blk->local_nnz, blk->ghost_nnz);
       if constexpr (!Blocked) {
-        // The blocked Jacobi kernels keep their residuals private (the GS
-        // sweep and the sampled policies write r in place on both paths);
-        // only the reference Jacobi step publishes r, in this separate
-        // pass, which also sums its partial.
+        // The reference Jacobi step sums its partial in a separate
+        // ascending pass over its residuals.
         if (!opts.local_gauss_seidel && !sampled) {
-          partial = 0.0;
-          for (index_t i = lo; i < hi; ++i) {
-            r.write(i, local_r[i - lo]);
-            partial += std::abs(local_r[i - lo]);
-          }
+          partial = vec::norm1(local_r);
         }
       }
       term.publish_partial(t, 0, partial);
@@ -494,7 +490,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       if (opts.synchronous) {
 #pragma omp barrier
       }
-      if (term.poll(iter, fresh)) metrics.stop_decided();
+      if (term.poll(t, iter, own_fresh)) metrics.stop_decided();
       if (opts.synchronous) {
         // Keep lockstep: every thread must pass the same number of
         // barriers, and all see the verified stop decision together.
@@ -504,6 +500,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       stream.beacon(iter, hi - lo, partial, sampled);
       if (opts.yield && !term.stopped()) sched_yield();
     }
+    if constexpr (Blocked) publish_private_rows(*blk, own, x);
     // Terminal beacon: the monitor always sees this thread's final state
     // even when the last iteration missed the stride.
     stream.finish(iter, hi - lo, partial, sampled);

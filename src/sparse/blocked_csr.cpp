@@ -1,5 +1,7 @@
 #include "ajac/sparse/blocked_csr.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <exception>
 #include <limits>
@@ -114,6 +116,35 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
   return blk;
 }
 
+/// The rows of block `t` that other blocks read: each other block's
+/// sorted ghost_cols contribute their slice inside [lo, hi), and the
+/// merged rows collapse into maximal ascending ranges. Runs on the thread
+/// that owns block t, after every block is built.
+std::vector<BlockedCsr::RowRange> export_runs_of(
+    std::span<const BlockedCsr::Block> blocks, index_t t) {
+  const BlockedCsr::Block& own = blocks[static_cast<std::size_t>(t)];
+  std::vector<index_t> rows;
+  for (std::size_t u = 0; u < blocks.size(); ++u) {
+    if (u == static_cast<std::size_t>(t)) continue;
+    const std::vector<index_t>& ghosts = blocks[u].ghost_cols;
+    const auto first =
+        std::lower_bound(ghosts.begin(), ghosts.end(), own.lo);
+    const auto last = std::lower_bound(first, ghosts.end(), own.hi);
+    rows.insert(rows.end(), first, last);
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  std::vector<BlockedCsr::RowRange> out;
+  for (const index_t i : rows) {
+    if (out.empty() || out.back().end != i) {
+      out.push_back({i, i + 1});
+    } else {
+      out.back().end = i + 1;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 BlockedCsr::code_t BlockedCsr::checked_code(index_t value, index_t block,
@@ -136,25 +167,41 @@ BlockedCsr::BlockedCsr(const CsrMatrix& a,
   const auto num_blocks = static_cast<index_t>(block_starts.size()) - 1;
   blocks_.resize(static_cast<std::size_t>(num_blocks));
 
-  // schedule(static,1) pins block t to thread t % num_threads — the same
-  // assignment solve_shared's parallel region uses — so first touch places
-  // each block's arrays near its relaxing thread. The fork/join edges live
-  // in uninstrumented libgomp, so hand them to TSan explicitly (the same
-  // pattern solve_shared uses around its parallel region). An exception
-  // must not leave the region, so each block's is carried out and the
-  // first one rethrown after the join.
+  // One thread per block, up to the OpenMP width, and schedule(static,1):
+  // block t goes to thread t, the assignment solve_shared's parallel
+  // region uses, so first touch places each block's arrays near its
+  // relaxing thread. A team no wider than the block count also leaves no
+  // idle workers spinning beside a solve on fewer threads than cores.
+  // The export runs need every block's ghost table, so each owner builds
+  // its block's after the first loop's barrier, in the same region. The
+  // fork/join and barrier edges live in uninstrumented libgomp, so hand
+  // them to TSan explicitly (the same pattern solve_shared uses around its
+  // parallel region). An exception must not leave the region, so each
+  // block's is carried out and the first one rethrown after the join.
+  const int team = static_cast<int>(std::clamp<index_t>(
+      num_blocks, 1, static_cast<index_t>(omp_get_max_threads())));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_blocks));
   AJAC_TSAN_RELEASE(&blocks_);
-#pragma omp parallel for schedule(static, 1)
-  for (index_t t = 0; t < num_blocks; ++t) {
-    AJAC_TSAN_ACQUIRE(&blocks_);
-    try {
-      blocks_[static_cast<std::size_t>(t)] =
-          build_block(a, t, block_starts[t], block_starts[t + 1]);
-    } catch (...) {
-      errors[static_cast<std::size_t>(t)] = std::current_exception();
+#pragma omp parallel num_threads(team)
+  {
+#pragma omp for schedule(static, 1)
+    for (index_t t = 0; t < num_blocks; ++t) {
+      AJAC_TSAN_ACQUIRE(&blocks_);
+      try {
+        blocks_[static_cast<std::size_t>(t)] =
+            build_block(a, t, block_starts[t], block_starts[t + 1]);
+      } catch (...) {
+        errors[static_cast<std::size_t>(t)] = std::current_exception();
+      }
+      AJAC_TSAN_RELEASE(&blocks_);
     }
-    AJAC_TSAN_RELEASE(&blocks_);
+#pragma omp for schedule(static, 1)
+    for (index_t t = 0; t < num_blocks; ++t) {
+      AJAC_TSAN_ACQUIRE(&blocks_);
+      blocks_[static_cast<std::size_t>(t)].export_runs =
+          export_runs_of(blocks_, t);
+      AJAC_TSAN_RELEASE(&blocks_);
+    }
   }
   AJAC_TSAN_ACQUIRE(&blocks_);
   for (const std::exception_ptr& error : errors) {

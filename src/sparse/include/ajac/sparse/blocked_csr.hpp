@@ -73,6 +73,12 @@ class BlockedCsr {
     bool boundary = false;  ///< true: every row has >= 1 ghost entry
   };
 
+  /// A maximal ascending range [begin, end) of global rows.
+  struct RowRange {
+    index_t begin = 0;
+    index_t end = 0;
+  };
+
   struct Block {
     index_t lo = 0;  ///< first row owned by this block
     index_t hi = 0;  ///< one past the last row owned by this block
@@ -102,6 +108,11 @@ class BlockedCsr {
     /// class, so a sweep walks rows in order with one class test per run.
     /// Empty for an empty block.
     std::vector<RowRun> runs;
+    /// The block's exported rows as maximal ascending ranges: exactly the
+    /// own rows that appear in some other block's ghost_cols, so the only
+    /// rows another block's relaxation reads. The Jacobi commit publishes
+    /// these alone. Empty when no other block reads this one.
+    std::vector<RowRange> export_runs;
 
     /// 1 / a_ii per owned row; 0.0 where the diagonal entry is missing or
     /// stored as zero (callers that relax must reject such matrices — the

@@ -237,8 +237,9 @@ TEST(BatchEquiv, MalformedPartitionThrows) {
 
 TEST(BatchEquiv, SingleColumnFaultRunMatchesScalar) {
   // k = 1 batch under a fault plan must reproduce the scalar fault run
-  // bitwise, including the injected-event log: ActiveBatchFaults hashes
-  // the same (seed, thread, iteration, row) FaultClock coordinates.
+  // bitwise, including the injected-event log: both runtimes apply one
+  // fault::ActorFaults schedule per thread, which hashes the same (seed,
+  // thread, iteration, row) FaultClock coordinates.
   const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(10, 10),
                                    ajac::testing::test_seed(101));
   auto plan = std::make_shared<fault::FaultPlan>();

@@ -1,25 +1,29 @@
 // Terminator safety and liveness under scripted interleavings.
 //
 // Every test drives one Terminator from a single thread, playing the role
-// of several actors in an explicit order, against a fake fresh-norm
-// callback whose value the script controls. That makes each schedule exact
-// and repeatable: the properties below hold for *every* interleaving the
-// racy runtimes can produce, because a real run is just one such script
-// with stale flag reads mixed in (a stale read can only delay a poll, which
-// the scripts model by polling late or not at all).
+// of several actors in an explicit order, against fake per-actor
+// fresh-norm shares whose values the script controls. That makes each
+// schedule exact and repeatable: the properties below hold for *every*
+// interleaving the racy runtimes can produce, because a real run is just
+// one such script with stale flag reads mixed in (a stale read can only
+// delay a poll, which the scripts model by polling late or not at all).
 
 #include "ajac/runtime/terminator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/problem.hpp"
+#include "ajac/runtime/blocked_kernels.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
+#include "ajac/runtime/shared_vector.hpp"
+#include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "test_helpers.hpp"
 
@@ -29,32 +33,51 @@ namespace {
 constexpr double kTol = 1e-3;
 constexpr index_t kCap = 8;
 
-/// Fresh-norm stand-in: returns the scripted absolute norm of each column
-/// and counts how often the verification gate asked for it.
+/// Fresh-norm stand-in: `norm[c]` is column c's scripted absolute norm.
+/// Actor 0's share is all of it and every other actor's is 0, so a round's
+/// actor-order sum is exactly norm[c]. `calls` counts the shares asked for.
 struct FakeFresh {
   std::vector<double> norm;
   int calls = 0;
-  double operator()(index_t c) {
-    ++calls;
-    return norm[static_cast<std::size_t>(c)];
+  /// The own_fresh callback of `actor`.
+  auto of(index_t actor) {
+    return [this, actor](index_t c) {
+      ++calls;
+      return actor == 0 ? norm[static_cast<std::size_t>(c)] : 0.0;
+    };
   }
 };
+
+/// Every actor polls once at `iter`, in actor order: one whole
+/// verification round when every flag is up. Returns how many of the
+/// polls reported the global stop.
+int poll_all(Terminator& term, index_t actors, index_t iter,
+             FakeFresh& fresh) {
+  int reported = 0;
+  for (index_t t = 0; t < actors; ++t) {
+    reported += term.poll(t, iter, fresh.of(t)) ? 1 : 0;
+  }
+  return reported;
+}
 
 TEST(Terminator, NoStopWhileFreshNormAboveTolerance) {
   Terminator term(3, {2.0}, kTol, kCap);
   FakeFresh fresh{{2.0 * kTol * 1.5}};
   for (index_t t = 0; t < 3; ++t) EXPECT_TRUE(term.flag(t, 1, 0, 0.0));
   for (int pass = 0; pass < 4; ++pass) {
-    EXPECT_FALSE(term.poll(1, fresh));
+    EXPECT_EQ(poll_all(term, 3, 1, fresh), 0);
     EXPECT_FALSE(term.column_stopped(0));
     EXPECT_FALSE(term.stopped());
   }
-  // Every flag was up on every pass, so every pass verified — and refused.
-  EXPECT_EQ(fresh.calls, 4);
+  // Every flag was up on every pass, so every pass ran a whole round, one
+  // share per actor — and refused.
+  EXPECT_EQ(fresh.calls, 4 * 3);
+  EXPECT_EQ(term.rounds(0), 4U);
+  EXPECT_FALSE(term.round_open(0));
 
   // The same flags with a fresh norm at the tolerance do stop.
   fresh.norm[0] = 2.0 * kTol;
-  EXPECT_TRUE(term.poll(2, fresh));
+  EXPECT_EQ(poll_all(term, 3, 2, fresh), 1);
   EXPECT_TRUE(term.stopped());
   EXPECT_EQ(term.stop_iteration(0), 2);
 }
@@ -65,13 +88,14 @@ TEST(Terminator, NoVerificationUntilEveryFlagIsUp) {
   EXPECT_TRUE(term.flag(0, 1, 0, kTol));
   EXPECT_TRUE(term.flag(1, 1, 0, 0.0));
   EXPECT_FALSE(term.flag(2, 1, 0, 2.0 * kTol));
-  EXPECT_FALSE(term.poll(1, fresh));
+  EXPECT_EQ(poll_all(term, 3, 1, fresh), 0);
   EXPECT_EQ(fresh.calls, 0);
   // A flag that went up can come down again: the lowered actor blocks.
   EXPECT_TRUE(term.flag(2, 2, 0, 0.0));
   EXPECT_FALSE(term.flag(0, 2, 0, 2.0 * kTol));
-  EXPECT_FALSE(term.poll(2, fresh));
+  EXPECT_EQ(poll_all(term, 3, 2, fresh), 0);
   EXPECT_EQ(fresh.calls, 0);
+  EXPECT_EQ(term.rounds(0), 0U);
   EXPECT_FALSE(term.stopped());
 }
 
@@ -84,13 +108,15 @@ enum class RacyNorm {
 struct ScriptStats {
   int stops = 0;      ///< scripts that ended in a global stop
   int cap_stops = 0;  ///< latches justified only by every actor at the cap
-  int refused = 0;    ///< (column, poll) pairs whose verification refused
+  int refused = 0;    ///< verification rounds that closed without a latch
 };
 
 /// Random scripts over 4 actors and 2 columns: actors advance in random
-/// order and flag on racy norms from `source`, polls land at random
-/// points, and the fresh norms wander around the tolerance. Whenever a
-/// poll latches a column, the state it saw must justify it.
+/// order, flag on racy norms from `source` and poll, and every actor's
+/// fresh share wanders around a quarter of the tolerance. Whenever a poll
+/// latches a column, the state it saw must justify it: every actor at the
+/// cap, or the last share each actor served (one round) summing to the
+/// tolerance or below.
 ScriptStats run_latch_scripts(std::uint64_t salt, RacyNorm source) {
   const std::uint64_t seed = ajac::testing::test_seed(salt);
   SCOPED_TRACE(::testing::Message() << "seed=" << seed);
@@ -100,9 +126,14 @@ ScriptStats run_latch_scripts(std::uint64_t salt, RacyNorm source) {
   constexpr index_t kCols = 2;
   const std::vector<double> r0 = {1.0, 4.0};
   ScriptStats stats;
+  const auto slot = [](index_t t, index_t c) {
+    return static_cast<std::size_t>(t * kCols + c);
+  };
+  int calls = 0;
   for (int script = 0; script < 400; ++script) {
     Terminator term(kActors, r0, kTol, kCap);
-    FakeFresh fresh{{0.0, 0.0}};
+    std::vector<double> shares(kActors * kCols, 0.0);
+    std::vector<double> served(kActors * kCols, 0.0);
     std::vector<index_t> iter(kActors, 0);
     int reported = 0;
     for (int event = 0; event < 200 && !term.stopped(); ++event) {
@@ -124,35 +155,48 @@ ScriptStats run_latch_scripts(std::uint64_t salt, RacyNorm source) {
           }
         }
       }
-      for (index_t c = 0; c < kCols; ++c) {
-        fresh.norm[static_cast<std::size_t>(c)] =
-            r0[static_cast<std::size_t>(c)] * kTol *
-            (unit(rng) < 0.2 ? 0.5 : 3.0);
+      // Quarters of the tolerance are exact, so a round passes iff each
+      // share of it is low.
+      for (index_t u = 0; u < kActors; ++u) {
+        for (index_t c = 0; c < kCols; ++c) {
+          shares[slot(u, c)] = r0[static_cast<std::size_t>(c)] * kTol / 4.0 *
+                              (unit(rng) < 0.75 ? 0.5 : 3.0);
+        }
       }
       std::vector<bool> before(kCols);
+      std::vector<std::uint32_t> closed(kCols);
       for (index_t c = 0; c < kCols; ++c) {
-        before[static_cast<std::size_t>(c)] = term.column_stopped(c);
+        const auto cs = static_cast<std::size_t>(c);
+        before[cs] = term.column_stopped(c);
+        closed[cs] = term.rounds(c) - (term.round_open(c) ? 1U : 0U);
       }
-      const int calls = fresh.calls;
-      reported += term.poll(it, fresh) ? 1 : 0;
+      reported += term.poll(t, it, [&](index_t c) {
+        ++calls;
+        served[slot(t, c)] = shares[slot(t, c)];
+        return shares[slot(t, c)];
+      }) ? 1 : 0;
       bool all_at_cap = true;
       for (const index_t i : iter) all_at_cap = all_at_cap && term.at_cap(i);
       for (index_t c = 0; c < kCols; ++c) {
         const auto cs = static_cast<std::size_t>(c);
         if (before[cs] || !term.column_stopped(c)) {
-          stats.refused += fresh.calls > calls && !before[cs] ? 1 : 0;
+          const std::uint32_t now =
+              term.rounds(c) - (term.round_open(c) ? 1U : 0U);
+          stats.refused += static_cast<int>(now - closed[cs]);
           continue;
         }
-        EXPECT_TRUE(all_at_cap || fresh.norm[cs] / r0[cs] <= kTol)
+        double norm = 0.0;  // the last round's shares, in actor order
+        for (index_t u = 0; u < kActors; ++u) norm += served[slot(u, c)];
+        EXPECT_TRUE(all_at_cap || norm / r0[cs] <= kTol)
             << "column " << c << " latched without justification";
         EXPECT_EQ(term.stop_iteration(c), it);
-        stats.cap_stops +=
-            all_at_cap && fresh.norm[cs] / r0[cs] > kTol ? 1 : 0;
+        stats.cap_stops += all_at_cap && norm / r0[cs] > kTol ? 1 : 0;
       }
     }
     EXPECT_EQ(reported, term.stopped() ? 1 : 0);
     stats.stops += term.stopped() ? 1 : 0;
   }
+  EXPECT_GT(calls, 0);
   return stats;
 }
 
@@ -171,18 +215,22 @@ TEST(Terminator, ActorFlaggingOnlyAtTheCapStillEndsTheSolve) {
   for (index_t it = 1; it <= kCap; ++it) {
     EXPECT_EQ(term.flag(0, it, 0, 1.0), it == kCap);
     if (it < kCap) {
-      EXPECT_FALSE(term.poll(it, fresh));
+      EXPECT_FALSE(term.poll(0, it, fresh.of(0)));
     }
   }
   // Actor 0 is parked; the others still have work, so parking polls
-  // verify and refuse until they too reach the cap.
+  // open rounds that the others' polls complete and refuse, until they
+  // too reach the cap.
   for (index_t it = 1; it <= kCap; ++it) {
     term.flag(1, it, 0, 0.0);
     term.flag(2, it, 0, 0.0);
-    const bool decided = term.park(kCap, fresh);
+    const bool decided = term.park(0, kCap, fresh.of(0));
     EXPECT_EQ(decided, it == kCap) << "iteration " << it;
+    EXPECT_FALSE(term.poll(1, it, fresh.of(1)));
+    EXPECT_FALSE(term.poll(2, it, fresh.of(2)));
   }
   EXPECT_TRUE(term.stopped());
+  EXPECT_EQ(term.rounds(0), static_cast<std::uint32_t>(kCap - 1));
 
   // Same schedule, but the fresh norm verifies as soon as actor 0's cap
   // flag completes the set: the solve ends without the others at the cap.
@@ -191,9 +239,11 @@ TEST(Terminator, ActorFlaggingOnlyAtTheCapStillEndsTheSolve) {
   for (index_t it = 1; it < kCap; ++it) early.flag(0, it, 0, 1.0);
   early.flag(1, 3, 0, 0.0);
   early.flag(2, 3, 0, 0.0);
-  EXPECT_FALSE(early.poll(3, good));
+  EXPECT_EQ(poll_all(early, 3, 3, good), 0);
   early.flag(0, kCap, 0, 1.0);
-  EXPECT_TRUE(early.park(kCap, good));
+  EXPECT_FALSE(early.poll(1, 3, good.of(1)));
+  EXPECT_FALSE(early.poll(2, 3, good.of(2)));
+  EXPECT_TRUE(early.park(0, kCap, good.of(0)));
   EXPECT_TRUE(early.stopped());
 }
 
@@ -203,12 +253,13 @@ TEST(Terminator, ZeroToleranceStopsOnlyAtTheCap) {
   for (index_t it = 1; it < kCap; ++it) {
     EXPECT_FALSE(term.flag(0, it, 0, 0.0));
     EXPECT_FALSE(term.flag(1, it, 0, 0.0));
-    EXPECT_FALSE(term.poll(it, fresh));
+    EXPECT_EQ(poll_all(term, 2, it, fresh), 0);
   }
   term.flag(0, kCap, 0, 0.0);
   term.flag(1, kCap, 0, 0.0);
-  EXPECT_TRUE(term.poll(kCap, fresh));
+  EXPECT_TRUE(term.poll(0, kCap, fresh.of(0)));
   EXPECT_EQ(fresh.calls, 0);
+  EXPECT_EQ(term.rounds(0), 0U);
 }
 
 TEST(Terminator, LatchedColumnNeverUnlatches) {
@@ -218,7 +269,7 @@ TEST(Terminator, LatchedColumnNeverUnlatches) {
     term.flag(t, 1, 0, 0.0);
     term.flag(t, 1, 1, 1.0);
   }
-  EXPECT_FALSE(term.poll(1, fresh));
+  EXPECT_EQ(poll_all(term, 2, 1, fresh), 0);
   ASSERT_TRUE(term.column_stopped(0));
   ASSERT_FALSE(term.column_stopped(1));
   // Everything that could argue against column 0 now does: lowered flags,
@@ -226,7 +277,7 @@ TEST(Terminator, LatchedColumnNeverUnlatches) {
   fresh.norm[0] = 1e6;
   for (index_t it = 2; it < kCap; ++it) {
     for (index_t t = 0; t < 2; ++t) term.flag(t, it, 0, 1e6);
-    EXPECT_FALSE(term.poll(it, fresh));
+    EXPECT_EQ(poll_all(term, 2, it, fresh), 0);
     EXPECT_TRUE(term.column_stopped(0));
     EXPECT_EQ(term.stop_iteration(0), 1);
   }
@@ -245,15 +296,15 @@ TEST(Terminator, GlobalStopOnlyOnceEveryColumnLatched) {
   for (index_t c = 0; c < 3; ++c) {
     EXPECT_FALSE(term.stopped());
     fresh.norm[static_cast<std::size_t>(c)] = 0.5 * kTol * term.r0_norm(c);
-    const bool decided = term.poll(2 + c, fresh);
+    const int decided = poll_all(term, 2, 2 + c, fresh);
     EXPECT_TRUE(term.column_stopped(c));
     EXPECT_EQ(term.stop_iteration(c), 2 + c);
-    EXPECT_EQ(decided, c == 2);
+    EXPECT_EQ(decided, c == 2 ? 1 : 0);
     EXPECT_EQ(term.stopped(), c == 2);
   }
   // Every actor that polls after the stop is told it was not the one.
-  EXPECT_FALSE(term.poll(9, fresh));
-  EXPECT_FALSE(term.park(9, fresh));
+  EXPECT_FALSE(term.poll(0, 9, fresh.of(0)));
+  EXPECT_FALSE(term.park(1, 9, fresh.of(1)));
 }
 
 TEST(Terminator, VerifyAndPolishMeetsTheToleranceWithinTheBudget) {
@@ -306,7 +357,7 @@ TEST(Terminator, MissingOrStalePartialOnlyDelaysTheStop) {
   for (index_t t = 0; t < 3; ++t) {
     EXPECT_FALSE(term.flag(t, 1, 0, term.racy_rel()));
   }
-  EXPECT_FALSE(term.poll(1, fresh));
+  EXPECT_EQ(poll_all(term, 3, 1, fresh), 0);
   EXPECT_EQ(fresh.calls, 0);
 
   // Stale partials that look converged raise every flag, but the fresh
@@ -316,8 +367,9 @@ TEST(Terminator, MissingOrStalePartialOnlyDelaysTheStop) {
   for (index_t t = 0; t < 3; ++t) {
     EXPECT_TRUE(term.flag(t, 2, 0, term.racy_rel()));
   }
-  EXPECT_FALSE(term.poll(2, fresh));
-  EXPECT_EQ(fresh.calls, 1);
+  EXPECT_EQ(poll_all(term, 3, 2, fresh), 0);
+  EXPECT_EQ(fresh.calls, 3);  // one round, one share per actor
+  EXPECT_EQ(term.rounds(0), 1U);
   EXPECT_FALSE(term.stopped());
 }
 
@@ -353,6 +405,173 @@ TEST(Terminator, PartialsAreSummedInActorOrder) {
   cols.publish_partial(1, 1, 20.0);
   EXPECT_EQ(cols.racy_rel(0), 3.0);
   EXPECT_EQ(cols.racy_rel(1), 15.0);
+}
+
+// --- Verification rounds: the fresh norm is split across the actors ---
+
+/// Per-actor shares the script sets directly: share[t] is what actor t
+/// serves (one column).
+struct Shares {
+  std::vector<double> share;
+  int calls = 0;
+  auto of(index_t actor) {
+    return [this, actor](index_t) {
+      ++calls;
+      return share[static_cast<std::size_t>(actor)];
+    };
+  }
+};
+
+void raise_all_flags(Terminator& term, index_t actors, index_t iter) {
+  for (index_t t = 0; t < actors; ++t) EXPECT_TRUE(term.flag(t, iter, 0, 0.0));
+}
+
+TEST(Terminator, NoLatchWithFewerThanEveryShare) {
+  // Two of three shares already sum far below the tolerance, yet the round
+  // waits for the third; repeated polls by the actors that served add
+  // nothing.
+  Terminator term(3, {1.0}, kTol, kCap);
+  Shares fresh{{0.0, 0.0, 0.0}};
+  raise_all_flags(term, 3, 1);
+  EXPECT_FALSE(term.poll(0, 1, fresh.of(0)));
+  EXPECT_TRUE(term.round_open(0));
+  EXPECT_FALSE(term.poll(1, 1, fresh.of(1)));
+  for (int pass = 0; pass < 5; ++pass) {
+    EXPECT_FALSE(term.poll(0, 2, fresh.of(0)));
+    EXPECT_FALSE(term.poll(1, 2, fresh.of(1)));
+  }
+  EXPECT_EQ(fresh.calls, 2);
+  EXPECT_FALSE(term.column_stopped(0));
+  EXPECT_TRUE(term.round_open(0));
+  EXPECT_TRUE(term.poll(2, 1, fresh.of(2)));
+  EXPECT_EQ(fresh.calls, 3);
+  EXPECT_EQ(term.stop_iteration(0), 1);
+  EXPECT_EQ(term.rounds(0), 1U);
+}
+
+TEST(Terminator, FailedRoundClosesAndReopens) {
+  Terminator term(2, {1.0}, kTol, kCap);
+  Shares fresh{{kTol, kTol}};  // sums to 2 tol: refused
+  raise_all_flags(term, 2, 1);
+  EXPECT_FALSE(term.poll(0, 1, fresh.of(0)));
+  EXPECT_FALSE(term.poll(1, 1, fresh.of(1)));
+  EXPECT_FALSE(term.column_stopped(0));
+  EXPECT_FALSE(term.round_open(0));
+  EXPECT_EQ(term.rounds(0), 1U);
+
+  // Lowered flags keep the round closed; raised again, the next poll opens
+  // round 2, which the same actors serve afresh.
+  EXPECT_FALSE(term.flag(1, 2, 0, 1.0));
+  EXPECT_FALSE(term.poll(0, 2, fresh.of(0)));
+  EXPECT_EQ(term.rounds(0), 1U);
+  raise_all_flags(term, 2, 3);
+  fresh.share = {0.5 * kTol, 0.5 * kTol};
+  EXPECT_FALSE(term.poll(1, 3, fresh.of(1)));
+  EXPECT_TRUE(term.round_open(0));
+  EXPECT_EQ(term.rounds(0), 2U);
+  EXPECT_TRUE(term.poll(0, 3, fresh.of(0)));
+  EXPECT_EQ(term.stop_iteration(0), 3);
+  EXPECT_EQ(fresh.calls, 4);
+}
+
+TEST(Terminator, ClosedRoundShareNeverCountsTowardANewerRound) {
+  // Round 1: actor 2 serves a share of 0 and the others refuse it. In
+  // round 2 actors 0 and 1 serve 0: had actor 2's round-1 share counted
+  // again, two shares would have latched the column.
+  Terminator term(3, {1.0}, kTol, kCap);
+  Shares fresh{{1.0, 1.0, 0.0}};
+  raise_all_flags(term, 3, 1);
+  for (index_t t = 2; t >= 0; --t) {
+    EXPECT_FALSE(term.poll(t, 1, fresh.of(t)));
+  }
+  EXPECT_EQ(term.rounds(0), 1U);
+  EXPECT_FALSE(term.round_open(0));
+
+  fresh.share = {0.0, 0.0, 1.0};
+  EXPECT_FALSE(term.poll(0, 2, fresh.of(0)));
+  EXPECT_FALSE(term.poll(1, 2, fresh.of(1)));
+  EXPECT_FALSE(term.poll(0, 2, fresh.of(0)));
+  EXPECT_FALSE(term.column_stopped(0));
+  EXPECT_TRUE(term.round_open(0));
+  // Actor 2's round-2 share is its fresh one, and it refuses the round.
+  EXPECT_FALSE(term.poll(2, 2, fresh.of(2)));
+  EXPECT_FALSE(term.column_stopped(0));
+  EXPECT_FALSE(term.round_open(0));
+  EXPECT_EQ(term.rounds(0), 2U);
+  EXPECT_EQ(fresh.calls, 6);
+}
+
+TEST(Terminator, ParkedActorsShareCompletesTheRound) {
+  // Actor 1 is parked at the cap; actor 0 opens a round that only the
+  // parked actor's next pass can complete.
+  Terminator term(2, {1.0}, kTol, kCap);
+  Shares fresh{{0.25 * kTol, 0.25 * kTol}};
+  EXPECT_TRUE(term.flag(1, kCap, 0, 1.0));  // up at the cap
+  EXPECT_TRUE(term.flag(0, 3, 0, 0.0));
+  EXPECT_FALSE(term.poll(0, 3, fresh.of(0)));
+  EXPECT_TRUE(term.round_open(0));
+  EXPECT_TRUE(term.park(1, kCap, fresh.of(1)));
+  EXPECT_TRUE(term.stopped());
+  EXPECT_EQ(term.stop_iteration(0), kCap);
+}
+
+TEST(Terminator, StalledActorDelaysTheStopButNeverBlocksIt) {
+  // Actor 1 stalls for many of the others' iterations: the round stays
+  // open, the others serve it once each and keep running, and the stalled
+  // actor's first poll after the stall completes the round.
+  Terminator term(3, {1.0}, kTol, kCap);
+  Shares fresh{{0.0, 0.0, 0.0}};
+  raise_all_flags(term, 3, 1);
+  for (index_t it = 1; it < kCap; ++it) {
+    for (const index_t t : {0, 2}) {
+      EXPECT_TRUE(term.flag(t, it, 0, 0.0));
+      EXPECT_FALSE(term.poll(t, it, fresh.of(t)));
+    }
+  }
+  EXPECT_FALSE(term.stopped());
+  EXPECT_EQ(fresh.calls, 2);
+  EXPECT_TRUE(term.poll(1, 1, fresh.of(1)));
+  EXPECT_TRUE(term.stopped());
+  EXPECT_EQ(term.stop_iteration(0), 1);
+}
+
+TEST(Terminator, SingleActorVerifiedNormIsBitwiseTheSerialScan) {
+  // At one actor the blocked share is the fresh residual norm summed over
+  // every row ascending, bitwise vec::norm1 of CsrMatrix::residual, and
+  // the round latches on exactly that value: at tol = norm / r0 it stops,
+  // one ulp below it does not.
+  const auto p = gen::make_problem("fd9", gen::fd_laplacian_2d(9, 9),
+                                   ajac::testing::test_seed(/*salt=*/304));
+  const index_t n = p.a.num_rows();
+  Vector x = p.x0;
+  for (index_t i = 0; i < n; ++i) x[i] += 0.125 * static_cast<double>(i % 7);
+  Vector r(static_cast<std::size_t>(n));
+  p.a.residual(x, p.b, r);
+  const double serial = vec::norm1(r);
+  ASSERT_GT(serial, 0.0);
+
+  const index_t starts[] = {0, n};
+  const BlockedCsr blocked(p.a, starts);
+  SharedVector shared(n);
+  OwnBlockState own;
+  shared.writer_role().assert_held();
+  own.owner.assert_held();
+  shared.init(x);
+  refresh_own_block(blocked.block(0), shared, own);
+  const double share = block_residual_1(blocked.block(0), p.b, own, shared);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(share),
+            std::bit_cast<std::uint64_t>(serial));
+
+  const double r0 = 4.0 * serial;
+  const double rel = serial / r0;
+  const auto own_fresh = [&](index_t) { return share; };
+  Terminator at(1, {r0}, rel, kCap);
+  EXPECT_TRUE(at.flag(0, 1, 0, 0.0));
+  EXPECT_TRUE(at.poll(0, 1, own_fresh));
+  Terminator below(1, {r0}, std::nextafter(rel, 0.0), kCap);
+  EXPECT_TRUE(below.flag(0, 1, 0, 0.0));
+  EXPECT_FALSE(below.poll(0, 1, own_fresh));
+  EXPECT_EQ(below.rounds(0), 1U);
 }
 
 TEST(Terminator, SingleThreadNormIsBitwiseTheSequentialScan) {

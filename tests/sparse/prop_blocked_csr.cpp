@@ -13,8 +13,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ajac/gen/fd.hpp"
 #include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/util/rng.hpp"
@@ -281,6 +283,89 @@ TEST(PropBlockedCsr, RunsTileEachBlockInMaximalAlternatingRanges) {
       ASSERT_EQ(boundary, blk.boundary_rows);
     }
   }
+}
+
+/// Expand `runs` into rows, checking that they are non-empty, ascending,
+/// maximal (never adjacent) and inside [lo, hi).
+std::vector<index_t> expand_export_runs(const BlockedCsr::Block& blk) {
+  std::vector<index_t> rows;
+  for (std::size_t k = 0; k < blk.export_runs.size(); ++k) {
+    const auto& run = blk.export_runs[k];
+    EXPECT_LT(run.begin, run.end) << "run " << k;
+    EXPECT_LE(blk.lo, run.begin) << "run " << k;
+    EXPECT_LE(run.end, blk.hi) << "run " << k;
+    if (k > 0) {
+      EXPECT_LT(blk.export_runs[k - 1].end, run.begin) << "run " << k;
+    }
+    for (index_t i = run.begin; i < run.end; ++i) rows.push_back(i);
+  }
+  return rows;
+}
+
+TEST(PropBlockedCsr, ExportRunsAreTheRowsOtherBlocksRead) {
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << ", AJAC_TEST_SEED base "
+                 << ajac::testing::test_seed());
+    Rng rng(ajac::testing::test_seed(9500 + static_cast<std::uint64_t>(c)));
+    const CsrMatrix a = random_matrix(rng);
+    const index_t n = a.num_rows();
+    auto starts = random_block_starts(rng, n);
+    if (c % 4 == 0) {
+      // P > n: more blocks than rows, so several are empty.
+      starts.assign(static_cast<std::size_t>(n) + 3, n);
+      for (index_t i = 0; i <= n; ++i) {
+        starts[static_cast<std::size_t>(i)] = i;
+      }
+    }
+    const BlockedCsr blocked(a, starts);
+    // Brute force: row j is read by block u iff some row of u has an
+    // entry in column j outside u's range.
+    std::vector<char> read_elsewhere(static_cast<std::size_t>(n), 0);
+    for (index_t u = 0; u < blocked.num_blocks(); ++u) {
+      const auto& blk = blocked.block(u);
+      for (index_t i = blk.lo; i < blk.hi; ++i) {
+        for (const index_t j : a.row_cols(i)) {
+          if (j < blk.lo || j >= blk.hi) {
+            read_elsewhere[static_cast<std::size_t>(j)] = 1;
+          }
+        }
+      }
+    }
+    for (index_t t = 0; t < blocked.num_blocks(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "block " << t);
+      const auto& blk = blocked.block(t);
+      std::vector<index_t> expected;
+      for (index_t i = blk.lo; i < blk.hi; ++i) {
+        if (read_elsewhere[static_cast<std::size_t>(i)] != 0) {
+          expected.push_back(i);
+        }
+      }
+      ASSERT_EQ(expand_export_runs(blk), expected);
+    }
+  }
+
+  // One block: nobody else reads it.
+  const CsrMatrix fd = gen::fd_laplacian_2d(6, 12);
+  const index_t whole[] = {0, fd.num_rows()};
+  EXPECT_TRUE(BlockedCsr(fd, whole).block(0).export_runs.empty());
+
+  // FD 2D split along grid lines (6 rows a line, 4 lines a block): a
+  // block exports its first and last lines, the outer blocks only the
+  // line facing a neighbour.
+  const index_t lines[] = {0, 24, 48, 72};
+  const BlockedCsr split(fd, lines);
+  using Ranges = std::vector<std::pair<index_t, index_t>>;
+  const auto ranges = [](const BlockedCsr::Block& blk) {
+    Ranges out;
+    for (const auto& run : blk.export_runs) {
+      out.emplace_back(run.begin, run.end);
+    }
+    return out;
+  };
+  EXPECT_EQ(ranges(split.block(0)), (Ranges{{18, 24}}));
+  EXPECT_EQ(ranges(split.block(1)), (Ranges{{24, 30}, {42, 48}}));
+  EXPECT_EQ(ranges(split.block(2)), (Ranges{{48, 54}}));
 }
 
 TEST(PropBlockedCsr, CheckedCodeNarrowsExactlyUpToInt32Max) {
