@@ -30,7 +30,6 @@
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/mm_io.hpp"
-#include "ajac/sparse/multi_vector.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "ajac/util/rng.hpp"
 
@@ -247,83 +246,6 @@ void BM_SolveSharedSellCS(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50 * p.a.num_rows());
 }
 BENCHMARK(BM_SolveSharedSellCS)->Arg(32)->Arg(256)->UseRealTime();
-
-// Batched multi-RHS solves, blocked kernels, fixed 50 iterations, k random
-// right-hand sides. Items = row *updates* (rows x k per iteration), so
-// items_per_second measures aggregate throughput: the k=8 / k=1 ratio is
-// CI's batch amortization gate (tools/check_batch_throughput.py, >= 2x).
-// The k=1 run uses the same batch code path (MultiVector with lead 1), so
-// the ratio isolates CSR-gather amortization + SIMD lane fill from any
-// fixed per-solve overhead. Note on thread counts: the SharedMultiVector
-// rows behind this bench are padded so equal row blocks never share a
-// cache line; at 8 threads on a multi-core host the k=1 column would
-// otherwise false-share boundary lines (see shared_vector.hpp). On the
-// single-core CI host the threads time-slice, so the gate measures
-// amortization, not cache traffic.
-MultiVector batch_rhs(index_t n, index_t k) {
-  MultiVector b(n, k);
-  Rng rng(7);
-  for (index_t i = 0; i < n; ++i) {
-    double* row = b.row(i);
-    for (index_t c = 0; c < k; ++c) row[c] = rng.uniform(-1.0, 1.0);
-  }
-  return b;
-}
-
-void BM_SolveSharedBatch(benchmark::State& state) {
-  const CsrMatrix a = grid(state.range(0));
-  const index_t n = a.num_rows();
-  const index_t k = state.range(1);
-  const MultiVector b = batch_rhs(n, k);
-  const MultiVector x0(n, k);
-  const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
-  for (auto _ : state) {
-    const auto r = runtime::solve_shared_batch(a, b, x0, o);
-    benchmark::DoNotOptimize(r.total_relaxations);
-  }
-  state.SetItemsProcessed(state.iterations() * 50 * n * k);
-}
-BENCHMARK(BM_SolveSharedBatch)
-    ->Args({256, 1})
-    ->Args({256, 4})
-    ->Args({256, 8})
-    ->Args({256, 16})
-    ->UseRealTime();
-
-// Metrics-on batch run (paired with BM_SolveSharedBatchMetricsOff below):
-// CI's batch observability overhead gate, <= 5%
-// (tools/check_metrics_overhead.py).
-void BM_SolveSharedBatchMetricsOff(benchmark::State& state) {
-  const CsrMatrix a = grid(32);
-  const index_t n = a.num_rows();
-  const index_t k = 8;
-  const MultiVector b = batch_rhs(n, k);
-  const MultiVector x0(n, k);
-  const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
-  for (auto _ : state) {
-    const auto r = runtime::solve_shared_batch(a, b, x0, o);
-    benchmark::DoNotOptimize(r.total_relaxations);
-  }
-  state.SetItemsProcessed(state.iterations() * 50 * n * k);
-}
-BENCHMARK(BM_SolveSharedBatchMetricsOff)->UseRealTime();
-
-void BM_SolveSharedBatchMetrics(benchmark::State& state) {
-  const CsrMatrix a = grid(32);
-  const index_t n = a.num_rows();
-  const index_t k = 8;
-  const MultiVector b = batch_rhs(n, k);
-  const MultiVector x0(n, k);
-  runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
-  obs::MetricsRegistry reg;
-  o.metrics = &reg;
-  for (auto _ : state) {
-    const auto r = runtime::solve_shared_batch(a, b, x0, o);
-    benchmark::DoNotOptimize(r.total_relaxations);
-  }
-  state.SetItemsProcessed(state.iterations() * 50 * n * k);
-}
-BENCHMARK(BM_SolveSharedBatchMetrics)->UseRealTime();
 
 // Problem behind the --n / --matrix dynamic registrations; owned here so
 // the registered lambdas (which may run long after main's locals would

@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   cli.add_option("weight-refresh", "8",
                  "weighted policy: iterations between |r_i| weight rebuilds");
   cli.add_option("nrhs", "1",
-                 "right-hand sides solved together (shared backend; > 1 "
-                 "uses the batched SIMD path with seeded random columns)");
+                 "right-hand sides (shared backend; > 1 solves that many "
+                 "seeded random columns, one after another)");
   cli.add_option("telemetry-ndjson", "",
                  "stream live telemetry (beacons + estimates) as NDJSON to "
                  "this path; tail it with tools/ajac_top.py (empty = off)");

@@ -64,10 +64,9 @@ struct SolveConfig {
   /// runtime partition always wins over this switch. The reference kernel
   /// ignores it (its baselines are defined on row-balanced blocks).
   bool balance_by_nnz = true;
-  /// kSharedMemory: number of right-hand sides solved together. 1 runs the
-  /// single-RHS path; > 1 routes through solve_shared_batch (b must carry
-  /// exactly num_rhs columns via solve_batch), amortizing every matrix
-  /// traversal over the batch.
+  /// kSharedMemory: number of right-hand sides solve_batch takes (b must
+  /// carry exactly num_rhs columns). It solves them one after another,
+  /// each column as solve() would.
   index_t num_rhs = 1;
   /// kSharedMemory / kDistributedSim: row-selection policy for the
   /// asynchronous sweep. kNaturalOrder (default) keeps the runtimes
@@ -109,22 +108,23 @@ struct BatchSolution {
   MultiVector x;                   ///< n x k solution batch
   std::vector<bool> converged;     ///< per column
   Vector rel_residual_1;           ///< per column
-  std::vector<index_t> iterations; ///< per column: verified-stop iteration
-  std::vector<index_t> relaxations;  ///< per column: active row relaxations
-  double seconds = 0.0;
+  std::vector<index_t> iterations; ///< per column, as Solution::iterations
+  std::vector<index_t> relaxations;  ///< per column, as Solution::relaxations
+  double seconds = 0.0;            ///< summed over the columns
 };
 
-/// Solve A x(:,c) = b(:,c) for all k columns at once on the shared-memory
-/// backend (config.num_rhs must equal b.num_cols(); other backends have no
-/// batched path). Shares each CSR traversal across the batch; see
-/// runtime::solve_shared_batch for the per-column convergence contract.
+/// Solve A x(:,c) = b(:,c) for all k columns on the shared-memory backend
+/// (config.num_rhs must equal b.num_cols(); other backends have no batched
+/// path). Column c is solve(a, b(:,c), x0(:,c), config) on the shared
+/// backend: same x, converged, rel_residual_1, iterations and relaxations
+/// wherever that solve is deterministic (runtime::solve_shared_batch).
 [[nodiscard]] BatchSolution solve_batch(const CsrMatrix& a,
                                         const MultiVector& b,
                                         const MultiVector& x0,
                                         const SolveConfig& config);
 
-/// Batched analogue of solve_spd: scales A to unit diagonal, solves all
-/// columns at once, and maps each column back to the original scaling.
+/// Batched analogue of solve_spd: scales A to unit diagonal once, solves
+/// every column, and maps each column back to the original scaling.
 [[nodiscard]] BatchSolution solve_spd_batch(const CsrMatrix& a,
                                             const MultiVector& b,
                                             const SolveConfig& config);

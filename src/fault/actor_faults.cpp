@@ -134,7 +134,7 @@ void require_honoured(const FaultPlan& plan, const char* runtime,
   AJAC_CHECK_MSG(honours.bit_flips || plan.bit_flips.empty(),
                  runtime << " does not inject bit flips: only the "
                             "shared-memory kernels read matrix entries one "
-                            "by one (use solve_shared or solve_shared_batch)");
+                            "by one (use solve_shared)");
   AJAC_CHECK_MSG(honours.message_faults || plan.message_faults.empty(),
                  runtime << " exchanges no messages, so it cannot drop, "
                             "duplicate or reorder them (use solve_mesh or "

@@ -9,12 +9,11 @@
 // window of the local iteration or a FaultClock hash of (seed, actor,
 // counter[, row]), and each injection is appended to the actor's log with
 // those coordinates. So one plan injects the same faults at the same
-// (actor, iteration, row) instants in every runtime and at every batch
-// width.
+// (actor, iteration, row) instants in every runtime.
 //
 // The schedule knows nothing about the iterate, the initial guess or
-// threads: the runtime applies the payload. The shared and batch runtimes
-// do it through one adapter (src/runtime/solve_hooks.hpp: stall, own-row
+// threads: the runtime applies the payload. The shared runtime does it
+// through one adapter (src/runtime/solve_hooks.hpp: stall, own-row
 // reset, frozen ghost snapshot); the mesh does it in its agent loop (stall,
 // own-row reset, skipped drains). distsim uses only resolve_actor: its
 // crashes, stragglers and message faults live in simulated time.

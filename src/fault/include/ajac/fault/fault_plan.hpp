@@ -8,7 +8,7 @@
 // FaultLog of everything they injected. Each honours stragglers, stale-read
 // windows and crashes, plus:
 //
-//   solve_shared, solve_shared_batch   bit flips (they read matrix entries
+//   solve_shared                       bit flips (it reads matrix entries
 //                                      one by one; no messages to fault)
 //   solve_mesh                         message drop and duplicate (its
 //                                      per-edge queues are FIFO: no reorder)
@@ -17,8 +17,9 @@
 //
 // A runtime rejects a plan naming a kind it does not honour
 // (require_honoured in ajac/fault/actor_faults.hpp), so no scenario is
-// silently vacuous. The shared, batch and mesh runtimes draw every decision
-// from one per-actor schedule, fault::ActorFaults.
+// silently vacuous. The shared and mesh runtimes draw every decision from
+// one per-actor schedule, fault::ActorFaults; solve_shared_batch runs the
+// plan once per column through solve_shared.
 //
 // Determinism is the whole point. Every injection decision is a pure hash
 // of (plan seed, actor id, local counter, decision stream) via FaultClock —
@@ -169,9 +170,9 @@ struct MessageFaultSpec {
 /// Transient single-bit corruption: with `probability` per (actor,
 /// iteration, row), one off-diagonal entry of that row is read with one
 /// bit flipped for that relaxation only (the matrix itself is untouched —
-/// a soft error in a load, not in memory). Shared and batch runtimes only:
-/// the mesh's and the simulator's block relaxations are not instrumented
-/// per entry.
+/// a soft error in a load, not in memory). Shared runtime only: the
+/// mesh's and the simulator's block relaxations are not instrumented per
+/// entry.
 struct BitFlipSpec {
   index_t actor = -1;  ///< -1 = any
   double probability = 1e-3;

@@ -54,7 +54,7 @@ namespace ajac::obs {
 
 /// Version of the JSON snapshot schema emitted by obs::to_json. Bump when
 /// renaming/removing fields; additions are backward compatible.
-inline constexpr int kMetricsSchemaVersion = 2;
+inline constexpr int kMetricsSchemaVersion = 3;
 
 /// Monotone per-actor counters. Shared-runtime and distsim populate
 /// disjoint subsets; unused counters stay zero and are still emitted (the
@@ -70,7 +70,6 @@ enum class Counter : std::size_t {
   kFaultEvents,         ///< fault injections observed by this actor
   kLocalReads,          ///< blocked kernel: entries read from the private mirror
   kGhostReads,          ///< blocked kernel: entries read through SharedVector
-  kLaneRelaxations,     ///< batch path: row relaxations x active columns
   kMessagesSent,        ///< distsim: puts issued (incl. dropped/duplicated)
   kMessagesReceived,    ///< distsim: puts delivered
   kMessagesDropped,     ///< distsim: puts lost to faults or dead ranks
@@ -95,8 +94,6 @@ enum class Hist : std::size_t {
   kMessageLatencyUs,   ///< distsim: network latency per issued put
   kQueueDepth,         ///< distsim: mailbox depth when the rank drains it
   kGhostReadAge,       ///< distsim: sender-iteration lag of applied ghosts
-  kBatchOccupancy,     ///< batch path: active (unconverged) columns per iteration
-  kColumnRelaxations,  ///< batch path: per-column active relaxation totals
   kRowRelaxations,     ///< sampled policies: per-row relaxation totals
   kRowSelectionSkew,   ///< sampled policies: per-thread max/mean row count, %
   kCount

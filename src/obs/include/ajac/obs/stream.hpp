@@ -48,12 +48,8 @@ struct TelemetryOptions {
 enum class ResidualConvention : std::uint8_t {
   /// own_residual_1 values are absolute own-block 1-norms over a row
   /// partition: global ||r||_1 = sum over actors, relative to
-  /// residual_scale. The scalar shared solver and distsim use this.
+  /// residual_scale. The shared solver and distsim use this.
   kOwnBlockSum,
-  /// own_residual_1 values are already-relative per-actor upper bounds:
-  /// global estimate = max over actors (batch solver: max over lanes of
-  /// a column-relative norm; residual_scale is unused).
-  kUpperBoundMax,
 };
 
 /// Per-run metadata, set by the solver before its workers fork.

@@ -19,7 +19,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kFaultEvents: return "fault_events";
     case Counter::kLocalReads: return "local_reads";
     case Counter::kGhostReads: return "ghost_reads";
-    case Counter::kLaneRelaxations: return "lane_relaxations";
     case Counter::kMessagesSent: return "messages_sent";
     case Counter::kMessagesReceived: return "messages_received";
     case Counter::kMessagesDropped: return "messages_dropped";
@@ -41,8 +40,6 @@ const char* hist_name(Hist h) noexcept {
     case Hist::kMessageLatencyUs: return "message_latency_us";
     case Hist::kQueueDepth: return "queue_depth";
     case Hist::kGhostReadAge: return "ghost_read_age";
-    case Hist::kBatchOccupancy: return "batch_occupancy";
-    case Hist::kColumnRelaxations: return "column_relaxations";
     case Hist::kRowRelaxations: return "row_relaxations";
     case Hist::kRowSelectionSkew: return "row_selection_skew";
     case Hist::kCount: break;

@@ -277,22 +277,18 @@ void ConvergenceMonitor::update_frontier(double ts_us) {
   std::int64_t it_min = actors_[0].latest.iteration;
   std::int64_t it_max = it_min;
   double sum = 0.0;
-  double mx = 0.0;
   for (index_t a = 0; a < run_.num_actors; ++a) {
     const Beacon& b = actors_[static_cast<std::size_t>(a)].latest;
     it_min = std::min(it_min, b.iteration);
     it_max = std::max(it_max, b.iteration);
     sum += b.own_residual_1;
-    mx = std::max(mx, b.own_residual_1);
   }
   est_.iteration_min = it_min;
   est_.iteration_max = it_max;
   est_.iteration_imbalance =
       static_cast<double>(it_max - it_min) /
       static_cast<double>(std::max<std::int64_t>(1, it_max));
-  const double rel = run_.convention == ResidualConvention::kOwnBlockSum
-                         ? sum / run_.residual_scale
-                         : mx;
+  const double rel = sum / run_.residual_scale;
   est_.global_rel_residual = rel;
 
   // A new frontier point whenever the slowest actor advanced: the global

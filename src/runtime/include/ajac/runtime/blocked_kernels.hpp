@@ -25,7 +25,7 @@
 // holds this line.
 //
 // Faults template parameter: the per-thread fault context of the shared
-// and batch solvers (solve_hooks.hpp): NullFaults compiles every hook away;
+// solver (solve_hooks.hpp): NullFaults compiles every hook away;
 // ActiveFaults applies a fault::ActorFaults schedule to the vector. Bit
 // flips index entries by their position within the row, which the blocked
 // layout preserves, so the flip decision and the corrupted entry match the
@@ -43,11 +43,9 @@
 #include <vector>
 
 #include "ajac/model/trace.hpp"
-#include "ajac/runtime/shared_multi_vector.hpp"
 #include "ajac/runtime/shared_vector.hpp"
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/csr.hpp"
-#include "ajac/sparse/multi_vector.hpp"
 #include "ajac/sparse/types.hpp"
 #include "ajac/util/annotate.hpp"
 
@@ -434,222 +432,6 @@ inline double relax_row_sampled_traced(
   ++own.version[li];  // the x.write bumped the element's seqlock once
   events.push_back(std::move(event));
   return acc;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-RHS (batched) kernels. Same structure as their scalar counterparts,
-// but every per-row scalar becomes k contiguous lanes: the CSR gather
-// (row_ptr/col_code/values loads, the ghost-vs-local branch, the fault
-// decision) is paid once per matrix entry and amortized over k unit-stride
-// `#pragma omp simd` FMAs. Per lane, the accumulation order and the commit
-// expression are bitwise the scalar kernels', so column c of a batch solve
-// reproduces a single-RHS solve of column c whenever the two would read the
-// same values (num_threads=1, synchronous mode).
-//
-// All batch kernels take caller-provided scratch spans (k lanes each) so the
-// hot loop performs no allocation; solve_shared_batch sizes them once per
-// thread before the iteration loop.
-
-/// Thread-private mirror of the thread's own rows of the shared batch x
-/// (batch analogue of OwnBlockState; the batch path is never traced, so no
-/// version mirror is needed).
-struct OwnBlockBatchState {
-  SoleWriterRole owner;  ///< claimed by the owning thread at region entry
-  MultiVector x AJAC_SOLE_WRITER(owner);  ///< rows [lo, hi) x k, kept exact
-};
-
-/// (Re)load the mirror from the shared batch vector. Called once inside the
-/// parallel region (first touch) and again after a crash-with-state-reset
-/// fault rewrote the shared rows behind the mirror's back.
-inline void refresh_own_block_batch(const BlockedCsr::Block& blk,
-                                    const SharedMultiVector& x,
-                                    OwnBlockBatchState& own)
-    AJAC_REQUIRES(own.owner) {
-  const index_t k = x.num_cols();
-  if (own.x.num_rows() != blk.num_rows() || own.x.num_cols() != k) {
-    own.x = MultiVector(blk.num_rows(), k);
-  }
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
-    double* dst = own.x.row(i - blk.lo);
-    x.read_row(i, {dst, static_cast<std::size_t>(k)});
-  }
-}
-
-/// Batched residual on the block's interior rows (all columns local — only
-/// private arrays inside the entry loop). `acc` is k lanes of scratch.
-template <class Faults>
-inline void relax_interior_batch(const BlockedCsr::Block& blk,
-                                 const CsrMatrix& a, const MultiVector& b,
-                                 const OwnBlockBatchState& own, Faults& faults,
-                                 SharedMultiVector& r, std::span<double> acc)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
-  const index_t k = b.num_cols();
-  for (const index_t i : blk.interior_rows) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    const double* br = b.row(i);
-#pragma omp simd
-    for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = br[c];
-    FlippedEntry flipped;
-    bool has_flip = false;
-    if constexpr (Faults::enabled) {
-      const auto row = a.row(i);
-      has_flip = faults.flip(i, row.cols, row.vals, flipped);
-    }
-    for (std::size_t p = begin; p < end; ++p) {
-      double aij = blk.values[p];
-      if constexpr (Faults::enabled) {
-        if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-      }
-      const double* xr =
-          own.x.row(static_cast<index_t>(blk.col_code[p]));
-#pragma omp simd
-      for (index_t c = 0; c < k; ++c) {
-        acc[static_cast<std::size_t>(c)] -= aij * xr[c];
-      }
-    }
-    r.write_row(i, acc.subspan(0, static_cast<std::size_t>(k)));
-  }
-}
-
-/// Batched residual on the block's boundary rows: local entries from the
-/// mirror, ghost entries as k-wide row reads through the injector (live
-/// relaxed reads, or the frozen row snapshot inside a stale window). `acc`
-/// and `ghost` are k lanes of scratch each.
-template <class Faults>
-inline void relax_boundary_batch(const BlockedCsr::Block& blk,
-                                 const CsrMatrix& a, const MultiVector& b,
-                                 const OwnBlockBatchState& own,
-                                 const SharedMultiVector& x, Faults& faults,
-                                 SharedMultiVector& r, std::span<double> acc,
-                                 std::span<double> ghost)
-    AJAC_REQUIRES_SHARED(own.owner) AJAC_REQUIRES(r.writer_role()) {
-  const index_t k = b.num_cols();
-  for (const index_t i : blk.boundary_rows) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    const double* br = b.row(i);
-#pragma omp simd
-    for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = br[c];
-    FlippedEntry flipped;
-    bool has_flip = false;
-    if constexpr (Faults::enabled) {
-      const auto row = a.row(i);
-      has_flip = faults.flip(i, row.cols, row.vals, flipped);
-    }
-    for (std::size_t p = begin; p < end; ++p) {
-      double aij = blk.values[p];
-      if constexpr (Faults::enabled) {
-        if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-      }
-      const BlockedCsr::code_t code = blk.col_code[p];
-      const double* xr;
-      if (BlockedCsr::is_ghost(code)) {
-        faults.read_row(x,
-                        blk.ghost_cols[static_cast<std::size_t>(
-                            BlockedCsr::ghost_slot(code))],
-                        ghost.subspan(0, static_cast<std::size_t>(k)));
-        xr = ghost.data();
-      } else {
-        xr = own.x.row(static_cast<index_t>(code));
-      }
-#pragma omp simd
-      for (index_t c = 0; c < k; ++c) {
-        acc[static_cast<std::size_t>(c)] -= aij * xr[c];
-      }
-    }
-    r.write_row(i, acc.subspan(0, static_cast<std::size_t>(k)));
-  }
-}
-
-/// Batched commit, ascending row order, with per-column freezing: lane c
-/// applies `x + inv_diag * r` only while active[c] != 0.0 — a column whose
-/// verified per-column stop has fired keeps riding in the SIMD lane (the
-/// blend costs nothing) but its value no longer moves, which is what makes
-/// the final column state bitwise a single-RHS solve that stopped there.
-/// The frozen lanes republish their unchanged bits through write_row: a
-/// same-bits store is invisible to every racy reader. `rrow` is k lanes of
-/// scratch.
-inline void commit_block_batch(const BlockedCsr::Block& blk,
-                               OwnBlockBatchState& own, SharedMultiVector& x,
-                               const SharedMultiVector& r,
-                               std::span<const double> active,
-                               std::span<double> rrow)
-    AJAC_REQUIRES(own.owner, x.writer_role()) {
-  const index_t k = x.num_cols();
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    r.read_row(i, rrow.subspan(0, static_cast<std::size_t>(k)));
-    double* ox = own.x.row(static_cast<index_t>(li));
-    const double inv = blk.inv_diag[li];
-#pragma omp simd
-    for (index_t c = 0; c < k; ++c) {
-      const double nx = ox[c] + inv * rrow[static_cast<std::size_t>(c)];
-      ox[c] = active[static_cast<std::size_t>(c)] != 0.0 ? nx : ox[c];
-    }
-    x.write_row(i, {ox, static_cast<std::size_t>(k)});
-  }
-}
-
-/// One sampled in-place batched relaxation of own row i: the k-lane
-/// residual is computed from the latest mirror/ghost rows (one gather,
-/// k FMAs — same amortization as relax_boundary_batch), published to r,
-/// and the correction committed immediately with the per-column freeze
-/// blend of commit_block_batch. Frozen lanes keep their bits, so a
-/// column's final state stays policy-schedule-only — which draws happened
-/// — never perturbed by the other columns' lifetimes.
-template <class Faults>
-inline void relax_row_sampled_batch(
-    const BlockedCsr::Block& blk, const CsrMatrix& a, const MultiVector& b,
-    OwnBlockBatchState& own, SharedMultiVector& x, Faults& faults,
-    SharedMultiVector& r, std::span<const double> active,
-    std::span<double> acc, std::span<double> ghost, index_t i)
-    AJAC_REQUIRES(own.owner, x.writer_role(), r.writer_role()) {
-  const index_t k = b.num_cols();
-  const auto li = static_cast<std::size_t>(i - blk.lo);
-  const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-  const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-  const double* br = b.row(i);
-#pragma omp simd
-  for (index_t c = 0; c < k; ++c) acc[static_cast<std::size_t>(c)] = br[c];
-  FlippedEntry flipped;
-  bool has_flip = false;
-  if constexpr (Faults::enabled) {
-    const auto row = a.row(i);
-    has_flip = faults.flip(i, row.cols, row.vals, flipped);
-  }
-  for (std::size_t p = begin; p < end; ++p) {
-    double aij = blk.values[p];
-    if constexpr (Faults::enabled) {
-      if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-    }
-    const BlockedCsr::code_t code = blk.col_code[p];
-    const double* xr;
-    if (BlockedCsr::is_ghost(code)) {
-      faults.read_row(x,
-                      blk.ghost_cols[static_cast<std::size_t>(
-                          BlockedCsr::ghost_slot(code))],
-                      ghost.subspan(0, static_cast<std::size_t>(k)));
-      xr = ghost.data();
-    } else {
-      xr = own.x.row(static_cast<index_t>(code));
-    }
-#pragma omp simd
-    for (index_t c = 0; c < k; ++c) {
-      acc[static_cast<std::size_t>(c)] -= aij * xr[c];
-    }
-  }
-  r.write_row(i, acc.subspan(0, static_cast<std::size_t>(k)));
-  double* ox = own.x.row(static_cast<index_t>(li));
-  const double inv = blk.inv_diag[li];
-#pragma omp simd
-  for (index_t c = 0; c < k; ++c) {
-    const double nx = ox[c] + inv * acc[static_cast<std::size_t>(c)];
-    ox[c] = active[static_cast<std::size_t>(c)] != 0.0 ? nx : ox[c];
-  }
-  x.write_row(i, {ox, static_cast<std::size_t>(k)});
 }
 
 }  // namespace ajac::runtime

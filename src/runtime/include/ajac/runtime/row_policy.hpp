@@ -6,8 +6,8 @@
 // (arXiv:1304.6475) prove convergence rates for uniform-random row
 // selection, and residual-weighted sampling relaxes the "hottest" rows
 // (largest |r_i|) more often. Both are implemented here as per-worker
-// samplers that the shared runtime (solve_shared / solve_shared_batch)
-// and the distributed simulator plug into their relaxation loops.
+// samplers that the shared runtime (solve_shared) and the distributed
+// simulator plug into their relaxation loops.
 //
 // Determinism discipline mirrors fault::FaultClock: every draw is a pure
 // hash of (seed, stream, worker, iteration, slot) — no stateful RNG, no
@@ -15,13 +15,13 @@
 // independent of thread interleaving, and replayable through the Φ(l)
 // propagation model. Policy draws and fault decisions must never perturb
 // each other, so PolicyClock salts its seed: at equal user seeds the two
-// clocks hash into unrelated streams (the k=1/scalar fault-determinism
-// contracts rely on this; see tests/runtime/policy_determinism_test.cpp).
+// clocks hash into unrelated streams (the fault-determinism contracts rely
+// on this; see tests/runtime/policy_determinism_test.cpp).
 //
 // The weighted sampler never reads the live residual per draw. Every
 // `weight_refresh` local iterations, at the iteration boundary, the runtime
 // recomputes the *true* own-row residuals from a racy-but-consistent-enough
-// snapshot of x (SharedVector::read_snapshot / SharedMultiVector::read_row),
+// snapshot of x (SharedVector::read_snapshot),
 // smooths them through the row stencil — w_i = (|A| |r|)_i restricted to
 // the own block — and rebuilds a prefix sum over the smoothed weights,
 // clamped and mixed with a uniform floor (see kWeightCap / kUniformMix);

@@ -58,8 +58,8 @@ enum class KernelKind {
   /// refreshed once per local iteration instead of per-entry shared reads.
   /// Bitwise-equivalent to kBlocked whenever the reads see the same values
   /// (num_threads=1, or synchronous mode). Not composable with
-  /// record_trace, local_gauss_seidel, sampled row policies, fault plans,
-  /// or the batch path (checked).
+  /// record_trace, local_gauss_seidel, sampled row policies or fault plans
+  /// (checked).
   kSellCS,
 };
 
@@ -179,39 +179,39 @@ struct SharedResult {
                                         const Vector& x0,
                                         const SharedOptions& opts);
 
-/// Result of a batched (multi-RHS) shared-memory solve. Everything that was
-/// a scalar per run in SharedResult becomes one entry per column; the
-/// columns are independent systems sharing one matrix traversal.
+/// Result of a multi-RHS shared-memory solve: each column's SharedResult
+/// fields, one entry per column.
 struct SharedBatchResult {
   MultiVector x;                      ///< n x k solution batch
-  double seconds = 0.0;               ///< total wall-clock
+  double seconds = 0.0;               ///< summed over the column solves
   std::vector<bool> converged;        ///< per column, final serial check
   Vector final_rel_residual_1;        ///< per column, computed serially
-  std::vector<index_t> stop_iteration;  ///< per column: verified-stop iteration
+  /// Per column: the solve's max local iteration count (the verified-stop
+  /// or cap iteration, as ajac::solve reports `iterations`).
+  std::vector<index_t> stop_iteration;
   std::vector<index_t> polish_sweeps;   ///< per column (see final_polish)
-  /// Per column: row relaxations performed while the column was still
-  /// converging (frozen lanes keep riding in the SIMD unit but no longer
-  /// count as useful work).
+  /// Per column: the solve's total_relaxations.
   std::vector<index_t> relaxations_per_column;
   index_t total_relaxations = 0;      ///< sum of relaxations_per_column
+  /// Per thread, local iterations summed over the column solves.
   std::vector<index_t> iterations_per_thread;
-  /// Injected faults in canonical order (empty without a plan); decisions
-  /// use the same (seed, thread, iteration, row) FaultClock coordinates as
-  /// the single-RHS path, one decision per row applied to all k lanes.
+  /// The column solves' injected faults, in canonical order (empty without
+  /// a plan). Every column runs the same plan, so its decisions repeat per
+  /// column at the same (seed, thread, iteration, row) coordinates.
   fault::FaultLog fault_events;
 };
 
-/// Run shared-memory Jacobi on k right-hand sides at once (b and x0 are
-/// n x k; column c of the result solves A x = b(:,c) from x0(:,c)). The
-/// batch shares every CSR gather across the k columns and keeps per-column
-/// convergence state: a column whose verified stop has fired is frozen
-/// (excluded from flags, commits, and the residual check) while the other
-/// columns keep iterating. In synchronous mode, and asynchronously at one
-/// thread, each column is bitwise identical to the corresponding single-RHS
-/// solve_shared run.
+/// Solve A x = b(:,c) from x0(:,c) for each column c of the n x k b and x0:
+/// one solve_shared per column, in column order, under `opts`. Column c of
+/// the result is the single-RHS solve of column c, so it is bitwise that
+/// solve's result wherever solve_shared is deterministic. A fused k-lane
+/// driver that shared each matrix traversal across the columns was
+/// measured slower per right-hand side than this loop and was removed
+/// (DESIGN.md §2c). The metrics registry and telemetry hub see one run per
+/// column; after the call the registry holds the last column's.
 ///
-/// Unsupported on the batch path (checked): record_trace, record_history,
-/// and local_gauss_seidel.
+/// Unsupported (checked): record_trace and record_history, for which the
+/// result has no field.
 [[nodiscard]] SharedBatchResult solve_shared_batch(const CsrMatrix& a,
                                                    const MultiVector& b,
                                                    const MultiVector& x0,

@@ -47,9 +47,7 @@
 // boundary at a multiple of 8 rows (all equal-block partitions of the
 // power-of-two bench problems) shares no lines at all; for odd-sized
 // blocks at most the single straddling line is shared, never an
-// accidental extra one from a misaligned base. SharedMultiVector gives
-// the stronger guarantee — its padded lead makes every row a whole number
-// of lines, so block boundaries (always row-granular) never share a line.
+// accidental extra one from a misaligned base.
 
 #include <atomic>
 #include <cstdint>

@@ -1,6 +1,8 @@
 #pragma once
-// The termination protocol of solve_shared, solve_shared_batch (one column
-// per right-hand side; the scalar solvers are k = 1) and solve_mesh.
+// The termination protocol of solve_shared and solve_mesh. Both run one
+// column; the column axis (per-(actor, column) flags and latches, a global
+// stop once every column latched) is exercised only by
+// tests/runtime/terminator_test.cpp.
 //
 // The paper's flag array (Sec. V) rests on racy residual norms, so here
 // all flags up only triggers verification. The racy norm is aggregated in
@@ -287,11 +289,11 @@ struct PolishOutcome {
   bool converged = false;       ///< tol > 0 and rel_residual_1 <= tol
 };
 
-/// Post-join epilogue (per column in batch): the serial relative residual
-/// of x, then, if `polish` and it misses `tol`, serial Jacobi sweeps on x
-/// until it holds or `cap` sweeps ran. An actor descheduled across the
-/// verified stop may have committed a stale update; x is near the fixed
-/// point, so a few sweeps repair it.
+/// Post-join epilogue: the serial relative residual of x, then, if
+/// `polish` and it misses `tol`, serial Jacobi sweeps on x until it holds
+/// or `cap` sweeps ran. An actor descheduled across the verified stop may
+/// have committed a stale update; x is near the fixed point, so a few
+/// sweeps repair it.
 ///
 /// `r` must hold b - A x on entry (a caller may compute it actor-parallel)
 /// and holds the residual of the returned x on exit. An empty `inv_diag`

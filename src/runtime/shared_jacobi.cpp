@@ -32,9 +32,8 @@ namespace ajac::runtime {
 namespace {
 
 // The fault contexts (NullFaults/ActiveFaults), the metrics recorder and
-// the telemetry publisher live in solve_hooks.hpp, shared with the batched
-// solver translation unit (shared_batch.cpp).
-using ActiveFaults = detail::ActiveFaults<SharedVector>;
+// the telemetry publisher live in solve_hooks.hpp.
+using detail::ActiveFaults;
 using detail::MetricsRecorder;
 using detail::NullFaults;
 using detail::StreamPublisher;
@@ -682,6 +681,53 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   }
   return dispatch_kernel<NullFaults>(a, b, x0, opts, part, nullptr, blocked,
                                      sell);
+}
+
+SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,
+                                     const MultiVector& x0,
+                                     const SharedOptions& opts) {
+  const index_t n = a.num_rows();
+  const index_t k = b.num_cols();
+  AJAC_CHECK(b.num_rows() == n && x0.num_rows() == n);
+  AJAC_CHECK(k >= 1);
+  AJAC_CHECK_MSG(x0.num_cols() == k,
+                 "b and x0 must carry the same number of columns");
+  AJAC_CHECK_MSG(!opts.record_trace,
+                 "read-version traces are single-RHS only (use solve_shared "
+                 "for Sec. IV trace runs)");
+  AJAC_CHECK_MSG(!opts.record_history,
+                 "per-thread residual histories are single-RHS only; batch "
+                 "runs report per-column results instead");
+  // Checked up front so a rejected plan names this entry point, not the
+  // first column's solve_shared.
+  if (opts.fault_plan && !opts.fault_plan->empty()) {
+    fault::require_honoured(*opts.fault_plan, "solve_shared_batch",
+                            {.bit_flips = true});
+  }
+
+  SharedBatchResult result;
+  result.x = MultiVector(n, k);
+  for (index_t c = 0; c < k; ++c) {
+    const SharedResult col = solve_shared(a, b.column(c), x0.column(c), opts);
+    result.x.set_column(c, col.x);
+    result.converged.push_back(col.converged);
+    result.final_rel_residual_1.push_back(col.final_rel_residual_1);
+    result.polish_sweeps.push_back(col.polish_sweeps);
+    result.stop_iteration.push_back(*std::max_element(
+        col.iterations_per_thread.begin(), col.iterations_per_thread.end()));
+    result.relaxations_per_column.push_back(col.total_relaxations);
+    result.seconds += col.seconds;
+    result.total_relaxations += col.total_relaxations;
+    result.iterations_per_thread.resize(col.iterations_per_thread.size());
+    for (std::size_t t = 0; t < col.iterations_per_thread.size(); ++t) {
+      result.iterations_per_thread[t] += col.iterations_per_thread[t];
+    }
+    result.fault_events.insert(result.fault_events.end(),
+                               col.fault_events.begin(),
+                               col.fault_events.end());
+  }
+  fault::canonicalize(result.fault_events);
+  return result;
 }
 
 }  // namespace ajac::runtime

@@ -1,8 +1,7 @@
 #pragma once
-// Internal fault / metrics / telemetry hook contexts shared by the
-// single-RHS solver (shared_jacobi.cpp) and the batched solver
-// (shared_batch.cpp). Not installed: this header lives next to the two
-// translation units that include it and is not part of the public
+// Internal fault / metrics / telemetry hook contexts of the shared-memory
+// solver (shared_jacobi.cpp). Not installed: this header lives next to the
+// translation unit that includes it and is not part of the public
 // ajac/runtime interface.
 //
 // Two kinds of hook. The fault context is a compile-time axis, because its
@@ -15,18 +14,14 @@
 // from a possibly-null sink whose hooks return at once when nothing is
 // attached: they cost a predictable branch, not an instantiation.
 //
-// The fault pair serves both solvers: ActiveFaults<SharedVector> and
-// ActiveFaults<SharedMultiVector> are payload adapters over one
-// fault::ActorFaults schedule, which keys every decision on (seed, thread,
-// iteration[, row]). A fault decision on the batch path is therefore ONE
-// decision per row per iteration applied to all k lanes: determinism does
-// not depend on k.
+// ActiveFaults is a payload adapter over one fault::ActorFaults schedule,
+// which keys every decision on (seed, thread, iteration[, row]), so a
+// plan's decisions do not depend on anything but those coordinates.
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,10 +30,8 @@
 #include "ajac/obs/metrics.hpp"
 #include "ajac/obs/stream.hpp"
 #include "ajac/runtime/blocked_kernels.hpp"
-#include "ajac/runtime/shared_multi_vector.hpp"
 #include "ajac/runtime/shared_vector.hpp"
 #include "ajac/sparse/csr.hpp"
-#include "ajac/sparse/multi_vector.hpp"
 #include "ajac/sparse/types.hpp"
 #include "ajac/util/check.hpp"
 #include "ajac/util/timer.hpp"
@@ -52,10 +45,9 @@ namespace ajac::runtime::detail {
 struct NullFaults {
   static constexpr bool enabled = false;
 
-  template <class Initial, class X>
-  NullFaults(const CsrMatrix& /*a*/, const Initial& /*x0*/,
+  NullFaults(const CsrMatrix& /*a*/, const Vector& /*x0*/,
              const fault::FaultPlan* /*plan*/, index_t /*thread*/,
-             index_t /*lo*/, index_t /*hi*/, X& /*x*/) {}
+             index_t /*lo*/, index_t /*hi*/, SharedVector& /*x*/) {}
 
   void begin_iteration(index_t /*iter*/) {}
   [[nodiscard]] bool consume_state_reset() { return false; }
@@ -70,32 +62,21 @@ struct NullFaults {
       const SharedVector& x, index_t j, std::uint64_t* retries) const {
     return x.read_versioned(j, retries);
   }
-  void read_row(const SharedMultiVector& x, index_t j,
-                std::span<double> out) const {
-    x.read_row(j, out);
-  }
   [[nodiscard]] fault::FaultLog take_log() { return {}; }
 };
 
-/// Per-thread payload adapter over this thread's fault::ActorFaults, for
-/// the single-RHS solver (X = SharedVector: scalar reads) and the batch
-/// solver (X = SharedMultiVector: k-wide row reads). The schedule makes
-/// every decision; the adapter applies it to x. It spins for the stall,
-/// rewrites the own rows [lo, hi) from x0 on a state reset, and inside a
-/// stale window serves the off-block columns from a snapshot frozen at
-/// window entry. A bit flip corrupts one a_ij, which on the batch path
-/// feeds all k lanes of that row's relaxation.
-template <class X>
+/// Per-thread payload adapter over this thread's fault::ActorFaults. The
+/// schedule makes every decision; the adapter applies it to x. It spins
+/// for the stall, rewrites the own rows [lo, hi) from x0 on a state reset,
+/// and inside a stale window serves the off-block columns from a snapshot
+/// frozen at window entry. A bit flip corrupts one a_ij of the row.
 class ActiveFaults {
-  static constexpr bool kRows = std::is_same_v<X, SharedMultiVector>;
-  using Initial = std::conditional_t<kRows, MultiVector, Vector>;
-
  public:
   static constexpr bool enabled = true;
 
-  ActiveFaults(const CsrMatrix& a, const Initial& x0,
+  ActiveFaults(const CsrMatrix& a, const Vector& x0,
                const fault::FaultPlan* plan, index_t thread, index_t lo,
-               index_t hi, X& x)
+               index_t hi, SharedVector& x)
       : schedule_(*plan, thread), x0_(&x0), x_(&x), lo_(lo), hi_(hi) {
     if (!schedule_.has_stale_reads()) return;
     // The off-block columns this thread's rows read — the "ghost layer" a
@@ -109,8 +90,8 @@ class ActiveFaults {
     std::sort(ghost_cols_.begin(), ghost_cols_.end());
     ghost_cols_.erase(std::unique(ghost_cols_.begin(), ghost_cols_.end()),
                       ghost_cols_.end());
-    ghost_values_.resize(ghost_cols_.size() * width());
-    if constexpr (!kRows) ghost_versions_.assign(ghost_cols_.size(), 0);
+    ghost_values_.resize(ghost_cols_.size());
+    ghost_versions_.assign(ghost_cols_.size(), 0);
   }
 
   /// Apply the schedule's decisions for the top of local iteration `iter`.
@@ -122,13 +103,7 @@ class ActiveFaults {
       // This adapter belongs to the thread owning rows [lo_, hi_), so the
       // sole-writer role on x holds here by the partition contract.
       x_->writer_role().assert_held();
-      for (index_t i = lo_; i < hi_; ++i) {
-        if constexpr (kRows) {
-          x_->write_row(i, {x0_->row(i), width()});
-        } else {
-          x_->write(i, (*x0_)[i]);
-        }
-      }
+      for (index_t i = lo_; i < hi_; ++i) x_->write(i, (*x0_)[i]);
       // The write went behind any thread-private mirror of the own rows;
       // the blocked kernel path polls consume_state_reset() and reloads.
       state_reset_ = true;
@@ -170,17 +145,6 @@ class ActiveFaults {
     return x.read_versioned(j, retries);
   }
 
-  void read_row(const SharedMultiVector& x, index_t j,
-                std::span<double> out) const {
-    if (frozen(j)) {
-      std::copy_n(ghost_values_.begin() +
-                      static_cast<std::ptrdiff_t>(ghost_slot(j) * width()),
-                  width(), out.begin());
-      return;
-    }
-    x.read_row(j, out);
-  }
-
   /// The metrics layer diffs these per iteration (see MetricsRecorder).
   [[nodiscard]] const fault::FaultLog& log() const { return schedule_.log(); }
   [[nodiscard]] double stalled_us() const { return schedule_.stalled_us(); }
@@ -188,14 +152,6 @@ class ActiveFaults {
   [[nodiscard]] fault::FaultLog take_log() { return schedule_.take_log(); }
 
  private:
-  [[nodiscard]] std::size_t width() const {
-    if constexpr (kRows) {
-      return static_cast<std::size_t>(x_->num_cols());
-    } else {
-      return 1;
-    }
-  }
-
   [[nodiscard]] bool frozen(index_t j) const {
     return stale_on_ && (j < lo_ || j >= hi_);
   }
@@ -209,10 +165,7 @@ class ActiveFaults {
 
   void freeze_ghosts() {
     for (std::size_t g = 0; g < ghost_cols_.size(); ++g) {
-      if constexpr (kRows) {
-        x_->read_row(ghost_cols_[g],
-                     {ghost_values_.data() + g * width(), width()});
-      } else if (x_->traced()) {
+      if (x_->traced()) {
         const auto [value, version] = x_->read_versioned(ghost_cols_[g]);
         ghost_values_[g] = value;
         ghost_versions_[g] = version;
@@ -223,8 +176,8 @@ class ActiveFaults {
   }
 
   fault::ActorFaults schedule_;
-  const Initial* x0_;
-  X* x_;
+  const Vector* x0_;
+  SharedVector* x_;
   index_t lo_;
   index_t hi_;
   index_t iter_ = 0;
@@ -232,8 +185,8 @@ class ActiveFaults {
   bool state_reset_ = false;
 
   std::vector<index_t> ghost_cols_;  ///< sorted off-block columns
-  std::vector<double> ghost_values_;  ///< ghosts x width, row-major
-  std::vector<index_t> ghost_versions_;  ///< scalar traced runs only
+  std::vector<double> ghost_values_;  ///< frozen value per ghost column
+  std::vector<index_t> ghost_versions_;  ///< its version (traced runs)
 };
 
 [[nodiscard]] inline obs::TraceKind fault_trace_kind(fault::FaultKind k) {
@@ -376,20 +329,6 @@ class MetricsRecorder {
     slot_->record(obs::Hist::kIterationUs,
                   static_cast<std::uint64_t>(t1_us - t0_us_));
     slot_->span(obs::TraceKind::kIteration, t0_us_, t1_us, iter);
-  }
-
-  /// Batch path, once per local iteration: rows relaxed x lanes still
-  /// converging (kLaneRelaxations — every lane is computed regardless, but
-  /// only active lanes are useful work) and the occupancy sample for the
-  /// batch-efficiency histogram.
-  void batch_iteration(index_t rows, index_t active_cols) {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    slot_->add(obs::Counter::kLaneRelaxations,
-               static_cast<std::uint64_t>(rows) *
-                   static_cast<std::uint64_t>(active_cols));
-    slot_->record(obs::Hist::kBatchOccupancy,
-                  static_cast<std::uint64_t>(active_cols));
   }
 
   void flag_update(bool my_done, index_t iter) {

@@ -12,10 +12,7 @@
 // partitions the solver defaults to then share no lines at all whenever
 // the per-block element count works out to a line multiple (e.g. the
 // 256x256 FD benchmarks at 2..16 threads), and at worst one line per
-// boundary is shared. SharedMultiVector goes further: its padded lead
-// dimension makes every *row* a whole number of lines, so block
-// boundaries (always row-granular) never share a line regardless of the
-// partition.
+// boundary is shared.
 
 #include <cstddef>
 #include <new>

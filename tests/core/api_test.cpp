@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "ajac/gen/fd.hpp"
 #include "ajac/sparse/multi_vector.hpp"
 #include "ajac/sparse/vector_ops.hpp"
@@ -104,6 +107,48 @@ TEST(Api, SolveSpdBatchRejectsShortRightHandSide) {
   SolveConfig cfg;
   cfg.num_rhs = 2;
   EXPECT_THROW((void)solve_spd_batch(a, b, cfg), std::logic_error);
+}
+
+TEST(Api, SolveBatchColumnsMatchSingleSolves) {
+  // Synchronous runs are deterministic, so each column of solve_batch must
+  // be solve() on that column, field by field and bit for bit.
+  const CsrMatrix a = gen::fd_laplacian_2d(12, 12);
+  const index_t n = a.num_rows();
+  constexpr index_t kCols = 3;
+  MultiVector b(n, kCols);
+  MultiVector x0(n, kCols);
+  Rng rng(31);
+  for (index_t c = 0; c < kCols; ++c) {
+    for (index_t i = 0; i < n; ++i) b(i, c) = rng.uniform(-1.0, 1.0);
+    for (index_t i = 0; i < n; ++i) x0(i, c) = rng.uniform(-1.0, 1.0);
+  }
+  SolveConfig cfg;
+  cfg.backend = Backend::kSharedMemory;
+  cfg.synchronous = true;
+  cfg.parallelism = 3;
+  cfg.tolerance = 1e-8;
+  cfg.max_iterations = 40000;
+  SolveConfig batch_cfg = cfg;
+  batch_cfg.num_rhs = kCols;
+
+  const BatchSolution batch = solve_batch(a, b, x0, batch_cfg);
+  ASSERT_EQ(batch.x.num_cols(), kCols);
+  for (index_t c = 0; c < kCols; ++c) {
+    SCOPED_TRACE(::testing::Message() << "column " << c);
+    const auto col = static_cast<std::size_t>(c);
+    const Solution single = solve(a, b.column(c), x0.column(c), cfg);
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batch.x(i, c)),
+                std::bit_cast<std::uint64_t>(
+                    single.x[static_cast<std::size_t>(i)]))
+          << "row " << i;
+    }
+    EXPECT_EQ(batch.converged[col], single.converged);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.rel_residual_1[col]),
+              std::bit_cast<std::uint64_t>(single.rel_residual_1));
+    EXPECT_EQ(batch.iterations[col], single.iterations);
+    EXPECT_EQ(batch.relaxations[col], single.relaxations);
+  }
 }
 
 }  // namespace

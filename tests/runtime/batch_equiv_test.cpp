@@ -210,16 +210,6 @@ TEST(BatchEquiv, MetricsRegistryDoesNotPerturbResults) {
   for (index_t c = 0; c < p.b.num_cols(); ++c) {
     expect_column_bitwise(instrumented.x, c, column_of(plain.x, c));
   }
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  const auto lanes = snap.totals[static_cast<std::size_t>(
-      obs::Counter::kLaneRelaxations)];
-  const auto rows = snap.totals[static_cast<std::size_t>(
-      obs::Counter::kRelaxations)];
-  // Every iteration relaxes all rows across however many columns were
-  // still active, so lane relaxations are bounded by rows * k and at
-  // least rows (no iteration runs with zero active columns).
-  EXPECT_GE(lanes, rows);
-  EXPECT_LE(lanes, rows * static_cast<std::uint64_t>(p.b.num_cols()));
 }
 
 TEST(BatchEquiv, MalformedPartitionThrows) {

@@ -132,8 +132,8 @@ from the runtime layer instead of declaring it locally.""",
     "seqlock-protocol": """\
 The seqlock sequence counters (identifiers containing `seq`) may only be
 loaded or stored inside the protocol headers:
-ajac/runtime/shared_vector.hpp, ajac/runtime/shared_multi_vector.hpp and
-ajac/obs/event_ring.hpp (the telemetry ring's per-slot seqlock).
+ajac/runtime/shared_vector.hpp and ajac/obs/event_ring.hpp (the
+telemetry ring's per-slot seqlock).
 The seqlock's correctness is a whole-protocol property — the odd/even
 discipline, the acquire/release pairing, the single-writer invariant —
 and a counter access outside the protocol methods can break it in ways
@@ -194,7 +194,6 @@ ATOMIC_ALLOWED_PREFIXES = (
 ATOMIC_ALLOWED_FILES = ("src/util/include/ajac/util/annotate.hpp",)
 SEQLOCK_ALLOWED_FILES = (
     "src/runtime/include/ajac/runtime/shared_vector.hpp",
-    "src/runtime/include/ajac/runtime/shared_multi_vector.hpp",
     "src/obs/include/ajac/obs/event_ring.hpp",
 )
 OMP_ALLOWED_PREFIXES = ("src/runtime/", "bench/")

@@ -7,18 +7,14 @@ and compares each metrics-enabled solve against its disabled twin:
     BM_SolveSharedAsync/32/real_time         (metrics == nullptr)
     BM_SolveSharedAsyncMetrics/32/real_time  (live MetricsRegistry)
 
-    BM_SolveSharedBatchMetricsOff/real_time  (k=8 batch, metrics == nullptr)
-    BM_SolveSharedBatchMetrics/real_time     (k=8 batch, live registry)
-
     BM_SolveSharedAsync/32/real_time           (stream == nullptr)
     BM_SolveSharedAsyncStreaming/32/real_time  (live TelemetryHub + monitor)
 
 Each instrumented run may be at most --max-overhead-pct slower in
 items_per_second (default 5, the CI budget; the ISSUE acceptance bound for
 a null registry is 2 — pass --max-overhead-pct 2 against a pair of runs
-that both use metrics == nullptr to check that claim). The batch pair is
-checked only when present in the report, so the gate still works on older
-baselines. Throughput is the median over --benchmark_repetitions (see
+that both use metrics == nullptr to check that claim). Throughput is the
+median over --benchmark_repetitions (see
 check_kernel_speedup.py for why median, not mean). Exit status: 0 ok,
 1 over budget or benchmarks missing, 2 bad input.
 
@@ -32,11 +28,9 @@ import sys
 
 PAIRS = [
     ("scalar", "BM_SolveSharedAsync/32/real_time",
-     "BM_SolveSharedAsyncMetrics/32/real_time", True),
-    ("batch k=8", "BM_SolveSharedBatchMetricsOff/real_time",
-     "BM_SolveSharedBatchMetrics/real_time", False),
+     "BM_SolveSharedAsyncMetrics/32/real_time"),
     ("scalar streaming", "BM_SolveSharedAsync/32/real_time",
-     "BM_SolveSharedAsyncStreaming/32/real_time", True),
+     "BM_SolveSharedAsyncStreaming/32/real_time"),
 ]
 
 
@@ -78,15 +72,11 @@ def main() -> int:
         return 2
 
     status = 0
-    for label, baseline, instrumented, required in PAIRS:
+    for label, baseline, instrumented in PAIRS:
         try:
             base = items_per_second(report, baseline)
             inst = items_per_second(report, instrumented)
         except KeyError as e:
-            if not required:
-                print(f"check_metrics_overhead: {label} pair absent "
-                      f"({e} not in report), skipping")
-                continue
             print(f"check_metrics_overhead: benchmark {e} missing from "
                   f"report (run bench_kernels without a filter excluding "
                   f"SolveShared)", file=sys.stderr)

@@ -18,10 +18,10 @@
 #                    an explicit validation throw, as in the IO parsers).
 #   fault-decisions  `duty_active(` and `FaultClock::kBitFlip*` appear only
 #                    under src/fault/ and src/distsim/ (tests may check the
-#                    schedule against them). The shared, batch and mesh
-#                    runtimes take every fault decision from one per-actor
-#                    schedule (fault::ActorFaults), so no runtime grows its
-#                    own injector again. distsim is exempt because its
+#                    schedule against them). The shared and mesh runtimes
+#                    take every fault decision from one per-actor schedule
+#                    (fault::ActorFaults), so no runtime grows its own
+#                    injector again. distsim is exempt because its
 #                    stragglers and stale windows act in simulated time.
 #
 # The auditor carries the concurrency-contract rules (racy-ok tags on
@@ -106,7 +106,6 @@ fi
 # entry-point TU.
 ENTRY_POINTS=(
   src/runtime/shared_jacobi.cpp
-  src/runtime/shared_batch.cpp
   src/solvers/stationary.cpp
   src/solvers/krylov.cpp
   src/distsim/dist_jacobi.cpp
