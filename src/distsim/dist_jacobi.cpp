@@ -324,9 +324,7 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
   obs::TelemetryHub* const stream = opts.stream;
   index_t stream_stride = 1;
   if (stream != nullptr) {
-    stream->begin_run(num_procs, "rank", opts.tolerance,
-                      obs::ResidualConvention::kOwnBlockSum,
-                      /*sim_time=*/true);
+    stream->begin_run(num_procs, "rank", opts.tolerance, /*sim_time=*/true);
     stream_stride = std::max<index_t>(1, stream->options().beacon_stride);
   }
 

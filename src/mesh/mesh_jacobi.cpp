@@ -199,7 +199,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
     if (row >= 0 && (bad < 0 || row < bad)) bad = row;
   }
   AJAC_CHECK_MSG(bad < 0, "zero diagonal at row " << bad);
-  runtime::Terminator term(na, {vec::norm1(resid)}, opts.tolerance,
+  runtime::Terminator term(na, vec::norm1(resid), opts.tolerance,
                            opts.max_iterations);
 
   // One SPSC ring per directed edge, sized to the edge's boundary width.
@@ -362,7 +362,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
 
     // This agent's share of a verification round (terminator.hpp): the
     // fresh residual 1-norm of the rows it counts, read from the x board.
-    const auto own_fresh = [&](index_t) {
+    const auto own_fresh = [&] {
       double norm = 0.0;
       for (std::size_t k = 0; k < blk.rows.size(); ++k) {
         if (!counts(t, k)) continue;
@@ -444,7 +444,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
           }
         }
       }
-      term.publish_partial(t, 0, partial);
+      term.publish_partial(t, partial);
 
       // Step 2: commit the staged updates, mirror them to the x board,
       // and ship the new boundary values.
@@ -477,7 +477,7 @@ MeshResult solve_mesh_impl(const CsrMatrix& a, const Vector& b,
       if (opts.record_history) {
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
-      const bool my_done = term.flag(t, iter, 0, rel);
+      const bool my_done = term.flag(t, iter, rel);
       metrics.flag_update(my_done);
 
       if constexpr (Sync) gate->arrive_and_wait();

@@ -5,8 +5,8 @@
 // publishing into them (the rings' drop-oldest protocol never blocks a
 // producer) — and maintains online estimates of the solve's trajectory:
 //
-//  - global relative residual, composed from the latest own-block beacon
-//    of every actor per the run's ResidualConvention;
+//  - global relative residual: the latest own-block beacon of every
+//    actor, summed over actors and divided by the run's residual_scale;
 //  - residual-decay rate rho-hat via windowed log-linear regression of
 //    ln(rel residual) against the cross-actor iteration frontier (the
 //    minimum local iteration count over actors: the number of completed

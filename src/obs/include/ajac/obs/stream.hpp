@@ -44,22 +44,16 @@ struct TelemetryOptions {
   index_t max_actors = 64;
 };
 
-/// How a run's beacons compose into a global residual estimate.
-enum class ResidualConvention : std::uint8_t {
-  /// own_residual_1 values are absolute own-block 1-norms over a row
-  /// partition: global ||r||_1 = sum over actors, relative to
-  /// residual_scale. The shared solver and distsim use this.
-  kOwnBlockSum,
-};
-
 /// Per-run metadata, set by the solver before its workers fork.
 struct TelemetryRunInfo {
   std::uint64_t generation = 0;  ///< bumped by every begin_run()
   index_t num_actors = 0;
   std::string actor_kind;      ///< "thread" | "rank"
-  double residual_scale = 1.0; ///< initial residual norm (kOwnBlockSum)
+  /// Initial residual norm: beacons carry absolute own-block 1-norms over
+  /// a row partition, so the global relative residual is their sum over
+  /// actors divided by this.
+  double residual_scale = 1.0;
   double tolerance = 0.0;      ///< solver's relative tolerance (0 = none)
-  ResidualConvention convention = ResidualConvention::kOwnBlockSum;
   bool sim_time = false;       ///< beacons carry simulated us, not wall us
 };
 
@@ -79,10 +73,9 @@ class TelemetryHub {
   /// the solver entry point, single-threaded, before any beacon of the
   /// run is published. num_actors must not exceed options().max_actors.
   void begin_run(index_t num_actors, std::string_view actor_kind,
-                 double tolerance, ResidualConvention convention,
-                 bool sim_time);
+                 double tolerance, bool sim_time);
 
-  /// Record the run's initial residual norm (kOwnBlockSum denominator).
+  /// Record the run's initial residual norm (the residual_scale).
   /// Single-threaded setup, after begin_run and before the fork.
   void set_residual_scale(double scale);
 

@@ -32,8 +32,7 @@ const EventRing& TelemetryHub::ring(index_t actor) const {
 }
 
 void TelemetryHub::begin_run(index_t num_actors, std::string_view actor_kind,
-                             double tolerance,
-                             ResidualConvention convention, bool sim_time) {
+                             double tolerance, bool sim_time) {
   AJAC_CHECK_MSG(num_actors >= 1 && num_actors <= opts_.max_actors,
                  "telemetry hub sized for " << opts_.max_actors
                                             << " actors, run needs "
@@ -44,7 +43,6 @@ void TelemetryHub::begin_run(index_t num_actors, std::string_view actor_kind,
   run_.actor_kind.assign(actor_kind.begin(), actor_kind.end());
   run_.residual_scale = 1.0;
   run_.tolerance = tolerance;
-  run_.convention = convention;
   run_.sim_time = sim_time;
 }
 

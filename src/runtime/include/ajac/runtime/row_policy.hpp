@@ -28,9 +28,9 @@
 // between refreshes the weights are frozen. Each ingredient is
 // load-bearing:
 //
-//  * TRUE residuals, not the published r: r holds each row's *pre-update*
-//    residual from its last relaxation, which under repeated in-place
-//    draws is stale in exactly the way that misleads the sampler.
+//  * TRUE residuals, not the thread's local_r: local_r holds each row's
+//    *pre-update* residual from its last relaxation, which under repeated
+//    in-place draws is stale in exactly the way that misleads the sampler.
 //  * Stencil smoothing: a snapshot taken right after a row was relaxed
 //    shows it at ~0, but relaxing its neighbors regrows it within a few
 //    draws — weights frozen on the raw snapshot spend the whole window

@@ -2,16 +2,23 @@
 // Shared-memory synchronous/asynchronous Jacobi (paper Sec. V).
 //
 // Each OpenMP thread owns a contiguous block of rows and repeats
-//   1. compute the residual r = b - A x on its rows (reading shared x),
+//   1. compute the residual r = b - A x on its rows (reading shared x)
+//      into thread-private storage and publish its 1-norm (the partial),
 //   2. correct x = x + D^{-1} r on its rows,
 //   3. check convergence,
 // with barriers after 1 and 3 in the synchronous variant and no barriers
-// in the asynchronous one. x and r live in shared arrays of
-// std::atomic<double> accessed with relaxed ordering — the C++-legal form
-// of the paper's "writing or reading an aligned double is atomic on modern
-// Intel processors". Termination uses the paper's flag array: a thread
-// raises its flag when its stopping criterion holds and keeps relaxing
-// until every flag is up.
+// in the asynchronous one. x is the only shared array: a SharedVector of
+// plain doubles read and written through relaxed std::atomic_ref — the
+// C++-legal form of the paper's "writing or reading an aligned double is
+// atomic on modern Intel processors". On the blocked Jacobi path a thread
+// relaxes from a private mirror of its rows and publishes to x only the
+// rows other blocks read (DESIGN.md §2b). Termination is the paper's flag
+// array hardened by runtime::Terminator: a thread raises its flag when the
+// racy norm (the threads' published partial norms, summed) meets the
+// tolerance, all flags up opens a verification round in which every thread
+// adds the fresh residual norm of its own rows, and the solve stops only
+// when a completed round meets the tolerance or every thread is at the
+// cap (DESIGN.md §2e).
 //
 // An optional trace mode records, for every relaxation, the version of
 // each off-diagonal value it read (a seqlock pairs values with write
@@ -74,7 +81,7 @@ struct SharedOptions {
   index_t max_iterations = 10000;
   /// Busy-wait injected before each iteration of thread t (microseconds);
   /// empty = no delays. This reproduces the paper's artificially slowed
-  /// thread (Sec. VII-B).
+  /// thread (Sec. VII-B). One finite entry >= 0 per thread.
   std::vector<double> delay_us;
   /// Record (wall time, residual norm) history points.
   bool record_history = true;

@@ -179,7 +179,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   AJAC_CHECK_MSG(zero_row < 0, "zero diagonal at row " << zero_row);
   // r0's norm stays one serial row-order sum (vec::norm1), so the reported
   // relative residuals keep their bits.
-  Terminator term(opts.num_threads, {vec::norm1(resid)}, opts.tolerance,
+  Terminator term(opts.num_threads, vec::norm1(resid), opts.tolerance,
                   opts.max_iterations);
   if (opts.stream != nullptr) {
     // Telemetry denominator for the monitor's global residual estimate;
@@ -288,7 +288,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     // fresh residual 1-norm of its own rows, from the mirror and live
     // ghosts on the blocked path (the shared x lags on private rows), from
     // the shared x on the reference path.
-    const auto own_fresh = [&](index_t) {
+    const auto own_fresh = [&] {
       if constexpr (Blocked) {
         own.owner.assert_held();
         return block_residual_1(*blk, b, own, x);
@@ -450,7 +450,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
           partial = vec::norm1(local_r);
         }
       }
-      term.publish_partial(t, 0, partial);
+      term.publish_partial(t, partial);
 
       if (opts.synchronous) {
 #pragma omp barrier
@@ -483,7 +483,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         // post-run check (final_rel_residual_1) is the trustworthy value.
         my_history.push_back({timer.seconds(), t, iter, rel});
       }
-      const bool my_done = term.flag(t, iter, 0, rel);
+      const bool my_done = term.flag(t, iter, rel);
       metrics.flag_update(my_done, iter);
 
       if (opts.synchronous) {
@@ -585,6 +585,12 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   if (!opts.delay_us.empty()) {
     AJAC_CHECK(opts.delay_us.size() ==
                static_cast<std::size_t>(opts.num_threads));
+    // An infinite delay would spin forever; NaN and negative ones would
+    // be skipped silently.
+    for (const double d : opts.delay_us) {
+      AJAC_CHECK_MSG(std::isfinite(d) && d >= 0.0,
+                     "delay_us " << d << " is not a finite value >= 0");
+    }
   }
   AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.synchronous),
                  "the in-place local sweep is only meaningful without "
@@ -669,7 +675,6 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
 
   if (opts.stream != nullptr) {
     opts.stream->begin_run(opts.num_threads, "thread", opts.tolerance,
-                           obs::ResidualConvention::kOwnBlockSum,
                            /*sim_time=*/false);
   }
 

@@ -1,54 +1,32 @@
 #pragma once
-// Dense multi-vector (a batch of k right-hand sides / iterates) for the
-// batched solve paths.
+// Dense multi-vector: a batch of k right-hand sides or iterates, the
+// container of ajac::solve_batch and runtime::solve_shared_batch.
 //
-// Layout is row-major n x k with a padded lead dimension: element (i, c)
-// lives at data[i * lead + c]. The batched relaxation kernels walk one
-// sparse matrix row and broadcast each a_ij against the k contiguous
-// values of row j — the irregular CSR gather is paid once and feeds k
-// unit-stride FMA lanes, which is the whole point of batching. The default
-// lead rounds k up to a full cache line (8 doubles) so that, together with
-// the 64-byte-aligned base allocation, every row starts on a cache-line
-// boundary; k = 1 keeps lead = 1 (a padded scalar column would octuple the
-// footprint for nothing — the single-RHS path is the SharedVector's job).
-// An explicit lead >= k is accepted so tests can pin down that no kernel
-// ever reads or writes the padding lanes (prop_multi_vector.cpp poisons
-// them with NaN and checks results are unchanged).
-//
-// Padding lanes are zero-initialized at construction and are otherwise
-// dead: every kernel in mv:: iterates lanes [0, k) only.
+// Layout is row-major n x k with stride k: element (i, c) lives at
+// data[i * k + c], so row(i + 1) == row(i) + k and a row's k values are
+// contiguous. The batch solvers run one scalar solve per column; the
+// container only moves columns in and out.
 
 #include <span>
 #include <vector>
 
 #include "ajac/sparse/types.hpp"
-#include "ajac/util/aligned.hpp"
 #include "ajac/util/check.hpp"
 
 namespace ajac {
 
-class CsrMatrix;
-
 class MultiVector {
  public:
-  /// Default lead dimension: k rounded up to a whole cache line of doubles
-  /// (multiples of 8), except k = 1 which stays unpadded (see header note).
-  [[nodiscard]] static constexpr index_t default_lead(index_t k) noexcept {
-    return k <= 1 ? k : (k + 7) / 8 * 8;
-  }
-
   MultiVector() = default;
-  MultiVector(index_t n, index_t k) : MultiVector(n, k, default_lead(k)) {}
-  MultiVector(index_t n, index_t k, index_t lead)
-      : n_(n), k_(k), lead_(lead),
-        data_(static_cast<std::size_t>(n) * static_cast<std::size_t>(lead),
+  MultiVector(index_t n, index_t k)
+      : n_(n), k_(k),
+        data_(static_cast<std::size_t>(n) * static_cast<std::size_t>(k),
               0.0) {
-    AJAC_CHECK(n >= 0 && k >= 1 && lead >= k);
+    AJAC_CHECK(n >= 0 && k >= 1);
   }
 
   [[nodiscard]] index_t num_rows() const noexcept { return n_; }
   [[nodiscard]] index_t num_cols() const noexcept { return k_; }
-  [[nodiscard]] index_t lead() const noexcept { return lead_; }
 
   [[nodiscard]] double& operator()(index_t i, index_t c) {
     AJAC_DBG_CHECK(in_range(i, c));
@@ -59,7 +37,7 @@ class MultiVector {
     return data_[slot(i, c)];
   }
 
-  /// Pointer to row i's k contiguous lanes (plus lead - k padding lanes).
+  /// Pointer to row i's k contiguous values.
   [[nodiscard]] double* row(index_t i) {
     AJAC_DBG_CHECK(i >= 0 && i < n_);
     return data_.data() + slot(i, 0);
@@ -68,11 +46,6 @@ class MultiVector {
     AJAC_DBG_CHECK(i >= 0 && i < n_);
     return data_.data() + slot(i, 0);
   }
-
-  /// Raw storage including padding lanes; tests use this to poison the
-  /// padding. Size is num_rows() * lead().
-  [[nodiscard]] std::span<double> raw() noexcept { return data_; }
-  [[nodiscard]] std::span<const double> raw() const noexcept { return data_; }
 
   /// Copy column c out to a contiguous Vector.
   [[nodiscard]] Vector column(index_t c) const {
@@ -104,43 +77,13 @@ class MultiVector {
     return i >= 0 && i < n_ && c >= 0 && c < k_;
   }
   [[nodiscard]] std::size_t slot(index_t i, index_t c) const noexcept {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(lead_) +
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(k_) +
            static_cast<std::size_t>(c);
   }
 
   index_t n_ = 0;
   index_t k_ = 1;
-  index_t lead_ = 1;
-  std::vector<double, CacheAlignedAllocator<double>> data_;
+  std::vector<double> data_;
 };
-
-namespace mv {
-
-/// y += alpha * x, lane by lane over the k real columns (padding untouched).
-void axpy(double alpha, const MultiVector& x, MultiVector& y);
-
-/// Per-column 1-norms: out[c] = sum_i |x(i, c)|, accumulated in ascending
-/// row order so each column's sum is bitwise the scalar vec::norm1 of that
-/// column. out.size() must be num_cols().
-void colwise_norm1(const MultiVector& x, std::span<double> out);
-
-/// Per-column 2-norms (sqrt of the ascending-row sum of squares).
-void colwise_norm2(const MultiVector& x, std::span<double> out);
-
-/// Per-column max-abs.
-void colwise_norm_inf(const MultiVector& x, std::span<double> out);
-
-/// Per-column max_i |x(i,c) - y(i,c)| — the batch analogue of
-/// vec::max_abs_diff, for differential tests.
-void colwise_max_abs_diff(const MultiVector& x, const MultiVector& y,
-                          std::span<double> out);
-
-/// r = b - A x for every column: one CSR traversal of A feeds all k lanes.
-/// Each column's per-row accumulation runs in CSR entry order, so column c
-/// of the result is bitwise CsrMatrix::residual of column c.
-void residual(const CsrMatrix& a, const MultiVector& x, const MultiVector& b,
-              MultiVector& r);
-
-}  // namespace mv
 
 }  // namespace ajac

@@ -46,7 +46,7 @@ TEST(TelemetryMonitor, StragglerDetectionLatencyIsBounded) {
   TelemetryOptions topts;
   topts.max_actors = 4;
   TelemetryHub hub(topts);
-  hub.begin_run(4, "thread", 0.0, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(4, "thread", 0.0, false);
   ConvergenceMonitor monitor(hub, fast_windows());
 
   // All four actors relax at 10 relaxations/us, one beacon every 10 us.
@@ -88,7 +88,7 @@ TEST(TelemetryMonitor, NeverFlagsCleanRunWithRateJitter) {
   topts.max_actors = 4;
   topts.ring_capacity = 512;  // whole per-actor stream fits: zero drops
   TelemetryHub hub(topts);
-  hub.begin_run(4, "thread", 0.0, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(4, "thread", 0.0, false);
   ConvergenceMonitor monitor(hub, fast_windows());
 
   // Heterogeneous but healthy: actor a publishes every (10 + a) us at 100
@@ -130,7 +130,7 @@ TEST(TelemetryMonitor, RhoHatAndEtaAreExactOnGeometricDecay) {
   TelemetryOptions topts;
   topts.max_actors = 2;
   TelemetryHub hub(topts);
-  hub.begin_run(2, "thread", kTol, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(2, "thread", kTol, false);
   hub.set_residual_scale(kScale);
   ConvergenceMonitor monitor(hub);
 
@@ -168,7 +168,7 @@ TEST(TelemetryMonitor, DrainSkewDoesNotFlagHealthyActor) {
   TelemetryOptions topts;
   topts.max_actors = 2;
   TelemetryHub hub(topts);
-  hub.begin_run(2, "thread", 0.0, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(2, "thread", 0.0, false);
   ConvergenceMonitor monitor(hub, fast_windows());
 
   // Both actors run at the same healthy rate, but the monitor drains
@@ -214,7 +214,7 @@ TEST(TelemetryMonitor, BeginRunResetsEstimatesButKeepsCursors) {
   TelemetryHub hub(topts);
   ConvergenceMonitor monitor(hub);
 
-  hub.begin_run(1, "thread", 0.0, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(1, "thread", 0.0, false);
   for (int i = 1; i <= 7; ++i) {
     publish(hub, 0, 10.0 * i, i, static_cast<std::uint64_t>(i));
   }
@@ -225,7 +225,7 @@ TEST(TelemetryMonitor, BeginRunResetsEstimatesButKeepsCursors) {
   // Second run on the same hub: per-run estimates reset, and the ring
   // cursor carries over so none of the new beacons are misattributed or
   // double-counted.
-  hub.begin_run(1, "thread", 0.0, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(1, "thread", 0.0, false);
   for (int i = 1; i <= 3; ++i) {
     publish(hub, 0, 5.0 * i, i, static_cast<std::uint64_t>(i));
   }
@@ -243,7 +243,7 @@ TEST(TelemetryMonitor, RingOverwritesAreCountedAsDropped) {
   topts.max_actors = 1;
   topts.ring_capacity = 4;
   TelemetryHub hub(topts);
-  hub.begin_run(1, "thread", 0.0, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(1, "thread", 0.0, false);
   ConvergenceMonitor monitor(hub);
 
   // 20 beacons into a 4-slot ring with no draining monitor: the oldest
@@ -279,7 +279,7 @@ TEST(TelemetryNdjson, EveryLineIsAParseableRecord) {
   TelemetryOptions topts;
   topts.max_actors = 2;
   TelemetryHub hub(topts);
-  hub.begin_run(2, "thread", 1e-8, ResidualConvention::kOwnBlockSum, false);
+  hub.begin_run(2, "thread", 1e-8, false);
   hub.set_residual_scale(2.0);
   ConvergenceMonitor monitor(hub);
   std::ostringstream out;
@@ -347,8 +347,7 @@ TEST(TelemetryNdjson, ZeroTimestampsMakesStreamsByteStable) {
   std::string first;
   for (int run = 0; run < 2; ++run) {
     out.str("");
-    hub.begin_run(1, "thread", 1e-8, ResidualConvention::kOwnBlockSum,
-                  false);
+    hub.begin_run(1, "thread", 1e-8, false);
     const double ts_base = run == 0 ? 10.0 : 977.0;
     for (int i = 1; i <= 3; ++i) {
       publish(hub, 0, ts_base * i, i, static_cast<std::uint64_t>(i) * 8,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/problem.hpp"
 #include "ajac/model/trace.hpp"
@@ -201,6 +203,12 @@ TEST(SharedOptions, Validation) {
   so.num_threads = 2;
   so.delay_us = {1.0};  // wrong length
   EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error);
+  // Rejected before the threads start, so no thread ever spins on them.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    so.delay_us = {0.0, bad};
+    EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error) << bad;
+  }
 }
 
 TEST(SharedOptions, MalformedPartitionThrows) {

@@ -1,24 +1,18 @@
-// Property suite for MultiVector and the mv:: batch kernels.
+// Property suite for MultiVector, the row-major n x k container of the
+// batch solvers.
 //
-// The load-bearing property: padding lanes (lead > k) are dead. Every
-// kernel must iterate lanes [0, k) only, so poisoning the padding with NaN
-// — which contaminates any arithmetic it touches — must leave every result
-// bitwise identical to the per-column scalar reference computed with the
-// vec:: kernels. Shapes sweep k = 1, n = 1, exact lead (lead == k), the
-// default padded lead, and oversized explicit leads, across ~200 seeded
-// draws.
+// Shapes sweep k = 1, n = 1 and ~200 seeded draws. The layout is part of
+// the contract: solve_spd_batch and solver_cli walk a row's k values
+// through row(i), so row(i + 1) must be row(i) + k.
 
 #include "ajac/sparse/multi_vector.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "ajac/gen/fd.hpp"
-#include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/vector_ops.hpp"
 #include "ajac/util/rng.hpp"
 #include "test_helpers.hpp"
@@ -29,55 +23,25 @@ namespace {
 struct Shape {
   index_t n;
   index_t k;
-  index_t lead;  ///< 0 = default lead
 };
 
-/// ~200 shapes: corner cases plus seeded random draws, each in exact-lead
-/// and padded-lead variants.
+/// ~200 shapes: corner cases plus seeded random draws.
 std::vector<Shape> shapes(std::uint64_t seed) {
-  std::vector<Shape> out = {
-      {1, 1, 0},  {1, 1, 1},  {1, 1, 9},   {1, 8, 0},  {1, 3, 3},
-      {2, 1, 0},  {7, 1, 5},  {5, 5, 5},   {5, 5, 0},  {3, 16, 0},
-      {17, 2, 2}, {17, 2, 0}, {17, 2, 11}, {64, 8, 8}, {64, 8, 0},
-  };
+  std::vector<Shape> out = {{1, 1}, {1, 8},  {1, 3},  {2, 1}, {7, 1},
+                            {5, 5}, {3, 16}, {17, 2}, {64, 8}};
   Rng rng(seed);
   while (out.size() < 200) {
     const index_t n = 1 + static_cast<index_t>(rng.uniform_index(40));
     const index_t k = 1 + static_cast<index_t>(rng.uniform_index(12));
-    Shape s{n, k, 0};
-    switch (rng.uniform_index(3)) {
-      case 0: s.lead = 0; break;                                   // default
-      case 1: s.lead = k; break;                                   // exact
-      default:
-        s.lead = k + 1 + static_cast<index_t>(rng.uniform_index(9));
-    }
-    out.push_back(s);
+    out.push_back({n, k});
   }
   return out;
-}
-
-MultiVector make(const Shape& s) {
-  return s.lead == 0 ? MultiVector(s.n, s.k)
-                     : MultiVector(s.n, s.k, s.lead);
 }
 
 void fill_random(MultiVector& m, Rng& rng) {
   for (index_t i = 0; i < m.num_rows(); ++i) {
     for (index_t c = 0; c < m.num_cols(); ++c) {
       m(i, c) = rng.uniform(-1.0, 1.0);
-    }
-  }
-}
-
-/// Overwrite every padding lane (columns [k, lead) of each row) with NaN.
-void poison_padding(MultiVector& m) {
-  const index_t k = m.num_cols();
-  const index_t lead = m.lead();
-  std::span<double> raw = m.raw();
-  for (index_t i = 0; i < m.num_rows(); ++i) {
-    for (index_t c = k; c < lead; ++c) {
-      raw[static_cast<std::size_t>(i) * static_cast<std::size_t>(lead) +
-          static_cast<std::size_t>(c)] = std::nan("");
     }
   }
 }
@@ -93,18 +57,20 @@ void expect_bits(double actual, double expected, const char* what, index_t i,
 TEST(PropMultiVector, AccessorsRoundTripAndColumnsExtract) {
   Rng rng(ajac::testing::test_seed(111));
   for (const Shape& s : shapes(ajac::testing::test_seed(113))) {
-    SCOPED_TRACE(::testing::Message()
-                 << "n=" << s.n << " k=" << s.k << " lead=" << s.lead);
-    MultiVector m = make(s);
-    EXPECT_GE(m.lead(), m.num_cols());
+    SCOPED_TRACE(::testing::Message() << "n=" << s.n << " k=" << s.k);
+    MultiVector m(s.n, s.k);
+    ASSERT_EQ(m.num_rows(), s.n);
+    ASSERT_EQ(m.num_cols(), s.k);
     fill_random(m, rng);
-    poison_padding(m);
     const Vector col0 = m.column(0);
     for (index_t i = 0; i < s.n; ++i) {
       expect_bits(col0[static_cast<std::size_t>(i)], m(i, 0), "column", i, 0);
-      EXPECT_FALSE(std::isnan(m.row(i)[m.num_cols() - 1]));
+      expect_bits(m.row(i)[s.k - 1], m(i, s.k - 1), "row", i, s.k - 1);
+      if (i + 1 < s.n) {
+        EXPECT_EQ(m.row(i + 1), m.row(i) + s.k) << "row " << i;
+      }
     }
-    // set_column writes through the same lanes column() reads.
+    // set_column writes through the same values column() reads.
     Vector v(static_cast<std::size_t>(s.n));
     vec::fill_uniform(v, rng);
     m.set_column(s.k - 1, v);
@@ -112,104 +78,6 @@ TEST(PropMultiVector, AccessorsRoundTripAndColumnsExtract) {
     for (index_t i = 0; i < s.n; ++i) {
       expect_bits(back[static_cast<std::size_t>(i)],
                   v[static_cast<std::size_t>(i)], "set_column", i, s.k - 1);
-    }
-  }
-}
-
-TEST(PropMultiVector, AxpyMatchesPerColumnScalarDespitePoison) {
-  Rng rng(ajac::testing::test_seed(115));
-  for (const Shape& s : shapes(ajac::testing::test_seed(117))) {
-    SCOPED_TRACE(::testing::Message()
-                 << "n=" << s.n << " k=" << s.k << " lead=" << s.lead);
-    MultiVector x = make(s);
-    MultiVector y = make(s);
-    fill_random(x, rng);
-    fill_random(y, rng);
-    const double alpha = rng.uniform(-2.0, 2.0);
-
-    // Scalar reference per column, computed before the batch op mutates y.
-    std::vector<Vector> expected;
-    for (index_t c = 0; c < s.k; ++c) {
-      Vector yc = y.column(c);
-      const Vector xc = x.column(c);
-      vec::axpy(alpha, xc, yc);
-      expected.push_back(std::move(yc));
-    }
-
-    poison_padding(x);
-    poison_padding(y);
-    mv::axpy(alpha, x, y);
-    for (index_t c = 0; c < s.k; ++c) {
-      for (index_t i = 0; i < s.n; ++i) {
-        expect_bits(y(i, c),
-                    expected[static_cast<std::size_t>(c)]
-                            [static_cast<std::size_t>(i)],
-                    "axpy", i, c);
-      }
-    }
-  }
-}
-
-TEST(PropMultiVector, NormsMatchPerColumnScalarDespitePoison) {
-  Rng rng(ajac::testing::test_seed(119));
-  for (const Shape& s : shapes(ajac::testing::test_seed(121))) {
-    SCOPED_TRACE(::testing::Message()
-                 << "n=" << s.n << " k=" << s.k << " lead=" << s.lead);
-    MultiVector x = make(s);
-    MultiVector y = make(s);
-    fill_random(x, rng);
-    fill_random(y, rng);
-    poison_padding(x);
-    poison_padding(y);
-
-    std::vector<double> n1(static_cast<std::size_t>(s.k));
-    std::vector<double> n2(static_cast<std::size_t>(s.k));
-    std::vector<double> ninf(static_cast<std::size_t>(s.k));
-    std::vector<double> diff(static_cast<std::size_t>(s.k));
-    mv::colwise_norm1(x, n1);
-    mv::colwise_norm2(x, n2);
-    mv::colwise_norm_inf(x, ninf);
-    mv::colwise_max_abs_diff(x, y, diff);
-
-    for (index_t c = 0; c < s.k; ++c) {
-      const Vector xc = x.column(c);
-      const Vector yc = y.column(c);
-      const auto uc = static_cast<std::size_t>(c);
-      expect_bits(n1[uc], vec::norm1(xc), "norm1", -1, c);
-      expect_bits(n2[uc], vec::norm2(xc), "norm2", -1, c);
-      expect_bits(ninf[uc], vec::norm_inf(xc), "norm_inf", -1, c);
-      expect_bits(diff[uc], vec::max_abs_diff(xc, yc), "max_abs_diff", -1, c);
-    }
-  }
-}
-
-TEST(PropMultiVector, ResidualMatchesPerColumnScalarDespitePoison) {
-  Rng rng(ajac::testing::test_seed(123));
-  const CsrMatrix a = gen::fd_laplacian_2d(6, 7);  // n = 42
-  const index_t n = a.num_rows();
-  for (const index_t k : {1, 2, 3, 8, 11}) {
-    for (const index_t pad : {0, 1, 5}) {
-      SCOPED_TRACE(::testing::Message() << "k=" << k << " pad=" << pad);
-      const index_t lead = pad == 0 ? MultiVector::default_lead(k) : k + pad;
-      MultiVector x(n, k, lead);
-      MultiVector b(n, k, lead);
-      MultiVector r(n, k, lead);
-      fill_random(x, rng);
-      fill_random(b, rng);
-      poison_padding(x);
-      poison_padding(b);
-      poison_padding(r);
-      mv::residual(a, x, b, r);
-      for (index_t c = 0; c < k; ++c) {
-        const Vector xc = x.column(c);
-        const Vector bc = b.column(c);
-        Vector rc(static_cast<std::size_t>(n));
-        a.residual(xc, bc, rc);
-        for (index_t i = 0; i < n; ++i) {
-          expect_bits(r(i, c), rc[static_cast<std::size_t>(i)], "residual", i,
-                      c);
-        }
-      }
     }
   }
 }

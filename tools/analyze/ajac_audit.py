@@ -146,10 +146,10 @@ Fix: route the access through the protocol methods, or extend the
 protocol header if the operation is genuinely new.""",
     "omp-allowlist": """\
 `#pragma omp` is restricted to the runtime layer (src/runtime/**), the
-benchmark harness (bench/**), and the four sparse kernels with internal
-parallel loops (src/sparse/csr.cpp, src/sparse/multi_vector.cpp,
-src/sparse/blocked_csr.cpp, src/sparse/sell_csr.cpp — the last two
-first-touch their hot arrays on the threads that will relax them).
+benchmark harness (bench/**), and the three sparse kernels with internal
+parallel loops (src/sparse/csr.cpp, src/sparse/blocked_csr.cpp,
+src/sparse/sell_csr.cpp — the last two first-touch their hot arrays on
+the threads that will relax them).
 Thread creation is an architectural event
 in this codebase: the runtime owns the fork/join structure that the
 fault injector, the metrics registry, and the termination protocol are
@@ -199,7 +199,6 @@ SEQLOCK_ALLOWED_FILES = (
 OMP_ALLOWED_PREFIXES = ("src/runtime/", "bench/")
 OMP_ALLOWED_FILES = (
     "src/sparse/csr.cpp",
-    "src/sparse/multi_vector.cpp",
     "src/sparse/blocked_csr.cpp",
     "src/sparse/sell_csr.cpp",
 )
