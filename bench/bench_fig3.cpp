@@ -7,8 +7,9 @@
 // barrier for the slow worker, so its time is (iterations x delta);
 // asynchronous Jacobi keeps relaxing the other rows. Both the model-time
 // speedup and a wall-clock-style speedup (distsim with a delayed process)
-// are reported. Expected shape: speedup ~1 at delta=0, rising steeply and
-// plateauing once the delayed row's information no longer limits progress.
+// are reported. Expected shape: speedup ~1 at delta=1 (no delay), rising
+// steeply and plateauing once the delayed row's information no longer
+// limits progress. A delta is a slowdown factor, so it must be >= 1.
 
 #include <cstdio>
 
@@ -29,6 +30,15 @@ int main(int argc, char** argv) {
   const auto deltas = cli.get_int_list("deltas");
   const auto samples = cli.get_int("samples");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  for (const auto delta : deltas) {
+    if (delta < 1) {
+      std::fprintf(stderr,
+                   "error: --deltas entries are slowdown factors and must be "
+                   ">= 1 (1 = no delay), got %lld\n",
+                   static_cast<long long>(delta));
+      return 1;
+    }
+  }
 
   std::printf("== Fig. 3: speedup of asynchronous over synchronous Jacobi ==\n");
   Table table({"delta", "sync model time", "async model time",

@@ -284,6 +284,22 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
                  "the Gauss-Seidel inner sweep does not compose with them");
   AJAC_CHECK_MSG(opts.weight_refresh >= 1,
                  "weight_refresh must be a positive iteration cadence");
+  // A NaN tolerance would never be met, so the run would silently go to
+  // max_iterations; <= 0 keeps its meaning of "iteration cap only".
+  AJAC_CHECK_MSG(!std::isnan(opts.tolerance),
+                 "tolerance is NaN (use <= 0 for the iteration cap only)");
+  // FaultPlan's straggler rule: an unchecked factor below 1 or a process
+  // outside [-1, P) would be dropped silently, an infinite one would set
+  // the rank's speed to 0.
+  AJAC_CHECK_MSG(opts.delayed_process >= -1 &&
+                     opts.delayed_process < opts.num_processes,
+                 "delayed_process " << opts.delayed_process
+                                    << " out of range for "
+                                    << opts.num_processes << " processes");
+  AJAC_CHECK_MSG(std::isfinite(opts.delay_factor),
+                 "delay_factor " << opts.delay_factor << " is not finite");
+  AJAC_CHECK_MSG(opts.delay_factor >= 1.0,
+                 "delay_factor " << opts.delay_factor << " < 1");
   AJAC_DBG_VALIDATE(validate::csr_structure(
       a, {.require_diagonal = true, .require_square = true}));
   AJAC_DBG_VALIDATE(validate::finite(b, "b"));
@@ -357,9 +373,7 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
     ps.blk = &blocks[p];
     ps.rng = master.split();
     ps.speed = lognormal(ps.rng, opts.cost.speed_sigma);
-    if (p == opts.delayed_process && opts.delay_factor > 1.0) {
-      ps.speed /= opts.delay_factor;
-    }
+    if (p == opts.delayed_process) ps.speed /= opts.delay_factor;
     const index_t m = ps.blk->num_owned();
     ps.x_local.resize(static_cast<std::size_t>(m + ps.blk->num_ghosts()));
     ps.updates.resize(static_cast<std::size_t>(m));

@@ -94,13 +94,14 @@ struct DistOptions {
   /// Local iterations per process (the paper's termination scheme).
   index_t max_iterations = 200;
   /// If > 0, the simulation also stops once the (god's-eye) relative
-  /// residual 1-norm falls below this value.
+  /// residual 1-norm falls below this value; NaN is rejected.
   double tolerance = 0.0;
   /// Residual snapshot interval in simulated seconds; 0 = auto (about one
   /// snapshot per average iteration).
   double snapshot_dt = 0.0;
-  /// Extra persistent slowdown factor applied to one process (0 = none):
-  /// delayed_process gets speed divided by delay_factor.
+  /// Extra persistent slowdown factor applied to one process:
+  /// delayed_process (-1 = none, else in [0, num_processes)) gets speed
+  /// divided by delay_factor (finite, >= 1; 1 = none).
   index_t delayed_process = -1;
   double delay_factor = 1.0;
   /// Row-selection policy for the local sweep (asynchronous mode with the

@@ -61,7 +61,8 @@ struct MeshOptions {
   /// Lockstep 3-barrier schedule (bitwise solve_shared) instead of the
   /// free-running asynchronous mesh.
   bool synchronous = false;
-  double tolerance = 1e-3;  ///< on the relative 1-norm; <= 0 runs to the cap
+  /// On the relative 1-norm; <= 0 runs to the cap; NaN is rejected.
+  double tolerance = 1e-3;
   index_t max_iterations = 10000;
   /// Row ownership; defaults to contiguous_row_sets(n, num_agents).
   std::optional<RowSets> row_sets;

@@ -590,6 +590,10 @@ MeshResult solve_mesh(const CsrMatrix& a, const Vector& b, const Vector& x0,
   AJAC_CHECK(opts.num_agents >= 1);
   AJAC_CHECK(opts.max_iterations >= 1);
   AJAC_CHECK(opts.queue_capacity >= 1);
+  // A NaN tolerance would never be met, so the solve would silently run to
+  // max_iterations; <= 0 keeps its meaning of "iteration cap only".
+  AJAC_CHECK_MSG(!std::isnan(opts.tolerance),
+                 "tolerance is NaN (use <= 0 for the iteration cap only)");
 
   const RowSets sets = opts.row_sets.has_value()
                            ? *opts.row_sets

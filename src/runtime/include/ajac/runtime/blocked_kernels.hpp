@@ -141,6 +141,60 @@ inline double interior_residual(const BlockedCsr::Block& blk,
   return acc;
 }
 
+/// Residuals of pattern run `run`'s rows, ascending, each handed to
+/// `row(li, acc)`: row i's entries in CSR order at values[first + (i -
+/// begin) * K + q] against mirror column li + offset q. No col_code or
+/// row_ptr load, and the K offsets sit in registers. K is the run's width,
+/// a compile-time constant.
+template <int K, class Row>
+inline void sweep_pattern_run(const BlockedCsr::Block& blk,
+                              const BlockedCsr::PatternRun& run,
+                              std::span<const double> b, const double* x,
+                              Row&& row) {
+  BlockedCsr::code_t off[K];
+  for (int q = 0; q < K; ++q) {
+    off[q] = blk.pattern_offsets[static_cast<std::size_t>(run.offsets + q)];
+  }
+  const double* v = blk.values.data() + static_cast<std::size_t>(run.first);
+  for (index_t i = run.begin; i < run.end; ++i, v += K) {
+    const auto li = static_cast<std::size_t>(i - blk.lo);
+    const double* xl = x + li;
+    double acc = b[static_cast<std::size_t>(i)];
+    for (int q = 0; q < K; ++q) acc -= v[q] * xl[off[q]];
+    row(li, acc);
+  }
+}
+
+/// Interior rows [begin, end) of the block, ascending, each residual
+/// handed to `row(li, acc)`: rows of a pattern run of width 4 or 5 (the
+/// FD 5-point stencil's) through sweep_pattern_run, every other row from
+/// `other(i)`. `cursor` indexes blk.pattern_runs and moves past the runs
+/// swept; the runs ascend, so one cursor serves a whole sweep of the
+/// block's interior runs in order.
+template <class Other, class Row>
+inline void sweep_interior(const BlockedCsr::Block& blk,
+                           std::span<const double> b, const double* x,
+                           index_t begin, index_t end, std::size_t& cursor,
+                           Other&& other, Row&& row) {
+  index_t i = begin;
+  for (; cursor < blk.pattern_runs.size() &&
+         blk.pattern_runs[cursor].begin < end;
+       ++cursor) {
+    const BlockedCsr::PatternRun& run = blk.pattern_runs[cursor];
+    if (run.width != 4 && run.width != 5) continue;  // rows go to other()
+    for (; i < run.begin; ++i) {
+      row(static_cast<std::size_t>(i - blk.lo), other(i));
+    }
+    if (run.width == 4) {
+      sweep_pattern_run<4>(blk, run, b, x, row);
+    } else {
+      sweep_pattern_run<5>(blk, run, b, x, row);
+    }
+    i = run.end;
+  }
+  for (; i < end; ++i) row(static_cast<std::size_t>(i - blk.lo), other(i));
+}
+
 /// Residual of own row i, interior or boundary: local entries from the
 /// mirror, ghost entries through the injector (live relaxed-atomic reads,
 /// or the frozen snapshot inside a stale window).
@@ -188,7 +242,8 @@ inline void stage_correction(const BlockedCsr::Block& blk, OwnBlockState& own,
 /// Jacobi relaxation of every row of the block: each row's residual is
 /// turned into its staged correction at once, so the step streams the
 /// matrix, b and 1/a_ii once and stores no residual. The rows go
-/// in ascending order, one tight loop per run of one class, and the
+/// in ascending order, one tight loop per run of one class (unfaulted,
+/// one fixed-width loop per pattern run inside an interior run), and the
 /// return value is the block's residual 1-norm summed in that order: the
 /// actor's partial norm (terminator.hpp), bitwise the reference path's.
 template <class Faults>
@@ -197,19 +252,32 @@ inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
                           const SharedVector& x, Faults& faults)
     AJAC_REQUIRES(own.owner) {
   double partial = 0.0;
+  const auto stage = [&](std::size_t li, double acc) {
+    // Lambdas are analyzed as separate functions: re-claim the enclosing
+    // kernel's role (held by its REQUIRES contract) for this body.
+    own.owner.assert_held();
+    stage_correction(blk, own, li, acc);
+    partial += std::abs(acc);
+  };
+  const auto interior = [&](index_t i) {
+    own.owner.assert_held();
+    return interior_residual(blk, a, b, own, faults, i);
+  };
+  std::size_t pattern = 0;  // cursor into blk.pattern_runs
   for (const BlockedCsr::RowRun& run : blk.runs) {
     if (run.boundary) {
       for (index_t i = run.begin; i < run.end; ++i) {
-        const double acc = own_row_residual(blk, a, b, own, x, faults, i);
-        stage_correction(blk, own, static_cast<std::size_t>(i - blk.lo), acc);
-        partial += std::abs(acc);
+        stage(static_cast<std::size_t>(i - blk.lo),
+              own_row_residual(blk, a, b, own, x, faults, i));
+      }
+    } else if constexpr (Faults::enabled) {
+      // Bit flips index a row's entries: keep the per-entry loop.
+      for (index_t i = run.begin; i < run.end; ++i) {
+        stage(static_cast<std::size_t>(i - blk.lo), interior(i));
       }
     } else {
-      for (index_t i = run.begin; i < run.end; ++i) {
-        const double acc = interior_residual(blk, a, b, own, faults, i);
-        stage_correction(blk, own, static_cast<std::size_t>(i - blk.lo), acc);
-        partial += std::abs(acc);
-      }
+      sweep_interior(blk, b, own.x.data(), run.begin, run.end, pattern,
+                     interior, stage);
     }
   }
   return partial;
@@ -255,14 +323,15 @@ inline void publish_private_rows(const BlockedCsr::Block& blk,
 
 /// ||b - A x||_1 over the block's rows, ascending, each row's entries in
 /// CSR order (CsrMatrix::residual's expression): local columns from the
-/// mirror, ghosts live from x with no fault injection. The actor's share
-/// of a verification round (terminator.hpp) on the blocked path.
+/// mirror, ghosts live from x with no fault injection, pattern runs
+/// through their fixed-width loop. The actor's share of a verification
+/// round (terminator.hpp) on the blocked path.
 inline double block_residual_1(const BlockedCsr::Block& blk,
                                std::span<const double> b,
                                const OwnBlockState& own, const SharedVector& x)
     AJAC_REQUIRES_SHARED(own.owner) {
-  double norm = 0.0;
-  for (index_t i = blk.lo; i < blk.hi; ++i) {
+  const double* mirror = own.x.data();
+  const auto residual = [&](index_t i) {
     const auto li = static_cast<std::size_t>(i - blk.lo);
     double acc = b[static_cast<std::size_t>(i)];
     const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
@@ -272,10 +341,23 @@ inline double block_residual_1(const BlockedCsr::Block& blk,
           BlockedCsr::is_ghost(code)
               ? x.read(blk.ghost_cols[static_cast<std::size_t>(
                     BlockedCsr::ghost_slot(code))])
-              : own.x[static_cast<std::size_t>(code)];
+              : mirror[code];
       acc -= blk.values[p] * xj;
     }
-    norm += std::abs(acc);
+    return acc;
+  };
+  double norm = 0.0;
+  const auto add = [&](std::size_t, double acc) { norm += std::abs(acc); };
+  std::size_t pattern = 0;  // cursor into blk.pattern_runs
+  for (const BlockedCsr::RowRun& run : blk.runs) {
+    if (run.boundary) {
+      for (index_t i = run.begin; i < run.end; ++i) {
+        norm += std::abs(residual(i));
+      }
+    } else {
+      sweep_interior(blk, b, mirror, run.begin, run.end, pattern, residual,
+                     add);
+    }
   }
   return norm;
 }

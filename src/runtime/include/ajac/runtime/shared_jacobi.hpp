@@ -73,8 +73,9 @@ enum class KernelKind {
 struct SharedOptions {
   index_t num_threads = 4;
   bool synchronous = false;
-  /// Stop when ||r||_1 / ||r(0)||_1 <= tolerance. 0 disables the residual
-  /// criterion (pure iteration-count runs, Fig. 5(b)).
+  /// Stop when ||r||_1 / ||r(0)||_1 <= tolerance. <= 0 disables the
+  /// residual criterion (pure iteration-count runs, Fig. 5(b)); NaN is
+  /// rejected.
   double tolerance = 1e-3;
   /// Per-thread local iteration cap; a thread raises its flag at this
   /// count even if the tolerance is not met.
@@ -96,10 +97,11 @@ struct SharedOptions {
   /// Rows per thread come from this partition; by default rows are split
   /// into equal contiguous blocks.
   std::optional<partition::Partition> partition;
-  /// Yield the CPU after every local iteration. On machines with fewer
-  /// cores than threads this turns the OS scheduler's long time slices
-  /// into a fine-grained round-robin, much closer to truly concurrent
-  /// execution; used by the trace experiments (Fig. 2).
+  /// Yield the CPU after every local iteration (asynchronous mode: every
+  /// iteration that ends ahead of the slowest thread's count). On machines
+  /// with fewer cores than threads this turns the OS scheduler's long time
+  /// slices into a fine-grained round-robin, much closer to truly
+  /// concurrent execution; used by the trace experiments (Fig. 2).
   bool yield = false;
   /// On heavily oversubscribed machines a thread descheduled mid-iteration
   /// can commit a very stale update after the stop decision, leaving the

@@ -67,6 +67,16 @@ class Terminator {
   }
   /// The iteration passed to the poll that latched the stop (after join).
   [[nodiscard]] index_t stop_iteration() const { return stop_iteration_; }
+  /// True iff some actor's published iteration count (flag) is below
+  /// `iter`: the caller is ahead of the slowest actor.
+  [[nodiscard]] bool ahead_of_slowest(index_t iter) const {
+    for (const auto& n : counters_) {
+      // racy-ok(monotonic): a scheduling hint; a stale count only moves
+      // one yield.
+      if (n.v.load(std::memory_order_relaxed) < iter) return true;
+    }
+    return false;
+  }
 
   /// Publish `partial`, the 1-norm of the residual on `actor`'s own rows
   /// summed in ascending row order (each row counted by one actor).

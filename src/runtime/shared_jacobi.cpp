@@ -497,7 +497,14 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       }
       metrics.iteration_end(iter - 1, hi - lo);
       stream.beacon(iter, hi - lo, partial, sampled);
-      if (opts.yield && !term.stopped()) sched_yield();
+      // Asynchronous actors yield only while ahead of the slowest: a
+      // sched_yield puts the caller behind every runnable task on its
+      // core, so a laggard sharing a core with another busy process would
+      // run one iteration per time slice while the others ran to the cap.
+      if (opts.yield && !term.stopped() &&
+          (opts.synchronous || term.ahead_of_slowest(iter))) {
+        sched_yield();
+      }
     }
     if constexpr (Blocked) publish_private_rows(*blk, own, x);
     // Terminal beacon: the monitor always sees this thread's final state
@@ -582,6 +589,10 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   AJAC_CHECK(x0.size() == static_cast<std::size_t>(n));
   AJAC_CHECK(opts.num_threads >= 1);
   AJAC_CHECK(opts.max_iterations >= 1);
+  // A NaN tolerance would never be met, so the solve would silently run to
+  // max_iterations; <= 0 keeps its meaning of "iteration cap only".
+  AJAC_CHECK_MSG(!std::isnan(opts.tolerance),
+                 "tolerance is NaN (use <= 0 for the iteration cap only)");
   if (!opts.delay_us.empty()) {
     AJAC_CHECK(opts.delay_us.size() ==
                static_cast<std::size_t>(opts.num_threads));

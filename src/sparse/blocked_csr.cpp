@@ -34,6 +34,49 @@ void validate_block_starts(std::span<const index_t> block_starts,
   }
 }
 
+/// Whether encoded local row li (li >= 1, both rows interior) repeats row
+/// li - 1 shifted by one: the same length, and every column code one more.
+bool repeats_previous_row(const BlockedCsr::Block& blk, index_t li) {
+  const auto r = static_cast<std::size_t>(li);
+  const auto prev = static_cast<std::size_t>(blk.row_ptr[r - 1]);
+  const auto begin = static_cast<std::size_t>(blk.row_ptr[r]);
+  const auto end = static_cast<std::size_t>(blk.row_ptr[r + 1]);
+  if (end - begin != begin - prev) return false;
+  for (std::size_t q = 0; q < end - begin; ++q) {
+    if (blk.col_code[begin + q] != blk.col_code[prev + q] + 1) return false;
+  }
+  return true;
+}
+
+/// Record the chain of same-pattern interior rows [begin, end) as a
+/// pattern run when it holds at least two rows. Its offsets come from its
+/// first row and share the previous run's pool slice when equal.
+void close_pattern_chain(BlockedCsr::Block& blk, index_t begin, index_t end) {
+  using code_t = BlockedCsr::code_t;
+  if (end - begin < 2) return;
+  const auto li = static_cast<std::size_t>(begin - blk.lo);
+  const code_t first = blk.row_ptr[li];
+  const code_t width = blk.row_ptr[li + 1] - first;
+  const auto row = std::span(blk.col_code).subspan(
+      static_cast<std::size_t>(first), static_cast<std::size_t>(width));
+  const auto shift = static_cast<code_t>(li);
+  const auto pool = std::span(blk.pattern_offsets);
+  if (!blk.pattern_runs.empty()) {
+    const BlockedCsr::PatternRun& last = blk.pattern_runs.back();
+    const auto prev = pool.subspan(static_cast<std::size_t>(last.offsets),
+                                   static_cast<std::size_t>(last.width));
+    if (last.width == width &&
+        std::equal(row.begin(), row.end(), prev.begin(),
+                   [&](code_t c, code_t off) { return c - shift == off; })) {
+      blk.pattern_runs.push_back({begin, end, first, width, last.offsets});
+      return;
+    }
+  }
+  const auto offsets = static_cast<code_t>(pool.size());
+  for (const code_t c : row) blk.pattern_offsets.push_back(c - shift);
+  blk.pattern_runs.push_back({begin, end, first, width, offsets});
+}
+
 /// Fill block `t` from its rows of `a`. Runs on the thread that will later
 /// relax the block (first touch).
 BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
@@ -80,11 +123,13 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
   }
 
   // Pass 2: encode entries in their original order, split rows into
-  // interior (no ghost entries) and boundary, and merge consecutive rows
-  // of one class into runs.
+  // interior (no ghost entries) and boundary, merge consecutive rows of
+  // one class into runs, and consecutive interior rows of one pattern into
+  // pattern runs. Interior rows [chain, i) repeat one pattern.
   blk.col_code.reserve(static_cast<std::size_t>(nnz));
   blk.interior_rows.reserve(static_cast<std::size_t>(rows));
   blk.inv_diag.resize(static_cast<std::size_t>(rows), 0.0);
+  index_t chain = lo;
   for (index_t i = lo; i < hi; ++i) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_values(i);
@@ -112,7 +157,16 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
     } else {
       blk.runs.back().end = i + 1;
     }
+    // Extend the current chain of same-pattern interior rows, or close it
+    // (a pattern run if it holds >= 2 rows) and start a new one here.
+    const bool extends = !has_ghost && chain < i &&
+                         repeats_previous_row(blk, i - lo);
+    if (!extends) {
+      close_pattern_chain(blk, chain, i);
+      chain = has_ghost ? i + 1 : i;
+    }
   }
+  close_pattern_chain(blk, chain, hi);
   return blk;
 }
 

@@ -79,6 +79,20 @@ class BlockedCsr {
     index_t end = 0;
   };
 
+  /// A maximal ascending range [begin, end) of at least two interior rows
+  /// that share a row length `width` and their column offsets relative to
+  /// their own local index (col_code[p] - li, the same for every row). Row
+  /// i's entry q is values[first + (i - begin) * width + q] in local column
+  /// (i - lo) + Block::pattern_offsets[offsets + q], in CSR entry order, so
+  /// a sweep needs neither col_code nor row_ptr for these rows.
+  struct PatternRun {
+    index_t begin = 0;
+    index_t end = 0;
+    code_t first = 0;    ///< row_ptr of row begin: its first entry
+    code_t width = 0;    ///< entries per row
+    code_t offsets = 0;  ///< start of the run's slice of pattern_offsets
+  };
+
   struct Block {
     index_t lo = 0;  ///< first row owned by this block
     index_t hi = 0;  ///< one past the last row owned by this block
@@ -108,6 +122,14 @@ class BlockedCsr {
     /// class, so a sweep walks rows in order with one class test per run.
     /// Empty for an empty block.
     std::vector<RowRun> runs;
+    /// The interior rows that repeat the row before them shifted by one,
+    /// as ascending, disjoint pattern runs, each inside one interior run.
+    /// Interior rows in no pattern run (grid edges, unstructured rows)
+    /// keep to col_code. Empty when no two adjacent interior rows match.
+    std::vector<PatternRun> pattern_runs;
+    /// The offset pool pattern runs slice; a run whose offsets equal the
+    /// previous run's shares its slice.
+    std::vector<code_t> pattern_offsets;
     /// The block's exported rows as maximal ascending ranges: exactly the
     /// own rows that appear in some other block's ghost_cols, so the only
     /// rows another block's relaxation reads. The Jacobi commit publishes

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/fe.hpp"
 #include "ajac/gen/problem.hpp"
@@ -243,6 +247,86 @@ TEST(DistOptionsValidation, MalformedPartitionThrows) {
   EXPECT_THROW(solve_distributed(p.a, p.b, p.x0,
                                  partition::Partition{{1, n / 2, n}}, o),
                std::logic_error);
+}
+
+/// Runs solve_distributed on a 4x4 FD problem at 2 processes with `o`'s
+/// fields set by `edit`, and expects a std::logic_error naming `needle`.
+template <class Edit>
+void expect_dist_rejected(Edit&& edit, const char* needle) {
+  const auto p = fd_problem(4, 4, 29);
+  DistOptions o;
+  o.num_processes = 2;
+  o.max_iterations = 5;
+  edit(o);
+  try {
+    (void)solve_distributed(p.a, p.b, p.x0,
+                            partition::contiguous_partition(p.a.num_rows(), 2),
+                            o);
+    ADD_FAILURE() << "options were accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(needle), std::string::npos)
+        << "missing \"" << needle << "\" in: " << what;
+  }
+}
+
+TEST(DistOptionsValidation, NanDelayFactorIsRejected) {
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.delayed_process = 1;
+        o.delay_factor = std::numeric_limits<double>::quiet_NaN();
+      },
+      "is not finite");
+}
+
+TEST(DistOptionsValidation, InfiniteDelayFactorIsRejected) {
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.delayed_process = 1;
+        o.delay_factor = std::numeric_limits<double>::infinity();
+      },
+      "is not finite");
+}
+
+TEST(DistOptionsValidation, NegativeDelayFactorIsRejected) {
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.delayed_process = 0;
+        o.delay_factor = -2.0;
+      },
+      "delay_factor -2 < 1");
+}
+
+TEST(DistOptionsValidation, SubOneDelayFactorIsRejected) {
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.delayed_process = 0;
+        o.delay_factor = 0.5;
+      },
+      "delay_factor 0.5 < 1");
+}
+
+TEST(DistOptionsValidation, OutOfRangeDelayedProcessIsRejected) {
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.delayed_process = 2;
+        o.delay_factor = 4.0;
+      },
+      "delayed_process 2 out of range for 2 processes");
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.delayed_process = -2;
+        o.delay_factor = 4.0;
+      },
+      "delayed_process -2 out of range for 2 processes");
+}
+
+TEST(DistOptionsValidation, NanToleranceIsRejected) {
+  expect_dist_rejected(
+      [](DistOptions& o) {
+        o.tolerance = std::numeric_limits<double>::quiet_NaN();
+      },
+      "tolerance is NaN");
 }
 
 TEST(DistAsync, RowLevelPutsStillConverge) {

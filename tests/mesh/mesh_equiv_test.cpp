@@ -29,6 +29,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ajac/distsim/dist_jacobi.hpp"
@@ -462,6 +465,24 @@ TEST(MeshEquiv, HistoryIsTimeOrderedAndConsistent) {
     EXPECT_LT(pt.agent, 3);
     EXPECT_GE(pt.rel_residual_1, 0.0);
     EXPECT_TRUE(std::isfinite(pt.rel_residual_1));
+  }
+}
+
+TEST(MeshOptions, NanToleranceIsRejected) {
+  // rel <= NaN never holds: without the check the agents would silently
+  // run to max_iterations and report converged = false.
+  const auto p = gen::make_problem("fd4", gen::fd_laplacian_2d(4, 4),
+                                   testing::test_seed(/*salt=*/21));
+  MeshOptions mo;
+  mo.num_agents = 2;
+  mo.tolerance = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)solve_mesh(p.a, p.b, p.x0, mo);
+    ADD_FAILURE() << "NaN tolerance was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("tolerance is NaN"),
+              std::string::npos)
+        << e.what();
   }
 }
 

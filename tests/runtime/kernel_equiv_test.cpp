@@ -27,6 +27,7 @@
 #include "ajac/gen/problem.hpp"
 #include "ajac/model/trace.hpp"
 #include "ajac/obs/metrics.hpp"
+#include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "test_helpers.hpp"
 
@@ -296,6 +297,84 @@ TEST(KernelEquiv, MetricsRegistryDoesNotPerturbBlockedResults) {
   EXPECT_EQ(local + ghost,
             static_cast<std::uint64_t>(p.a.num_nonzeros()) *
                 snap.totals[static_cast<std::size_t>(obs::Counter::kIterations)]);
+}
+
+/// The pattern-run contract (BlockedCsr::PatternRun): stencil rows swept
+/// by the fixed-width loops accumulate in CSR entry order and sum the
+/// partial norm in ascending row order, so the blocked solve stays bitwise
+/// the reference one. Checked on a converged single-thread run (which also
+/// sums verification shares through the pattern loops) and on 4-thread
+/// synchronous runs, fixed-count and to tolerance, at 0 ULP.
+void expect_pattern_runs_agree(const char* name, CsrMatrix a,
+                               std::uint64_t salt) {
+  const auto p =
+      gen::make_problem(name, std::move(a), ajac::testing::test_seed(salt));
+  SharedOptions opts;
+  opts.num_threads = 1;
+  opts.tolerance = 1e-8;
+  opts.max_iterations = 40000;
+  opts.record_history = false;
+  {
+    SCOPED_TRACE("1 thread, asynchronous, to tolerance");
+    expect_kernels_agree(p, opts);
+  }
+  opts.num_threads = 4;
+  opts.synchronous = true;
+  {
+    SCOPED_TRACE("4 threads, synchronous, to tolerance");
+    expect_kernels_agree(p, opts);
+  }
+  opts.tolerance = 0.0;
+  opts.max_iterations = 40;
+  {
+    SCOPED_TRACE("4 threads, synchronous, 40 iterations");
+    expect_kernels_agree(p, opts);
+  }
+}
+
+TEST(KernelEquiv, PatternRunsFd9PointBitwiseIdentical) {
+  // Width 9 in the 9-point interior, 6 on the first and last lines.
+  expect_pattern_runs_agree("fd9pt_12x12", gen::fd_laplacian_2d_9pt(12, 12),
+                            111);
+}
+
+TEST(KernelEquiv, PatternRunsAnisotropicBitwiseIdentical) {
+  expect_pattern_runs_agree("fd_aniso_12x12",
+                            gen::fd_anisotropic_2d(12, 12, 0.05), 113);
+}
+
+TEST(KernelEquiv, PatternRunsVarcoefBitwiseIdentical) {
+  // Same offsets on every interior row, values that differ per row: the
+  // run's value slice must advance row by row.
+  expect_pattern_runs_agree(
+      "fd_varcoef_12x12",
+      gen::fd_varcoef_2d(12, 12,
+                         [](double x, double y) { return 1.0 + 4.0 * x * y; }),
+      115);
+}
+
+TEST(KernelEquiv, PatternRunsFd7Point3dBitwiseIdentical) {
+  // 6x6x12 at 4 threads: three 36-row planes a block, the middle one
+  // interior (width 7 inside it).
+  expect_pattern_runs_agree("fd7pt_6x6x12", gen::fd_laplacian_3d(6, 6, 12),
+                            117);
+}
+
+TEST(KernelEquiv, PatternRunBrokenMidBlockBitwiseIdentical) {
+  // FD 5-point 12x12 with one extra entry in row (6, 7), the middle line
+  // of block 2 at 4 threads: the line's run splits around that row, which
+  // falls back to col_code, and so does nothing else.
+  const CsrMatrix fd = gen::fd_laplacian_2d(12, 12);
+  CooBuilder coo(fd.num_rows(), fd.num_cols());
+  for (index_t i = 0; i < fd.num_rows(); ++i) {
+    const auto cols = fd.row_cols(i);
+    const auto vals = fd.row_values(i);
+    for (std::size_t q = 0; q < cols.size(); ++q) coo.add(i, cols[q], vals[q]);
+  }
+  const index_t row = 7 * 12 + 6;
+  coo.add(row, row + 2, -0.5);
+  coo.add(row, row, 0.5);  // keeps the row diagonally dominant
+  expect_pattern_runs_agree("fd5pt_12x12_extra", coo.to_csr(), 119);
 }
 
 /// Run the same problem through kSellCS and kBlocked and require bitwise

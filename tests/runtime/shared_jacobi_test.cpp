@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/problem.hpp"
@@ -208,6 +210,23 @@ TEST(SharedOptions, Validation) {
                            std::numeric_limits<double>::quiet_NaN(), -1.0}) {
     so.delay_us = {0.0, bad};
     EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error) << bad;
+  }
+}
+
+TEST(SharedOptions, NanToleranceIsRejected) {
+  // rel <= NaN never holds: without the check the solve would silently
+  // run to max_iterations and report converged = false.
+  const auto p = fd_problem(4, 4, 23);
+  SharedOptions so;
+  so.num_threads = 2;
+  so.tolerance = std::numeric_limits<double>::quiet_NaN();
+  try {
+    (void)solve_shared(p.a, p.b, p.x0, so);
+    ADD_FAILURE() << "NaN tolerance was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("tolerance is NaN"),
+              std::string::npos)
+        << e.what();
   }
 }
 

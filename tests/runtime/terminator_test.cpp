@@ -244,6 +244,19 @@ TEST(Terminator, ZeroToleranceStopsOnlyAtTheCap) {
   EXPECT_EQ(term.rounds(), 0U);
 }
 
+TEST(Terminator, AheadOfSlowestReadsThePublishedCounts) {
+  Terminator term(3, 1.0, kTol, kCap);
+  EXPECT_FALSE(term.ahead_of_slowest(0));  // every count starts at 0
+  term.flag(0, 5, 1.0);
+  EXPECT_TRUE(term.ahead_of_slowest(5));  // actors 1 and 2 are at 0
+  term.flag(1, 5, 1.0);
+  term.flag(2, 3, 1.0);
+  EXPECT_TRUE(term.ahead_of_slowest(5));
+  EXPECT_FALSE(term.ahead_of_slowest(3));  // the slowest keeps its core
+  term.flag(2, 5, 1.0);
+  EXPECT_FALSE(term.ahead_of_slowest(5));  // all level: nobody is behind
+}
+
 TEST(Terminator, LatchedColumnNeverUnlatches) {
   Terminator term(2, 1.0, kTol, kCap);
   FakeFresh fresh{0.0};

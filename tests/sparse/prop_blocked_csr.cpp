@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ajac/gen/fd.hpp"
+#include "ajac/gen/fe.hpp"
 #include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/util/rng.hpp"
@@ -283,6 +284,175 @@ TEST(PropBlockedCsr, RunsTileEachBlockInMaximalAlternatingRanges) {
       ASSERT_EQ(boundary, blk.boundary_rows);
     }
   }
+}
+
+/// Whether interior row i of `blk` (i > lo, row i - 1 interior too)
+/// repeats row i - 1 shifted by one: same length, every code one more.
+/// Brute force from the encoding, independent of the builder's chaining.
+bool repeats_previous_row(const BlockedCsr::Block& blk, index_t i) {
+  const auto li = static_cast<std::size_t>(i - blk.lo);
+  const index_t prev = blk.row_ptr[li - 1];
+  const index_t begin = blk.row_ptr[li];
+  const index_t end = blk.row_ptr[li + 1];
+  if (end - begin != begin - prev) return false;
+  for (index_t q = 0; q < end - begin; ++q) {
+    if (blk.col_code[static_cast<std::size_t>(begin + q)] !=
+        blk.col_code[static_cast<std::size_t>(prev + q)] + 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Check `blk`'s pattern runs against its encoding and return the number
+/// of rows they cover:
+///   * each run lies inside one interior RowRun; runs ascend, disjoint;
+///   * each run holds >= 2 rows;
+///   * for every run row, li + offset q and the value slice decode to its
+///     col_code and values entries, entry for entry;
+///   * the runs are exactly the maximal chains of >= 2 interior rows that
+///     repeat their predecessor, so a row with no repeat falls back to
+///     col_code and no repeating pair is left out.
+index_t check_pattern_runs(const BlockedCsr::Block& blk) {
+  std::vector<std::pair<index_t, index_t>> expected;
+  for (const auto& run : blk.runs) {
+    if (run.boundary) continue;
+    index_t chain = run.begin;
+    for (index_t i = run.begin + 1; i <= run.end; ++i) {
+      if (i < run.end && repeats_previous_row(blk, i)) continue;
+      if (i - chain >= 2) expected.emplace_back(chain, i);
+      chain = i;
+    }
+  }
+  std::vector<std::pair<index_t, index_t>> got;
+  index_t covered = 0;
+  std::size_t k = 0;  // the interior run holding pattern run r
+  for (std::size_t r = 0; r < blk.pattern_runs.size(); ++r) {
+    SCOPED_TRACE(::testing::Message() << "pattern run " << r);
+    const auto& pr = blk.pattern_runs[r];
+    got.emplace_back(pr.begin, pr.end);
+    EXPECT_GE(pr.end - pr.begin, 2);
+    if (r > 0) {
+      EXPECT_LE(blk.pattern_runs[r - 1].end, pr.begin);
+    }
+    while (k < blk.runs.size() && blk.runs[k].end <= pr.begin) ++k;
+    EXPECT_LT(k, blk.runs.size());
+    if (k == blk.runs.size()) break;
+    EXPECT_FALSE(blk.runs[k].boundary);
+    EXPECT_LE(blk.runs[k].begin, pr.begin);
+    EXPECT_LE(pr.end, blk.runs[k].end);
+    EXPECT_LE(static_cast<std::size_t>(pr.offsets) +
+                  static_cast<std::size_t>(pr.width),
+              blk.pattern_offsets.size());
+    for (index_t i = pr.begin; i < pr.end; ++i) {
+      const auto li = static_cast<index_t>(i - blk.lo);
+      const index_t entry = blk.row_ptr[static_cast<std::size_t>(li)];
+      EXPECT_EQ(blk.row_ptr[static_cast<std::size_t>(li) + 1] - entry,
+                pr.width)
+          << "row " << i;
+      EXPECT_EQ(entry, pr.first + (i - pr.begin) * pr.width) << "row " << i;
+      for (index_t q = 0; q < pr.width; ++q) {
+        const auto p = static_cast<std::size_t>(pr.first +
+                                                (i - pr.begin) * pr.width + q);
+        const index_t off =
+            blk.pattern_offsets[static_cast<std::size_t>(pr.offsets + q)];
+        EXPECT_EQ(li + off, blk.col_code[static_cast<std::size_t>(entry + q)])
+            << "row " << i << " entry " << q;
+        EXPECT_EQ(blk.values[p],
+                  blk.values[static_cast<std::size_t>(entry + q)])
+            << "row " << i << " entry " << q;
+      }
+    }
+    covered += pr.end - pr.begin;
+  }
+  EXPECT_EQ(got, expected);
+  return covered;
+}
+
+/// The matrix families the pattern runs are for (FD stencils, with values
+/// that vary per row in the anisotropic and varcoef cases) and the FE
+/// matrix, whose unstructured rows mostly do not repeat.
+std::vector<std::pair<const char*, CsrMatrix>> structured_matrices() {
+  std::vector<std::pair<const char*, CsrMatrix>> out;
+  out.emplace_back("fd5pt_9x7", gen::fd_laplacian_2d(9, 7));
+  out.emplace_back("fd7pt_5x4x3", gen::fd_laplacian_3d(5, 4, 3));
+  out.emplace_back("fd9pt_8x6", gen::fd_laplacian_2d_9pt(8, 6));
+  out.emplace_back("fd_aniso_7x9", gen::fd_anisotropic_2d(7, 9, 0.01));
+  out.emplace_back("fd_varcoef_8x8",
+                   gen::fd_varcoef_2d(8, 8, [](double x, double y) {
+                     return 1.0 + x * x + 3.0 * y;
+                   }));
+  gen::FeMeshOptions fe;
+  fe.nx = 7;
+  fe.ny = 6;
+  out.emplace_back("fe_7x6", gen::fe_laplacian_2d(fe));
+  return out;
+}
+
+TEST(PropBlockedCsr, PatternRunsAreTheMaximalRepeatingInteriorChains) {
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << ", AJAC_TEST_SEED base "
+                 << ajac::testing::test_seed());
+    Rng rng(ajac::testing::test_seed(9700 + static_cast<std::uint64_t>(c)));
+    const CsrMatrix a = random_matrix(rng);
+    const BlockedCsr blocked(a, random_block_starts(rng, a.num_rows()));
+    for (index_t t = 0; t < blocked.num_blocks(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "block " << t);
+      (void)check_pattern_runs(blocked.block(t));
+    }
+  }
+  for (const auto& [name, a] : structured_matrices()) {
+    SCOPED_TRACE(name);
+    for (int c = 0; c < 20; ++c) {
+      SCOPED_TRACE(::testing::Message() << "case " << c);
+      Rng rng(ajac::testing::test_seed(9800 + static_cast<std::uint64_t>(c)));
+      const BlockedCsr blocked(a, random_block_starts(rng, a.num_rows()));
+      for (index_t t = 0; t < blocked.num_blocks(); ++t) {
+        SCOPED_TRACE(::testing::Message() << "block " << t);
+        (void)check_pattern_runs(blocked.block(t));
+      }
+    }
+  }
+}
+
+TEST(PropBlockedCsr, PatternRunsCoverTheStencilInteriorAndShareOffsets) {
+  // FD 5-point 6x12 in one block: every grid line's rows x = 1..4 share
+  // one pattern (width 4 on the first and last lines, 5 between); the
+  // edge rows x = 0 and x = 5 repeat neither neighbour and fall back. The
+  // pool holds the three distinct patterns once each.
+  const CsrMatrix fd = gen::fd_laplacian_2d(6, 12);
+  const index_t whole[] = {0, fd.num_rows()};
+  const BlockedCsr one(fd, whole);
+  const auto& blk = one.block(0);
+  EXPECT_EQ(check_pattern_runs(blk), 12 * 4);
+  ASSERT_EQ(blk.pattern_runs.size(), 12U);
+  for (index_t y = 0; y < 12; ++y) {
+    const auto& run = blk.pattern_runs[static_cast<std::size_t>(y)];
+    EXPECT_EQ(run.begin, 6 * y + 1);
+    EXPECT_EQ(run.end, 6 * y + 5);
+    EXPECT_EQ(run.width, y == 0 || y == 11 ? 4 : 5);
+  }
+  EXPECT_EQ(blk.pattern_offsets,
+            (std::vector<BlockedCsr::code_t>{-1, 0, 1, 6,        //
+                                             -6, -1, 0, 1, 6,    //
+                                             -6, -1, 0, 1}));
+  // A run never crosses a block edge: split along grid lines, the lines
+  // next to a neighbouring block are boundary rows.
+  const index_t lines[] = {0, 24, 48, 72};
+  const BlockedCsr split(fd, lines);
+  EXPECT_EQ(check_pattern_runs(split.block(0)), 3 * 4);
+  EXPECT_EQ(check_pattern_runs(split.block(1)), 2 * 4);
+  EXPECT_EQ(check_pattern_runs(split.block(2)), 3 * 4);
+  // FE rows come from an unstructured triangulation: whatever repeats is
+  // found (check_pattern_runs), and most rows stay on col_code.
+  gen::FeMeshOptions fe;
+  fe.nx = 10;
+  fe.ny = 10;
+  const CsrMatrix fem = gen::fe_laplacian_2d(fe);
+  const index_t fe_whole[] = {0, fem.num_rows()};
+  EXPECT_LT(check_pattern_runs(BlockedCsr(fem, fe_whole).block(0)),
+            fem.num_rows() / 2);
 }
 
 /// Expand `runs` into rows, checking that they are non-empty, ascending,
