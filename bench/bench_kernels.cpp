@@ -160,6 +160,8 @@ BENCHMARK(BM_TraceAnalysis)->Arg(68)->Arg(272);
 //   BM_SolveSharedBlocked       partition-aware blocked kernels
 //     (vs BM_SolveSharedAsync at 256: CI's kernel speedup gate,
 //      tools/check_kernel_speedup.py asserts Blocked >= Reference)
+// and the Async/Blocked pair again on a variable-coefficient grid (see
+// BM_SolveSharedAsyncVarcoef).
 runtime::SharedOptions solve_opts(runtime::KernelKind kernel) {
   runtime::SharedOptions o;
   o.num_threads =
@@ -173,15 +175,21 @@ runtime::SharedOptions solve_opts(runtime::KernelKind kernel) {
   return o;
 }
 
-void BM_SolveSharedAsync(benchmark::State& state) {
-  const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  const runtime::SharedOptions o =
-      solve_opts(runtime::KernelKind::kReference);
+/// The timed loop of the metrics-free solve benches: solve_opts(kernel)
+/// solves of `p`, 50 sweeps of n rows each counted as items.
+void run_solves(benchmark::State& state, const gen::LinearProblem& p,
+                runtime::KernelKind kernel) {
+  const runtime::SharedOptions o = solve_opts(kernel);
   for (auto _ : state) {
     const auto r = runtime::solve_shared(p.a, p.b, p.x0, o);
     benchmark::DoNotOptimize(r.total_relaxations);
   }
   state.SetItemsProcessed(state.iterations() * 50 * p.a.num_rows());
+}
+
+void BM_SolveSharedAsync(benchmark::State& state) {
+  run_solves(state, gen::make_problem("fd", grid(state.range(0)), 1),
+             runtime::KernelKind::kReference);
 }
 BENCHMARK(BM_SolveSharedAsync)->Arg(32)->Arg(256)->UseRealTime();
 
@@ -222,28 +230,42 @@ void BM_SolveSharedAsyncStreaming(benchmark::State& state) {
 BENCHMARK(BM_SolveSharedAsyncStreaming)->Arg(32)->UseRealTime();
 
 void BM_SolveSharedBlocked(benchmark::State& state) {
-  const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kBlocked);
-  for (auto _ : state) {
-    const auto r = runtime::solve_shared(p.a, p.b, p.x0, o);
-    benchmark::DoNotOptimize(r.total_relaxations);
-  }
-  state.SetItemsProcessed(state.iterations() * 50 * p.a.num_rows());
+  run_solves(state, gen::make_problem("fd", grid(state.range(0)), 1),
+             runtime::KernelKind::kBlocked);
 }
 BENCHMARK(BM_SolveSharedBlocked)->Arg(32)->Arg(256)->UseRealTime();
+
+// The blocked-vs-reference pair on a variable-coefficient grid (scaled
+// fd_varcoef_2d). Every constant-coefficient FD matrix's pattern runs are
+// uniform, so the blocked solves above hold each run's coefficients in
+// registers; these rows differ in value, so the blocked solve streams
+// them per row. tools/check_kernel_speedup.py gates this pair with the
+// same floor, so the per-row-value path stays covered.
+gen::LinearProblem varcoef_problem(index_t edge) {
+  const auto coef = [](double x, double y) { return 1.0 + x * x + 3.0 * y; };
+  return gen::make_problem("fd_varcoef", gen::fd_varcoef_2d(edge, edge, coef),
+                           1);
+}
+
+void BM_SolveSharedAsyncVarcoef(benchmark::State& state) {
+  run_solves(state, varcoef_problem(state.range(0)),
+             runtime::KernelKind::kReference);
+}
+BENCHMARK(BM_SolveSharedAsyncVarcoef)->Arg(256)->UseRealTime();
+
+void BM_SolveSharedBlockedVarcoef(benchmark::State& state) {
+  run_solves(state, varcoef_problem(state.range(0)),
+             runtime::KernelKind::kBlocked);
+}
+BENCHMARK(BM_SolveSharedBlockedVarcoef)->Arg(256)->UseRealTime();
 
 // Bandwidth-engineered kernels (SELL-C-sigma interior + dense ghost
 // buffers). The micro sizes here are a smoke-level comparison point; the
 // large-n story this path exists for is measured by bench_scale, whose
 // report CI gates with tools/check_kernel_speedup.py --scale.
 void BM_SolveSharedSellCS(benchmark::State& state) {
-  const auto p = gen::make_problem("fd", grid(state.range(0)), 1);
-  const runtime::SharedOptions o = solve_opts(runtime::KernelKind::kSellCS);
-  for (auto _ : state) {
-    const auto r = runtime::solve_shared(p.a, p.b, p.x0, o);
-    benchmark::DoNotOptimize(r.total_relaxations);
-  }
-  state.SetItemsProcessed(state.iterations() * 50 * p.a.num_rows());
+  run_solves(state, gen::make_problem("fd", grid(state.range(0)), 1),
+             runtime::KernelKind::kSellCS);
 }
 BENCHMARK(BM_SolveSharedSellCS)->Arg(32)->Arg(256)->UseRealTime();
 
@@ -266,13 +288,7 @@ void register_custom_solves(const std::string& label) {
     benchmark::RegisterBenchmark(
         (std::string(k.name) + "/" + label).c_str(),
         [kind = k.kind](benchmark::State& state) {
-          const gen::LinearProblem& p = *custom_problem;
-          const runtime::SharedOptions o = solve_opts(kind);
-          for (auto _ : state) {
-            const auto r = runtime::solve_shared(p.a, p.b, p.x0, o);
-            benchmark::DoNotOptimize(r.total_relaxations);
-          }
-          state.SetItemsProcessed(state.iterations() * 50 * p.a.num_rows());
+          run_solves(state, *custom_problem, kind);
         })
         ->UseRealTime();
   }

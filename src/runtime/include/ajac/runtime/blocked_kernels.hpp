@@ -142,10 +142,13 @@ inline double interior_residual(const BlockedCsr::Block& blk,
 }
 
 /// Residuals of pattern run `run`'s rows, ascending, each handed to
-/// `row(li, acc)`: row i's entries in CSR order at values[first + (i -
-/// begin) * K + q] against mirror column li + offset q. No col_code or
-/// row_ptr load, and the K offsets sit in registers. K is the run's width,
-/// a compile-time constant.
+/// `row(li, acc, inv_diag)`: row i's entries in CSR order at values[first
+/// + (i - begin) * K + q] against mirror column li + offset q, and the
+/// row's 1 / a_ii. No col_code or row_ptr load, and the K offsets sit in
+/// registers. A uniform run's K values and 1 / a_ii sit in registers too,
+/// loaded once from its first row, so a row loads only b and the mirror;
+/// they are bitwise every row's own, so the products and the sum are the
+/// per-row loop's. K is the run's width, a compile-time constant.
 template <int K, class Row>
 inline void sweep_pattern_run(const BlockedCsr::Block& blk,
                               const BlockedCsr::PatternRun& run,
@@ -156,21 +159,35 @@ inline void sweep_pattern_run(const BlockedCsr::Block& blk,
     off[q] = blk.pattern_offsets[static_cast<std::size_t>(run.offsets + q)];
   }
   const double* v = blk.values.data() + static_cast<std::size_t>(run.first);
+  if (run.uniform) {
+    double coef[K];
+    for (int q = 0; q < K; ++q) coef[q] = v[q];
+    const double inv =
+        blk.inv_diag[static_cast<std::size_t>(run.begin - blk.lo)];
+    for (index_t i = run.begin; i < run.end; ++i) {
+      const auto li = static_cast<std::size_t>(i - blk.lo);
+      const double* xl = x + li;
+      double acc = b[static_cast<std::size_t>(i)];
+      for (int q = 0; q < K; ++q) acc -= coef[q] * xl[off[q]];
+      row(li, acc, inv);
+    }
+    return;
+  }
   for (index_t i = run.begin; i < run.end; ++i, v += K) {
     const auto li = static_cast<std::size_t>(i - blk.lo);
     const double* xl = x + li;
     double acc = b[static_cast<std::size_t>(i)];
     for (int q = 0; q < K; ++q) acc -= v[q] * xl[off[q]];
-    row(li, acc);
+    row(li, acc, blk.inv_diag[li]);
   }
 }
 
 /// Interior rows [begin, end) of the block, ascending, each residual
-/// handed to `row(li, acc)`: rows of a pattern run of width 4 or 5 (the
-/// FD 5-point stencil's) through sweep_pattern_run, every other row from
-/// `other(i)`. `cursor` indexes blk.pattern_runs and moves past the runs
-/// swept; the runs ascend, so one cursor serves a whole sweep of the
-/// block's interior runs in order.
+/// handed to `row(li, acc, inv_diag)`: rows of a pattern run of width 4
+/// or 5 (the FD 5-point stencil's) through sweep_pattern_run, every other
+/// row from `other(i)` with its stored 1 / a_ii. `cursor` indexes
+/// blk.pattern_runs and moves past the runs swept; the runs ascend, so one
+/// cursor serves a whole sweep of the block's interior runs in order.
 template <class Other, class Row>
 inline void sweep_interior(const BlockedCsr::Block& blk,
                            std::span<const double> b, const double* x,
@@ -183,7 +200,8 @@ inline void sweep_interior(const BlockedCsr::Block& blk,
     const BlockedCsr::PatternRun& run = blk.pattern_runs[cursor];
     if (run.width != 4 && run.width != 5) continue;  // rows go to other()
     for (; i < run.begin; ++i) {
-      row(static_cast<std::size_t>(i - blk.lo), other(i));
+      const auto li = static_cast<std::size_t>(i - blk.lo);
+      row(li, other(i), blk.inv_diag[li]);
     }
     if (run.width == 4) {
       sweep_pattern_run<4>(blk, run, b, x, row);
@@ -192,7 +210,10 @@ inline void sweep_interior(const BlockedCsr::Block& blk,
     }
     i = run.end;
   }
-  for (; i < end; ++i) row(static_cast<std::size_t>(i - blk.lo), other(i));
+  for (; i < end; ++i) {
+    const auto li = static_cast<std::size_t>(i - blk.lo);
+    row(li, other(i), blk.inv_diag[li]);
+  }
 }
 
 /// Residual of own row i, interior or boundary: local entries from the
@@ -232,18 +253,20 @@ inline double own_row_residual(const BlockedCsr::Block& blk,
 
 /// Stage own row li's Jacobi correction in the `next` slice: the
 /// `x_i + inv_diag_i * r_i` of the reference step 2, with the exact mirror
-/// read in place of x.read. commit_block publishes it.
-inline void stage_correction(const BlockedCsr::Block& blk, OwnBlockState& own,
-                             std::size_t li, double acc)
+/// read in place of x.read. commit_block publishes it. `inv_diag` is the
+/// row's 1 / a_ii, or bitwise the same value held for a uniform run.
+inline void stage_correction(OwnBlockState& own, std::size_t li,
+                             double inv_diag, double acc)
     AJAC_REQUIRES(own.owner) {
-  own.next[li] = own.x[li] + blk.inv_diag[li] * acc;
+  own.next[li] = own.x[li] + inv_diag * acc;
 }
 
 /// Jacobi relaxation of every row of the block: each row's residual is
 /// turned into its staged correction at once, so the step streams the
 /// matrix, b and 1/a_ii once and stores no residual. The rows go
 /// in ascending order, one tight loop per run of one class (unfaulted,
-/// one fixed-width loop per pattern run inside an interior run), and the
+/// one fixed-width loop per pattern run inside an interior run, which
+/// streams neither values nor 1/a_ii when the run is uniform), and the
 /// return value is the block's residual 1-norm summed in that order: the
 /// actor's partial norm (terminator.hpp), bitwise the reference path's.
 template <class Faults>
@@ -252,11 +275,11 @@ inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
                           const SharedVector& x, Faults& faults)
     AJAC_REQUIRES(own.owner) {
   double partial = 0.0;
-  const auto stage = [&](std::size_t li, double acc) {
+  const auto stage = [&](std::size_t li, double acc, double inv_diag) {
     // Lambdas are analyzed as separate functions: re-claim the enclosing
     // kernel's role (held by its REQUIRES contract) for this body.
     own.owner.assert_held();
-    stage_correction(blk, own, li, acc);
+    stage_correction(own, li, inv_diag, acc);
     partial += std::abs(acc);
   };
   const auto interior = [&](index_t i) {
@@ -267,13 +290,15 @@ inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
   for (const BlockedCsr::RowRun& run : blk.runs) {
     if (run.boundary) {
       for (index_t i = run.begin; i < run.end; ++i) {
-        stage(static_cast<std::size_t>(i - blk.lo),
-              own_row_residual(blk, a, b, own, x, faults, i));
+        const auto li = static_cast<std::size_t>(i - blk.lo);
+        stage(li, own_row_residual(blk, a, b, own, x, faults, i),
+              blk.inv_diag[li]);
       }
     } else if constexpr (Faults::enabled) {
       // Bit flips index a row's entries: keep the per-entry loop.
       for (index_t i = run.begin; i < run.end; ++i) {
-        stage(static_cast<std::size_t>(i - blk.lo), interior(i));
+        const auto li = static_cast<std::size_t>(i - blk.lo);
+        stage(li, interior(i), blk.inv_diag[li]);
       }
     } else {
       sweep_interior(blk, b, own.x.data(), run.begin, run.end, pattern,
@@ -347,7 +372,9 @@ inline double block_residual_1(const BlockedCsr::Block& blk,
     return acc;
   };
   double norm = 0.0;
-  const auto add = [&](std::size_t, double acc) { norm += std::abs(acc); };
+  const auto add = [&](std::size_t, double acc, double) {
+    norm += std::abs(acc);
+  };
   std::size_t pattern = 0;  // cursor into blk.pattern_runs
   for (const BlockedCsr::RowRun& run : blk.runs) {
     if (run.boundary) {
@@ -453,7 +480,7 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
       event.reads.push_back({j, version});
     }
     acc_out[li] = acc;
-    stage_correction(blk, own, li, acc);
+    stage_correction(own, li, blk.inv_diag[li], acc);
     events.push_back(std::move(event));
   };
   for (const index_t i : blk.interior_rows) relax_row(i);

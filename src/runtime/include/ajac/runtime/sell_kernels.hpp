@@ -118,7 +118,7 @@ inline void relax_interior_sell(const SellCsr::Block& sblk,
       const auto li = static_cast<std::size_t>(
           sblk.rows[static_cast<std::size_t>(first + rr)] - blk.lo);
       acc_out[li] = acc[rr];
-      stage_correction(blk, own, li, acc[rr]);
+      stage_correction(own, li, blk.inv_diag[li], acc[rr]);
     }
   }
 }
@@ -148,7 +148,7 @@ inline void relax_boundary_buffered(const BlockedCsr::Block& blk,
       acc -= blk.values[p] * xj;
     }
     acc_out[li] = acc;
-    stage_correction(blk, own, li, acc);
+    stage_correction(own, li, blk.inv_diag[li], acc);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -34,24 +36,40 @@ void validate_block_starts(std::span<const index_t> block_starts,
   }
 }
 
-/// Whether encoded local row li (li >= 1, both rows interior) repeats row
-/// li - 1 shifted by one: the same length, and every column code one more.
-bool repeats_previous_row(const BlockedCsr::Block& blk, index_t li) {
+/// How encoded local row li (li >= 1, both rows interior) repeats row
+/// li - 1.
+enum class Repeat {
+  kNone,     ///< different length, or some column code not one more
+  kPattern,  ///< the same length, and every column code one more
+  kValues,   ///< kPattern, and bitwise the same values and 1 / a_ii
+};
+
+/// Compare row li with row li - 1: the pattern entry by entry, and their
+/// values and 1 / a_ii as bit patterns, not with ==, so +0.0 and -0.0 (or
+/// two NaNs) never compare equal.
+Repeat repeat_of_previous_row(const BlockedCsr::Block& blk, index_t li) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   const auto r = static_cast<std::size_t>(li);
   const auto prev = static_cast<std::size_t>(blk.row_ptr[r - 1]);
   const auto begin = static_cast<std::size_t>(blk.row_ptr[r]);
   const auto end = static_cast<std::size_t>(blk.row_ptr[r + 1]);
-  if (end - begin != begin - prev) return false;
+  if (end - begin != begin - prev) return Repeat::kNone;
+  std::uint64_t diff = bits(blk.inv_diag[r]) ^ bits(blk.inv_diag[r - 1]);
   for (std::size_t q = 0; q < end - begin; ++q) {
-    if (blk.col_code[begin + q] != blk.col_code[prev + q] + 1) return false;
+    if (blk.col_code[begin + q] != blk.col_code[prev + q] + 1) {
+      return Repeat::kNone;
+    }
+    diff |= bits(blk.values[begin + q]) ^ bits(blk.values[prev + q]);
   }
-  return true;
+  return diff == 0 ? Repeat::kValues : Repeat::kPattern;
 }
 
 /// Record the chain of same-pattern interior rows [begin, end) as a
 /// pattern run when it holds at least two rows. Its offsets come from its
-/// first row and share the previous run's pool slice when equal.
-void close_pattern_chain(BlockedCsr::Block& blk, index_t begin, index_t end) {
+/// first row and share the previous run's pool slice when equal; `uniform`
+/// says every row repeats the first row's values and 1 / a_ii bitwise.
+void close_pattern_chain(BlockedCsr::Block& blk, index_t begin, index_t end,
+                         bool uniform) {
   using code_t = BlockedCsr::code_t;
   if (end - begin < 2) return;
   const auto li = static_cast<std::size_t>(begin - blk.lo);
@@ -68,13 +86,14 @@ void close_pattern_chain(BlockedCsr::Block& blk, index_t begin, index_t end) {
     if (last.width == width &&
         std::equal(row.begin(), row.end(), prev.begin(),
                    [&](code_t c, code_t off) { return c - shift == off; })) {
-      blk.pattern_runs.push_back({begin, end, first, width, last.offsets});
+      blk.pattern_runs.push_back(
+          {begin, end, first, width, last.offsets, uniform});
       return;
     }
   }
   const auto offsets = static_cast<code_t>(pool.size());
   for (const code_t c : row) blk.pattern_offsets.push_back(c - shift);
-  blk.pattern_runs.push_back({begin, end, first, width, offsets});
+  blk.pattern_runs.push_back({begin, end, first, width, offsets, uniform});
 }
 
 /// Fill block `t` from its rows of `a`. Runs on the thread that will later
@@ -125,11 +144,13 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
   // Pass 2: encode entries in their original order, split rows into
   // interior (no ghost entries) and boundary, merge consecutive rows of
   // one class into runs, and consecutive interior rows of one pattern into
-  // pattern runs. Interior rows [chain, i) repeat one pattern.
+  // pattern runs. Interior rows [chain, i) repeat one pattern, and, while
+  // `uniform` holds, the chain's first row's values and 1 / a_ii too.
   blk.col_code.reserve(static_cast<std::size_t>(nnz));
   blk.interior_rows.reserve(static_cast<std::size_t>(rows));
   blk.inv_diag.resize(static_cast<std::size_t>(rows), 0.0);
   index_t chain = lo;
+  bool uniform = true;
   for (index_t i = lo; i < hi; ++i) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_values(i);
@@ -159,14 +180,18 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
     }
     // Extend the current chain of same-pattern interior rows, or close it
     // (a pattern run if it holds >= 2 rows) and start a new one here.
-    const bool extends = !has_ghost && chain < i &&
-                         repeats_previous_row(blk, i - lo);
-    if (!extends) {
-      close_pattern_chain(blk, chain, i);
+    const Repeat repeat = !has_ghost && chain < i
+                              ? repeat_of_previous_row(blk, i - lo)
+                              : Repeat::kNone;
+    if (repeat != Repeat::kNone) {
+      uniform = uniform && repeat == Repeat::kValues;
+    } else {
+      close_pattern_chain(blk, chain, i, uniform);
       chain = has_ghost ? i + 1 : i;
+      uniform = true;
     }
   }
-  close_pattern_chain(blk, chain, hi);
+  close_pattern_chain(blk, chain, hi, uniform);
   return blk;
 }
 

@@ -85,12 +85,21 @@ class BlockedCsr {
   /// i's entry q is values[first + (i - begin) * width + q] in local column
   /// (i - lo) + Block::pattern_offsets[offsets + q], in CSR entry order, so
   /// a sweep needs neither col_code nor row_ptr for these rows.
+  ///
+  /// A run is *uniform* when every row also repeats row begin's `width`
+  /// values and its inv_diag, compared as bit patterns (so +0.0 and -0.0
+  /// never merge): a constant-coefficient stencil, such as the unit-
+  /// diagonal FD matrices. A sweep may then hold the first row's values
+  /// and 1 / a_ii in registers and load neither per row; each product
+  /// still uses the same value bits against the same x element, in entry
+  /// order, so the sums are bitwise those of the per-row loads.
   struct PatternRun {
     index_t begin = 0;
     index_t end = 0;
     code_t first = 0;    ///< row_ptr of row begin: its first entry
     code_t width = 0;    ///< entries per row
     code_t offsets = 0;  ///< start of the run's slice of pattern_offsets
+    bool uniform = false;  ///< rows repeat row begin's values and inv_diag
   };
 
   struct Block {

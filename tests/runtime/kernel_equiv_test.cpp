@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -305,10 +306,7 @@ TEST(KernelEquiv, MetricsRegistryDoesNotPerturbBlockedResults) {
 /// the reference one. Checked on a converged single-thread run (which also
 /// sums verification shares through the pattern loops) and on 4-thread
 /// synchronous runs, fixed-count and to tolerance, at 0 ULP.
-void expect_pattern_runs_agree(const char* name, CsrMatrix a,
-                               std::uint64_t salt) {
-  const auto p =
-      gen::make_problem(name, std::move(a), ajac::testing::test_seed(salt));
+void expect_pattern_runs_agree(const gen::LinearProblem& p) {
   SharedOptions opts;
   opts.num_threads = 1;
   opts.tolerance = 1e-8;
@@ -330,6 +328,12 @@ void expect_pattern_runs_agree(const char* name, CsrMatrix a,
     SCOPED_TRACE("4 threads, synchronous, 40 iterations");
     expect_kernels_agree(p, opts);
   }
+}
+
+void expect_pattern_runs_agree(const char* name, CsrMatrix a,
+                               std::uint64_t salt) {
+  expect_pattern_runs_agree(
+      gen::make_problem(name, std::move(a), ajac::testing::test_seed(salt)));
 }
 
 TEST(KernelEquiv, PatternRunsFd9PointBitwiseIdentical) {
@@ -375,6 +379,53 @@ TEST(KernelEquiv, PatternRunBrokenMidBlockBitwiseIdentical) {
   coo.add(row, row + 2, -0.5);
   coo.add(row, row, 0.5);  // keeps the row diagonally dominant
   expect_pattern_runs_agree("fd5pt_12x12_extra", coo.to_csr(), 119);
+}
+
+// Uniform pattern runs (BlockedCsr::PatternRun::uniform): constant-
+// coefficient stencil rows swept from register-held values and 1 / a_ii
+// must stay bitwise the reference solve, and a run whose values differ
+// by one bit pattern anywhere must keep to the per-row loads.
+
+TEST(KernelEquiv, UniformPatternRunsScaledFd5PointBitwiseIdentical) {
+  expect_pattern_runs_agree("fd5pt_12x12", gen::fd_laplacian_2d(12, 12), 121);
+}
+
+TEST(KernelEquiv, UniformPatternRunsUnscaledFd5PointBitwiseIdentical) {
+  // Diagonal 4, off-diagonals -1: a uniform 1 / a_ii of 0.25, not 1.
+  auto p = gen::make_problem("fd5pt_12x12_unscaled",
+                             gen::fd_laplacian_2d(12, 12),
+                             ajac::testing::test_seed(123));
+  p.a = gen::fd_laplacian_2d(12, 12);
+  expect_pattern_runs_agree(p);
+}
+
+TEST(KernelEquiv, UniformPatternRunsAnisotropicBitwiseIdentical) {
+  // Two distinct off-diagonal values, the same on every row.
+  expect_pattern_runs_agree("fd_aniso_16x12",
+                            gen::fd_anisotropic_2d(16, 12, 0.01), 125);
+}
+
+TEST(KernelEquiv, UniformRunBrokenByOneUlpBitwiseIdentical) {
+  // The west entry of grid point (6, 7), in the middle line of block 2 at
+  // 4 threads, moved up by one ULP: that line's run is not uniform.
+  auto p = gen::make_problem("fd5pt_12x12_ulp", gen::fd_laplacian_2d(12, 12),
+                             ajac::testing::test_seed(127));
+  const index_t row = 7 * 12 + 6;
+  double& west = ajac::testing::stored_entry(p.a, row, row - 1);
+  west = std::nextafter(west, 1.0);
+  expect_pattern_runs_agree(p);
+}
+
+TEST(KernelEquiv, UniformRunWithSignedZeroBitwiseIdentical) {
+  // Line 7's run rows store their east entry as +0.0, except point (6, 7)
+  // which stores -0.0: equal under ==, so only the bitwise test keeps the
+  // run off the uniform path.
+  auto p = gen::make_problem("fd5pt_12x12_signed_zero",
+                             gen::fd_laplacian_2d(12, 12),
+                             ajac::testing::test_seed(129));
+  ajac::testing::store_signed_zeros(p.a, 7 * 12 + 1, 7 * 12 + 11,
+                                        7 * 12 + 6);
+  expect_pattern_runs_agree(p);
 }
 
 /// Run the same problem through kSellCS and kBlocked and require bitwise

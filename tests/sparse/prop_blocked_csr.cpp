@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include "ajac/gen/fe.hpp"
 #include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
+#include "ajac/sparse/scaling.hpp"
 #include "ajac/util/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -453,6 +456,145 @@ TEST(PropBlockedCsr, PatternRunsCoverTheStencilInteriorAndShareOffsets) {
   const index_t fe_whole[] = {0, fem.num_rows()};
   EXPECT_LT(check_pattern_runs(BlockedCsr(fem, fe_whole).block(0)),
             fem.num_rows() / 2);
+}
+
+/// Whether every row of pattern run `pr` stores bitwise row begin's values
+/// and 1 / a_ii. Brute force over the run's rows from the encoding,
+/// independent of the builder's chaining.
+bool bitwise_constant(const BlockedCsr::Block& blk,
+                      const BlockedCsr::PatternRun& pr) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto first = static_cast<std::size_t>(pr.first);
+  const auto width = static_cast<std::size_t>(pr.width);
+  const double inv = blk.inv_diag[static_cast<std::size_t>(pr.begin - blk.lo)];
+  for (index_t i = pr.begin; i < pr.end; ++i) {
+    if (bits(blk.inv_diag[static_cast<std::size_t>(i - blk.lo)]) !=
+        bits(inv)) {
+      return false;
+    }
+    const std::size_t row = first + static_cast<std::size_t>(i - pr.begin) *
+                                        width;
+    for (std::size_t q = 0; q < width; ++q) {
+      if (bits(blk.values[row + q]) != bits(blk.values[first + q])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Pattern runs of a BlockedCsr, and how many of them are uniform.
+struct UniformCount {
+  index_t runs = 0;
+  index_t uniform = 0;
+};
+
+/// Check every pattern run's uniform flag against bitwise_constant.
+UniformCount check_uniform_flags(const BlockedCsr& blocked) {
+  UniformCount count;
+  for (index_t t = 0; t < blocked.num_blocks(); ++t) {
+    const auto& blk = blocked.block(t);
+    for (const auto& pr : blk.pattern_runs) {
+      EXPECT_EQ(pr.uniform, bitwise_constant(blk, pr))
+          << "block " << t << ", run [" << pr.begin << ", " << pr.end << ")";
+      ++count.runs;
+      count.uniform += pr.uniform ? 1 : 0;
+    }
+  }
+  return count;
+}
+
+TEST(PropBlockedCsr, UniformPatternRunsAreExactlyTheBitwiseConstantRuns) {
+  for (int c = 0; c < kCases; ++c) {
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << ", AJAC_TEST_SEED base "
+                 << ajac::testing::test_seed());
+    Rng rng(ajac::testing::test_seed(9900 + static_cast<std::uint64_t>(c)));
+    const CsrMatrix a = random_matrix(rng);
+    (void)check_uniform_flags(
+        BlockedCsr(a, random_block_starts(rng, a.num_rows())));
+  }
+  for (const auto& [name, a] : structured_matrices()) {
+    SCOPED_TRACE(name);
+    for (int c = 0; c < 20; ++c) {
+      SCOPED_TRACE(::testing::Message() << "case " << c);
+      Rng rng(ajac::testing::test_seed(9950 + static_cast<std::uint64_t>(c)));
+      (void)check_uniform_flags(
+          BlockedCsr(a, random_block_starts(rng, a.num_rows())));
+    }
+  }
+
+  // Whole-matrix blocks: constant-coefficient stencils, scaled or not,
+  // are uniform run for run (the anisotropic one with two distinct
+  // off-diagonal values); variable coefficients and FE rows are not.
+  const auto whole = [](const CsrMatrix& a) {
+    const index_t starts[] = {0, a.num_rows()};
+    return check_uniform_flags(BlockedCsr(a, starts));
+  };
+  const auto expect_all_uniform = [&](const char* name, const CsrMatrix& a) {
+    SCOPED_TRACE(name);
+    const UniformCount count = whole(a);
+    EXPECT_GT(count.runs, 0);
+    EXPECT_EQ(count.uniform, count.runs);
+  };
+  const CsrMatrix fd = scale_to_unit_diagonal(gen::fd_laplacian_2d(12, 12));
+  expect_all_uniform("fd5pt scaled", fd);
+  expect_all_uniform("fd5pt unscaled", gen::fd_laplacian_2d(12, 12));
+  expect_all_uniform("fd7pt", gen::fd_laplacian_3d(5, 4, 6));
+  expect_all_uniform("fd9pt", gen::fd_laplacian_2d_9pt(8, 6));
+  expect_all_uniform(
+      "fd_aniso", scale_to_unit_diagonal(gen::fd_anisotropic_2d(9, 7, 0.01)));
+  {
+    SCOPED_TRACE("fd_varcoef");
+    const UniformCount count = whole(gen::fd_varcoef_2d(
+        8, 8, [](double x, double y) { return 1.0 + x * x + 3.0 * y; }));
+    EXPECT_GT(count.runs, 0);
+    EXPECT_EQ(count.uniform, 0);
+  }
+  {
+    SCOPED_TRACE("fe");
+    gen::FeMeshOptions fe;
+    fe.nx = 10;
+    fe.ny = 10;
+    const UniformCount count = whole(gen::fe_laplacian_2d(fe));
+    EXPECT_LT(count.uniform, count.runs);
+  }
+
+  // Grid line 7 of the 12x12 FD matrix is run 7 of its block. One value
+  // moved by one ULP, or an east entry stored as +0.0 on the line's run
+  // rows but -0.0 on one (== would merge them), must break that run's
+  // flag and no other.
+  const auto expect_only_line_7_broken = [&](const char* name,
+                                             const CsrMatrix& a) {
+    SCOPED_TRACE(name);
+    const index_t starts[] = {0, a.num_rows()};
+    const BlockedCsr blocked(a, starts);
+    (void)check_uniform_flags(blocked);
+    const auto& runs = blocked.block(0).pattern_runs;
+    ASSERT_EQ(runs.size(), 12U);
+    for (std::size_t y = 0; y < runs.size(); ++y) {
+      EXPECT_EQ(runs[y].uniform, y != 7) << "line " << y;
+    }
+  };
+  const index_t row = 7 * 12 + 6;
+  CsrMatrix ulp = fd;
+  double& west = ajac::testing::stored_entry(ulp, row, row - 1);
+  west = std::nextafter(west, 1.0);
+  expect_only_line_7_broken("one ULP", ulp);
+  CsrMatrix zeros = fd;
+  ajac::testing::store_signed_zeros(zeros, 7 * 12 + 1, 7 * 12 + 11, row);
+  expect_only_line_7_broken("signed zero", zeros);
+
+  // More parts than rows: the empty blocks carry no runs, and the two
+  // non-empty ones keep their uniform edge-line runs.
+  const CsrMatrix small = gen::fd_laplacian_2d(4, 4);
+  std::vector<index_t> many(10, 0);
+  many.insert(many.end(), 8, 8);
+  many.push_back(small.num_rows());
+  ASSERT_GT(many.size() - 1, static_cast<std::size_t>(small.num_rows()));
+  const UniformCount count = check_uniform_flags(BlockedCsr(small, many));
+  EXPECT_GT(count.uniform, 0);
+  EXPECT_EQ(count.uniform, count.runs);
 }
 
 /// Expand `runs` into rows, checking that they are non-empty, ascending,

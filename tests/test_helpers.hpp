@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/types.hpp"
@@ -68,6 +70,30 @@ inline double apply_diff_inf(const CsrMatrix& a, const Vector& x,
     acc = std::max(acc, std::abs(ax[i] - y[i]));
   }
   return acc;
+}
+
+/// The stored value of entry (i, j) of `a`, for tests that edit one value
+/// of a generated matrix in place. Throws std::out_of_range when entry
+/// (i, j) is not stored.
+inline double& stored_entry(CsrMatrix& a, index_t i, index_t j) {
+  const auto cols = a.row_cols(i);
+  const auto q = static_cast<std::size_t>(std::ranges::find(cols, j) -
+                                          cols.begin());
+  if (q == cols.size()) {
+    throw std::out_of_range("entry (" + std::to_string(i) + ", " +
+                            std::to_string(j) + ") is not stored");
+  }
+  return a.mutable_values()[static_cast<std::size_t>(a.row_ptr()[i]) + q];
+}
+
+/// Store +0.0 as entry (i, i + 1) of each row i in [begin, end) of `a`,
+/// except row `minus`, which stores -0.0: rows that then compare equal
+/// under == but differ in one bit pattern.
+inline void store_signed_zeros(CsrMatrix& a, index_t begin, index_t end,
+                               index_t minus) {
+  for (index_t i = begin; i < end; ++i) {
+    stored_entry(a, i, i + 1) = i == minus ? -0.0 : 0.0;
+  }
 }
 
 /// Asserts a and b have the same shape, row_ptr and col_idx, and values
