@@ -110,7 +110,6 @@ inline std::vector<std::pair<std::string, Table>>& report_tables() {
 /// object. Function-local static for the same reason as report_tables().
 struct PolicyCounters {
   std::uint64_t policy_draws = 0;
-  std::uint64_t weight_refreshes = 0;
   std::uint64_t instrumented_solves = 0;
 };
 
@@ -129,8 +128,6 @@ inline void record_policy_counters(const obs::MetricsRegistry& reg) {
   detail::PolicyCounters& acc = detail::policy_counters();
   acc.policy_draws +=
       snap.totals[static_cast<std::size_t>(obs::Counter::kPolicyDraws)];
-  acc.weight_refreshes +=
-      snap.totals[static_cast<std::size_t>(obs::Counter::kWeightRefreshes)];
   ++acc.instrumented_solves;
 }
 
@@ -161,8 +158,6 @@ inline void write_json_report(const std::string& path, const CliParser& cli) {
   w.key("instrumented_solves")
       .value(static_cast<std::int64_t>(pc.instrumented_solves));
   w.key("policy_draws").value(static_cast<std::int64_t>(pc.policy_draws));
-  w.key("weight_refreshes")
-      .value(static_cast<std::int64_t>(pc.weight_refreshes));
   w.end_object();
   w.key("tables").begin_object();
   for (const auto& [name, table] : detail::report_tables()) {

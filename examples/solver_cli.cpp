@@ -95,9 +95,8 @@ bool parse_balance(const std::string& name) {
 runtime::RowPolicy parse_policy(const std::string& name) {
   if (name == "natural") return runtime::RowPolicy::kNaturalOrder;
   if (name == "uniform") return runtime::RowPolicy::kUniformRandom;
-  if (name == "weighted") return runtime::RowPolicy::kResidualWeighted;
   throw std::invalid_argument("unknown policy '" + name +
-                              "' (natural | uniform | weighted)");
+                              "' (natural | uniform)");
 }
 
 }  // namespace
@@ -125,10 +124,8 @@ int main(int argc, char** argv) {
                  "equalized by nonzero count; default) | rows (equal row "
                  "counts; reference kernel always uses rows)");
   cli.add_option("policy", "natural",
-                 "async row-selection policy: natural | uniform | weighted "
+                 "async row-selection policy: natural | uniform "
                  "(shared and distsim backends)");
-  cli.add_option("weight-refresh", "8",
-                 "weighted policy: iterations between |r_i| weight rebuilds");
   cli.add_option("nrhs", "1",
                  "right-hand sides (shared backend; > 1 solves that many "
                  "seeded random columns, one after another)");
@@ -183,7 +180,6 @@ int main(int argc, char** argv) {
     cfg.balance_by_nnz = parse_balance(cli.get_string("balance"));
     cfg.num_rhs = cli.get_int("nrhs");
     cfg.policy = parse_policy(cli.get_string("policy"));
-    cfg.weight_refresh = cli.get_int("weight-refresh");
 
     // Live telemetry: a hub the solver publishes beacons into and a
     // monitor draining it on a background thread while the solve runs.

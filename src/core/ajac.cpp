@@ -56,7 +56,6 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       opts.record_history = false;
       opts.kernel = config.shared_kernel;
       opts.policy = config.policy;
-      opts.weight_refresh = config.weight_refresh;
       opts.policy_seed = config.seed;
       opts.stream = config.stream;
       // nnz-balanced blocks for the partition-aware kernels (the facade
@@ -115,7 +114,6 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       opts.tolerance = config.tolerance;
       opts.seed = config.seed;
       opts.policy = config.policy;
-      opts.weight_refresh = config.weight_refresh;
       opts.stream = config.stream;
 
       const CsrMatrix* matrix = &a;
@@ -192,7 +190,6 @@ BatchSolution solve_batch(const CsrMatrix& a, const MultiVector& b,
   opts.record_history = false;
   opts.kernel = config.shared_kernel;
   opts.policy = config.policy;
-  opts.weight_refresh = config.weight_refresh;
   opts.policy_seed = config.seed;
   opts.stream = config.stream;
   // Same facade-level nnz balancing as the single-RHS path.

@@ -74,9 +74,6 @@ struct SolveConfig {
   /// draw rows from counter-based streams seeded by `seed` (see
   /// runtime::RowPolicy). Asynchronous mode only.
   runtime::RowPolicy policy = runtime::RowPolicy::kNaturalOrder;
-  /// Sampled kResidualWeighted policy: iterations between |r_i| weight
-  /// rebuilds (must be >= 1).
-  index_t weight_refresh = 8;
   /// kSharedMemory / kDistributedSim: live telemetry hub (see
   /// ajac/obs/stream.hpp). nullptr disables streaming; the off path is
   /// bitwise identical to a build without telemetry.

@@ -138,10 +138,9 @@ double relax_dispatch(ProcessState& ps, std::span<const double> b_local,
 /// Sampled-policy local iteration: `num_owned` draws from the rank's
 /// counter-based row stream, each relaxing its row in place (later draws
 /// see earlier draws' values, like the shared runtime's sampled path).
-/// Weighted draws refresh their stencil-smoothed residual prefix sums on
-/// the sampler's cadence from the pre-draw local view. When `record` is set, every draw logs a
-/// relaxation event whose owned reads carry per-row relaxation counts
-/// (ps.own_version) rather than the block iteration count. Returns the
+/// When `record` is set, every draw logs a relaxation event whose owned
+/// reads carry per-row relaxation counts (ps.own_version) rather than the
+/// block iteration count. Returns the
 /// post-sweep local residual 1-norm — draws may visit rows unevenly, so
 /// the per-draw residuals do not sum to a block norm the way the sweeping
 /// kernels' do; one exact pass keeps the termination-detection reports
@@ -150,30 +149,8 @@ double relax_block_sampled(ProcessState& ps, std::span<const double> b_local,
                            bool record) {
   const LocalBlock& blk = *ps.blk;
   const index_t m = blk.num_owned();
-  runtime::RowSampler& sampler = *ps.sampler;
+  const runtime::RowSampler& sampler = *ps.sampler;
   const index_t iter = ps.iterations;
-  if (sampler.refresh_due(iter)) {
-    // Two passes, mirroring the shared runtime's refresh: the TRUE local
-    // residual of every owned row (ghosts at their mailbox values), then
-    // the stencil-smoothed weight (|A| |r|)_i over the owned rows — see
-    // row_policy.hpp. ps.updates is the Jacobi carrier, unused on the
-    // sampled path, so it serves as the snapshot scratch here.
-    for (index_t i = 0; i < m; ++i) {
-      double acc = b_local[i];
-      for (index_t p = blk.row_ptr[i]; p < blk.row_ptr[i + 1]; ++p) {
-        acc -= blk.values[p] * ps.x_local[blk.col_idx[p]];
-      }
-      ps.updates[i] = std::abs(acc);
-    }
-    sampler.refresh_weights([&](index_t i) {
-      double w = 0.0;
-      for (index_t p = blk.row_ptr[i]; p < blk.row_ptr[i + 1]; ++p) {
-        const index_t c = blk.col_idx[p];
-        if (c < m) w += std::abs(blk.values[p]) * ps.updates[c];
-      }
-      return w;
-    });
-  }
   for (index_t slot = 0; slot < m; ++slot) {
     const index_t i = sampler.next(iter, slot);
     double acc = b_local[i];
@@ -282,8 +259,6 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
   AJAC_CHECK_MSG(!sampled || opts.inner_sweep == InnerSweep::kJacobi,
                  "sampled row policies define their own in-place schedule; "
                  "the Gauss-Seidel inner sweep does not compose with them");
-  AJAC_CHECK_MSG(opts.weight_refresh >= 1,
-                 "weight_refresh must be a positive iteration cadence");
   // A NaN tolerance would never be met, so the run would silently go to
   // max_iterations; <= 0 keeps its meaning of "iteration cap only".
   AJAC_CHECK_MSG(!std::isnan(opts.tolerance),
@@ -397,8 +372,7 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
       // Same coordinate discipline as the shared runtime: draws are a
       // deterministic function of (seed, rank, iteration, slot), so the
       // event interleaving cannot perturb them.
-      ps.sampler.emplace(opts.policy, opts.seed, p, index_t{0}, m,
-                         opts.weight_refresh);
+      ps.sampler.emplace(opts.policy, opts.seed, p, index_t{0}, m);
       if (opts.record_trace) {
         ps.own_version.assign(static_cast<std::size_t>(m), 0);
       }
@@ -439,7 +413,6 @@ DistResult solve_distributed(const CsrMatrix& a, const Vector& b,
     bcn.own_residual_1 = own_norm_1;
     bcn.policy_draws =
         sampled ? static_cast<std::uint64_t>(ps.iterations) * m : 0;
-    bcn.weight_refreshes = 0;
     ring.publish(bcn);
   };
   // Terminal beacon: own-block residual recomputed from the committed

@@ -111,9 +111,6 @@ struct DistOptions {
   /// runtime — and relax each drawn row in place. kNaturalOrder leaves
   /// the simulator bitwise unchanged.
   runtime::RowPolicy policy = runtime::RowPolicy::kNaturalOrder;
-  /// Sampled kResidualWeighted: local iterations between |r_i| weight
-  /// rebuilds (must be >= 1).
-  index_t weight_refresh = 8;
   CostModel cost;
   std::uint64_t seed = 99;
   /// Asynchronous-mode termination scheme (see Termination).

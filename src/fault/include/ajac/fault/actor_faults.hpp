@@ -65,6 +65,9 @@ class ActorFaults {
   [[nodiscard]] bool has_stale_reads() const noexcept {
     return specs_.stale != nullptr;
   }
+  [[nodiscard]] bool has_bit_flips() const noexcept {
+    return !specs_.bit_flips.empty();
+  }
 
   /// Straggler window, crash trigger and stale window, in that order, at
   /// the top of local iteration `iter`. Window entries, the crash and the

@@ -129,10 +129,10 @@ class FaultClock {
 }
 
 /// A worker that is periodically slow. In the shared runtime the actor
-/// busy-waits extra_delay_us before each active iteration (wall clock, like
-/// SharedOptions::delay_us); in the simulator its compute time is scaled by
+/// busy-waits extra_delay_us (wall clock) before each active iteration, in
+/// either mode; in the simulator its compute time is scaled by
 /// delay_factor. With duty = 1 this is the paper's permanently delayed
-/// worker (Sec. VII-B).
+/// worker (Sec. VII-B), and the shared runtime's one delay mechanism.
 struct StragglerSpec {
   index_t actor = 0;  ///< thread id / rank; must name a real actor
   double extra_delay_us = 100.0;  ///< shared runtime: per-iteration stall

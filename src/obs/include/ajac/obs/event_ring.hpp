@@ -54,7 +54,6 @@ struct Beacon {
   std::uint64_t relaxations = 0;    ///< cumulative row relaxations
   double own_residual_1 = 0.0;      ///< own-block residual 1-norm
   std::uint64_t policy_draws = 0;   ///< cumulative sampled-policy draws
-  std::uint64_t weight_refreshes = 0;  ///< cumulative weight rebuilds
 };
 
 /// Broadcast SPSC seqlock ring of Beacons. Capacity is rounded up to a
@@ -104,7 +103,6 @@ class EventRing {
     s.word[3].store(std::bit_cast<std::uint64_t>(b.own_residual_1),
                     std::memory_order_release);
     s.word[4].store(b.policy_draws, std::memory_order_release);
-    s.word[5].store(b.weight_refreshes, std::memory_order_release);
     s.seq.store(2 * h + 2, std::memory_order_release);
     head_local_ = h + 1;
     head_.store(h + 1, std::memory_order_release);
@@ -160,7 +158,6 @@ class EventRing {
       b.own_residual_1 = std::bit_cast<double>(
           s.word[3].load(std::memory_order_acquire));
       b.policy_draws = s.word[4].load(std::memory_order_acquire);
-      b.weight_refreshes = s.word[5].load(std::memory_order_acquire);
       // racy-ok(seqlock-validate): the closing check may be relaxed —
       // the acquire payload loads above already order it after them.
       const std::uint64_t s2 = s.seq.load(std::memory_order_relaxed);
@@ -177,15 +174,16 @@ class EventRing {
   }
 
  private:
-  static constexpr std::size_t kPayloadWords = 6;
+  static constexpr std::size_t kPayloadWords = 5;
 
   static std::size_t round_up_pow2(std::size_t v) noexcept {
     if (v < 2) return 2;
     return std::bit_ceil(v);
   }
 
-  // One 64-byte line per slot: the sequence word plus the six payload
-  // words exactly fill it, so neighbouring slots never false-share.
+  // One 64-byte line per slot: the sequence word plus the five payload
+  // words fit in it (alignas pads the rest), so neighbouring slots never
+  // false-share.
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> word[kPayloadWords];

@@ -54,7 +54,7 @@ namespace ajac::obs {
 
 /// Version of the JSON snapshot schema emitted by obs::to_json. Bump when
 /// renaming/removing fields; additions are backward compatible.
-inline constexpr int kMetricsSchemaVersion = 3;
+inline constexpr int kMetricsSchemaVersion = 4;
 
 /// Monotone per-actor counters. Shared-runtime and distsim populate
 /// disjoint subsets; unused counters stay zero and are still emitted (the
@@ -64,7 +64,7 @@ enum class Counter : std::size_t {
   kIterations,          ///< local iterations completed
   kSeqlockRetries,      ///< versioned-read retry loops (traced vectors)
   kFlagRaises,          ///< 0->1 transitions of the termination flag
-  kSpinWaitNs,          ///< injected delay busy-wait (delay_us, stragglers)
+  kSpinWaitNs,          ///< injected busy-wait (stragglers, crash dead time)
   kResidualCheckNs,     ///< time in the racy convergence-norm scan
   kPolishSweeps,        ///< sequential cleanup sweeps after the run
   kFaultEvents,         ///< fault injections observed by this actor
@@ -74,7 +74,6 @@ enum class Counter : std::size_t {
   kMessagesReceived,    ///< distsim: puts delivered
   kMessagesDropped,     ///< distsim: puts lost to faults or dead ranks
   kMessagesDuplicated,  ///< distsim: retransmitted copies injected
-  kWeightRefreshes,     ///< sampled policies: |r_i| prefix-sum rebuilds
   kPolicyDraws,         ///< sampled policies: rows drawn from the sampler
   kQueueFullDrops,      ///< mesh: packets refused by a full SPSC ring
   kGhostRefreshes,      ///< sellcs: dense ghost-buffer refreshes performed

@@ -23,7 +23,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kMessagesReceived: return "messages_received";
     case Counter::kMessagesDropped: return "messages_dropped";
     case Counter::kMessagesDuplicated: return "messages_duplicated";
-    case Counter::kWeightRefreshes: return "weight_refreshes";
     case Counter::kPolicyDraws: return "policy_draws";
     case Counter::kQueueFullDrops: return "queue_full_drops";
     case Counter::kGhostRefreshes: return "ghost_refreshes";

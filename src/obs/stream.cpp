@@ -70,7 +70,6 @@ void NdjsonSink::on_beacon(index_t actor, const Beacon& b) {
   w.key("relaxations").value(b.relaxations);
   w.key("own_residual_1").value(b.own_residual_1);
   w.key("policy_draws").value(b.policy_draws);
-  w.key("weight_refreshes").value(b.weight_refreshes);
   w.end_object();
   *out_ << w.str() << '\n';
   if (opts_.flush_every_record) out_->flush();

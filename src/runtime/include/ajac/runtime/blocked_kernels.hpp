@@ -264,9 +264,9 @@ inline void stage_correction(OwnBlockState& own, std::size_t li,
 /// Jacobi relaxation of every row of the block: each row's residual is
 /// turned into its staged correction at once, so the step streams the
 /// matrix, b and 1/a_ii once and stores no residual. The rows go
-/// in ascending order, one tight loop per run of one class (unfaulted,
-/// one fixed-width loop per pattern run inside an interior run, which
-/// streams neither values nor 1/a_ii when the run is uniform), and the
+/// in ascending order, one tight loop per run of one class (without bit
+/// flips, one fixed-width loop per pattern run inside an interior run,
+/// which streams neither values nor 1/a_ii when the run is uniform), and the
 /// return value is the block's residual 1-norm summed in that order: the
 /// actor's partial norm (terminator.hpp), bitwise the reference path's.
 template <class Faults>
@@ -294,8 +294,10 @@ inline double relax_block(const BlockedCsr::Block& blk, const CsrMatrix& a,
         stage(li, own_row_residual(blk, a, b, own, x, faults, i),
               blk.inv_diag[li]);
       }
-    } else if constexpr (Faults::enabled) {
-      // Bit flips index a row's entries: keep the per-entry loop.
+    } else if (faults.has_bit_flips()) {
+      // Bit flips index a row's entries: keep the per-entry loop. Interior
+      // rows read no ghost, so a plan without flips (stragglers, stale
+      // windows, crashes) keeps the sweep below, bitwise the same.
       for (index_t i = run.begin; i < run.end; ++i) {
         const auto li = static_cast<std::size_t>(i - blk.lo);
         stage(li, interior(i), blk.inv_diag[li]);

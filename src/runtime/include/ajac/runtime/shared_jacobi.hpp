@@ -66,7 +66,7 @@ enum class KernelKind {
   /// Bitwise-equivalent to kBlocked whenever the reads see the same values
   /// (num_threads=1, or synchronous mode). Not composable with
   /// record_trace, local_gauss_seidel, sampled row policies or fault plans
-  /// (checked).
+  /// other than stragglers (checked).
   kSellCS,
 };
 
@@ -80,10 +80,6 @@ struct SharedOptions {
   /// Per-thread local iteration cap; a thread raises its flag at this
   /// count even if the tolerance is not met.
   index_t max_iterations = 10000;
-  /// Busy-wait injected before each iteration of thread t (microseconds);
-  /// empty = no delays. This reproduces the paper's artificially slowed
-  /// thread (Sec. VII-B). One finite entry >= 0 per thread.
-  std::vector<double> delay_us;
   /// Record (wall time, residual norm) history points.
   bool record_history = true;
   /// Record read-version traces for the propagation analysis. Adds seqlock
@@ -114,9 +110,12 @@ struct SharedOptions {
   /// Fault-injection plan (see ajac/fault/fault_plan.hpp). Null or empty
   /// keeps the zero-fault path branch-free: the solve dispatches to a
   /// template instantiation whose injection hooks compile to no-ops.
-  /// Asynchronous mode only — the synchronous barriers define the
-  /// interesting faults away. Message faults are rejected: threads
-  /// exchange no messages (fault::require_honoured).
+  /// A plan of stragglers only is accepted in either mode and on every
+  /// kernel: a duty-1 StragglerSpec is the paper's artificially slowed
+  /// thread (Sec. VII-B), and it moves no bit of a synchronous solve.
+  /// Every other fault kind needs asynchronous mode and kBlocked or
+  /// kReference. Message faults are rejected: threads exchange no
+  /// messages (fault::require_honoured).
   std::shared_ptr<const fault::FaultPlan> fault_plan;
   /// Observability sink (see ajac/obs/metrics.hpp): per-thread relaxation
   /// counts and rates, seqlock retry counts, a read-staleness histogram
@@ -149,11 +148,6 @@ struct SharedOptions {
   /// no natural synchronous meaning), and exclusive with
   /// local_gauss_seidel (sampling *is* the in-place schedule).
   RowPolicy policy = RowPolicy::kNaturalOrder;
-  /// Residual-weighted sampling rebuilds its |r_i| prefix sum every this
-  /// many local iterations (at the iteration boundary, from a consistent
-  /// own-row snapshot). Smaller tracks the residual more closely; larger
-  /// amortizes the rebuild.
-  index_t weight_refresh = 8;
   /// Seed of the policy draw streams. PolicyClock salts it, so the same
   /// value may safely seed the fault plan: policy draws never perturb
   /// fault decisions and vice versa.

@@ -108,23 +108,6 @@ class SharedVector {
     return cell(i).load(std::memory_order_relaxed);
   }
 
-  /// Racy read for heuristic snapshots taken at an iteration boundary
-  /// (the residual-weighted sampler's per-row |r_i| weights). Same load as
-  /// read(), but under a distinct justification: the value steers *which*
-  /// row is sampled next, never what is computed, so any momentarily stale
-  /// element only biases the draw distribution. Reading once per refresh
-  /// cadence — instead of per draw — is what fixes the latent staleness of
-  /// weighting by the live rel_residual_1 values: within a refresh window
-  /// the weights are a single consistent snapshot, so the draw sequence is
-  /// a deterministic function of (seed, snapshot), not of the interleaving
-  /// between draws.
-  [[nodiscard]] double read_snapshot(index_t i) const {
-    AJAC_DBG_CHECK(in_range(i));
-    // racy-ok(weight-snapshot): heuristic sampling weight captured once per
-    // refresh cadence; staleness biases row choice, never correctness.
-    return cell(i).load(std::memory_order_relaxed);
-  }
-
   /// Read value + version consistently (seqlock). Only valid when traced.
   ///
   /// Retry discipline: a reader that observes a write in progress (odd

@@ -210,8 +210,6 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     const auto t = static_cast<index_t>(omp_get_thread_num());
     const index_t lo = part.part_begin(t);
     const index_t hi = part.part_end(t);
-    const double delay =
-        opts.delay_us.empty() ? 0.0 : opts.delay_us[static_cast<std::size_t>(t)];
     const bool sampled = is_sampled(opts.policy);
     // Residuals of the own rows, by local row, seeded with the prologue's
     // r0 rows: the reference kernels' relax->commit carrier, the traced
@@ -243,17 +241,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     // instrumented, the per-row draw counts behind the row-selection-skew
     // metric (empty without a registry). Natural order pays for neither.
     std::optional<RowSampler> sampler;
-    // Scratch for the weighted refresh: |true residual| of each own row,
-    // computed in a first pass so the weight of row i can sum its whole
-    // stencil (see the refresh below). Sized once, outside the timed loop.
-    std::vector<double> snapshot_r;
-    if (sampled) {
-      sampler.emplace(opts.policy, opts.policy_seed, t, lo, hi,
-                      opts.weight_refresh);
-      if (opts.policy == RowPolicy::kResidualWeighted) {
-        snapshot_r.assign(static_cast<std::size_t>(hi - lo), 0.0);
-      }
-    }
+    if (sampled) sampler.emplace(opts.policy, opts.policy_seed, t, lo, hi);
     std::vector<std::uint32_t> pick_counts;
     if (sampled && metrics.on()) {
       pick_counts.assign(static_cast<std::size_t>(hi - lo), 0);
@@ -311,10 +299,6 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
         continue;
       }
       metrics.iteration_begin();
-      if (delay > 0.0) {
-        spin_wait_us(delay);
-        metrics.spin_wait(delay);
-      }
       if constexpr (Faults::enabled) faults.begin_iteration(iter);
       if constexpr (Faults::enabled && Blocked) {
         // A crash recovery with state reset rewrote the shared x on the own
@@ -331,39 +315,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       if (sampled) {
         // Sampled policies: block-size in-place relaxations of drawn rows
         // (iteration counting, termination, and total_relaxations keep
-        // their natural-order meaning). The weighted sampler rebuilds its
-        // prefix sum here, at the iteration boundary, in two passes: the
-        // TRUE residual of every own row recomputed from an x snapshot
-        // (never the stored per-row residuals, whose pre-update values go
-        // stale under in-place draws), then the stencil-smoothed weight
-        // (|A| |r|)_i over the own block — see row_policy.hpp for why both the
-        // recompute and the smoothing are load-bearing. Weights read x
-        // directly, bypassing fault injection: the policy stream must not
-        // consume fault decisions.
-        if (sampler->refresh_due(iter)) {
-          for (index_t i = lo; i < hi; ++i) {
-            const auto [cols, vals] = a.row(i);
-            double acc = b[i];
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              acc -= vals[p] * x.read_snapshot(cols[p]);
-            }
-            snapshot_r[static_cast<std::size_t>(i - lo)] = std::abs(acc);
-          }
-          sampler->refresh_weights([&](index_t i) {
-            const auto [cols, vals] = a.row(i);
-            double w = 0.0;
-            for (std::size_t p = 0; p < cols.size(); ++p) {
-              const index_t j = cols[p];
-              if (j >= lo && j < hi) {
-                w += std::abs(vals[p]) *
-                     snapshot_r[static_cast<std::size_t>(j - lo)];
-              }
-            }
-            return w;
-          });
-          metrics.weight_refresh();
-          stream.weight_refresh();
-        }
+        // their natural-order meaning).
         const index_t draws = hi - lo;
         for (index_t slot = 0; slot < draws; ++slot) {
           const index_t i = sampler->next(iter, slot);
@@ -426,8 +378,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
           if (sell != nullptr) {
             // kSellCS: refresh the dense ghost buffer once, then relax the
             // SELL-packed interior and the buffered boundary.
-            // Faults/trace/GS/sampling never reach this branch (rejected
-            // in solve_shared).
+            // Traces, GS, sampling and every fault but a straggler's
+            // stall never reach this branch (rejected in solve_shared).
             refresh_ghosts(*blk, x, ghosts);
             metrics.ghost_refresh();
             relax_interior_sell(*sblk, *blk, b, own, local_r);
@@ -593,16 +545,6 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   // max_iterations; <= 0 keeps its meaning of "iteration cap only".
   AJAC_CHECK_MSG(!std::isnan(opts.tolerance),
                  "tolerance is NaN (use <= 0 for the iteration cap only)");
-  if (!opts.delay_us.empty()) {
-    AJAC_CHECK(opts.delay_us.size() ==
-               static_cast<std::size_t>(opts.num_threads));
-    // An infinite delay would spin forever; NaN and negative ones would
-    // be skipped silently.
-    for (const double d : opts.delay_us) {
-      AJAC_CHECK_MSG(std::isfinite(d) && d >= 0.0,
-                     "delay_us " << d << " is not a finite value >= 0");
-    }
-  }
   AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.synchronous),
                  "the in-place local sweep is only meaningful without "
                  "barriers (asynchronous mode)");
@@ -614,8 +556,6 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
   AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.local_gauss_seidel),
                  "sampled row policies define their own in-place schedule; "
                  "local_gauss_seidel does not compose with them");
-  AJAC_CHECK_MSG(opts.weight_refresh >= 1,
-                 "weight_refresh must be a positive iteration cadence");
   const bool sellcs = opts.kernel == KernelKind::kSellCS;
   AJAC_CHECK_MSG(!(sellcs && opts.record_trace),
                  "kSellCS amortizes ghost reads into per-iteration buffer "
@@ -649,10 +589,16 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
       opts.fault_plan && !opts.fault_plan->empty() ? opts.fault_plan.get()
                                                    : nullptr;
   if (plan != nullptr) {
-    AJAC_CHECK_MSG(!opts.synchronous,
+    // A straggler's stall is the cost the paper measures, in both modes
+    // and on every kernel: it acts at the top of an iteration and touches
+    // no read. Every other fault kind acts on reads or on the iterate.
+    const bool stragglers_only =
+        plan->stale_reads.empty() && plan->message_faults.empty() &&
+        plan->bit_flips.empty() && plan->crashes.empty();
+    AJAC_CHECK_MSG(!opts.synchronous || stragglers_only,
                    "fault injection targets the asynchronous runtime (the "
                    "synchronous barriers serialize every fault away)");
-    AJAC_CHECK_MSG(!sellcs,
+    AJAC_CHECK_MSG(!sellcs || stragglers_only,
                    "fault injection is defined per shared read; the kSellCS "
                    "buffered data plane amortizes those reads away (use "
                    "kBlocked)");

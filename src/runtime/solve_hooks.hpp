@@ -51,6 +51,7 @@ struct NullFaults {
 
   void begin_iteration(index_t /*iter*/) {}
   [[nodiscard]] bool consume_state_reset() { return false; }
+  [[nodiscard]] static constexpr bool has_bit_flips() { return false; }
   bool flip(index_t /*row*/, std::span<const index_t> /*cols*/,
             std::span<const double> /*vals*/, FlippedEntry& /*out*/) {
     return false;
@@ -118,10 +119,18 @@ class ActiveFaults {
     return std::exchange(state_reset_, false);
   }
 
+  /// True when the plan holds a bit-flip spec for this thread. Without
+  /// one, the kernels keep the unfaulted interior sweep and flip() returns
+  /// before calling into the schedule.
+  [[nodiscard]] bool has_bit_flips() const {
+    return schedule_.has_bit_flips();
+  }
+
   /// Transient bit flip for this (iteration, row): returns true and fills
   /// `out` when one off-diagonal entry should be read corrupted.
   bool flip(index_t row, std::span<const index_t> cols,
             std::span<const double> vals, FlippedEntry& out) {
+    if (!has_bit_flips()) return false;
     const std::optional<fault::RowFlip> f = schedule_.flip(iter_, row, cols);
     if (!f) return false;
     out.entry = f->entry;
@@ -234,19 +243,12 @@ class MetricsRecorder {
     t0_us_ = timer_->seconds() * 1e6;
   }
 
-  /// Injected busy-wait (per-thread delay or straggler stall), attributed
-  /// by duration rather than timed: the wait is synthetic and exact.
-  void spin_wait(double us) {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    slot_->add(obs::Counter::kSpinWaitNs,
-               static_cast<std::uint64_t>(us * 1e3));
-  }
-
   /// Timestamp the injections the fault layer just performed. Its log is
   /// append-only within the thread, so entries past the last seen size are
   /// this iteration's; they become timeline instants (arg0 = the log
-  /// entry's detail field: row for bit flips, 0 otherwise).
+  /// entry's detail field: row for bit flips, 0 otherwise). Injected
+  /// stalls (stragglers, crash dead time) go to kSpinWaitNs by duration
+  /// rather than timed: the wait is synthetic and exact.
   template <class Faults>
   void sync_faults(const Faults& faults) {
     if constexpr (Faults::enabled) {
@@ -350,13 +352,6 @@ class MetricsRecorder {
     slot_->instant(obs::TraceKind::kStop, timer_->seconds() * 1e6);
   }
 
-  /// Sampled row policies: one |r_i| prefix-sum rebuild happened.
-  void weight_refresh() {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    slot_->add(obs::Counter::kWeightRefreshes);
-  }
-
   /// kSellCS only: one dense ghost-buffer refresh happened (one racy read
   /// per distinct ghost column; kGhostReads still counts the per-entry
   /// gather volume those refreshes replace, via read_mix).
@@ -369,9 +364,9 @@ class MetricsRecorder {
   /// Sampled row policies, once per thread after its loop: the per-row
   /// relaxation counts (kRowRelaxations histogram — natural order would be
   /// a point mass at the iteration count) and the block's selection skew,
-  /// max over mean as a percentage (100 = perfectly even; residual-weighted
-  /// runs on skewed problems push it far above). The drivers count draws
-  /// only when a registry is attached, so `counts` is empty without one.
+  /// max over mean as a percentage (100 = perfectly even). The drivers
+  /// count draws only when a registry is attached, so `counts` is empty
+  /// without one.
   void policy_counts(std::span<const std::uint32_t> counts) {
     if (!on() || counts.empty()) return;
     slot_->owner.assert_held();
@@ -437,10 +432,6 @@ class StreamPublisher {
   /// True when a hub is attached.
   [[nodiscard]] bool on() const { return ring_ != nullptr; }
 
-  void weight_refresh() {
-    if (on()) ++weight_refreshes_;
-  }
-
   /// Beacon on every stride-th iteration (iter is 1-based here: the call
   /// sites beacon after `++iter`). A sampled policy draws one row per
   /// relaxation, so its draw count is the relaxation count.
@@ -465,7 +456,6 @@ class StreamPublisher {
         static_cast<std::uint64_t>(iter) * static_cast<std::uint64_t>(rows);
     b.own_residual_1 = own_norm;
     b.policy_draws = sampled ? b.relaxations : 0;
-    b.weight_refreshes = weight_refreshes_;
     ring_->writer.assert_held();
     ring_->publish(b);
     last_iter_ = iter;
@@ -475,7 +465,6 @@ class StreamPublisher {
   const WallTimer* timer_;
   index_t stride_;
   index_t last_iter_ = 0;
-  std::uint64_t weight_refreshes_ = 0;
 };
 
 }  // namespace ajac::runtime::detail

@@ -25,6 +25,7 @@ TEST(FaultSchedule, WindowsLogOnlyOnEntryAcrossTwoPeriods) {
   plan.stale_reads.push_back({.actor = -1, .period = 4, .duty = 0.5});
   ActorFaults s(plan, 1);
   ASSERT_TRUE(s.has_stale_reads());
+  EXPECT_FALSE(s.has_bit_flips());
 
   const std::vector<bool> on = {true, true, false, false,
                                 true, true, false, false};
@@ -50,6 +51,20 @@ TEST(FaultSchedule, WindowsLogOnlyOnEntryAcrossTwoPeriods) {
   EXPECT_EQ(other.begin_iteration(0).stall_us, 0.0);
   EXPECT_EQ(kinds(other.log()),
             std::vector<FaultKind>{FaultKind::kStaleWindowOn});
+}
+
+// The shared runtime keeps its unfaulted interior sweep for an actor
+// without a bit-flip spec, so the lookup must name exactly those actors.
+TEST(FaultSchedule, BitFlipSpecsResolvePerActor) {
+  FaultPlan plan;
+  plan.stragglers.push_back({.actor = 0, .extra_delay_us = 0.0});
+  plan.bit_flips.push_back({.actor = 2});
+  EXPECT_FALSE(ActorFaults(plan, 0).has_bit_flips());
+  EXPECT_FALSE(ActorFaults(plan, 1).has_bit_flips());
+  EXPECT_TRUE(ActorFaults(plan, 2).has_bit_flips());
+  plan.bit_flips.front().actor = -1;  // every actor
+  EXPECT_TRUE(ActorFaults(plan, 0).has_bit_flips());
+  EXPECT_TRUE(ActorFaults(plan, 1).has_bit_flips());
 }
 
 TEST(FaultSchedule, CrashFiresOnceAndResetsOnlyWhenAsked) {

@@ -198,8 +198,10 @@ TEST(SharedFaults, SynchronousModeRejectsPlan) {
   const auto p = problem();
   auto o = base_options(2);
   o.synchronous = true;
+  // A plan of stragglers only is accepted in synchronous mode (it is the
+  // paper's slowed thread); any fault kind that acts on reads is not.
   auto plan = make_plan();
-  plan->stragglers.push_back({.actor = 0});
+  plan->stale_reads.push_back({.actor = 0});
   o.fault_plan = plan;
   EXPECT_THROW(solve_shared(p.a, p.b, p.x0, o), std::logic_error);
 }

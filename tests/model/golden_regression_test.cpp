@@ -96,7 +96,6 @@ RelaxationTrace record_trace(
   o.seed = kGoldenSeed;
   o.record_trace = true;
   o.policy = policy;
-  o.weight_refresh = 4;
   const auto part = partition::contiguous_partition(p.a.num_rows(), procs);
   const auto r = distsim::solve_distributed(p.a, p.b, p.x0, part, o);
   return *r.trace;
@@ -167,10 +166,6 @@ TEST(GoldenPropagation, Fd16x16FourRanks) { run_case("fd16_p4", 4, 10); }
 // analysis and the model executor to the committed histories bitwise.
 TEST(GoldenPropagation, Fd16x16FourRanksUniform) {
   run_case("fd16_uniform_p4", 4, 10, runtime::RowPolicy::kUniformRandom);
-}
-
-TEST(GoldenPropagation, Fd16x16FourRanksWeighted) {
-  run_case("fd16_weighted_p4", 4, 10, runtime::RowPolicy::kResidualWeighted);
 }
 
 // The paper's Fig. 1 traces as micro-goldens: their analyses are fully

@@ -25,7 +25,6 @@ Beacon make_beacon(std::uint64_t i) {
   b.relaxations = i * 3 + 1;
   b.own_residual_1 = 1.0 / static_cast<double>(i + 1);
   b.policy_draws = i * 7;
-  b.weight_refreshes = i % 5;
   return b;
 }
 
@@ -35,7 +34,6 @@ void expect_beacon(const Beacon& b, std::uint64_t i) {
   EXPECT_EQ(b.relaxations, i * 3 + 1);
   EXPECT_EQ(b.own_residual_1, 1.0 / static_cast<double>(i + 1));
   EXPECT_EQ(b.policy_draws, i * 7);
-  EXPECT_EQ(b.weight_refreshes, i % 5);
 }
 
 TEST(TelemetryRing, CapacityRoundsUpToPowerOfTwo) {

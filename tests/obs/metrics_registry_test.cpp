@@ -147,12 +147,13 @@ TEST(ObsRegistry, ToJsonIsParseableAndComplete) {
   ASSERT_EQ(sent->find("per_actor")->array.size(), 2u);
   EXPECT_EQ(sent->find("per_actor")->array[1].number, 7.0);
 
-  // Schema v2 added the policy_draws counter and v3 removed the batch-only
-  // lane_relaxations, batch_occupancy and column_relaxations: pin the
+  // Schema v2 added the policy_draws counter, v3 removed the batch-only
+  // lane_relaxations, batch_occupancy and column_relaxations, and v4
+  // removed the residual-weighted policy's refresh counter: pin the
   // version and the exported name so a rename or version slip is caught
   // here rather than by downstream trend tooling (the bench reports embed
   // both).
-  EXPECT_EQ(kMetricsSchemaVersion, 3);
+  EXPECT_EQ(kMetricsSchemaVersion, 4);
   const JsonValue* draws = counters->find("policy_draws");
   ASSERT_NE(draws, nullptr);
   EXPECT_EQ(draws->find("total")->number, 3.0);

@@ -1,16 +1,15 @@
 // Differential batch-equivalence suite: solve_shared_batch against k
 // independent solve_shared runs.
 //
-// The batch path promises per-column bitwise equivalence whenever the
-// scalar path itself is deterministic: synchronous mode at any thread
+// The batch path is a loop that runs solve_shared on each column with the
+// same options, and it promises per-column bitwise equivalence whenever
+// the scalar path itself is deterministic: synchronous mode at any thread
 // count (barriers freeze x during the residual step) and asynchronous
 // mode at one thread (deterministic lockstep). Each column of the batch
-// must then reproduce the corresponding single-RHS run exactly — the
-// fused kernels evaluate per-lane the same expressions in the same order,
-// a converged column freezes at its verified-stop boundary via a select
-// blend (so frozen lanes republish identical bits), and the per-column
-// polish mirrors the scalar epilogue. Comparisons are on raw bit
-// patterns, so a -0.0/+0.0 discrepancy would also fail.
+// must then reproduce the corresponding single-RHS run exactly, including
+// its stop iteration, polish sweeps, relaxation count and fault log.
+// Comparisons are on raw bit patterns, so a -0.0/+0.0 discrepancy would
+// also fail.
 
 #include "ajac/runtime/shared_jacobi.hpp"
 
@@ -149,8 +148,8 @@ TEST(BatchEquiv, SingleThreadAsyncZeroUlp) {
 }
 
 TEST(BatchEquiv, FixedIterationRunsMatch) {
-  // Pure iteration-count runs (tolerance 0): no column ever freezes, so
-  // the comparison is exactly N lockstep sweeps over every lane.
+  // Pure iteration-count runs (tolerance 0): no column stops early, so
+  // every column runs exactly N sweeps.
   const CsrMatrix a = gen::fd_laplacian_2d(9, 9);
   for (const index_t iters : {1, 2, 5, 17, 64}) {
     SCOPED_TRACE(::testing::Message() << "iterations " << iters);
@@ -168,8 +167,8 @@ TEST(BatchEquiv, FixedIterationRunsMatch) {
 TEST(BatchEquiv, ColumnsFreezeAtDifferentIterations) {
   // Column 0 starts at the zero solution of b = 0 (residual 0, so its
   // verified stop fires on the first check) while the other columns carry
-  // random data and keep iterating. The frozen lane must ride along
-  // without perturbing a single bit of the live columns.
+  // random data and keep iterating. A column that stops early must not
+  // move a single bit of the columns that keep iterating.
   const CsrMatrix a = gen::fd_laplacian_2d(12, 12);
   BatchProblem p = make_batch_problem(CsrMatrix(a), 3,
                                       ajac::testing::test_seed(97));
@@ -268,8 +267,8 @@ TEST(BatchEquiv, SingleColumnFaultRunMatchesScalar) {
 
 TEST(BatchEquiv, FaultRunsAreDeterministic) {
   // Multi-column fault runs: two executions of the same plan must agree
-  // bitwise and log the identical events — one decision per row per
-  // iteration, applied to every lane.
+  // bitwise and log the identical events — each column's solve replays
+  // the plan's decisions from its own first iteration.
   const BatchProblem p = make_batch_problem(gen::fd_laplacian_2d(8, 8), 4,
                                             ajac::testing::test_seed(105));
   auto plan = std::make_shared<fault::FaultPlan>();

@@ -41,7 +41,6 @@ SharedOptions base_async(RowPolicy policy) {
   o.final_polish = false;
   o.policy = policy;
   o.policy_seed = test_seed(11);
-  o.weight_refresh = 2;
   return o;
 }
 
@@ -61,11 +60,7 @@ TEST(PolicyDeterminism, SameSeedSamePolicySameFaultLog) {
   // row, so this also proves the drawn schedule itself is replayed.
   //
   // The uniform schedule is a pure function of the seed, so it replays
-  // bitwise at any thread count. The weighted schedule additionally
-  // depends on the *published residual snapshots*, which at >= 2 threads
-  // reflect racy cross-thread reads (racy-ok(weight-snapshot)) — only the
-  // single-threaded run is value-deterministic, so that is what gets the
-  // bitwise contract.
+  // bitwise at any thread count.
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(12, 12), test_seed(1));
   auto plan = std::make_shared<fault::FaultPlan>();
@@ -79,26 +74,9 @@ TEST(PolicyDeterminism, SameSeedSamePolicySameFaultLog) {
                            .dead_seconds = 1e-4,
                            .reset_state_on_recovery = true});
 
-  auto plan1 = std::make_shared<fault::FaultPlan>();
-  plan1->seed = test_seed(2);
-  plan1->stragglers.push_back(
-      {.actor = 0, .extra_delay_us = 1.0, .period = 8, .duty = 0.5});
-  plan1->stale_reads.push_back({.actor = -1, .period = 8, .duty = 0.5});
-  plan1->bit_flips.push_back({.actor = -1, .probability = 5e-3, .bit = 16});
-  plan1->crashes.push_back({.actor = 0,
-                            .crash_iteration = 6,
-                            .dead_seconds = 1e-4,
-                            .reset_state_on_recovery = true});
-
-  for (const RowPolicy policy :
-       {RowPolicy::kUniformRandom, RowPolicy::kResidualWeighted}) {
+  for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
     SharedOptions o = base_async(policy);
-    if (policy == RowPolicy::kResidualWeighted) {
-      o.num_threads = 1;
-      o.fault_plan = plan1;
-    } else {
-      o.fault_plan = plan;
-    }
+    o.fault_plan = plan;
     const SharedResult r1 = solve_shared(p.a, p.b, p.x0, o);
     const SharedResult r2 = solve_shared(p.a, p.b, p.x0, o);
     ASSERT_FALSE(r1.fault_events.empty());
@@ -128,15 +106,13 @@ TEST(PolicyDeterminism, PolicyStreamDoesNotPerturbIterationKeyedFaults) {
 
   std::vector<std::vector<fault::FaultEvent>> logs;
   for (const RowPolicy policy :
-       {RowPolicy::kNaturalOrder, RowPolicy::kUniformRandom,
-        RowPolicy::kResidualWeighted}) {
+       {RowPolicy::kNaturalOrder, RowPolicy::kUniformRandom}) {
     SharedOptions o = base_async(policy);
     o.fault_plan = plan;
     logs.push_back(solve_shared(p.a, p.b, p.x0, o).fault_events);
   }
   ASSERT_FALSE(logs[0].empty());
   expect_same_fault_log(logs[0], logs[1], "natural vs uniform");
-  expect_same_fault_log(logs[0], logs[2], "natural vs weighted");
 }
 
 TEST(PolicyDeterminism, DistsimTraceReplaysSeedDeterministically) {
@@ -146,8 +122,7 @@ TEST(PolicyDeterminism, DistsimTraceReplaysSeedDeterministically) {
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(12, 12), test_seed(5));
   const auto part = partition::contiguous_partition(p.a.num_rows(), 4);
-  for (const RowPolicy policy :
-       {RowPolicy::kUniformRandom, RowPolicy::kResidualWeighted}) {
+  for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
     SCOPED_TRACE(policy_name(policy));
     distsim::DistOptions o;
     o.num_processes = 4;
@@ -156,7 +131,6 @@ TEST(PolicyDeterminism, DistsimTraceReplaysSeedDeterministically) {
     o.seed = test_seed(6);
     o.record_trace = true;
     o.policy = policy;
-    o.weight_refresh = 2;
     const auto r1 = distsim::solve_distributed(p.a, p.b, p.x0, part, o);
     const auto r2 = distsim::solve_distributed(p.a, p.b, p.x0, part, o);
     ASSERT_TRUE(r1.trace.has_value());
@@ -185,8 +159,7 @@ TEST(PolicyDeterminism, BatchK1MatchesScalarDraws) {
       gen::make_problem("fd", gen::fd_laplacian_2d(10, 10), test_seed(7));
   const MultiVector b1 = MultiVector::broadcast(p.b, 1);
   const MultiVector x1 = MultiVector::broadcast(p.x0, 1);
-  for (const RowPolicy policy :
-       {RowPolicy::kUniformRandom, RowPolicy::kResidualWeighted}) {
+  for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
     for (const KernelKind kernel :
          {KernelKind::kBlocked, KernelKind::kReference}) {
       SCOPED_TRACE(std::string(policy_name(policy)) + " kernel " +
@@ -212,8 +185,7 @@ TEST(PolicyDeterminism, BatchK1MatchesScalarDraws) {
 TEST(PolicyDeterminism, SampledPoliciesConvergeMultiThread) {
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(12, 12), test_seed(8));
-  for (const RowPolicy policy :
-       {RowPolicy::kUniformRandom, RowPolicy::kResidualWeighted}) {
+  for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
     SCOPED_TRACE(policy_name(policy));
     SharedOptions o;
     o.num_threads = 4;
@@ -223,7 +195,6 @@ TEST(PolicyDeterminism, SampledPoliciesConvergeMultiThread) {
     o.yield = true;
     o.policy = policy;
     o.policy_seed = test_seed(9);
-    o.weight_refresh = 2;
     const SharedResult r = solve_shared(p.a, p.b, p.x0, o);
     EXPECT_TRUE(r.converged);
     EXPECT_LE(r.final_rel_residual_1, 1e-8);
@@ -247,12 +218,6 @@ TEST(PolicyDeterminism, DistsimSampledConfigChecks) {
   distsim::DistOptions gs = o;
   gs.inner_sweep = distsim::InnerSweep::kGaussSeidel;
   EXPECT_THROW(distsim::solve_distributed(p.a, p.b, p.x0, part, gs),
-               std::logic_error);
-
-  distsim::DistOptions bad = o;
-  bad.policy = RowPolicy::kResidualWeighted;
-  bad.weight_refresh = 0;
-  EXPECT_THROW(distsim::solve_distributed(p.a, p.b, p.x0, part, bad),
                std::logic_error);
 }
 

@@ -6,9 +6,8 @@
 // the minimal eigenvector. The suite measures the realized tail contraction
 // of the RowSampler's own draw stream on FD, FE, and a non-W.D.D. matrix
 // (where natural-order synchronous Jacobi has no classical guarantee) and
-// pins it to the theoretical factor, plus two solver-level corollaries:
-// end-to-end uniform relaxation counts within the bound's prediction, and
-// residual weighting beating natural order on a skewed-residual problem.
+// pins it to the theoretical factor, plus a solver-level corollary:
+// end-to-end uniform relaxation counts within the bound's prediction.
 //
 // Everything is seeded through testing::test_seed, so the measured rates
 // are deterministic for a fixed AJAC_TEST_SEED across presets.
@@ -73,7 +72,7 @@ double measured_tail_contraction(const CsrMatrix& ahat, std::uint64_t seed,
   ahat.spmv(xstar, b);
   Vector x(n_sz, 0.0);
 
-  RowSampler sampler(RowPolicy::kUniformRandom, seed, /*worker=*/0, 0, n, 1);
+  RowSampler sampler(RowPolicy::kUniformRandom, seed, /*worker=*/0, 0, n);
   double e_burn = 0.0;
   for (index_t iter = 0; iter < iters; ++iter) {
     if (iter == burn_in) e_burn = energy(ahat, x, xstar);
@@ -179,76 +178,6 @@ TEST(PolicyRateBound, UniformEndToEndRelaxationsWithinBound) {
       << "uniform policy needed " << r.total_relaxations
       << " relaxations; the rate bound predicts ~"
       << (n / lmin) * std::log(1.0 / tau);
-}
-
-TEST(PolicyRateBound, WeightedBeatsNaturalOnSkewedResiduals) {
-  // Residual weighting earns its keep when the residual stays skewed: a
-  // block-diagonal system whose first 16 of 256 rows form a slow, nearly
-  // indefinite tridiagonal block (off-diagonal 0.499: Jacobi rate ~0.991)
-  // while the rest are strongly diagonally dominant and converge in a few
-  // sweeps. Natural order keeps resweeping the long-converged fast block
-  // (15/16 of every sweep is wasted); the weighted policy recomputes true
-  // stencil-smoothed residual weights at each refresh, sees the fast block
-  // at ~0, and concentrates all but the exploration floor on the slow
-  // block — each slow row drawn ~n/n_slow times per iteration, with the
-  // kWeightCap clamp spreading the draws across the whole hot block and
-  // the smoothing keeping freshly-relaxed rows (whose residual regrows
-  // mid-window) drawable. Relaxations-to-tolerance must beat natural by a
-  // real margin, not by seed luck.
-  const index_t n = 256;
-  const index_t n_slow = 16;
-  std::vector<index_t> row_ptr{0};
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
-  for (index_t i = 0; i < n; ++i) {
-    const index_t block_lo = i < n_slow ? 0 : n_slow;
-    const index_t block_hi = i < n_slow ? n_slow : n;
-    const double off = i < n_slow ? -0.499 : -0.2;
-    if (i > block_lo) {
-      col_idx.push_back(i - 1);
-      values.push_back(off);
-    }
-    col_idx.push_back(i);
-    values.push_back(1.0);
-    if (i + 1 < block_hi) {
-      col_idx.push_back(i + 1);
-      values.push_back(off);
-    }
-    row_ptr.push_back(static_cast<index_t>(col_idx.size()));
-  }
-  const CsrMatrix a(n, n, std::move(row_ptr), std::move(col_idx),
-                    std::move(values));
-  Vector b(static_cast<std::size_t>(n));
-  Rng rng(test_seed(27));
-  vec::fill_uniform(b, rng);
-  const Vector x0(static_cast<std::size_t>(n), 0.0);
-
-  SharedOptions o;
-  o.num_threads = 1;
-  o.tolerance = 1e-8;
-  o.max_iterations = 50000;
-  o.record_history = false;
-  o.final_polish = false;
-  o.policy_seed = test_seed(26);
-  o.weight_refresh = 2;
-
-  SharedOptions natural = o;
-  natural.policy = RowPolicy::kNaturalOrder;
-  const SharedResult rn = solve_shared(a, b, x0, natural);
-  ASSERT_TRUE(rn.converged);
-
-  SharedOptions weighted = o;
-  weighted.policy = RowPolicy::kResidualWeighted;
-  const SharedResult rw = solve_shared(a, b, x0, weighted);
-  ASSERT_TRUE(rw.converged);
-
-  // The measured win is ~10x; requiring 3x leaves room for seed-to-seed
-  // variance while still catching any regression to parity (parity is
-  // exactly what the raw-|r_i| weighting degrades to — see
-  // row_policy.hpp on stencil smoothing).
-  EXPECT_LE(rw.total_relaxations, rn.total_relaxations / 3)
-      << "weighted " << rw.total_relaxations << " vs natural "
-      << rn.total_relaxations;
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "ajac/fault/fault_plan.hpp"
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/problem.hpp"
 #include "ajac/model/trace.hpp"
@@ -18,6 +23,19 @@ namespace {
 
 gen::LinearProblem fd_problem(index_t nx, index_t ny, std::uint64_t seed) {
   return gen::make_problem("fd", gen::fd_laplacian_2d(nx, ny), seed);
+}
+
+/// A plan whose only entries are duty-1 stragglers: each (actor, us) pair
+/// stalls that thread `us` microseconds before every iteration, the
+/// paper's artificially slowed thread (Sec. VII-B).
+std::shared_ptr<const fault::FaultPlan> stall_plan(
+    std::initializer_list<std::pair<index_t, double>> stalls) {
+  auto plan = std::make_shared<fault::FaultPlan>();
+  for (const auto& [actor, us] : stalls) {
+    plan->stragglers.push_back(
+        {.actor = actor, .extra_delay_us = us, .duty = 1.0});
+  }
+  return plan;
 }
 
 TEST(SharedSync, BitwiseEqualsSequentialJacobi) {
@@ -107,7 +125,7 @@ TEST(SharedAsync, DelayInjectionSlowsDelayedThread) {
   so.tolerance = 1e-6;
   so.max_iterations = 2000000;
   so.record_history = false;
-  so.delay_us = {1000.0, 0.0};  // thread 0 sleeps 1ms per iteration
+  so.fault_plan = stall_plan({{0, 1000.0}});  // thread 0 stalls 1 ms
   const SharedResult r = solve_shared(p.a, p.b, p.x0, so);
   // The solve stops by convergence, far below the iteration cap (the
   // delay and tolerance are sized so not even the free thread can reach
@@ -128,7 +146,7 @@ TEST(SharedAsync, IterationCapIsExactDespiteDelay) {
   so.tolerance = 0.0;
   so.max_iterations = 25;
   so.record_history = false;
-  so.delay_us = {400.0, 0.0};
+  so.fault_plan = stall_plan({{0, 400.0}});
   const SharedResult r = solve_shared(p.a, p.b, p.x0, so);
   EXPECT_EQ(r.iterations_per_thread[0], 25);
   EXPECT_EQ(r.iterations_per_thread[1], 25);
@@ -144,9 +162,47 @@ TEST(SharedSync, DelayThrottlesEveryone) {
   so.tolerance = 0.0;
   so.max_iterations = 10;
   so.record_history = false;
-  so.delay_us = {300.0, 0.0};
+  so.fault_plan = stall_plan({{0, 300.0}});
   const SharedResult r = solve_shared(p.a, p.b, p.x0, so);
   EXPECT_EQ(r.iterations_per_thread[0], r.iterations_per_thread[1]);
+}
+
+TEST(SharedSync, StragglerPlanLeavesResultBitwiseUnchanged) {
+  // A stall acts at the top of an iteration and touches no read, and the
+  // barriers make every thread wait for it: a synchronous solve with a
+  // straggler plan computes exactly the solve without one, on both
+  // kernels, and its log holds only the stragglers' window entries.
+  const auto p = fd_problem(12, 12, 31);
+  for (const KernelKind kernel :
+       {KernelKind::kBlocked, KernelKind::kReference}) {
+    for (index_t threads = 2; threads <= 4; ++threads) {
+      SCOPED_TRACE("kernel " + std::to_string(static_cast<int>(kernel)) +
+                   " threads " + std::to_string(threads));
+      SharedOptions so;
+      so.num_threads = threads;
+      so.synchronous = true;
+      so.tolerance = 1e-6;
+      so.max_iterations = 5000;
+      so.record_history = false;
+      so.kernel = kernel;
+      const SharedResult plain = solve_shared(p.a, p.b, p.x0, so);
+      so.fault_plan = stall_plan({{0, 20.0}, {threads - 1, 5.0}});
+      const SharedResult stalled = solve_shared(p.a, p.b, p.x0, so);
+
+      ASSERT_TRUE(plain.converged);
+      ASSERT_EQ(plain.x.size(), stalled.x.size());
+      for (std::size_t i = 0; i < plain.x.size(); ++i) {
+        ASSERT_EQ(plain.x[i], stalled.x[i]) << "row " << i;
+      }
+      EXPECT_EQ(plain.final_rel_residual_1, stalled.final_rel_residual_1);
+      EXPECT_EQ(plain.iterations_per_thread, stalled.iterations_per_thread);
+      EXPECT_TRUE(plain.fault_events.empty());
+      const std::vector<fault::FaultEvent> expected{
+          {fault::FaultKind::kStragglerOn, 0, 0, 0, 0},
+          {fault::FaultKind::kStragglerOn, threads - 1, 0, 0, 0}};
+      EXPECT_EQ(stalled.fault_events, expected);
+    }
+  }
 }
 
 TEST(SharedAsync, TraceRecordsEveryRelaxation) {
@@ -200,17 +256,29 @@ TEST(SharedOptions, CustomPartitionIsRespected) {
 }
 
 TEST(SharedOptions, Validation) {
+  // Synchronous and kSellCS solves accept a plan of stragglers only; one
+  // more fault kind of any sort keeps the plan rejected.
   const auto p = fd_problem(4, 4, 23);
   SharedOptions so;
   so.num_threads = 2;
-  so.delay_us = {1.0};  // wrong length
-  EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error);
-  // Rejected before the threads start, so no thread ever spins on them.
-  for (const double bad : {std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::quiet_NaN(), -1.0}) {
-    so.delay_us = {0.0, bad};
-    EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error) << bad;
-  }
+  so.max_iterations = 5;
+  so.tolerance = 0.0;
+  so.record_history = false;
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->stragglers.push_back({.actor = 0, .extra_delay_us = 1.0});
+  plan->stale_reads.push_back({.actor = 1});
+  so.fault_plan = plan;
+
+  SharedOptions sync = so;
+  sync.synchronous = true;
+  EXPECT_THROW(solve_shared(p.a, p.b, p.x0, sync), std::logic_error);
+  SharedOptions sell = so;
+  sell.kernel = KernelKind::kSellCS;
+  EXPECT_THROW(solve_shared(p.a, p.b, p.x0, sell), std::logic_error);
+
+  plan->stale_reads.clear();
+  EXPECT_NO_THROW(solve_shared(p.a, p.b, p.x0, sync));
+  EXPECT_NO_THROW(solve_shared(p.a, p.b, p.x0, sell));
 }
 
 TEST(SharedOptions, NanToleranceIsRejected) {

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "ajac/fault/fault_plan.hpp"
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/problem.hpp"
 #include "ajac/model/trace.hpp"
@@ -183,7 +186,13 @@ TEST(StressAsyncSolve, StraggleredThreadsStillVerifyResidual) {
   so.tolerance = 1e-4;
   so.max_iterations = 200000;
   so.record_history = false;
-  so.delay_us = {120.0, 0.0, 60.0, 0.0};  // two stragglers
+  // Two stragglers: duty-1 stalls on threads 0 and 2.
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->stragglers.push_back(
+      {.actor = 0, .extra_delay_us = 120.0, .duty = 1.0});
+  plan->stragglers.push_back(
+      {.actor = 2, .extra_delay_us = 60.0, .duty = 1.0});
+  so.fault_plan = plan;
   const SharedResult r = solve_shared(p.a, p.b, p.x0, so);
   verify_result(p, r, so.tolerance);
 }

@@ -42,7 +42,6 @@ EXPECTED = {
     "relative_include.cpp": ["include-hygiene"],
     "raw_clock.cpp": ["clock-ban"],
     "clean.cpp": [],
-    "weight_snapshot_clean.cpp": [],
 }
 
 FAILURES: list[str] = []

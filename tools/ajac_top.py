@@ -83,7 +83,7 @@ class Dashboard:
         lines.append("")
         lines.append(
             f"  {'actor':>5} {'iteration':>12} {'relaxations':>14} "
-            f"{'own |r|_1':>12} {'draws':>12} {'refresh':>8} {'ts':>10}"
+            f"{'own |r|_1':>12} {'draws':>12} {'ts':>10}"
         )
         flagged = {
             s["actor"] for s in (est or {}).get("stragglers", [])
@@ -94,7 +94,7 @@ class Dashboard:
             lines.append(
                 f" {mark}{actor:>5} {b['iteration']:>12} "
                 f"{b['relaxations']:>14} {b['own_residual_1']:>12.3e} "
-                f"{b['policy_draws']:>12} {b['weight_refreshes']:>8} "
+                f"{b['policy_draws']:>12} "
                 f"{fmt_duration(b['ts_us']):>10}"
             )
         return "\n".join(lines)
