@@ -54,7 +54,7 @@ namespace ajac::obs {
 
 /// Version of the JSON snapshot schema emitted by obs::to_json. Bump when
 /// renaming/removing fields; additions are backward compatible.
-inline constexpr int kMetricsSchemaVersion = 4;
+inline constexpr int kMetricsSchemaVersion = 5;
 
 /// Monotone per-actor counters. Shared-runtime and distsim populate
 /// disjoint subsets; unused counters stay zero and are still emitted (the
@@ -77,6 +77,10 @@ enum class Counter : std::size_t {
   kPolicyDraws,         ///< sampled policies: rows drawn from the sampler
   kQueueFullDrops,      ///< mesh: packets refused by a full SPSC ring
   kGhostRefreshes,      ///< sellcs: dense ghost-buffer refreshes performed
+  /// solve_shared, actor 0: the process's minor page faults over the call
+  /// (getrusage delta), so process-wide: any other thread's faults in
+  /// that window count too.
+  kMinorFaults,
   kCount
 };
 inline constexpr std::size_t kNumCounters =

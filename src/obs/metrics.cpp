@@ -26,6 +26,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kPolicyDraws: return "policy_draws";
     case Counter::kQueueFullDrops: return "queue_full_drops";
     case Counter::kGhostRefreshes: return "ghost_refreshes";
+    case Counter::kMinorFaults: return "minor_faults";
     case Counter::kCount: break;
   }
   return "unknown";

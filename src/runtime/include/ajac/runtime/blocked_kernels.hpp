@@ -47,6 +47,7 @@
 #include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/types.hpp"
+#include "ajac/util/aligned.hpp"
 #include "ajac/util/annotate.hpp"
 
 namespace ajac::runtime {
@@ -64,21 +65,28 @@ struct FlippedEntry {
 /// The mirror arrays are guarded by the owner role: only the owning thread
 /// (which claims `owner` at region entry) may touch them, and every kernel
 /// below declares which roles it needs.
+///
+/// The arrays are UninitVectors: on staggered huge pages when large
+/// (ajac/util/aligned.hpp), and sized without a fill, so the owner's first
+/// write is their first touch. x and version are filled by
+/// refresh_own_block; every Jacobi kernel stages every row of `next`
+/// before commit_block swaps it in.
 struct OwnBlockState {
   SoleWriterRole owner;  ///< claimed by the owning thread at region entry
-  std::vector<double> x AJAC_SOLE_WRITER(owner);  ///< x[lo..hi), kept exact
+  UninitVector<double> x AJAC_SOLE_WRITER(owner);  ///< x[lo..hi), kept exact
   /// The Jacobi step's corrected rows, staged during the relax pass and
   /// published (then swapped with x) by commit_block.
-  std::vector<double> next AJAC_SOLE_WRITER(owner);
+  UninitVector<double> next AJAC_SOLE_WRITER(owner);
   /// Commits per own row, private ones included: the version a traced
   /// read of the row records. The shared seqlock equals it on exported
   /// rows only. Empty when untraced.
-  std::vector<index_t> version AJAC_SOLE_WRITER(owner);
+  UninitVector<index_t> version AJAC_SOLE_WRITER(owner);
 };
 
 /// Load the mirror from the shared vector. Called once inside the
 /// parallel region, before the first relaxation (first touch: the owning
-/// thread allocates and fills its own mirror).
+/// thread allocates and fills its own mirror; `next` is first touched by
+/// the first relax pass, on the same thread).
 inline void refresh_own_block(const BlockedCsr::Block& blk,
                               const SharedVector& x, OwnBlockState& own)
     AJAC_REQUIRES(own.owner) {
@@ -425,9 +433,10 @@ inline double relax_block_gs(const BlockedCsr::Block& blk, const CsrMatrix& a,
   return partial;
 }
 
-/// Traced relaxation (record_trace runs): like relax_block, but interior
-/// rows first, then boundary rows, pairing every off-diagonal read with its
-/// seqlock version for the propagation analysis. Local reads take the
+/// Traced relaxation (record_trace runs): like relax_block, but the
+/// interior runs' rows first, then the boundary runs' (each class
+/// ascending), pairing every off-diagonal read with its seqlock version
+/// for the propagation analysis. Local reads take the
 /// version from the mirror — the owner is the only writer, so the mirrored
 /// count *is* the seqlock version, with none of the seqlock's retry
 /// protocol. Stages each row's correction like relax_block and stores its
@@ -485,8 +494,13 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
     stage_correction(own, li, blk.inv_diag[li], acc);
     events.push_back(std::move(event));
   };
-  for (const index_t i : blk.interior_rows) relax_row(i);
-  for (const index_t i : blk.boundary_rows) relax_row(i);
+  // Interior runs, then boundary runs: each class in ascending row order.
+  for (const bool boundary : {false, true}) {
+    for (const BlockedCsr::RowRun& run : blk.runs) {
+      if (run.boundary != boundary) continue;
+      for (index_t i = run.begin; i < run.end; ++i) relax_row(i);
+    }
+  }
 }
 
 /// Traced sampled relaxation: relax_row_in_place plus the read-version

@@ -134,21 +134,25 @@ inline void relax_boundary_buffered(const BlockedCsr::Block& blk,
                                     std::span<const double> ghosts,
                                     std::span<double> acc_out)
     AJAC_REQUIRES(own.owner) {
-  for (const index_t i : blk.boundary_rows) {
-    const auto li = static_cast<std::size_t>(i - blk.lo);
-    const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-    const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-    double acc = b[static_cast<std::size_t>(i)];
-    for (std::size_t p = begin; p < end; ++p) {
-      const BlockedCsr::code_t code = blk.col_code[p];
-      const double xj =
-          BlockedCsr::is_ghost(code)
-              ? ghosts[static_cast<std::size_t>(BlockedCsr::ghost_slot(code))]
-              : own.x[static_cast<std::size_t>(code)];
-      acc -= blk.values[p] * xj;
+  for (const BlockedCsr::RowRun& run : blk.runs) {
+    if (!run.boundary) continue;
+    for (index_t i = run.begin; i < run.end; ++i) {
+      const auto li = static_cast<std::size_t>(i - blk.lo);
+      const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
+      const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
+      double acc = b[static_cast<std::size_t>(i)];
+      for (std::size_t p = begin; p < end; ++p) {
+        const BlockedCsr::code_t code = blk.col_code[p];
+        const double xj =
+            BlockedCsr::is_ghost(code)
+                ? ghosts[static_cast<std::size_t>(
+                      BlockedCsr::ghost_slot(code))]
+                : own.x[static_cast<std::size_t>(code)];
+        acc -= blk.values[p] * xj;
+      }
+      acc_out[li] = acc;
+      stage_correction(own, li, blk.inv_diag[li], acc);
     }
-    acc_out[li] = acc;
-    stage_correction(own, li, blk.inv_diag[li], acc);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -535,6 +536,8 @@ SharedResult dispatch_kernel(const CsrMatrix& a, const Vector& b,
 
 SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
                           const Vector& x0, const SharedOptions& opts) {
+  const std::int64_t faults_at_entry =
+      opts.metrics != nullptr ? detail::process_minor_faults() : 0;
   AJAC_CHECK(a.num_rows() == a.num_cols());
   const index_t n = a.num_rows();
   AJAC_CHECK(b.size() == static_cast<std::size_t>(n));
@@ -637,12 +640,14 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
 
   // Faults x kernel dispatch: the fault hooks compile to no-ops without a
   // plan, so the unfaulted path is exactly the plain solver.
-  if (plan != nullptr) {
-    return dispatch_kernel<ActiveFaults>(a, b, x0, opts, part, plan, blocked,
-                                         sell);
-  }
-  return dispatch_kernel<NullFaults>(a, b, x0, opts, part, nullptr, blocked,
-                                     sell);
+  SharedResult result =
+      plan != nullptr
+          ? dispatch_kernel<ActiveFaults>(a, b, x0, opts, part, plan, blocked,
+                                          sell)
+          : dispatch_kernel<NullFaults>(a, b, x0, opts, part, nullptr,
+                                        blocked, sell);
+  detail::record_minor_faults(metrics, faults_at_entry);
+  return result;
 }
 
 SharedBatchResult solve_shared_batch(const CsrMatrix& a, const MultiVector& b,

@@ -18,6 +18,8 @@
 // which keys every decision on (seed, thread, iteration[, row]), so a
 // plan's decisions do not depend on anything but those coordinates.
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <optional>
@@ -412,6 +414,26 @@ inline void record_solve_end(obs::MetricsRegistry* reg, const WallTimer& timer,
                polish_sweeps);
   }
   slot0.span(obs::TraceKind::kSolve, 0.0, end_us);
+}
+
+/// The process's minor page faults so far, the clock of
+/// obs::Counter::kMinorFaults. getrusage counts every thread of the
+/// process, so a delta over a solve is process-wide.
+[[nodiscard]] inline std::int64_t process_minor_faults() noexcept {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::int64_t>(usage.ru_minflt);
+}
+
+/// Record on actor 0 the minor faults since `at_entry`, a
+/// process_minor_faults() reading taken when the solve was entered.
+inline void record_minor_faults(obs::MetricsRegistry* reg,
+                                std::int64_t at_entry) {
+  if (reg == nullptr) return;
+  obs::ActorSlot& slot0 = reg->actor(0);
+  slot0.owner.assert_held();
+  slot0.add(obs::Counter::kMinorFaults,
+            static_cast<std::uint64_t>(process_minor_faults() - at_entry));
 }
 
 /// Per-thread beacon publisher over this thread's EventRing, built from a

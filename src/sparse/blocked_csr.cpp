@@ -141,13 +141,12 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
     blk.values = {a.row_values(lo).data(), static_cast<std::size_t>(nnz)};
   }
 
-  // Pass 2: encode entries in their original order, split rows into
-  // interior (no ghost entries) and boundary, merge consecutive rows of
-  // one class into runs, and consecutive interior rows of one pattern into
-  // pattern runs. Interior rows [chain, i) repeat one pattern, and, while
-  // `uniform` holds, the chain's first row's values and 1 / a_ii too.
+  // Pass 2: encode entries in their original order, merge consecutive
+  // rows of one class, interior (no ghost entries) or boundary, into runs,
+  // and consecutive interior rows of one pattern into pattern runs.
+  // Interior rows [chain, i) repeat one pattern, and, while `uniform`
+  // holds, the chain's first row's values and 1 / a_ii too.
   blk.col_code.reserve(static_cast<std::size_t>(nnz));
-  blk.interior_rows.reserve(static_cast<std::size_t>(rows));
   blk.inv_diag.resize(static_cast<std::size_t>(rows), 0.0);
   index_t chain = lo;
   bool uniform = true;
@@ -172,7 +171,6 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
         has_ghost = true;
       }
     }
-    (has_ghost ? blk.boundary_rows : blk.interior_rows).push_back(i);
     if (blk.runs.empty() || blk.runs.back().boundary != has_ghost) {
       blk.runs.push_back({i, i + 1, has_ghost});
     } else {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "ajac/sparse/types.hpp"
+#include "ajac/util/aligned.hpp"
 
 namespace ajac {
 
@@ -108,10 +109,13 @@ class BlockedCsr {
 
     /// CSR over the block's rows in their original order: entries of local
     /// row r (global row lo + r) are [row_ptr[r], row_ptr[r + 1]).
-    std::vector<code_t> row_ptr;
+    /// row_ptr, col_code and inv_diag are the block's O(rows) and O(nnz)
+    /// arrays, so they live on staggered huge pages when large
+    /// (ajac/util/aligned.hpp).
+    AlignedVector<code_t> row_ptr;
     /// Per entry: local offset or ~(ghost slot); see is_ghost/ghost_slot.
     /// Entry order within a row matches the source CSR row exactly.
-    std::vector<code_t> col_code;
+    AlignedVector<code_t> col_code;
     /// The block's value slice, aliasing the source matrix's value array
     /// (the block's rows are contiguous in the parent CSR, so this is
     /// zero-copy). The BlockedCsr is a *view* in this one respect: it must
@@ -121,15 +125,12 @@ class BlockedCsr {
     /// Ghost slot -> global column, sorted ascending, unique per block.
     std::vector<index_t> ghost_cols;
 
-    /// Global row ids, each row in exactly one list. Interior rows have no
-    /// ghost entries (provable from col_code); boundary rows have >= 1.
-    /// Both lists are ascending, so iterating interior then boundary walks
-    /// each class in row order.
-    std::vector<index_t> interior_rows;
-    std::vector<index_t> boundary_rows;
-    /// The same split as ascending runs that tile [lo, hi), alternating in
-    /// class, so a sweep walks rows in order with one class test per run.
-    /// Empty for an empty block.
+    /// The block's rows split by class into maximal ascending runs that
+    /// tile [lo, hi), alternating in class, so a sweep walks rows in order
+    /// with one class test per run. Interior rows have no ghost entries
+    /// (provable from col_code); boundary rows have >= 1. Walking the
+    /// interior runs and then the boundary runs visits each class in row
+    /// order. Empty for an empty block.
     std::vector<RowRun> runs;
     /// The interior rows that repeat the row before them shifted by one,
     /// as ascending, disjoint pattern runs, each inside one interior run.
@@ -148,7 +149,7 @@ class BlockedCsr {
     /// 1 / a_ii per owned row; 0.0 where the diagonal entry is missing or
     /// stored as zero (callers that relax must reject such matrices — the
     /// runtime validates before building).
-    std::vector<double> inv_diag;
+    AlignedVector<double> inv_diag;
 
     index_t local_nnz = 0;  ///< entries with local codes
     index_t ghost_nnz = 0;  ///< entries with ghost codes

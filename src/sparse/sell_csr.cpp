@@ -16,14 +16,15 @@ SellCsr::Block build_block(const BlockedCsr::Block& src, index_t sigma) {
   SellCsr::Block blk;
   blk.lo = src.lo;
 
-  const auto num_interior = static_cast<index_t>(src.interior_rows.size());
-  blk.rows.resize(static_cast<std::size_t>(num_interior));
-  std::copy(src.interior_rows.begin(), src.interior_rows.end(),
-            blk.rows.begin());
+  // The interior rows, ascending: every row of the block's interior runs.
+  for (const BlockedCsr::RowRun& run : src.runs) {
+    if (run.boundary) continue;
+    for (index_t i = run.begin; i < run.end; ++i) blk.rows.push_back(i);
+  }
+  const auto num_interior = static_cast<index_t>(blk.rows.size());
 
   // Sort by descending nnz inside each sigma window (stable: equal-length
-  // rows keep their banded order, preserving x-gather locality). Sorting
-  // interior_rows positions, not raw row ids, keeps the comparator cheap.
+  // rows keep their banded order, preserving x-gather locality).
   const auto row_nnz = [&src](index_t i) {
     const auto li = static_cast<std::size_t>(i - src.lo);
     return src.row_ptr[li + 1] - src.row_ptr[li];

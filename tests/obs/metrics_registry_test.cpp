@@ -148,12 +148,12 @@ TEST(ObsRegistry, ToJsonIsParseableAndComplete) {
   EXPECT_EQ(sent->find("per_actor")->array[1].number, 7.0);
 
   // Schema v2 added the policy_draws counter, v3 removed the batch-only
-  // lane_relaxations, batch_occupancy and column_relaxations, and v4
-  // removed the residual-weighted policy's refresh counter: pin the
-  // version and the exported name so a rename or version slip is caught
-  // here rather than by downstream trend tooling (the bench reports embed
-  // both).
-  EXPECT_EQ(kMetricsSchemaVersion, 4);
+  // lane_relaxations, batch_occupancy and column_relaxations, v4 removed
+  // the residual-weighted policy's refresh counter, and v5 added
+  // minor_faults: pin the version and the exported name so a rename or
+  // version slip is caught here rather than by downstream trend tooling
+  // (the bench reports embed both).
+  EXPECT_EQ(kMetricsSchemaVersion, 5);
   const JsonValue* draws = counters->find("policy_draws");
   ASSERT_NE(draws, nullptr);
   EXPECT_EQ(draws->find("total")->number, 3.0);

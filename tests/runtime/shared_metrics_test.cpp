@@ -198,5 +198,26 @@ TEST(SharedMetrics, RegistryIsResetBetweenRuns) {
   EXPECT_EQ(first, second);
 }
 
+TEST(SharedMetrics, MinorFaultsAreCountedOnActorZero) {
+  // FD 512²: the shared x and the residual are 2 MiB each, so each gets
+  // a fresh mapping whose first touch faults at least once, whatever page
+  // size the kernel grants. The count is process-wide, so it is recorded
+  // once, on actor 0.
+  const auto p = fd_problem(512, 512, 13);
+  SharedOptions so;
+  so.num_threads = 2;
+  so.synchronous = true;
+  so.tolerance = 0.0;
+  so.max_iterations = 2;
+  so.final_polish = false;
+  obs::MetricsRegistry reg;
+  so.metrics = &reg;
+  (void)solve_shared(p.a, p.b, p.x0, so);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  const auto faults = static_cast<std::size_t>(obs::Counter::kMinorFaults);
+  EXPECT_GE(snap.per_actor[0][faults], 1u);
+  EXPECT_EQ(snap.per_actor[1][faults], 0u);
+}
+
 }  // namespace
 }  // namespace ajac::runtime

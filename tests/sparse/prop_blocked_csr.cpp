@@ -96,12 +96,13 @@ TEST(PropBlockedCsr, InteriorRowsProvablyHaveNoGhostColumns) {
     const BlockedCsr blocked(a, starts);
     for (index_t t = 0; t < blocked.num_blocks(); ++t) {
       const auto& blk = blocked.block(t);
-      // interior + boundary is exactly the block's row range, ascending,
-      // with no row in both lists.
+      // The interior and boundary runs' rows, merged, are exactly the
+      // block's row range, ascending, with no row in both classes.
+      const std::vector<index_t> interior = testing::rows_of_class(blk, false);
+      const std::vector<index_t> boundary = testing::rows_of_class(blk, true);
       std::vector<index_t> merged;
-      std::merge(blk.interior_rows.begin(), blk.interior_rows.end(),
-                 blk.boundary_rows.begin(), blk.boundary_rows.end(),
-                 std::back_inserter(merged));
+      std::merge(interior.begin(), interior.end(), boundary.begin(),
+                 boundary.end(), std::back_inserter(merged));
       ASSERT_EQ(merged.size(), static_cast<std::size_t>(blk.num_rows()));
       for (std::size_t k = 0; k < merged.size(); ++k) {
         ASSERT_EQ(merged[k], blk.lo + static_cast<index_t>(k));
@@ -114,10 +115,10 @@ TEST(PropBlockedCsr, InteriorRowsProvablyHaveNoGhostColumns) {
         }
         return false;
       };
-      for (const index_t i : blk.interior_rows) {
+      for (const index_t i : interior) {
         ASSERT_FALSE(row_has_ghost(i)) << "interior row " << i;
       }
-      for (const index_t i : blk.boundary_rows) {
+      for (const index_t i : boundary) {
         ASSERT_TRUE(row_has_ghost(i)) << "boundary row " << i;
       }
     }
@@ -210,7 +211,7 @@ TEST(PropBlockedCsr, DegenerateShapesAreHandled) {
     EXPECT_EQ(blocked.block(2).num_rows(), 0);
     EXPECT_EQ(blocked.block(3).num_rows(), 0);
     EXPECT_EQ(blocked.reassemble(), a);
-    EXPECT_TRUE(blocked.block(1).boundary_rows.empty());
+    EXPECT_TRUE(testing::rows_of_class(blocked.block(1), true).empty());
   }
   {
     CooBuilder coo(1, 1);
@@ -218,7 +219,7 @@ TEST(PropBlockedCsr, DegenerateShapesAreHandled) {
     const CsrMatrix a = coo.to_csr();
     const BlockedCsr blocked(a, std::vector<index_t>{0, 1});
     ASSERT_EQ(blocked.num_blocks(), 1);
-    EXPECT_EQ(blocked.block(0).interior_rows,
+    EXPECT_EQ(testing::rows_of_class(blocked.block(0), false),
               std::vector<index_t>{0});
     EXPECT_EQ(blocked.block(0).inv_diag[0], 1.0 / 2.5);
     EXPECT_EQ(blocked.reassemble(), a);
@@ -235,8 +236,8 @@ TEST(PropBlockedCsr, DegenerateShapesAreHandled) {
     const CsrMatrix a = coo.to_csr();
     const BlockedCsr blocked(a, std::vector<index_t>{0, 1, 2, 3, 4, 5});
     for (index_t t = 0; t < 5; ++t) {
-      EXPECT_TRUE(blocked.block(t).interior_rows.empty());
-      EXPECT_EQ(blocked.block(t).boundary_rows,
+      EXPECT_TRUE(testing::rows_of_class(blocked.block(t), false).empty());
+      EXPECT_EQ(testing::rows_of_class(blocked.block(t), true),
                 std::vector<index_t>{t});
     }
     EXPECT_EQ(blocked.reassemble(), a);
@@ -274,17 +275,6 @@ TEST(PropBlockedCsr, RunsTileEachBlockInMaximalAlternatingRanges) {
         next = run.end;
       }
       ASSERT_EQ(next, blk.hi);
-      // Agreement with the row lists: expanding the runs of each class in
-      // order reproduces interior_rows and boundary_rows exactly.
-      std::vector<index_t> interior;
-      std::vector<index_t> boundary;
-      for (const auto& run : blk.runs) {
-        for (index_t i = run.begin; i < run.end; ++i) {
-          (run.boundary ? boundary : interior).push_back(i);
-        }
-      }
-      ASSERT_EQ(interior, blk.interior_rows);
-      ASSERT_EQ(boundary, blk.boundary_rows);
     }
   }
 }

@@ -110,7 +110,7 @@ TEST(PropSellCsr, PackRoundTripReproducesEveryInteriorRow) {
       const auto& blk = blocked.block(t);
       ASSERT_EQ(sblk.lo, blk.lo);
       ASSERT_EQ(static_cast<std::size_t>(sblk.num_packed_rows()),
-                blk.interior_rows.size());
+                testing::rows_of_class(blk, false).size());
       for (index_t p = 0; p < sblk.num_packed_rows(); ++p) {
         const index_t i = sblk.rows[static_cast<std::size_t>(p)];
         const auto [cols, vals] = unpack_row(sblk, p);
@@ -152,14 +152,17 @@ TEST(PropSellCsr, ChunkInvariantsHold) {
                 (packed + SellCsr::kChunk - 1) / SellCsr::kChunk);
       ASSERT_EQ(sblk.chunk_ptr.size(),
                 static_cast<std::size_t>(sblk.num_chunks) + 1);
-      // rows is interior_rows permuted within sigma windows only: each
-      // window holds the same row set, sorted by non-increasing length.
+      // rows is the interior runs' rows, ascending, permuted within sigma
+      // windows only: each window holds the same row set, sorted by
+      // non-increasing length.
+      const std::vector<index_t> interior = testing::rows_of_class(blk, false);
+      ASSERT_EQ(static_cast<std::size_t>(packed), interior.size());
       for (index_t w = 0; w < packed; w += eff_sigma) {
         const index_t end = std::min(w + eff_sigma, packed);
         std::vector<index_t> window(
             sblk.rows.begin() + w, sblk.rows.begin() + end);
-        std::vector<index_t> source(
-            blk.interior_rows.begin() + w, blk.interior_rows.begin() + end);
+        std::vector<index_t> source(interior.begin() + w,
+                                    interior.begin() + end);
         std::sort(window.begin(), window.end());
         std::sort(source.begin(), source.end());
         ASSERT_EQ(window, source) << "window at " << w;

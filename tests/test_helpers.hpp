@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "ajac/sparse/blocked_csr.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/types.hpp"
 
@@ -109,6 +111,18 @@ inline void expect_csr_bitwise_equal(const CsrMatrix& a, const CsrMatrix& b) {
               std::bit_cast<std::uint64_t>(b.values()[p]))
         << "value " << p;
   }
+}
+
+/// The rows of `blk`'s runs of one class (interior when `boundary` is
+/// false), ascending: the row order relax_traced walks each class in.
+inline std::vector<index_t> rows_of_class(const BlockedCsr::Block& blk,
+                                          bool boundary) {
+  std::vector<index_t> rows;
+  for (const BlockedCsr::RowRun& run : blk.runs) {
+    if (run.boundary != boundary) continue;
+    for (index_t i = run.begin; i < run.end; ++i) rows.push_back(i);
+  }
+  return rows;
 }
 
 }  // namespace ajac::testing

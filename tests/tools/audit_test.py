@@ -41,6 +41,7 @@ EXPECTED = {
     "omp_outside.cpp": ["omp-allowlist"],
     "relative_include.cpp": ["include-hygiene"],
     "raw_clock.cpp": ["clock-ban"],
+    "raw_madvise.cpp": ["mmap-ban", "mmap-ban"],
     "clean.cpp": [],
 }
 

@@ -36,9 +36,9 @@ Fixture support
 ---------------
 Files may carry a `// audit-as: <path>` directive in their first ten
 lines; path-scoped rules (atomic-scope, omp-allowlist, seqlock-protocol,
-clock-ban) then treat the file as if it lived at <path>. This lets the
-golden fixtures under tests/tools/fixtures/ exercise rules that only
-fire in particular subtrees. The fixtures directory itself is skipped
+clock-ban, mmap-ban) then treat the file as if it lived at <path>. This
+lets the golden fixtures under tests/tools/fixtures/ exercise rules that
+only fire in particular subtrees. The fixtures directory itself is skipped
 when walking directories (its files are intentionally bad) but is
 audited when a fixture file is passed as an explicit argument.
 """
@@ -182,6 +182,19 @@ error that compiles fine. A deliberate exception is marked with a
 
 Fix: take a WallTimer (or a time parameter) instead of reading the
 clock inline.""",
+    "mmap-ban": """\
+Raw page-mapping calls (`mmap`, `munmap`, `mremap`, `madvise`) are only
+allowed in ajac/util/aligned.hpp, the way fences are confined to
+annotate.hpp. Its allocator owns the solve's large arrays: it maps them
+2 MiB-aligned, advises MADV_HUGEPAGE, staggers their start offsets so
+that arrays streamed together do not alias modulo 4 KiB, and recovers
+the mapping from the pointer on release. A mapping made elsewhere skips
+the stagger (an unstaggered mirror/next pair made the parallel region
+3x slower), and a munmap of memory the allocator mapped leaves a vector
+pointing at unmapped pages.
+
+Fix: allocate through CacheAlignedAllocator, AlignedVector or
+UninitVector, or extend aligned.hpp if a new kind of mapping is needed.""",
 }
 
 # Path scopes (matched against the *effective* path, honoring audit-as).
@@ -204,11 +217,13 @@ OMP_ALLOWED_FILES = (
 )
 CLOCK_ALLOWED_PREFIXES = ("src/obs/",)
 CLOCK_ALLOWED_FILES = ("src/util/include/ajac/util/timer.hpp",)
+MMAP_ALLOWED_FILES = ("src/util/include/ajac/util/aligned.hpp",)
 
 ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic\b")
 SEQ_ACCESS_RE = re.compile(r"\b[A-Za-z_]*seq[A-Za-z_0-9]*(?:\[[^\]]*\])?\s*\.\s*(?:load|store|exchange|compare_exchange\w*)\s*\(")
 OMP_RE = re.compile(r"^\s*#\s*pragma\s+omp\b")
 CLOCK_RE = re.compile(r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\b")
+MMAP_RE = re.compile(r"\b(?:mmap|mmap64|munmap|mremap|madvise|posix_madvise)\s*\(")
 REL_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./')
 ANGLE_INCLUDE_RE = re.compile(r"^\s*#\s*include\s+<ajac/")
 
@@ -524,6 +539,23 @@ def check_clock_ban(f: AuditFile, out: list[Finding]) -> None:
             )
 
 
+def check_mmap_ban(f: AuditFile, out: list[Finding]) -> None:
+    if _scoped(f.effective, (), MMAP_ALLOWED_FILES):
+        return
+    for idx, sl in enumerate(f.lines):
+        if MMAP_RE.search(sl.code):
+            out.append(
+                Finding(
+                    "mmap-ban",
+                    f.path.as_posix(),
+                    idx + 1,
+                    "raw mmap/munmap/mremap/madvise outside ajac/util/aligned.hpp "
+                    "(allocate through CacheAlignedAllocator)",
+                    f.raw_lines[idx],
+                )
+            )
+
+
 def audit_file(f: AuditFile, tags: dict[str, str]) -> list[Finding]:
     out: list[Finding] = []
     check_racy_ok(f, tags, out)
@@ -532,6 +564,7 @@ def audit_file(f: AuditFile, tags: dict[str, str]) -> list[Finding]:
     check_omp_allowlist(f, out)
     check_include_hygiene(f, out)
     check_clock_ban(f, out)
+    check_mmap_ban(f, out)
     return out
 
 

@@ -26,7 +26,10 @@
 #
 # The auditor carries the concurrency-contract rules (racy-ok tags on
 # relaxed atomics, atomic/seqlock/omp scoping) plus include-hygiene and
-# clock-ban, which migrated there from this script; run
+# clock-ban, which migrated there from this script, and mmap-ban, which
+# confines raw mmap/munmap/mremap/madvise calls to ajac/util/aligned.hpp
+# the way fence-ban confines fences to annotate.hpp (rules there are
+# pinned by golden fixtures under tests/tools/fixtures); run
 # `tools/analyze/ajac_audit.py --list-rules` for the catalogue and
 # `--explain <rule>` for any rule's contract.
 #
