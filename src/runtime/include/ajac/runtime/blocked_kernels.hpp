@@ -356,16 +356,18 @@ inline void publish_private_rows(const BlockedCsr::Block& blk,
   }
 }
 
-/// ||b - A x||_1 over the block's rows, ascending, each row's entries in
-/// CSR order (CsrMatrix::residual's expression): local columns from the
-/// mirror, ghosts live from x with no fault injection, pattern runs
-/// through their fixed-width loop. The actor's share of a verification
-/// round (terminator.hpp) on the blocked path.
-inline double block_residual_1(const BlockedCsr::Block& blk,
-                               std::span<const double> b,
-                               const OwnBlockState& own, const SharedVector& x)
-    AJAC_REQUIRES_SHARED(own.owner) {
-  const double* mirror = own.x.data();
+/// b - A x over the block's rows, ascending, each row's entries in CSR
+/// order (CsrMatrix::residual's expression, so the same x gives its bits),
+/// each row's residual handed to `sink(li, acc)`: local columns from
+/// `mirror` (x[lo..hi)), ghost column j from `ghost(j)`, with no fault
+/// injection, and pattern runs through their fixed-width loop. The
+/// prologue's r0 rows, the epilogue's final residual rows and
+/// block_residual_1 all come from here.
+template <class Ghost, class Sink>
+inline void sweep_block_residual(const BlockedCsr::Block& blk,
+                                 std::span<const double> b,
+                                 const double* mirror, Ghost&& ghost,
+                                 Sink&& sink) {
   const auto residual = [&](index_t i) {
     const auto li = static_cast<std::size_t>(i - blk.lo);
     double acc = b[static_cast<std::size_t>(i)];
@@ -374,28 +376,38 @@ inline double block_residual_1(const BlockedCsr::Block& blk,
       const BlockedCsr::code_t code = blk.col_code[p];
       const double xj =
           BlockedCsr::is_ghost(code)
-              ? x.read(blk.ghost_cols[static_cast<std::size_t>(
+              ? ghost(blk.ghost_cols[static_cast<std::size_t>(
                     BlockedCsr::ghost_slot(code))])
               : mirror[code];
       acc -= blk.values[p] * xj;
     }
     return acc;
   };
-  double norm = 0.0;
-  const auto add = [&](std::size_t, double acc, double) {
-    norm += std::abs(acc);
-  };
+  const auto row = [&](std::size_t li, double acc, double) { sink(li, acc); };
   std::size_t pattern = 0;  // cursor into blk.pattern_runs
   for (const BlockedCsr::RowRun& run : blk.runs) {
     if (run.boundary) {
       for (index_t i = run.begin; i < run.end; ++i) {
-        norm += std::abs(residual(i));
+        sink(static_cast<std::size_t>(i - blk.lo), residual(i));
       }
     } else {
       sweep_interior(blk, b, mirror, run.begin, run.end, pattern, residual,
-                     add);
+                     row);
     }
   }
+}
+
+/// ||b - A x||_1 over the block's rows, summed in ascending row order:
+/// local columns from the mirror, ghosts live from x. The actor's share of
+/// a verification round (terminator.hpp) on the blocked path.
+inline double block_residual_1(const BlockedCsr::Block& blk,
+                               std::span<const double> b,
+                               const OwnBlockState& own, const SharedVector& x)
+    AJAC_REQUIRES_SHARED(own.owner) {
+  double norm = 0.0;
+  sweep_block_residual(
+      blk, b, own.x.data(), [&](index_t j) { return x.read(j); },
+      [&](std::size_t, double acc) { norm += std::abs(acc); });
   return norm;
 }
 

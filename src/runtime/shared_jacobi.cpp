@@ -93,12 +93,16 @@ double reference_residual_traced(const CsrMatrix& a, const Vector& b,
 
 /// Actor-parallel prologue: each thread first-touches and fills its own
 /// rows of x (= x0) and `r0` (= b - A x0 row by row, the expression and
-/// bits of CsrMatrix::residual) and, when `inv_diag` is non-empty
-/// (reference kernels), 1 / a_ii. Its own region, with the same
+/// bits of CsrMatrix::residual). On the layout path (Blocked) its block
+/// computes them, reading only b and x0 on uniform runs, and reports the
+/// zero diagonal its build found; the reference path reads the parent CSR
+/// and fills 1 / a_ii into `inv_diag`. Its own region, with the same
 /// thread-to-block map as the solve's, so a zero diagonal can be reported
 /// by an exception after the join. Returns the first row whose diagonal
 /// is missing or zero, or -1.
-index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
+template <bool Blocked>
+index_t fill_own_rows(const CsrMatrix& a, const BlockedCsr* blocked,
+                      const Vector& b, const Vector& x0,
                       const partition::Partition& part, index_t threads,
                       SharedVector& x, UninitVector<double>& r0,
                       UninitVector<double>& inv_diag) {
@@ -108,17 +112,27 @@ index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
   {
     AJAC_TSAN_ACQUIRE(&zero_row);
     const auto t = static_cast<index_t>(omp_get_thread_num());
+    const index_t lo = part.part_begin(t);
+    const index_t hi = part.part_end(t);
     // The partition makes this thread the sole writer of its rows.
     x.writer_role().assert_held();
     index_t& my_zero = zero_row[static_cast<std::size_t>(t)];
-    for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
-      x.init(i, x0[i]);
-      const double acc =
-          row_residual(a, i, b[i], [&](index_t j) { return x0[j]; });
-      r0[static_cast<std::size_t>(i)] = acc;
-      const double diag = a.at(i, i);
-      if (diag == 0.0 && my_zero < 0) my_zero = i;
-      if (!inv_diag.empty()) inv_diag[static_cast<std::size_t>(i)] = 1.0 / diag;
+    for (index_t i = lo; i < hi; ++i) x.init(i, x0[i]);
+    if constexpr (Blocked) {
+      const BlockedCsr::Block& blk = blocked->block(t);
+      const auto base = static_cast<std::size_t>(lo);
+      my_zero = blk.zero_diag_row;
+      sweep_block_residual(
+          blk, b, x0.data() + lo, [&](index_t j) { return x0[j]; },
+          [&](std::size_t li, double acc) { r0[base + li] = acc; });
+    } else {
+      for (index_t i = lo; i < hi; ++i) {
+        r0[static_cast<std::size_t>(i)] =
+            row_residual(a, i, b[i], [&](index_t j) { return x0[j]; });
+        const double diag = a.at(i, i);
+        if (diag == 0.0 && my_zero < 0) my_zero = i;
+        inv_diag[static_cast<std::size_t>(i)] = 1.0 / diag;
+      }
     }
     AJAC_TSAN_RELEASE(&zero_row);
   }
@@ -132,21 +146,36 @@ index_t fill_own_rows(const CsrMatrix& a, const Vector& b, const Vector& x0,
 /// Actor-parallel epilogue after the stop: each thread copies its rows of
 /// the shared x into `out` and writes their residual b - A x to `resid`
 /// (CsrMatrix::residual's expression and bits), so the serial
-/// verification only sums `resid`. The blocked actors published their
-/// private rows before the join, so x holds the whole final iterate.
-void collect_own_rows(const CsrMatrix& a, const Vector& b,
-                      const partition::Partition& part, index_t threads,
-                      const SharedVector& x, Vector& out,
+/// verification only sums `resid`. On the layout path its block computes
+/// the residual, own columns from its rows of `out`; the reference path
+/// reads the parent CSR. Ghost columns come from the shared x: the blocked
+/// actors published their private rows before the join, so x holds the
+/// whole final iterate.
+template <bool Blocked>
+void collect_own_rows(const CsrMatrix& a, const BlockedCsr* blocked,
+                      const Vector& b, const partition::Partition& part,
+                      index_t threads, const SharedVector& x, Vector& out,
                       UninitVector<double>& resid) {
   AJAC_TSAN_RELEASE(&out);
 #pragma omp parallel num_threads(static_cast<int>(threads))
   {
     AJAC_TSAN_ACQUIRE(&out);
     const auto t = static_cast<index_t>(omp_get_thread_num());
-    for (index_t i = part.part_begin(t); i < part.part_end(t); ++i) {
+    const index_t lo = part.part_begin(t);
+    const index_t hi = part.part_end(t);
+    const auto shared = [&](index_t j) { return x.read(j); };
+    for (index_t i = lo; i < hi; ++i) {
       out[static_cast<std::size_t>(i)] = x.read(i);
-      resid[static_cast<std::size_t>(i)] =
-          row_residual(a, i, b[i], [&](index_t j) { return x.read(j); });
+    }
+    if constexpr (Blocked) {
+      const auto base = static_cast<std::size_t>(lo);
+      sweep_block_residual(
+          blocked->block(t), b, out.data() + lo, shared,
+          [&](std::size_t li, double acc) { resid[base + li] = acc; });
+    } else {
+      for (index_t i = lo; i < hi; ++i) {
+        resid[static_cast<std::size_t>(i)] = row_residual(a, i, b[i], shared);
+      }
     }
     AJAC_TSAN_RELEASE(&out);
   }
@@ -175,8 +204,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
   UninitVector<double> resid(static_cast<std::size_t>(n));
   UninitVector<double> inv_diag(Blocked ? std::size_t{0}
                                         : static_cast<std::size_t>(n));
-  const index_t zero_row = fill_own_rows(a, b, x0, part, opts.num_threads, x,
-                                         resid, inv_diag);
+  const index_t zero_row = fill_own_rows<Blocked>(
+      a, blocked, b, x0, part, opts.num_threads, x, resid, inv_diag);
   AJAC_CHECK_MSG(zero_row < 0, "zero diagonal at row " << zero_row);
   // r0's norm stays one serial row-order sum (vec::norm1), so the reported
   // relative residuals keep their bits.
@@ -474,7 +503,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
 
   result.seconds = timer.seconds();
   result.x.resize(static_cast<std::size_t>(n));
-  collect_own_rows(a, b, part, opts.num_threads, x, result.x, resid);
+  collect_own_rows<Blocked>(a, blocked, b, part, opts.num_threads, x,
+                            result.x, resid);
 
   const PolishOutcome fin = verify_and_polish(
       a, b, inv_diag, term.r0_norm(), opts.tolerance, opts.final_polish,

@@ -141,9 +141,10 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
     blk.values = {a.row_values(lo).data(), static_cast<std::size_t>(nnz)};
   }
 
-  // Pass 2: encode entries in their original order, merge consecutive
-  // rows of one class, interior (no ghost entries) or boundary, into runs,
-  // and consecutive interior rows of one pattern into pattern runs.
+  // Pass 2: encode entries in their original order, record 1 / a_ii and
+  // the first zero diagonal, merge consecutive rows of one class, interior
+  // (no ghost entries) or boundary, into runs, and consecutive interior
+  // rows of one pattern into pattern runs.
   // Interior rows [chain, i) repeat one pattern, and, while `uniform`
   // holds, the chain's first row's values and 1 / a_ii too.
   blk.col_code.reserve(static_cast<std::size_t>(nnz));
@@ -154,10 +155,16 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
     const auto cols = a.row_cols(i);
     const auto vals = a.row_values(i);
     bool has_ghost = false;
+    bool has_diag = false;
+    double diag = 0.0;  // the row's first diagonal entry, as a.at(i, i)
     for (std::size_t p = 0; p < cols.size(); ++p) {
       const index_t j = cols[p];
-      if (j == i && vals[p] != 0.0) {
-        blk.inv_diag[static_cast<std::size_t>(i - lo)] = 1.0 / vals[p];
+      if (j == i) {
+        if (!has_diag) diag = vals[p];
+        has_diag = true;
+        if (vals[p] != 0.0) {
+          blk.inv_diag[static_cast<std::size_t>(i - lo)] = 1.0 / vals[p];
+        }
       }
       if (j >= lo && j < hi) {
         blk.col_code.push_back(static_cast<code_t>(j - lo));
@@ -171,6 +178,7 @@ BlockedCsr::Block build_block(const CsrMatrix& a, index_t t, index_t lo,
         has_ghost = true;
       }
     }
+    if (diag == 0.0 && blk.zero_diag_row < 0) blk.zero_diag_row = i;
     if (blk.runs.empty() || blk.runs.back().boundary != has_ghost) {
       blk.runs.push_back({i, i + 1, has_ghost});
     } else {

@@ -148,8 +148,12 @@ class BlockedCsr {
 
     /// 1 / a_ii per owned row; 0.0 where the diagonal entry is missing or
     /// stored as zero (callers that relax must reject such matrices — the
-    /// runtime validates before building).
+    /// runtime rejects any block with a zero_diag_row).
     AlignedVector<double> inv_diag;
+    /// The first owned row whose diagonal is missing or whose first stored
+    /// diagonal entry is 0.0 (either sign), or -1: on sorted rows exactly
+    /// the first row with a.at(i, i) == 0.0.
+    index_t zero_diag_row = -1;
 
     index_t local_nnz = 0;  ///< entries with local codes
     index_t ghost_nnz = 0;  ///< entries with ghost codes

@@ -2,7 +2,8 @@
 // Common scalar/index types for the sparse substrate.
 
 #include <cstdint>
-#include <vector>
+
+#include "ajac/util/aligned.hpp"
 
 namespace ajac {
 
@@ -11,8 +12,11 @@ namespace ajac {
 /// products of dimensions are formed.
 using index_t = std::int64_t;
 
-/// Dense vectors are plain contiguous arrays of doubles; the library
-/// operates on them through std::span-like views in the kernels.
-using Vector = std::vector<double>;
+/// Dense vectors are contiguous arrays of doubles; the library operates on
+/// them through std::span-like views in the kernels. They start on a cache
+/// line, and those of at least kHugePageBytes sit on staggered huge pages
+/// (ajac/util/aligned.hpp). Sizing value-initializes, so Vector(n) reads
+/// zeros.
+using Vector = AlignedVector<double>;
 
 }  // namespace ajac

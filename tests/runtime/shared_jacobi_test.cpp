@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <limits>
 #include <memory>
+#include <regex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -310,6 +311,74 @@ TEST(SharedOptions, MalformedPartitionThrows) {
     so.kernel = kernel;
     so.partition = partition::Partition{{1, n / 2, n}};
     EXPECT_THROW(solve_shared(p.a, p.b, p.x0, so), std::logic_error);
+  }
+}
+
+/// The row a rejected solve names (the number after "row " in its
+/// message), or -1 when the solve is accepted.
+index_t rejected_row(const CsrMatrix& a, const Vector& b, const Vector& x0,
+                     const SharedOptions& so) {
+  try {
+    (void)solve_shared(a, b, x0, so);
+  } catch (const std::logic_error& e) {
+    const std::regex row_number(R"(\brow (\d+))");
+    std::cmatch m;
+    EXPECT_TRUE(std::regex_search(e.what(), m, row_number)) << e.what();
+    return m.empty() ? -2 : std::stoll(m[1].str());
+  }
+  return -1;
+}
+
+TEST(SharedOptions, ZeroDiagonalIsRejectedOnEveryKernel) {
+  // A diagonal stored as 0.0 (with either sign) and a missing diagonal
+  // entry are both rejected, by the layout build on kBlocked and kSellCS
+  // and by the prologue on kReference, naming the same row. The bad row
+  // sits inside the last block at 3 threads (rows 24..35 of 36).
+  const auto p = fd_problem(6, 6, 29);
+  const index_t n = p.a.num_rows();
+  const index_t bad = 30;
+  const auto rp = p.a.row_ptr();
+  const auto ci = p.a.col_idx();
+  const auto va = p.a.values();
+
+  std::vector<CsrMatrix> matrices;
+  for (const double zero : {0.0, -0.0}) {
+    std::vector<double> values(va.begin(), va.end());
+    for (index_t q = rp[bad]; q < rp[bad + 1]; ++q) {
+      if (ci[q] == bad) values[static_cast<std::size_t>(q)] = zero;
+    }
+    matrices.emplace_back(n, n, std::vector<index_t>(rp.begin(), rp.end()),
+                          std::vector<index_t>(ci.begin(), ci.end()),
+                          std::move(values));
+  }
+  std::vector<index_t> row_ptr{0};
+  std::vector<index_t> cols;
+  std::vector<double> values;
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t q = rp[i]; q < rp[i + 1]; ++q) {
+      if (i == bad && ci[q] == bad) continue;
+      cols.push_back(ci[q]);
+      values.push_back(va[q]);
+    }
+    row_ptr.push_back(static_cast<index_t>(cols.size()));
+  }
+  matrices.emplace_back(n, n, std::move(row_ptr), std::move(cols),
+                        std::move(values));
+
+  for (const CsrMatrix& a : matrices) {
+    for (const index_t threads : {1, 3}) {
+      for (const KernelKind kernel : {KernelKind::kBlocked,
+                                      KernelKind::kSellCS,
+                                      KernelKind::kReference}) {
+        SharedOptions so;
+        so.num_threads = threads;
+        so.kernel = kernel;
+        so.max_iterations = 5;
+        so.record_history = false;
+        EXPECT_EQ(rejected_row(a, p.b, p.x0, so), bad)
+            << threads << " threads, kernel " << static_cast<int>(kernel);
+      }
+    }
   }
 }
 

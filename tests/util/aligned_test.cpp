@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <utility>
+
+#include "ajac/sparse/types.hpp"
 
 namespace ajac {
 namespace {
@@ -120,6 +124,59 @@ TEST(Aligned, LargeAllocationFreedOnAnotherThread) {
   EXPECT_EQ(v.back(), 4.0);
   v = UninitVector<double>();
   EXPECT_TRUE(v.empty());
+}
+
+TEST(Aligned, VectorIsZeroedAlignedAndKeepsContents) {
+  // ajac::Vector holds b, x0 and every solve's x: one case on each side of
+  // the large-allocation threshold, through every way the library passes
+  // or resizes it.
+  const std::size_t large = elements<double>(kHugePageBytes) + 5;
+  for (const std::size_t n : {std::size_t{37}, large}) {
+    Vector v(n);
+    EXPECT_EQ(address(v.data()) % kCacheLineBytes, 0U) << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      // +0.0, not -0.0: compare the sign too.
+      ASSERT_TRUE(v[i] == 0.0 && !std::signbit(v[i])) << n << " at " << i;
+    }
+    const auto value = [](std::size_t i) {
+      return 0.5 * static_cast<double>(i) - 3.0;
+    };
+    for (std::size_t i = 0; i < n; ++i) v[i] = value(i);
+    const auto holds = [&](std::span<const double> s, std::size_t size) {
+      if (s.size() != size) return false;
+      for (std::size_t i = 0; i < size; ++i) {
+        if (s[i] != value(i)) return false;
+      }
+      return true;
+    };
+    EXPECT_TRUE(holds(v, n)) << n;
+
+    Vector copy = v;
+    EXPECT_NE(copy.data(), v.data());
+    EXPECT_EQ(address(copy.data()) % kCacheLineBytes, 0U);
+    EXPECT_TRUE(holds(copy, n)) << n;
+
+    Vector moved = std::move(copy);
+    EXPECT_TRUE(holds(moved, n)) << n;
+
+    Vector other(3, -1.0);
+    std::swap(moved, other);
+    EXPECT_TRUE(holds(other, n)) << n;
+    ASSERT_EQ(moved.size(), 3U);
+    EXPECT_EQ(moved[2], -1.0);
+
+    // Growth value-initializes the new tail and keeps the head, across the
+    // threshold when n is small.
+    v.resize(n + large);
+    EXPECT_EQ(address(v.data()) % kCacheLineBytes, 0U);
+    EXPECT_TRUE(holds(std::span<const double>(v).first(n), n)) << n;
+    for (std::size_t i = n; i < v.size(); ++i) {
+      ASSERT_TRUE(v[i] == 0.0 && !std::signbit(v[i])) << n << " at " << i;
+    }
+    v.resize(n);
+    v.shrink_to_fit();
+    EXPECT_TRUE(holds(v, n)) << n;
+  }
 }
 
 }  // namespace
