@@ -12,7 +12,6 @@
 #include "ajac/distsim/dist_jacobi.hpp"
 #include "ajac/gen/problem.hpp"
 #include "ajac/obs/json.hpp"
-#include "ajac/obs/metrics.hpp"
 #include "ajac/partition/partition.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/util/cli.hpp"
@@ -105,31 +104,7 @@ inline std::vector<std::pair<std::string, Table>>& report_tables() {
   return tables;
 }
 
-/// Row-selection policy counters accumulated across every instrumented
-/// solve of the bench run, exported in the --json report's "policy"
-/// object. Function-local static for the same reason as report_tables().
-struct PolicyCounters {
-  std::uint64_t policy_draws = 0;
-  std::uint64_t instrumented_solves = 0;
-};
-
-inline PolicyCounters& policy_counters() {
-  static PolicyCounters counters;
-  return counters;
-}
-
 }  // namespace detail
-
-/// Fold one solve's policy counters (row-selection observability) into
-/// the report accumulator. Call after the solve returns, with the
-/// registry that was attached to it.
-inline void record_policy_counters(const obs::MetricsRegistry& reg) {
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  detail::PolicyCounters& acc = detail::policy_counters();
-  acc.policy_draws +=
-      snap.totals[static_cast<std::size_t>(obs::Counter::kPolicyDraws)];
-  ++acc.instrumented_solves;
-}
 
 /// Write the full JSON report (run metadata + every table emitted so far)
 /// to `path`. emit() calls this after each table, so the file on disk is
@@ -148,16 +123,6 @@ inline void write_json_report(const std::string& path, const CliParser& cli) {
     w.key(key).value(value);
   }
   w.end_object();
-  w.end_object();
-  // Policy counters ride along in every report (zeros when no solve was
-  // instrumented) so trend tooling sees a stable schema; the metrics
-  // schema version says which counter vocabulary produced them.
-  const detail::PolicyCounters& pc = detail::policy_counters();
-  w.key("policy").begin_object();
-  w.key("metrics_schema_version").value(obs::kMetricsSchemaVersion);
-  w.key("instrumented_solves")
-      .value(static_cast<std::int64_t>(pc.instrumented_solves));
-  w.key("policy_draws").value(static_cast<std::int64_t>(pc.policy_draws));
   w.end_object();
   w.key("tables").begin_object();
   for (const auto& [name, table] : detail::report_tables()) {

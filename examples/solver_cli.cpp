@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
                  "counts; reference kernel always uses rows)");
   cli.add_option("policy", "natural",
                  "async row-selection policy: natural | uniform "
-                 "(shared and distsim backends)");
+                 "(uniform: distsim backend only; every other backend "
+                 "rejects it)");
   cli.add_option("nrhs", "1",
                  "right-hand sides (shared backend; > 1 solves that many "
                  "seeded random columns, one after another)");

@@ -13,10 +13,28 @@ namespace ajac {
 
 const char* version() { return "1.0.0"; }
 
+namespace {
+
+/// Only the simulator samples rows: a sampled policy on any other backend
+/// is rejected rather than silently ignored.
+void check_policy_backend(const SolveConfig& config) {
+  if (config.backend == Backend::kDistributedSim) return;
+  AJAC_CHECK_MSG(!runtime::is_sampled(config.policy),
+                 "SolveConfig::policy = "
+                     << runtime::policy_name(config.policy)
+                     << " samples rows on the distsim backend "
+                        "(Backend::kDistributedSim) only; the shared-memory "
+                        "backend's in-place schedule is "
+                        "runtime::SharedOptions::local_gauss_seidel");
+}
+
+}  // namespace
+
 Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
                const SolveConfig& config) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   AJAC_CHECK(config.parallelism >= 1);
+  check_policy_backend(config);
   Solution sol;
   switch (config.backend) {
     case Backend::kSequential: {
@@ -55,8 +73,6 @@ Solution solve(const CsrMatrix& a, const Vector& b, const Vector& x0,
       opts.max_iterations = config.max_iterations;
       opts.record_history = false;
       opts.kernel = config.shared_kernel;
-      opts.policy = config.policy;
-      opts.policy_seed = config.seed;
       opts.stream = config.stream;
       // nnz-balanced blocks for the partition-aware kernels (the facade
       // default). The runtime's own default stays row-balanced, so direct
@@ -182,6 +198,7 @@ BatchSolution solve_batch(const CsrMatrix& a, const MultiVector& b,
                  "batched solves run on the shared-memory backend only");
   AJAC_CHECK_MSG(config.num_rhs == b.num_cols(),
                  "config.num_rhs must equal b.num_cols()");
+  check_policy_backend(config);
   runtime::SharedOptions opts;
   opts.num_threads = config.parallelism;
   opts.synchronous = config.synchronous;
@@ -189,8 +206,6 @@ BatchSolution solve_batch(const CsrMatrix& a, const MultiVector& b,
   opts.max_iterations = config.max_iterations;
   opts.record_history = false;
   opts.kernel = config.shared_kernel;
-  opts.policy = config.policy;
-  opts.policy_seed = config.seed;
   opts.stream = config.stream;
   // Same facade-level nnz balancing as the single-RHS path.
   if (config.balance_by_nnz && config.parallelism > 1 &&

@@ -21,6 +21,7 @@
 #include "ajac/mesh/mesh_jacobi.hpp"
 #include "ajac/model/executor.hpp"
 #include "ajac/partition/partition.hpp"
+#include "ajac/runtime/row_policy.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/solvers/stationary.hpp"
 #include "ajac/sparse/csr.hpp"
@@ -68,11 +69,14 @@ struct SolveConfig {
   /// carry exactly num_rhs columns). It solves them one after another,
   /// each column as solve() would.
   index_t num_rhs = 1;
-  /// kSharedMemory / kDistributedSim: row-selection policy for the
-  /// asynchronous sweep. kNaturalOrder (default) keeps the runtimes
-  /// bitwise identical to their pre-policy behavior; the sampled policies
-  /// draw rows from counter-based streams seeded by `seed` (see
-  /// runtime::RowPolicy). Asynchronous mode only.
+  /// kDistributedSim: row-selection policy for the asynchronous sweep.
+  /// kNaturalOrder (default) is the paper's block sweep; kUniformRandom
+  /// draws rows from counter-based streams seeded by `seed` (see
+  /// runtime::RowPolicy), the schedule of Avron et al.'s rate bound.
+  /// Asynchronous mode only. Every other backend, solve_batch included,
+  /// rejects a sampled policy: the shared runtime relaxes rows in natural
+  /// order, and its in-place schedule is
+  /// runtime::SharedOptions::local_gauss_seidel.
   runtime::RowPolicy policy = runtime::RowPolicy::kNaturalOrder;
   /// kSharedMemory / kDistributedSim: live telemetry hub (see
   /// ajac/obs/stream.hpp). nullptr disables streaming; the off path is

@@ -54,7 +54,7 @@ namespace ajac::obs {
 
 /// Version of the JSON snapshot schema emitted by obs::to_json. Bump when
 /// renaming/removing fields; additions are backward compatible.
-inline constexpr int kMetricsSchemaVersion = 5;
+inline constexpr int kMetricsSchemaVersion = 6;
 
 /// Monotone per-actor counters. Shared-runtime and distsim populate
 /// disjoint subsets; unused counters stay zero and are still emitted (the
@@ -74,7 +74,6 @@ enum class Counter : std::size_t {
   kMessagesReceived,    ///< distsim: puts delivered
   kMessagesDropped,     ///< distsim: puts lost to faults or dead ranks
   kMessagesDuplicated,  ///< distsim: retransmitted copies injected
-  kPolicyDraws,         ///< sampled policies: rows drawn from the sampler
   kQueueFullDrops,      ///< mesh: packets refused by a full SPSC ring
   kGhostRefreshes,      ///< sellcs: dense ghost-buffer refreshes performed
   /// solve_shared, actor 0: the process's minor page faults over the call
@@ -97,8 +96,6 @@ enum class Hist : std::size_t {
   kMessageLatencyUs,   ///< distsim: network latency per issued put
   kQueueDepth,         ///< distsim: mailbox depth when the rank drains it
   kGhostReadAge,       ///< distsim: sender-iteration lag of applied ghosts
-  kRowRelaxations,     ///< sampled policies: per-row relaxation totals
-  kRowSelectionSkew,   ///< sampled policies: per-thread max/mean row count, %
   kCount
 };
 inline constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::kCount);

@@ -23,7 +23,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kMessagesReceived: return "messages_received";
     case Counter::kMessagesDropped: return "messages_dropped";
     case Counter::kMessagesDuplicated: return "messages_duplicated";
-    case Counter::kPolicyDraws: return "policy_draws";
     case Counter::kQueueFullDrops: return "queue_full_drops";
     case Counter::kGhostRefreshes: return "ghost_refreshes";
     case Counter::kMinorFaults: return "minor_faults";
@@ -40,8 +39,6 @@ const char* hist_name(Hist h) noexcept {
     case Hist::kMessageLatencyUs: return "message_latency_us";
     case Hist::kQueueDepth: return "queue_depth";
     case Hist::kGhostReadAge: return "ghost_read_age";
-    case Hist::kRowRelaxations: return "row_relaxations";
-    case Hist::kRowSelectionSkew: return "row_selection_skew";
     case Hist::kCount: break;
   }
   return "unknown";

@@ -414,8 +414,8 @@ inline double block_residual_1(const BlockedCsr::Block& blk,
 /// One in-place relaxation of own row i: residual from the latest
 /// mirror/ghost values, then the correction committed immediately, so the
 /// thread's later rows see it through the mirror and other threads through
-/// x. Returns the residual. The Gauss-Seidel sweep applies it in ascending
-/// row order; a sampled policy to the rows its RowSampler draws.
+/// x. Returns the residual. relax_block_gs applies it in ascending row
+/// order.
 template <class Faults>
 inline double relax_row_in_place(const BlockedCsr::Block& blk,
                                  const CsrMatrix& a, std::span<const double> b,
@@ -513,62 +513,6 @@ inline void relax_traced(const BlockedCsr::Block& blk, const CsrMatrix& a,
       for (index_t i = run.begin; i < run.end; ++i) relax_row(i);
     }
   }
-}
-
-/// Traced sampled relaxation: relax_row_in_place plus the read-version
-/// recording of relax_traced. The in-place commit bumps the row's seqlock
-/// once, so the version mirror advances with the write — a row drawn twice
-/// in one iteration records two distinct versions, exactly what the
-/// propagation analysis needs to order repeated relaxations. Returns the
-/// residual.
-template <class Faults, class Metrics>
-inline double relax_row_sampled_traced(
-    const BlockedCsr::Block& blk, const CsrMatrix& a, std::span<const double> b,
-    OwnBlockState& own, SharedVector& x, Faults& faults, Metrics& metrics,
-    index_t iter, std::vector<model::RelaxationEvent>& events, index_t i)
-    AJAC_REQUIRES(own.owner, x.writer_role()) {
-  const auto li = static_cast<std::size_t>(i - blk.lo);
-  const auto begin = static_cast<std::size_t>(blk.row_ptr[li]);
-  const auto end = static_cast<std::size_t>(blk.row_ptr[li + 1]);
-  model::RelaxationEvent event;
-  event.row = i;
-  event.reads.reserve(end - begin);
-  double acc = b[static_cast<std::size_t>(i)];
-  FlippedEntry flipped;
-  bool has_flip = false;
-  if constexpr (Faults::enabled) {
-    const auto row = a.row(i);
-    has_flip = faults.flip(i, row.cols, row.vals, flipped);
-  }
-  for (std::size_t p = begin; p < end; ++p) {
-    double aij = blk.values[p];
-    if constexpr (Faults::enabled) {
-      if (has_flip && p - begin == flipped.entry) aij = flipped.value;
-    }
-    const BlockedCsr::code_t code = blk.col_code[p];
-    if (!BlockedCsr::is_ghost(code)) {
-      acc -= aij * own.x[static_cast<std::size_t>(code)];
-      const index_t j = blk.lo + code;
-      if (j == i) continue;
-      const index_t version = own.version[static_cast<std::size_t>(code)];
-      metrics.staleness(iter, version);
-      event.reads.push_back({j, version});
-      continue;
-    }
-    const index_t j =
-        blk.ghost_cols[static_cast<std::size_t>(BlockedCsr::ghost_slot(code))];
-    const auto [value, version] =
-        faults.read_versioned(x, j, metrics.retry_sink());
-    acc -= aij * value;
-    metrics.staleness(iter, version);
-    event.reads.push_back({j, version});
-  }
-  const double nx = own.x[li] + blk.inv_diag[li] * acc;
-  x.write(i, nx);
-  own.x[li] = nx;
-  ++own.version[li];  // the x.write bumped the element's seqlock once
-  events.push_back(std::move(event));
-  return acc;
 }
 
 }  // namespace ajac::runtime

@@ -1,15 +1,16 @@
 #pragma once
-// Pluggable row-selection policies for the asynchronous runtimes.
+// Row-selection policies for the asynchronous distributed simulator.
 //
 // The paper's schedule — every worker sweeps its block in natural order —
 // is one point in a larger design space. Avron/Druinsky/Gupta
 // (arXiv:1304.6475) prove convergence rates for uniform-random row
 // selection; the uniform sampler here is the executable check of that
-// bound (tests/runtime/policy_rate_test.cpp). It loses to natural order on
-// wall time on every measured fixture (DESIGN.md §5e), so it is a
-// rate-bound check, not a speed option. The shared runtime (solve_shared)
-// and the distributed simulator plug the per-worker sampler into their
-// relaxation loops.
+// bound (tests/runtime/policy_rate_test.cpp and bench_policies drive it
+// directly). It loses on wall time on every measured fixture (DESIGN.md
+// §5e), so it is a rate-bound check, not a speed option. The distributed
+// simulator plugs the per-worker sampler into its relaxation loop; the
+// shared runtime relaxes in natural order only, and its in-place schedule
+// is SharedOptions::local_gauss_seidel.
 //
 // Determinism discipline mirrors fault::FaultClock: every draw is a pure
 // hash of (seed, stream, worker, iteration, slot) — no stateful RNG, no

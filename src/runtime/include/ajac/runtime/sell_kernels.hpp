@@ -27,10 +27,10 @@
 // granularity, a legal asynchronous schedule (the model's staleness bound
 // grows by at most one local iteration).
 //
-// Not composable (checked in solve_shared): fault plans, record_trace,
-// local_gauss_seidel, and sampled row policies stay on the blocked path —
-// their semantics are defined in terms of per-read injection/versioning,
-// which the buffered data plane deliberately amortizes away.
+// Not composable (checked in solve_shared): fault plans, record_trace and
+// local_gauss_seidel stay on the blocked path — their semantics are
+// defined in terms of per-read injection/versioning or row-by-row fresh
+// reads, which the buffered data plane deliberately amortizes away.
 
 #include <cstddef>
 #include <span>

@@ -24,6 +24,7 @@
 // each off-diagonal value it read (a seqlock pairs values with write
 // counters), feeding the propagation-matrix analysis of Sec. IV-A/Fig. 2.
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -31,7 +32,6 @@
 #include "ajac/fault/fault_plan.hpp"
 #include "ajac/model/trace.hpp"
 #include "ajac/partition/partition.hpp"
-#include "ajac/runtime/row_policy.hpp"
 #include "ajac/solvers/common.hpp"
 #include "ajac/sparse/multi_vector.hpp"
 #include "ajac/sparse/types.hpp"
@@ -65,8 +65,8 @@ enum class KernelKind {
   /// refreshed once per local iteration instead of per-entry shared reads.
   /// Bitwise-equivalent to kBlocked whenever the reads see the same values
   /// (num_threads=1, or synchronous mode). Not composable with
-  /// record_trace, local_gauss_seidel, sampled row policies or fault plans
-  /// other than stragglers (checked).
+  /// record_trace, local_gauss_seidel or fault plans other than stragglers
+  /// (checked).
   kSellCS,
 };
 
@@ -140,17 +140,11 @@ struct SharedOptions {
   /// kReference selects the original unsplit path (differential testing,
   /// perf baselines).
   KernelKind kernel = KernelKind::kBlocked;
-  /// Row-selection policy (see ajac/runtime/row_policy.hpp). The default
-  /// natural-order sweep is the paper's schedule and leaves the solve
-  /// bitwise identical to a build without the policy layer. Sampled
-  /// policies draw block-size rows per local iteration and relax them in
-  /// place; asynchronous mode only (with barriers, a sampled schedule has
-  /// no natural synchronous meaning), and exclusive with
-  /// local_gauss_seidel (sampling *is* the in-place schedule).
-  RowPolicy policy = RowPolicy::kNaturalOrder;
-  /// Seed of the policy draw streams. PolicyClock salts it, so the same
-  /// value may safely seed the fault plan: policy draws never perturb
-  /// fault decisions and vice versa.
+  /// Inert: the solve draws no rows, so nothing reads this seed. Uniform
+  /// row sampling runs on the simulator only (distsim::DistOptions::policy);
+  /// the in-place schedule of real threads is local_gauss_seidel. Kept
+  /// only because perfbench still assigns it; the next benchmark change
+  /// (ROADMAP item 1) deletes that assignment and then this field.
   std::uint64_t policy_seed = 0x5eedfa17ULL;
 };
 

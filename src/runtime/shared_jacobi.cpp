@@ -41,8 +41,8 @@ using detail::StreamPublisher;
 
 /// Reference-kernel residual of row i, b_i - sum_j a_ij x_j in CSR entry
 /// order, with x read through the fault context and a flipped entry read
-/// corrupted. Every reference path (Jacobi, local Gauss-Seidel, sampled)
-/// relaxes through this or its traced twin below.
+/// corrupted. Every reference path (Jacobi, local Gauss-Seidel) relaxes
+/// through this or its traced twin below.
 template <class Faults>
 double reference_residual(const CsrMatrix& a, const Vector& b,
                           const SharedVector& x, Faults& faults, index_t i) {
@@ -240,16 +240,14 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     const auto t = static_cast<index_t>(omp_get_thread_num());
     const index_t lo = part.part_begin(t);
     const index_t hi = part.part_end(t);
-    const bool sampled = is_sampled(opts.policy);
     // Residuals of the own rows, by local row, seeded with the prologue's
-    // r0 rows: the reference kernels' relax->commit carrier, the traced
-    // and SELL kernels' record for the ascending partial-norm pass (they
-    // relax rows out of order), and the sampled policies' latest residual
-    // per row (a draw replaces its row's). The blocked Jacobi kernel
-    // stages its corrections in the mirror's `next` slice and sums as it
-    // goes, so it needs none.
+    // r0 rows: the reference kernels' relax->commit carrier, and the
+    // traced and SELL kernels' record for the ascending partial-norm pass
+    // (they relax rows out of order). The blocked Jacobi kernel stages its
+    // corrections in the mirror's `next` slice and sums as it goes, so it
+    // needs none.
     std::vector<double> local_r;
-    if (!Blocked || opts.record_trace || sell != nullptr || sampled) {
+    if (!Blocked || opts.record_trace || sell != nullptr) {
       local_r.assign(resid.begin() + lo, resid.begin() + hi);
     }
     auto& my_history = histories[static_cast<std::size_t>(t)];
@@ -265,17 +263,6 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     Faults faults(a, x0, plan, t, lo, hi, x);
     MetricsRecorder metrics(opts.metrics, t, timer);
     StreamPublisher stream(opts.stream, t, timer);
-
-    // Sampled row policies: per-thread sampler (no shared state; see
-    // row_policy.hpp for the draw-coordinate discipline) and, when
-    // instrumented, the per-row draw counts behind the row-selection-skew
-    // metric (empty without a registry). Natural order pays for neither.
-    std::optional<RowSampler> sampler;
-    if (sampled) sampler.emplace(opts.policy, opts.policy_seed, t, lo, hi);
-    std::vector<std::uint32_t> pick_counts;
-    if (sampled && metrics.on()) {
-      pick_counts.assign(static_cast<std::size_t>(hi - lo), 0);
-    }
 
     // Blocked path: thread-private mirror of the own rows, allocated and
     // filled here so the owning thread first-touches its own pages.
@@ -342,42 +329,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       // partial norm of those rows, published before the first barrier so
       // that in synchronous mode every reader sums the same iteration's
       // partials.
-      if (sampled) {
-        // Sampled policies: block-size in-place relaxations of drawn rows
-        // (iteration counting, termination, and total_relaxations keep
-        // their natural-order meaning).
-        const index_t draws = hi - lo;
-        for (index_t slot = 0; slot < draws; ++slot) {
-          const index_t i = sampler->next(iter, slot);
-          if (!pick_counts.empty()) {
-            ++pick_counts[static_cast<std::size_t>(i - lo)];
-          }
-          double& ri = local_r[static_cast<std::size_t>(i - lo)];
-          if constexpr (Blocked) {
-            if (opts.record_trace) {
-              ri = relax_row_sampled_traced(*blk, a, b, own, x, faults,
-                                            metrics, iter, my_events, i);
-            } else {
-              ri = relax_row_in_place(*blk, a, b, own, x, faults, i);
-            }
-          } else {
-            // In-place relaxation of the drawn row.
-            double acc = 0.0;
-            if (opts.record_trace) {
-              model::RelaxationEvent event;
-              acc = reference_residual_traced(a, b, x, faults, metrics, iter,
-                                              i, event);
-              my_events.push_back(std::move(event));
-            } else {
-              acc = reference_residual(a, b, x, faults, i);
-            }
-            ri = acc;
-            x.write(i, x.read(i) + inv_diag[i] * acc);
-          }
-        }
-        // Draws revisit rows in policy order: sum the partial afterwards.
-        partial = vec::norm1(local_r);
-      } else if (opts.local_gauss_seidel) {
+      if (opts.local_gauss_seidel) {
         // In-place forward sweep: each row's update is visible to the
         // following rows (and to other threads) immediately.
         if constexpr (Blocked) {
@@ -408,8 +360,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
           if (sell != nullptr) {
             // kSellCS: refresh the dense ghost buffer once, then relax the
             // SELL-packed interior and the buffered boundary.
-            // Traces, GS, sampling and every fault but a straggler's
-            // stall never reach this branch (rejected in solve_shared).
+            // Traces, GS and every fault but a straggler's stall never
+            // reach this branch (rejected in solve_shared).
             refresh_ghosts(*blk, x, ghosts);
             metrics.ghost_refresh();
             relax_interior_sell(*sblk, *blk, b, own, local_r);
@@ -428,9 +380,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
       if constexpr (!Blocked) {
         // The reference Jacobi step sums its partial in a separate
         // ascending pass over its residuals.
-        if (!opts.local_gauss_seidel && !sampled) {
-          partial = vec::norm1(local_r);
-        }
+        if (!opts.local_gauss_seidel) partial = vec::norm1(local_r);
       }
       term.publish_partial(t, partial);
 
@@ -438,10 +388,10 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
 #pragma omp barrier
       }
 
-      // Step 2: correct own rows (already done in-place for the GS sweep
-      // and the sampled policies; the blocked kernels staged the values in
-      // step 1 and only publish them here).
-      if (!opts.local_gauss_seidel && !sampled) {
+      // Step 2: correct own rows (already done in place for the GS sweep;
+      // the blocked kernels staged the values in step 1 and only publish
+      // them here).
+      if (!opts.local_gauss_seidel) {
         if constexpr (Blocked) {
           commit_block(*blk, own, x);
         } else {
@@ -478,7 +428,7 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
 #pragma omp barrier
       }
       metrics.iteration_end(iter - 1, hi - lo);
-      stream.beacon(iter, hi - lo, partial, sampled);
+      stream.beacon(iter, hi - lo, partial);
       // Asynchronous actors yield only while ahead of the slowest: a
       // sched_yield puts the caller behind every runnable task on its
       // core, so a laggard sharing a core with another busy process would
@@ -491,9 +441,8 @@ SharedResult solve_shared_impl(const CsrMatrix& a, const Vector& b,
     if constexpr (Blocked) publish_private_rows(*blk, own, x);
     // Terminal beacon: the monitor always sees this thread's final state
     // even when the last iteration missed the stride.
-    stream.finish(iter, hi - lo, partial, sampled);
+    stream.finish(iter, hi - lo, partial);
     result.iterations_per_thread[static_cast<std::size_t>(t)] = iter;
-    metrics.policy_counts(pick_counts);
     if constexpr (Faults::enabled) {
       fault_logs[static_cast<std::size_t>(t)] = faults.take_log();
     }
@@ -583,12 +532,6 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
                  "barriers (asynchronous mode)");
   AJAC_CHECK_MSG(!(opts.local_gauss_seidel && opts.record_trace),
                  "read-version traces assume the Jacobi local sweep");
-  AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.synchronous),
-                 "sampled row policies relax in place and have no "
-                 "synchronous meaning (asynchronous mode only)");
-  AJAC_CHECK_MSG(!(is_sampled(opts.policy) && opts.local_gauss_seidel),
-                 "sampled row policies define their own in-place schedule; "
-                 "local_gauss_seidel does not compose with them");
   const bool sellcs = opts.kernel == KernelKind::kSellCS;
   AJAC_CHECK_MSG(!(sellcs && opts.record_trace),
                  "kSellCS amortizes ghost reads into per-iteration buffer "
@@ -598,9 +541,6 @@ SharedResult solve_shared(const CsrMatrix& a, const Vector& b,
                  "the in-place local sweep reads its own fresh updates "
                  "row-by-row; the SELL repack relaxes rows out of order "
                  "(use kBlocked)");
-  AJAC_CHECK_MSG(!(sellcs && is_sampled(opts.policy)),
-                 "sampled row policies relax drawn rows in place; the SELL "
-                 "interior relaxes whole chunks (use kBlocked)");
 
   const partition::Partition part =
       opts.partition.value_or(partition::contiguous_partition(

@@ -363,29 +363,6 @@ class MetricsRecorder {
     slot_->add(obs::Counter::kGhostRefreshes);
   }
 
-  /// Sampled row policies, once per thread after its loop: the per-row
-  /// relaxation counts (kRowRelaxations histogram — natural order would be
-  /// a point mass at the iteration count) and the block's selection skew,
-  /// max over mean as a percentage (100 = perfectly even). The drivers
-  /// count draws only when a registry is attached, so `counts` is empty
-  /// without one.
-  void policy_counts(std::span<const std::uint32_t> counts) {
-    if (!on() || counts.empty()) return;
-    slot_->owner.assert_held();
-    std::uint64_t total = 0;
-    std::uint64_t max = 0;
-    for (const std::uint32_t c : counts) {
-      slot_->record(obs::Hist::kRowRelaxations, c);
-      total += c;
-      if (c > max) max = c;
-    }
-    if (total == 0) return;
-    slot_->add(obs::Counter::kPolicyDraws, total);
-    const std::uint64_t skew_pct =
-        max * 100 * static_cast<std::uint64_t>(counts.size()) / total;
-    slot_->record(obs::Hist::kRowSelectionSkew, skew_pct);
-  }
-
  private:
   obs::ActorSlot* slot_;  ///< null without a registry
   const WallTimer* timer_;
@@ -455,29 +432,28 @@ class StreamPublisher {
   [[nodiscard]] bool on() const { return ring_ != nullptr; }
 
   /// Beacon on every stride-th iteration (iter is 1-based here: the call
-  /// sites beacon after `++iter`). A sampled policy draws one row per
-  /// relaxation, so its draw count is the relaxation count.
-  void beacon(index_t iter, index_t rows, double own_norm, bool sampled) {
+  /// sites beacon after `++iter`).
+  void beacon(index_t iter, index_t rows, double own_norm) {
     if (!on() || iter % stride_ != 0) return;
-    publish(iter, rows, own_norm, sampled);
+    publish(iter, rows, own_norm);
   }
 
   /// Final beacon at loop exit, so the monitor always sees the terminal
   /// state; skipped when the last iteration already published at stride.
-  void finish(index_t iter, index_t rows, double own_norm, bool sampled) {
+  void finish(index_t iter, index_t rows, double own_norm) {
     if (!on() || iter == last_iter_ || iter <= 0) return;
-    publish(iter, rows, own_norm, sampled);
+    publish(iter, rows, own_norm);
   }
 
  private:
-  void publish(index_t iter, index_t rows, double own_norm, bool sampled) {
+  /// The shared runtime draws no rows, so policy_draws stays 0.
+  void publish(index_t iter, index_t rows, double own_norm) {
     obs::Beacon b;
     b.ts_us = timer_->seconds() * 1e6;
     b.iteration = iter;
     b.relaxations =
         static_cast<std::uint64_t>(iter) * static_cast<std::uint64_t>(rows);
     b.own_residual_1 = own_norm;
-    b.policy_draws = sampled ? b.relaxations : 0;
     ring_->writer.assert_held();
     ring_->publish(b);
     last_iter_ = iter;

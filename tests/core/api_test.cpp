@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "ajac/gen/fd.hpp"
 #include "ajac/sparse/multi_vector.hpp"
@@ -149,6 +151,41 @@ TEST(Api, SolveBatchColumnsMatchSingleSolves) {
     EXPECT_EQ(batch.iterations[col], single.iterations);
     EXPECT_EQ(batch.relaxations[col], single.relaxations);
   }
+}
+
+TEST(Api, SampledPolicyIsRejectedOffDistsim) {
+  // Only the simulator samples rows: solve and solve_batch on the shared
+  // backend, and solve on any other backend, reject the uniform policy,
+  // naming where it runs and the shared runtime's in-place schedule.
+  const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(6, 6), 5);
+  SolveConfig cfg;
+  cfg.backend = Backend::kSharedMemory;
+  cfg.parallelism = 2;
+  cfg.policy = runtime::RowPolicy::kUniformRandom;
+  const auto expect_rejected = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a sampled policy off distsim was accepted";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("distsim"), std::string::npos) << what;
+      EXPECT_NE(what.find("SharedOptions::local_gauss_seidel"),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_rejected([&] { (void)solve(p.a, p.b, p.x0, cfg); });
+  const MultiVector b = MultiVector::broadcast(p.b, 1);
+  const MultiVector x0 = MultiVector::broadcast(p.x0, 1);
+  expect_rejected([&] { (void)solve_batch(p.a, b, x0, cfg); });
+  cfg.backend = Backend::kMesh;
+  expect_rejected([&] { (void)solve(p.a, p.b, p.x0, cfg); });
+
+  // The simulator still runs it.
+  cfg.backend = Backend::kDistributedSim;
+  cfg.tolerance = 1e-3;
+  cfg.max_iterations = 20000;
+  EXPECT_TRUE(solve(p.a, p.b, p.x0, cfg).converged);
 }
 
 }  // namespace

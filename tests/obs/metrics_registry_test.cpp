@@ -125,7 +125,7 @@ TEST(ObsRegistry, ToJsonIsParseableAndComplete) {
   reg.reset(2);
   reg.actor(0).add(Counter::kMessagesSent, 5);
   reg.actor(1).add(Counter::kMessagesSent, 7);
-  reg.actor(1).add(Counter::kPolicyDraws, 3);
+  reg.actor(1).add(Counter::kMinorFaults, 3);
   reg.actor(0).record(Hist::kMessageLatencyUs, 120);
   const std::string text =
       to_json(reg.snapshot(), {{"matrix", "fd-8x8"}, {"threads", "2"}});
@@ -149,15 +149,17 @@ TEST(ObsRegistry, ToJsonIsParseableAndComplete) {
 
   // Schema v2 added the policy_draws counter, v3 removed the batch-only
   // lane_relaxations, batch_occupancy and column_relaxations, v4 removed
-  // the residual-weighted policy's refresh counter, and v5 added
-  // minor_faults: pin the version and the exported name so a rename or
-  // version slip is caught here rather than by downstream trend tooling
-  // (the bench reports embed both).
-  EXPECT_EQ(kMetricsSchemaVersion, 5);
-  const JsonValue* draws = counters->find("policy_draws");
-  ASSERT_NE(draws, nullptr);
-  EXPECT_EQ(draws->find("total")->number, 3.0);
-  EXPECT_EQ(draws->find("per_actor")->array[1].number, 3.0);
+  // the residual-weighted policy's refresh counter, v5 added minor_faults,
+  // and v6 removed policy_draws and the row_relaxations and
+  // row_selection_skew histograms with the shared runtime's sampled rows:
+  // pin the version and the exported name so a rename or version slip is
+  // caught here rather than by downstream trend tooling.
+  EXPECT_EQ(kMetricsSchemaVersion, 6);
+  const JsonValue* faults = counters->find("minor_faults");
+  ASSERT_NE(faults, nullptr);
+  EXPECT_EQ(faults->find("total")->number, 3.0);
+  EXPECT_EQ(faults->find("per_actor")->array[1].number, 3.0);
+  EXPECT_EQ(counters->find("policy_draws"), nullptr);
 
   const JsonValue* hists = doc.find("histograms");
   ASSERT_NE(hists, nullptr);

@@ -1,10 +1,10 @@
-// Determinism and fault-interaction contract for the sampled row policies:
-// a (seed, policy) pair pins the entire schedule, fault logs replay bitwise
-// run to run, the policy stream never perturbs iteration-keyed fault
-// decisions, recorded distsim traces replay through the Φ(l) model
-// identically, and a k = 1 batch draws the same rows as the scalar solver.
-// Everything here runs under the tsan preset too (filter: ^...|Policy...),
-// where a racy sampler would trip the data-race detector.
+// Determinism and fault-interaction contract for the sampled row policies
+// on the simulator, the only runtime that samples rows: a (seed, policy)
+// pair pins the entire schedule, fault logs replay bitwise run to run, the
+// policy stream never perturbs iteration-keyed fault decisions, and
+// recorded traces replay through the Φ(l) model identically. The shared
+// runtime relaxes in natural order only (its in-place schedule is
+// local_gauss_seidel; tests/runtime/local_gs_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -21,9 +21,7 @@
 #include "ajac/model/trace.hpp"
 #include "ajac/partition/partition.hpp"
 #include "ajac/runtime/row_policy.hpp"
-#include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/sparse/csr.hpp"
-#include "ajac/sparse/multi_vector.hpp"
 #include "test_helpers.hpp"
 
 namespace ajac::runtime {
@@ -31,16 +29,13 @@ namespace {
 
 using ajac::testing::test_seed;
 
-SharedOptions base_async(RowPolicy policy) {
-  SharedOptions o;
-  o.num_threads = 2;
-  o.tolerance = 0.0;  // park at the cap: iteration counts are pinned
+distsim::DistOptions base_async(RowPolicy policy) {
+  distsim::DistOptions o;
+  o.num_processes = 4;
+  o.tolerance = 0.0;  // run to the cap: iteration counts are pinned
   o.max_iterations = 24;
-  o.record_history = false;
-  o.yield = true;
-  o.final_polish = false;
+  o.seed = test_seed(11);
   o.policy = policy;
-  o.policy_seed = test_seed(11);
   return o;
 }
 
@@ -54,51 +49,61 @@ void expect_same_fault_log(const std::vector<fault::FaultEvent>& a,
 }
 
 TEST(PolicyDeterminism, SameSeedSamePolicySameFaultLog) {
-  // Full fault menu (straggler, stale window, bit flips, crash) plus a
-  // sampled policy: two runs of the same configuration must produce
-  // element-wise identical fault logs. Bit flips are keyed on the relaxed
-  // row, so this also proves the drawn schedule itself is replayed.
-  //
-  // The uniform schedule is a pure function of the seed, so it replays
-  // bitwise at any thread count.
+  // Every fault kind the simulator honours (straggler, stale-delivery
+  // window, message drop / duplicate / reorder, crash with state reset)
+  // plus a sampled policy: two runs of the same configuration must produce
+  // element-wise identical fault logs and the bitwise-identical iterate,
+  // which the drawn schedule decides.
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(12, 12), test_seed(1));
+  const auto part = partition::contiguous_partition(p.a.num_rows(), 4);
   auto plan = std::make_shared<fault::FaultPlan>();
   plan->seed = test_seed(2);
   plan->stragglers.push_back(
       {.actor = 0, .extra_delay_us = 1.0, .period = 8, .duty = 0.5});
   plan->stale_reads.push_back({.actor = -1, .period = 8, .duty = 0.5});
-  plan->bit_flips.push_back({.actor = -1, .probability = 5e-3, .bit = 16});
+  plan->message_faults.push_back({.drop_probability = 0.2,
+                                  .duplicate_probability = 0.2,
+                                  .reorder_probability = 0.2});
   plan->crashes.push_back({.actor = 1,
                            .crash_iteration = 6,
                            .dead_seconds = 1e-4,
                            .reset_state_on_recovery = true});
 
   for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
-    SharedOptions o = base_async(policy);
+    SCOPED_TRACE(policy_name(policy));
+    distsim::DistOptions o = base_async(policy);
     o.fault_plan = plan;
-    const SharedResult r1 = solve_shared(p.a, p.b, p.x0, o);
-    const SharedResult r2 = solve_shared(p.a, p.b, p.x0, o);
+    const auto r1 = distsim::solve_distributed(p.a, p.b, p.x0, part, o);
+    const auto r2 = distsim::solve_distributed(p.a, p.b, p.x0, part, o);
     ASSERT_FALSE(r1.fault_events.empty());
     expect_same_fault_log(r1.fault_events, r2.fault_events,
                           std::string("policy ") + policy_name(policy));
+    ASSERT_EQ(r1.x.size(), r2.x.size());
+    for (std::size_t i = 0; i < r1.x.size(); ++i) {
+      ASSERT_EQ(r1.x[i], r2.x[i]) << "row " << i;
+    }
   }
 }
 
 TEST(PolicyDeterminism, PolicyStreamDoesNotPerturbIterationKeyedFaults) {
   // Straggler / stale-window / crash decisions are keyed on the local
-  // iteration counter alone, and with tolerance 0 every thread parks at
-  // max_iterations — so swapping the row policy (which changes *what* each
-  // iteration relaxes, not *how many* iterations run) must leave the fault
-  // log bitwise unchanged. Bit flips are deliberately absent: they key on
-  // the relaxed row and legitimately differ across policies.
+  // iteration counter, message faults on the per-edge message index, and
+  // with tolerance 0 every rank runs to max_iterations sending one put per
+  // neighbour per iteration — so swapping the row policy (which changes
+  // *what* each iteration relaxes, not *how many* iterations run or what
+  // they send) must leave the fault log bitwise unchanged.
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(12, 12), test_seed(3));
+  const auto part = partition::contiguous_partition(p.a.num_rows(), 4);
   auto plan = std::make_shared<fault::FaultPlan>();
   plan->seed = test_seed(4);
   plan->stragglers.push_back(
       {.actor = 1, .extra_delay_us = 1.0, .period = 6, .duty = 0.5});
   plan->stale_reads.push_back({.actor = -1, .period = 10, .duty = 0.3});
+  plan->message_faults.push_back({.drop_probability = 0.2,
+                                  .duplicate_probability = 0.2,
+                                  .reorder_probability = 0.2});
   plan->crashes.push_back({.actor = 0,
                            .crash_iteration = 9,
                            .dead_seconds = 1e-4,
@@ -107,9 +112,10 @@ TEST(PolicyDeterminism, PolicyStreamDoesNotPerturbIterationKeyedFaults) {
   std::vector<std::vector<fault::FaultEvent>> logs;
   for (const RowPolicy policy :
        {RowPolicy::kNaturalOrder, RowPolicy::kUniformRandom}) {
-    SharedOptions o = base_async(policy);
+    distsim::DistOptions o = base_async(policy);
     o.fault_plan = plan;
-    logs.push_back(solve_shared(p.a, p.b, p.x0, o).fault_events);
+    logs.push_back(
+        distsim::solve_distributed(p.a, p.b, p.x0, part, o).fault_events);
   }
   ASSERT_FALSE(logs[0].empty());
   expect_same_fault_log(logs[0], logs[1], "natural vs uniform");
@@ -148,56 +154,6 @@ TEST(PolicyDeterminism, DistsimTraceReplaysSeedDeterministically) {
                 replay2.result.history[k].rel_residual_1)
           << "history point " << k;
     }
-  }
-}
-
-TEST(PolicyDeterminism, BatchK1MatchesScalarDraws) {
-  // The batch solver reuses the scalar (seed, worker, iter, slot) draw
-  // coordinates, so a k = 1 batch must walk the same sampled schedule and
-  // land on the bitwise-identical solution for both kernels.
-  const auto p =
-      gen::make_problem("fd", gen::fd_laplacian_2d(10, 10), test_seed(7));
-  const MultiVector b1 = MultiVector::broadcast(p.b, 1);
-  const MultiVector x1 = MultiVector::broadcast(p.x0, 1);
-  for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
-    for (const KernelKind kernel :
-         {KernelKind::kBlocked, KernelKind::kReference}) {
-      SCOPED_TRACE(std::string(policy_name(policy)) + " kernel " +
-                   std::to_string(static_cast<int>(kernel)));
-      SharedOptions o = base_async(policy);
-      o.num_threads = 1;  // single worker: async run is deterministic
-      o.max_iterations = 30;
-      o.kernel = kernel;
-      const SharedResult scalar = solve_shared(p.a, p.b, p.x0, o);
-      const SharedBatchResult batch = solve_shared_batch(p.a, b1, x1, o);
-      ASSERT_EQ(batch.x.num_cols(), 1);
-      ASSERT_EQ(static_cast<std::size_t>(batch.x.num_rows()),
-                scalar.x.size());
-      for (index_t i = 0; i < batch.x.num_rows(); ++i) {
-        ASSERT_EQ(batch.x(i, 0), scalar.x[static_cast<std::size_t>(i)])
-            << "row " << i;
-      }
-      EXPECT_EQ(batch.total_relaxations, scalar.total_relaxations);
-    }
-  }
-}
-
-TEST(PolicyDeterminism, SampledPoliciesConvergeMultiThread) {
-  const auto p =
-      gen::make_problem("fd", gen::fd_laplacian_2d(12, 12), test_seed(8));
-  for (const RowPolicy policy : {RowPolicy::kUniformRandom}) {
-    SCOPED_TRACE(policy_name(policy));
-    SharedOptions o;
-    o.num_threads = 4;
-    o.tolerance = 1e-8;
-    o.max_iterations = 200000;
-    o.record_history = false;
-    o.yield = true;
-    o.policy = policy;
-    o.policy_seed = test_seed(9);
-    const SharedResult r = solve_shared(p.a, p.b, p.x0, o);
-    EXPECT_TRUE(r.converged);
-    EXPECT_LE(r.final_rel_residual_1, 1e-8);
   }
 }
 

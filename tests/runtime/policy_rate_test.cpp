@@ -6,8 +6,9 @@
 // the minimal eigenvector. The suite measures the realized tail contraction
 // of the RowSampler's own draw stream on FD, FE, and a non-W.D.D. matrix
 // (where natural-order synchronous Jacobi has no classical guarantee) and
-// pins it to the theoretical factor, plus a solver-level corollary:
-// end-to-end uniform relaxation counts within the bound's prediction.
+// pins it to the theoretical factor, plus a solver-level corollary on the
+// simulator (the runtime that samples rows): end-to-end uniform relaxation
+// counts within the bound's prediction.
 //
 // Everything is seeded through testing::test_seed, so the measured rates
 // are deterministic for a fixed AJAC_TEST_SEED across presets.
@@ -18,13 +19,14 @@
 #include <cstdint>
 #include <string>
 
+#include "ajac/distsim/dist_jacobi.hpp"
 #include "ajac/eig/lanczos.hpp"
 #include "ajac/eig/operators.hpp"
 #include "ajac/gen/fd.hpp"
 #include "ajac/gen/fe.hpp"
 #include "ajac/gen/problem.hpp"
+#include "ajac/partition/partition.hpp"
 #include "ajac/runtime/row_policy.hpp"
-#include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/scaling.hpp"
 #include "ajac/sparse/vector_ops.hpp"
@@ -147,11 +149,12 @@ TEST(PolicyRateBound, UniformMatchesAvronBoundOnNonWdd) {
 }
 
 TEST(PolicyRateBound, UniformEndToEndRelaxationsWithinBound) {
-  // Solver-level corollary: driving solve_shared with the uniform policy,
-  // the relaxation count to reach tolerance tau must stay within a modest
-  // constant of the bound's prediction (n / lambda_min) * ln(1/tau). A
-  // broken sampler (e.g. one that kept re-drawing a subset of rows) would
-  // either never converge or blow far past this budget.
+  // Solver-level corollary: driving solve_distributed at one rank with
+  // the uniform policy (sequential uniform relaxation, the setting of the
+  // bound), the relaxation count to reach tolerance tau must stay within a
+  // modest constant of the bound's prediction (n / lambda_min) *
+  // ln(1/tau). A broken sampler (e.g. one that kept re-drawing a subset of
+  // rows) would either never converge or blow far past this budget.
   const auto p =
       gen::make_problem("fd", gen::fd_laplacian_2d(16, 16), test_seed(24));
   const CsrMatrix ahat = scale_to_unit_diagonal(p.a);
@@ -159,16 +162,15 @@ TEST(PolicyRateBound, UniformEndToEndRelaxationsWithinBound) {
   const double n = static_cast<double>(p.a.num_rows());
   const double tau = 1e-8;
 
-  SharedOptions o;
-  o.num_threads = 1;
+  distsim::DistOptions o;
+  o.num_processes = 1;
   o.tolerance = tau;
   o.max_iterations = 50000;
-  o.record_history = false;
-  o.final_polish = false;
   o.policy = RowPolicy::kUniformRandom;
-  o.policy_seed = test_seed(25);
-  const SharedResult r = solve_shared(p.a, p.b, p.x0, o);
-  ASSERT_TRUE(r.converged);
+  o.seed = test_seed(25);
+  const distsim::DistResult r = distsim::solve_distributed(
+      p.a, p.b, p.x0, partition::contiguous_partition(p.a.num_rows(), 1), o);
+  ASSERT_TRUE(r.reached_tolerance);
 
   // ln(1/tau) iterations of energy halving-lives, times a factor-3 cushion
   // for the residual-norm / energy-norm conversion and the stopping check

@@ -1,9 +1,8 @@
-// Property tests for the pluggable row-selection policies
-// (ajac/runtime/row_policy.hpp): the PolicyClock stream contract, uniform
-// coverage within concentration bounds, and the natural-order inertness
-// guarantee (policy fields present but policy == kNaturalOrder must leave
-// the solver bitwise unchanged). Each property sweeps many seeds derived
-// from testing::test_seed so the suite runs a few hundred seeded cases.
+// Property tests for the row-selection policies
+// (ajac/runtime/row_policy.hpp): the PolicyClock stream contract and
+// uniform coverage within concentration bounds. Each property sweeps many
+// seeds derived from testing::test_seed so the suite runs a few hundred
+// seeded cases.
 
 #include "ajac/runtime/row_policy.hpp"
 
@@ -14,10 +13,6 @@
 #include <vector>
 
 #include "ajac/fault/fault_plan.hpp"
-#include "ajac/gen/fd.hpp"
-#include "ajac/gen/problem.hpp"
-#include "ajac/runtime/shared_jacobi.hpp"
-#include "ajac/sparse/csr.hpp"
 #include "test_helpers.hpp"
 
 namespace ajac::runtime {
@@ -115,56 +110,6 @@ TEST(PropRowPolicy, UniformCoverageWithinConcentrationBounds) {
           << "row " << i;
     }
   }
-}
-
-TEST(PropRowPolicy, NaturalOrderLeavesSolverBitwiseUnchanged) {
-  // The policy fields are inert on the natural path: setting them (with
-  // the policy left at kNaturalOrder) must not move a single bit of the
-  // solution. Synchronous multi-thread runs are deterministic, so the
-  // comparison is exact.
-  const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(10, 10),
-                                   test_seed(700));
-  for (const KernelKind kernel :
-       {KernelKind::kBlocked, KernelKind::kReference}) {
-    SharedOptions base;
-    base.num_threads = 4;
-    base.synchronous = true;
-    base.tolerance = 0.0;
-    base.max_iterations = 40;
-    base.record_history = false;
-    base.kernel = kernel;
-    const SharedResult plain = solve_shared(p.a, p.b, p.x0, base);
-
-    SharedOptions tagged = base;
-    tagged.policy = RowPolicy::kNaturalOrder;  // explicit default
-    tagged.policy_seed = 0xfeedULL;            // inert without sampling
-    const SharedResult r = solve_shared(p.a, p.b, p.x0, tagged);
-    ASSERT_EQ(plain.x.size(), r.x.size());
-    for (std::size_t i = 0; i < plain.x.size(); ++i) {
-      ASSERT_EQ(plain.x[i], r.x[i]) << "kernel " << static_cast<int>(kernel)
-                                    << " row " << i;
-    }
-    EXPECT_EQ(plain.total_relaxations, r.total_relaxations);
-  }
-}
-
-TEST(PropRowPolicy, SampledConfigChecks) {
-  const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(6, 6),
-                                   test_seed(800));
-  SharedOptions o;
-  o.num_threads = 2;
-  o.max_iterations = 4;
-  o.tolerance = 0.0;
-  o.record_history = false;
-  o.policy = RowPolicy::kUniformRandom;
-
-  SharedOptions sync = o;
-  sync.synchronous = true;
-  EXPECT_THROW(solve_shared(p.a, p.b, p.x0, sync), std::logic_error);
-
-  SharedOptions gs = o;
-  gs.local_gauss_seidel = true;
-  EXPECT_THROW(solve_shared(p.a, p.b, p.x0, gs), std::logic_error);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@ contraction gap of uniform-random relaxation stays within [--ratio-lo,
 matrix. Too low means the sampler is broken (a correct uniform sampler can
 never fall below the expectation bound); too high means the tail is not
 tracking lambda_min (wrong matrix, wrong burn-in, or a rate measurement
-bug). The report's `policy_solve` race is not gated.
+bug).
 
 Exit status: 0 ok, 1 the gate failed or the table is missing, 2 bad input.
 
