@@ -105,10 +105,14 @@ void run_rates(std::uint64_t seed, index_t grid, const CliParser& cli) {
   }
   bench::emit(table, cli, "policy_rates");
   std::printf(
-      "\nThe expectation bound guarantees gap >= lambda_min/n per uniform\n"
-      "relaxation; concentration on the minimal eigenvector drives the tail\n"
-      "gap down to it from above, so the ratio sits in a narrow band just\n"
-      "above 1 (CI gates it via tools/check_policy_rates.py).\n\n");
+      "\nThe expectation bound guarantees an energy gap >= lambda_min/n per\n"
+      "uniform relaxation. In the tail the error lies along the minimal\n"
+      "eigenvector, whose amplitude the mean step I - A-hat/n shrinks by\n"
+      "1 - lambda_min/n per relaxation; the A-norm energy is quadratic in\n"
+      "that amplitude, so it contracts by about 1 - 2 lambda_min/n. (The\n"
+      "bound counts the energy a step moves from the slow mode into fast\n"
+      "modes as kept; the tail dissipates it.) So the ratio sits near 2\n"
+      "(CI brackets it via tools/check_policy_rates.py).\n\n");
 }
 
 }  // namespace

@@ -72,7 +72,9 @@ struct MeshOptions {
   /// Record a model::RelaxationTrace (disjoint row sets only: per-row
   /// commit versions need a unique writer).
   bool record_trace = false;
-  /// sched_yield after each asynchronous iteration (oversubscribed runs).
+  /// sched_yield after an iteration (oversubscribed runs): asynchronously
+  /// only while this agent is ahead of the slowest, solve_shared's rule
+  /// (DESIGN.md §2f); in lockstep after every iteration.
   bool yield = false;
   /// Serial cleanup sweeps when the verified stop still left the residual
   /// above tolerance (same bounded polish as solve_shared).

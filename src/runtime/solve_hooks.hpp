@@ -1,26 +1,28 @@
 #pragma once
-// Internal fault / metrics / telemetry hook contexts of the shared-memory
-// solver (shared_jacobi.cpp). Not installed: this header lives next to the
-// translation unit that includes it and is not part of the public
-// ajac/runtime interface.
+// Internal header of the shared-memory solver (shared_jacobi.cpp): its
+// fault contexts and its transport for the actor step
+// (ajac/runtime/actor_step.hpp). Not installed: it lives next to the
+// translation unit that includes it (the runtime tests reach it to step a
+// solve on one thread) and is not part of the public ajac/runtime
+// interface.
 //
-// Two kinds of hook. The fault context is a compile-time axis, because its
-// hooks sit inside the per-entry read loops (reads, ghost reads, bit
-// flips): NullFaults, whose `enabled` is false and whose methods are empty
-// (every call site is `if constexpr` guarded, so the unfaulted
-// instantiation compiles to the plain solver, branch-free), and
-// ActiveFaults, holding thread-local state. The metrics recorder and the
-// telemetry publisher fire once per iteration, so each is one class built
-// from a possibly-null sink whose hooks return at once when nothing is
-// attached: they cost a predictable branch, not an instantiation.
+// The fault context is a compile-time axis, because its hooks sit inside
+// the per-entry read loops (reads, ghost reads, bit flips): NullFaults,
+// whose `enabled` is false and whose methods are empty (every call site is
+// `if constexpr` guarded, so the unfaulted instantiation compiles to the
+// plain solver, branch-free), and ActiveFaults, holding thread-local
+// state. The kernel family (Blocked) is the other compile-time axis; the
+// metrics and telemetry hooks are runtime-null (actor_step.hpp).
 //
 // ActiveFaults is a payload adapter over one fault::ActorFaults schedule,
 // which keys every decision on (seed, thread, iteration[, row]), so a
 // plan's decisions do not depend on anything but those coordinates.
 
+#include <omp.h>
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,15 +30,17 @@
 #include <vector>
 
 #include "ajac/fault/actor_faults.hpp"
-#include "ajac/fault/fault_plan.hpp"
-#include "ajac/obs/metrics.hpp"
-#include "ajac/obs/stream.hpp"
+#include "ajac/partition/partition.hpp"
+#include "ajac/runtime/actor_step.hpp"
 #include "ajac/runtime/blocked_kernels.hpp"
+#include "ajac/runtime/sell_kernels.hpp"
+#include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/runtime/shared_vector.hpp"
-#include "ajac/sparse/csr.hpp"
-#include "ajac/sparse/types.hpp"
+#include "ajac/sparse/blocked_csr.hpp"
+#include "ajac/sparse/sell_csr.hpp"
+#include "ajac/util/aligned.hpp"
+#include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
-#include "ajac/util/timer.hpp"
 
 namespace ajac::runtime::detail {
 
@@ -156,9 +160,8 @@ class ActiveFaults {
     return x.read_versioned(j, retries);
   }
 
-  /// The metrics layer diffs these per iteration (see MetricsRecorder).
-  [[nodiscard]] const fault::FaultLog& log() const { return schedule_.log(); }
-  [[nodiscard]] double stalled_us() const { return schedule_.stalled_us(); }
+  /// The metrics layer diffs its log per iteration (see MetricsRecorder).
+  [[nodiscard]] const fault::ActorFaults& schedule() const { return schedule_; }
 
   [[nodiscard]] fault::FaultLog take_log() { return schedule_.take_log(); }
 
@@ -200,199 +203,6 @@ class ActiveFaults {
   std::vector<index_t> ghost_versions_;  ///< its version (traced runs)
 };
 
-[[nodiscard]] inline obs::TraceKind fault_trace_kind(fault::FaultKind k) {
-  switch (k) {
-    case fault::FaultKind::kStragglerOn: return obs::TraceKind::kStragglerOn;
-    case fault::FaultKind::kStaleWindowOn:
-      return obs::TraceKind::kStaleWindowOn;
-    case fault::FaultKind::kMessageDrop: return obs::TraceKind::kMessageDrop;
-    case fault::FaultKind::kMessageDuplicate:
-      return obs::TraceKind::kMessageDuplicate;
-    case fault::FaultKind::kMessageReorder:
-      return obs::TraceKind::kMessageReorder;
-    case fault::FaultKind::kBitFlip: return obs::TraceKind::kBitFlip;
-    case fault::FaultKind::kCrash: return obs::TraceKind::kCrash;
-    case fault::FaultKind::kRecover: return obs::TraceKind::kRecover;
-  }
-  return obs::TraceKind::kBitFlip;  // unreachable
-}
-
-/// Per-thread metrics recorder over this thread's ActorSlot, built from a
-/// possibly-null registry. Without one every hook returns at once: no
-/// timer read, no slot write, and retry_sink() stays nullptr, so the
-/// seqlock readers count nothing. The hooks fire once per iteration
-/// (staleness fires per read, on traced runs only), so the branch each
-/// one costs is noise next to a sweep, and no hook touches the solve's
-/// arithmetic: a solve with and without a registry is bitwise the same.
-///
-/// All state is thread-local; the only shared object touched is the slot,
-/// which has a single writer by the registry's threading contract. Each
-/// recording method claims the slot's sole-writer role (assert_held)
-/// before touching it — the claim is what lets -Wthread-safety verify
-/// every slot mutation flows through the owning thread's recorder.
-class MetricsRecorder {
- public:
-  MetricsRecorder(obs::MetricsRegistry* reg, index_t thread,
-                  const WallTimer& timer)
-      : slot_(reg != nullptr ? &reg->actor(thread) : nullptr),
-        timer_(&timer) {}
-
-  /// True when a registry is attached.
-  [[nodiscard]] bool on() const { return slot_ != nullptr; }
-
-  void iteration_begin() {
-    if (!on()) return;
-    t0_us_ = timer_->seconds() * 1e6;
-  }
-
-  /// Timestamp the injections the fault layer just performed. Its log is
-  /// append-only within the thread, so entries past the last seen size are
-  /// this iteration's; they become timeline instants (arg0 = the log
-  /// entry's detail field: row for bit flips, 0 otherwise). Injected
-  /// stalls (stragglers, crash dead time) go to kSpinWaitNs by duration
-  /// rather than timed: the wait is synthetic and exact.
-  template <class Faults>
-  void sync_faults(const Faults& faults) {
-    if constexpr (Faults::enabled) {
-      if (!on()) return;
-      slot_->owner.assert_held();
-      const double stalled = faults.stalled_us();
-      if (stalled > seen_stall_us_) {
-        slot_->add(obs::Counter::kSpinWaitNs,
-                   static_cast<std::uint64_t>((stalled - seen_stall_us_) *
-                                              1e3));
-        seen_stall_us_ = stalled;
-      }
-      const fault::FaultLog& log = faults.log();
-      if (log.size() == seen_faults_) return;
-      const double now_us = timer_->seconds() * 1e6;
-      for (; seen_faults_ < log.size(); ++seen_faults_) {
-        const fault::FaultEvent& e = log[seen_faults_];
-        slot_->add(obs::Counter::kFaultEvents);
-        slot_->instant(fault_trace_kind(e.kind), now_us, e.detail, e.detail2);
-      }
-    }
-  }
-
-  /// One cross-block versioned read: how many versions behind a synchronous
-  /// schedule it was. Under lockstep Jacobi a reader in local iteration
-  /// `iter` (0-based) sees version `iter` of every neighbor; the shortfall
-  /// is the staleness l of the paper's Φ(l) propagation analysis.
-  void staleness(index_t iter, index_t version) {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    const std::uint64_t lag =
-        version < iter ? static_cast<std::uint64_t>(iter - version) : 0;
-    slot_->record(obs::Hist::kReadStaleness, lag);
-  }
-
-  /// Blocked kernels only: how many matrix entries this iteration resolved
-  /// from the thread-private mirror vs through the SharedVector. The counts
-  /// are precomputed per block (local_nnz/ghost_nnz), so the hook costs two
-  /// counter adds per iteration, nothing per entry. The reference path
-  /// leaves both lanes at zero.
-  void read_mix(index_t local_entries, index_t ghost_entries) {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    slot_->add(obs::Counter::kLocalReads,
-               static_cast<std::uint64_t>(local_entries));
-    slot_->add(obs::Counter::kGhostReads,
-               static_cast<std::uint64_t>(ghost_entries));
-  }
-
-  /// Thread-local seqlock retry accumulator, flushed per iteration; null
-  /// (nothing counted) without a registry.
-  [[nodiscard]] std::uint64_t* retry_sink() {
-    return on() ? &retries_ : nullptr;
-  }
-
-  void residual_check_begin() {
-    if (!on()) return;
-    tr0_us_ = timer_->seconds() * 1e6;
-  }
-  void residual_check_end() {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    const double us = timer_->seconds() * 1e6 - tr0_us_;
-    slot_->add(obs::Counter::kResidualCheckNs,
-               static_cast<std::uint64_t>(us * 1e3));
-    slot_->record(obs::Hist::kResidualCheckUs,
-                  static_cast<std::uint64_t>(us));
-  }
-
-  void iteration_end(index_t iter, index_t rows) {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    const double t1_us = timer_->seconds() * 1e6;
-    slot_->add(obs::Counter::kIterations);
-    slot_->add(obs::Counter::kRelaxations, static_cast<std::uint64_t>(rows));
-    if (retries_ != 0) {
-      slot_->add(obs::Counter::kSeqlockRetries, retries_);
-      retries_ = 0;
-    }
-    slot_->record(obs::Hist::kIterationUs,
-                  static_cast<std::uint64_t>(t1_us - t0_us_));
-    slot_->span(obs::TraceKind::kIteration, t0_us_, t1_us, iter);
-  }
-
-  void flag_update(bool my_done, index_t iter) {
-    if (!on() || my_done == flag_up_) return;
-    slot_->owner.assert_held();
-    flag_up_ = my_done;
-    const double now_us = timer_->seconds() * 1e6;
-    if (my_done) {
-      slot_->add(obs::Counter::kFlagRaises);
-      slot_->instant(obs::TraceKind::kFlagRaise, now_us, iter);
-    } else {
-      slot_->instant(obs::TraceKind::kFlagLower, now_us, iter);
-    }
-  }
-
-  void stop_decided() {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    slot_->instant(obs::TraceKind::kStop, timer_->seconds() * 1e6);
-  }
-
-  /// kSellCS only: one dense ghost-buffer refresh happened (one racy read
-  /// per distinct ghost column; kGhostReads still counts the per-entry
-  /// gather volume those refreshes replace, via read_mix).
-  void ghost_refresh() {
-    if (!on()) return;
-    slot_->owner.assert_held();
-    slot_->add(obs::Counter::kGhostRefreshes);
-  }
-
- private:
-  obs::ActorSlot* slot_;  ///< null without a registry
-  const WallTimer* timer_;
-  double t0_us_ = 0.0;
-  double tr0_us_ = 0.0;
-  double seen_stall_us_ = 0.0;
-  std::uint64_t retries_ = 0;
-  std::size_t seen_faults_ = 0;
-  bool flag_up_ = false;
-};
-
-/// Post-join epilogue on actor 0's slot, a no-op without a registry: the
-/// polish sweeps and their span (from the end of the parallel phase at
-/// `parallel_s`), then the span of the whole solve. The workers are gone,
-/// so the calling thread owns slot 0.
-inline void record_solve_end(obs::MetricsRegistry* reg, const WallTimer& timer,
-                             double parallel_s, index_t polish_sweeps) {
-  if (reg == nullptr) return;
-  obs::ActorSlot& slot0 = reg->actor(0);
-  slot0.owner.assert_held();
-  const double end_us = timer.seconds() * 1e6;
-  if (polish_sweeps > 0) {
-    slot0.add(obs::Counter::kPolishSweeps,
-              static_cast<std::uint64_t>(polish_sweeps));
-    slot0.span(obs::TraceKind::kPolish, parallel_s * 1e6, end_us,
-               polish_sweeps);
-  }
-  slot0.span(obs::TraceKind::kSolve, 0.0, end_us);
-}
-
 /// The process's minor page faults so far, the clock of
 /// obs::Counter::kMinorFaults. getrusage counts every thread of the
 /// process, so a delta over a solve is process-wide.
@@ -413,56 +223,378 @@ inline void record_minor_faults(obs::MetricsRegistry* reg,
             static_cast<std::uint64_t>(process_minor_faults() - at_entry));
 }
 
-/// Per-thread beacon publisher over this thread's EventRing, built from a
-/// possibly-null hub; without one every hook returns at once. It claims
-/// the ring via the hub's one-ring-per-actor contract; a publish is
-/// wait-free and touches nothing shared but the ring, so the observed
-/// solve's memory traffic gains only a strided handful of atomic stores.
-class StreamPublisher {
+/// Reference-kernel residual of row i, b_i - sum_j a_ij x_j in CSR entry
+/// order, with x read through the fault context and a flipped entry read
+/// corrupted. Every reference path (Jacobi, local Gauss-Seidel) relaxes
+/// through it. Traced, the reads are versioned: each off-diagonal read's
+/// (column, version) goes to `event` and its staleness to `metrics`.
+template <bool Traced, class Faults>
+double reference_residual(const CsrMatrix& a, const Vector& b,
+                          const SharedVector& x, Faults& faults, index_t i,
+                          MetricsRecorder& metrics, index_t iter,
+                          model::RelaxationEvent* event) {
+  double acc = b[i];
+  const auto [cols, vals] = a.row(i);
+  FlippedEntry flipped;
+  bool has_flip = false;
+  if constexpr (Faults::enabled) has_flip = faults.flip(i, cols, vals, flipped);
+  if constexpr (Traced) {
+    event->row = i;
+    event->reads.reserve(cols.size());
+  }
+  for (std::size_t p = 0; p < cols.size(); ++p) {
+    const index_t j = cols[p];
+    double aij = vals[p];
+    if constexpr (Faults::enabled) {
+      if (has_flip && flipped.entry == p) aij = flipped.value;
+    }
+    if constexpr (Traced) {
+      const auto [value, version] =
+          faults.read_versioned(x, j, metrics.retry_sink());
+      acc -= aij * value;
+      if (j == i) continue;
+      metrics.staleness(iter, version);
+      event->reads.push_back({j, version});
+    } else {
+      acc -= aij * faults.read(x, j);
+    }
+  }
+  return acc;
+}
+
+/// Run fn(t) on an OpenMP team of `threads`. OpenMP fork/join
+/// synchronization happens inside libgomp (futexes TSan cannot see); hand
+/// TSan the happens-before edges explicitly. Everything crossing threads
+/// *inside* the region is std::atomic and needs nothing.
+template <class Fn>
+void on_team(index_t threads, Fn&& fn) {
+  AJAC_TSAN_RELEASE(&fn);
+#pragma omp parallel num_threads(static_cast<int>(threads))
+  {
+    AJAC_TSAN_ACQUIRE(&fn);
+    fn(static_cast<index_t>(omp_get_thread_num()));
+    AJAC_TSAN_RELEASE(&fn);
+  }
+  AJAC_TSAN_ACQUIRE(&fn);
+}
+
+template <class Faults, bool Blocked>
+class SharedSolve;
+
+/// solve_shared's transport for the actor step (DESIGN.md §2f): thread
+/// t's rows [lo, hi) of the shared x. The partition makes the thread the
+/// sole writer of those rows and of its mirror: each method claims the
+/// roles its protocol writes and kernel calls require. Claims, not locks
+/// — ownership is established by the partition, so there is nothing to
+/// acquire.
+template <class Faults, bool Blocked>
+class SharedTransport {
  public:
-  StreamPublisher(obs::TelemetryHub* hub, index_t thread,
-                  const WallTimer& timer)
-      : ring_(hub != nullptr ? &hub->ring(thread) : nullptr),
-        timer_(&timer),
-        stride_(hub != nullptr
-                    ? std::max<index_t>(1, hub->options().beacon_stride)
-                    : 1) {}
+  using Point = SharedHistoryPoint;
+  using Options = SharedOptions;
 
-  /// True when a hub is attached.
-  [[nodiscard]] bool on() const { return ring_ != nullptr; }
-
-  /// Beacon on every stride-th iteration (iter is 1-based here: the call
-  /// sites beacon after `++iter`).
-  void beacon(index_t iter, index_t rows, double own_norm) {
-    if (!on() || iter % stride_ != 0) return;
-    publish(iter, rows, own_norm);
+  SharedTransport(SharedSolve<Faults, Blocked>& s, index_t t)
+      : a_(s.in.a),
+        b_(s.in.b),
+        x_(s.x),
+        inv_diag_(s.inv_diag),
+        sell_(s.in.sell),
+        gs_(s.in.opts.local_gauss_seidel),
+        traced_(s.in.opts.record_trace),
+        lo_(s.in.part.part_begin(t)),
+        hi_(s.in.part.part_end(t)),
+        faults_(s.in.a, s.in.x0, s.in.plan, t, lo_, hi_, s.x) {
+    // Residuals of the own rows, by local row, seeded with the prologue's
+    // r0 rows: the reference kernels' relax->commit carrier, and the
+    // traced and SELL kernels' record for the ascending partial-norm pass
+    // (they relax rows out of order). The blocked Jacobi kernel stages its
+    // corrections in the mirror's `next` slice and sums as it goes, so it
+    // needs none.
+    if (!Blocked || traced_ || sell_ != nullptr) {
+      local_r_.assign(s.resid.begin() + lo_, s.resid.begin() + hi_);
+    }
+    own_.owner.assert_held();
+    // The private mirror and the SELL ghost buffer are allocated and filled
+    // here, on the owning thread, which first-touches their pages.
+    if constexpr (Blocked) {
+      blk_ = &s.in.blocked->block(t);
+      refresh_own_block(*blk_, x_, own_);
+      if (sell_ != nullptr) {
+        sblk_ = &sell_->block(t);
+        ghosts_.assign(blk_->ghost_cols.size(), 0.0);
+      }
+    }
   }
 
-  /// Final beacon at loop exit, so the monitor always sees the terminal
-  /// state; skipped when the last iteration already published at stride.
-  void finish(index_t iter, index_t rows, double own_norm) {
-    if (!on() || iter == last_iter_ || iter <= 0) return;
-    publish(iter, rows, own_norm);
+  void begin(index_t iter, MetricsRecorder& /*metrics*/) {
+    own_.owner.assert_held();
+    if constexpr (Faults::enabled) {
+      faults_.begin_iteration(iter);
+      // A crash recovery with state reset rewrote the shared x on the own
+      // rows behind the mirror; reload it before any kernel reads through
+      // it.
+      if constexpr (Blocked) {
+        if (faults_.consume_state_reset()) reload_after_reset(*blk_, x_, own_);
+      }
+    }
+  }
+
+  /// The own rows' residuals from the shared (racy) x, and their partial
+  /// norm.
+  double relax(index_t iter, MetricsRecorder& metrics) {
+    x_.writer_role().assert_held();
+    own_.owner.assert_held();
+    double partial = 0.0;
+    if (gs_) {
+      // In-place forward sweep: each row's update is visible to the
+      // following rows (and to other threads) immediately.
+      if constexpr (Blocked) {
+        partial = relax_block_gs(*blk_, a_, b_, own_, x_, faults_);
+      } else {
+        for (index_t i = lo_; i < hi_; ++i) {
+          const double acc = reference_residual<false>(
+              a_, b_, x_, faults_, i, metrics, iter, nullptr);
+          partial += std::abs(acc);
+          x_.write(i, x_.read(i) + inv_diag_[i] * acc);
+        }
+      }
+    } else if (traced_) {
+      if constexpr (Blocked) {
+        relax_traced(*blk_, a_, b_, own_, x_, faults_, metrics, iter, local_r_,
+                     events_);
+      } else {
+        for (index_t i = lo_; i < hi_; ++i) {
+          model::RelaxationEvent& event = events_.emplace_back();
+          local_r_[i - lo_] = reference_residual<true>(
+              a_, b_, x_, faults_, i, metrics, iter, &event);
+        }
+      }
+      partial = vec::norm1(local_r_);
+    } else if constexpr (Blocked) {
+      if (sell_ != nullptr) {
+        // kSellCS: refresh the dense ghost buffer once, then relax the
+        // SELL-packed interior and the buffered boundary. Traces, GS and
+        // every fault but a straggler's stall never reach this branch
+        // (rejected in solve_shared).
+        refresh_ghosts(*blk_, x_, ghosts_);
+        metrics.ghost_refresh();
+        relax_interior_sell(*sblk_, *blk_, b_, own_, local_r_);
+        relax_boundary_buffered(*blk_, b_, own_, ghosts_, local_r_);
+        partial = vec::norm1(local_r_);
+      } else {
+        partial = relax_block(*blk_, a_, b_, own_, x_, faults_);
+      }
+    } else {
+      // The reference Jacobi step sums its partial in a separate
+      // ascending pass over its residuals.
+      for (index_t i = lo_; i < hi_; ++i) {
+        local_r_[i - lo_] = reference_residual<false>(a_, b_, x_, faults_, i,
+                                                      metrics, iter, nullptr);
+      }
+      partial = vec::norm1(local_r_);
+    }
+    if constexpr (Blocked) metrics.read_mix(blk_->local_nnz, blk_->ghost_nnz);
+    return partial;
+  }
+
+  void send(index_t /*iter*/) {}
+
+  /// Correct the own rows: already done in place by the GS sweep; the
+  /// blocked kernels staged the values in relax() and only publish them.
+  void receive(index_t /*iter*/, MetricsRecorder& /*metrics*/) {
+    x_.writer_role().assert_held();
+    own_.owner.assert_held();
+    if (gs_) return;
+    if constexpr (Blocked) {
+      commit_block(*blk_, own_, x_);
+    } else {
+      for (index_t i = lo_; i < hi_; ++i) {
+        x_.write(i, x_.read(i) + inv_diag_[i] * local_r_[i - lo_]);
+      }
+    }
+  }
+
+  /// This thread's share of a verification round (terminator.hpp): the
+  /// fresh residual 1-norm of its own rows, from the mirror and live
+  /// ghosts on the blocked path (the shared x lags on private rows), from
+  /// the shared x on the reference path.
+  double fresh() {
+    own_.owner.assert_held();
+    if constexpr (Blocked) {
+      return block_residual_1(*blk_, b_, own_, x_);
+    } else {
+      double norm = 0.0;
+      for (index_t i = lo_; i < hi_; ++i) {
+        norm += std::abs(
+            row_residual(a_, i, b_[i], [&](index_t j) { return x_.read(j); }));
+      }
+      return norm;
+    }
+  }
+
+  [[nodiscard]] index_t rows() const { return hi_ - lo_; }
+
+  [[nodiscard]] const fault::ActorFaults* schedule() const {
+    if constexpr (Faults::enabled) return &faults_.schedule();
+    return nullptr;
+  }
+
+  void retire(ActorOutcome<Point>& out, MetricsRecorder& /*metrics*/) {
+    x_.writer_role().assert_held();
+    own_.owner.assert_held();
+    if constexpr (Blocked) publish_private_rows(*blk_, own_, x_);
+    out.events = std::move(events_);
+    out.faults = faults_.take_log();
   }
 
  private:
-  /// The shared runtime draws no rows, so policy_draws stays 0.
-  void publish(index_t iter, index_t rows, double own_norm) {
-    obs::Beacon b;
-    b.ts_us = timer_->seconds() * 1e6;
-    b.iteration = iter;
-    b.relaxations =
-        static_cast<std::uint64_t>(iter) * static_cast<std::uint64_t>(rows);
-    b.own_residual_1 = own_norm;
-    ring_->writer.assert_held();
-    ring_->publish(b);
-    last_iter_ = iter;
+  const CsrMatrix& a_;
+  const Vector& b_;
+  SharedVector& x_;
+  std::span<const double> inv_diag_;  ///< reference path only
+  const SellCsr* sell_;               ///< the kSellCS data plane, or null
+  bool gs_;
+  bool traced_;
+  index_t lo_;
+  index_t hi_;
+  Faults faults_;
+  [[maybe_unused]] const BlockedCsr::Block* blk_ = nullptr;
+  OwnBlockState own_;  ///< the blocked path's private mirror
+  [[maybe_unused]] const SellCsr::Block* sblk_ = nullptr;
+  std::vector<double> ghosts_;  ///< kSellCS dense ghost buffer
+  std::vector<double> local_r_;
+  std::vector<model::RelaxationEvent> events_;
+};
+
+/// solve_shared's validated inputs, with the partition and the layout
+/// built. `sell` is the kSellCS data plane (null otherwise): a runtime
+/// pointer rather than a third template axis — the per-iteration `sell !=
+/// nullptr` branch is noise next to an O(nnz) sweep.
+struct SharedInputs {
+  const CsrMatrix& a;
+  const Vector& b;
+  const Vector& x0;
+  const SharedOptions& opts;
+  const partition::Partition& part;
+  const fault::FaultPlan* plan;  ///< null without faults
+  const BlockedCsr* blocked;     ///< null on the reference path
+  const SellCsr* sell;
+};
+
+/// One solve_shared run: the prologue, one actor step per thread, and the
+/// epilogue and post-join tail.
+template <class Faults, bool Blocked>
+class SharedSolve {
+ public:
+  using Step = ActorStep<SharedTransport<Faults, Blocked>>;
+
+  // No serial O(n) pass here: the vectors are allocated unfilled and
+  // prologue() writes every row from its owning thread. The blocked
+  // kernels keep 1 / a_ii per block, so only the reference path builds
+  // inv_diag.
+  explicit SharedSolve(const SharedInputs& inputs)
+      : in(inputs),
+        x(in.a.num_rows(), in.opts.record_trace),
+        resid(static_cast<std::size_t>(in.a.num_rows())),
+        inv_diag(Blocked ? 0 : static_cast<std::size_t>(in.a.num_rows())),
+        team(in.opts.num_threads, prologue(), in.opts, in.opts.stream) {
+    if (in.opts.stream != nullptr) {
+      // Telemetry denominator for the monitor's global residual estimate;
+      // single-threaded setup, before any beacon of this run.
+      in.opts.stream->set_residual_scale(team.term.r0_norm());
+    }
   }
 
-  obs::EventRing* ring_;  ///< null without a hub
-  const WallTimer* timer_;
-  index_t stride_;
-  index_t last_iter_ = 0;
+  [[nodiscard]] Step actor(index_t t) { return Step(team, t, *this, t); }
+
+  /// After every step retired: the actor-parallel epilogue, then the
+  /// post-join tail. Each thread copies its rows of the shared x into the
+  /// result and writes their residual b - A x to `resid`
+  /// (CsrMatrix::residual's expression and bits), so the serial
+  /// verification only sums `resid`. On the layout path its block computes
+  /// the residual, own columns from its rows of the result; the reference
+  /// path reads the parent CSR. Ghost columns come from the shared x: the
+  /// blocked actors published their private rows before the join, so x
+  /// holds the whole final iterate.
+  [[nodiscard]] SharedResult finish() {
+    SharedResult result;
+    result.seconds = team.timer.seconds();
+    Vector& out = result.x;
+    out.resize(static_cast<std::size_t>(in.a.num_rows()));
+    on_team(in.opts.num_threads, [&](index_t t) {
+      const index_t lo = in.part.part_begin(t);
+      const index_t hi = in.part.part_end(t);
+      const auto shared = [&](index_t j) { return x.read(j); };
+      for (index_t i = lo; i < hi; ++i) {
+        out[static_cast<std::size_t>(i)] = x.read(i);
+      }
+      if constexpr (Blocked) {
+        const auto base = static_cast<std::size_t>(lo);
+        sweep_block_residual(
+            in.blocked->block(t), in.b, out.data() + lo, shared,
+            [&](std::size_t li, double acc) { resid[base + li] = acc; });
+      } else {
+        for (index_t i = lo; i < hi; ++i) {
+          resid[static_cast<std::size_t>(i)] =
+              row_residual(in.a, i, in.b[i], shared);
+        }
+      }
+    });
+    team.finish(in.a, in.b, inv_diag, resid, result,
+                result.iterations_per_thread);
+    return result;
+  }
+
+  SharedInputs in;
+  SharedVector x;
+  UninitVector<double> resid;
+  UninitVector<double> inv_diag;
+  ActorTeam<SharedTransport<Faults, Blocked>> team;
+
+ private:
+  /// Actor-parallel prologue: each thread first-touches and fills its own
+  /// rows of x (= x0) and `resid` (= r0 = b - A x0 row by row, the
+  /// expression and bits of CsrMatrix::residual). On the layout path
+  /// (Blocked) its block computes them, reading only b and x0 on uniform
+  /// runs, and reports the zero diagonal its build found; the reference
+  /// path reads the parent CSR and fills 1 / a_ii into `inv_diag`. Its own
+  /// region, with the same thread-to-block map as the solve's, so a zero
+  /// diagonal can be reported by an exception after the join. Returns r0's
+  /// norm, which stays one serial row-order sum (vec::norm1) so the
+  /// reported relative residuals keep their bits.
+  double prologue() {
+    std::vector<index_t> zero_row(static_cast<std::size_t>(in.opts.num_threads),
+                                  -1);
+    on_team(in.opts.num_threads, [&](index_t t) {
+      const index_t lo = in.part.part_begin(t);
+      const index_t hi = in.part.part_end(t);
+      const Vector& x0 = in.x0;
+      // The partition makes this thread the sole writer of its rows.
+      x.writer_role().assert_held();
+      index_t& my_zero = zero_row[static_cast<std::size_t>(t)];
+      for (index_t i = lo; i < hi; ++i) x.init(i, x0[i]);
+      if constexpr (Blocked) {
+        const BlockedCsr::Block& blk = in.blocked->block(t);
+        const auto base = static_cast<std::size_t>(lo);
+        my_zero = blk.zero_diag_row;
+        sweep_block_residual(
+            blk, in.b, x0.data() + lo, [&](index_t j) { return x0[j]; },
+            [&](std::size_t li, double acc) { resid[base + li] = acc; });
+      } else {
+        for (index_t i = lo; i < hi; ++i) {
+          resid[static_cast<std::size_t>(i)] =
+              row_residual(in.a, i, in.b[i], [&](index_t j) { return x0[j]; });
+          const double diag = in.a.at(i, i);
+          if (diag == 0.0 && my_zero < 0) my_zero = i;
+          inv_diag[static_cast<std::size_t>(i)] = 1.0 / diag;
+        }
+      }
+    });
+    for (const index_t row : zero_row) {
+      AJAC_CHECK_MSG(row < 0, "zero diagonal at row " << row);
+    }
+    return vec::norm1(resid);
+  }
 };
 
 }  // namespace ajac::runtime::detail

@@ -96,9 +96,11 @@ double measured_tail_contraction(const CsrMatrix& ahat, std::uint64_t seed,
 /// Measured tail rate vs rho = 1 - lambda_min/n, compared in terms of the
 /// contraction *gap* (1 - rate): rates this close to 1 make direct ratio
 /// comparisons meaningless. The expectation bound guarantees gap >= gap_t
-/// on average; concentration on the minimal eigenvector drives it down to
-/// gap_t from above. A single realization fluctuates, so the assertion
-/// brackets the measured gap in [lo_factor, hi_factor] * theoretical.
+/// on average. In the tail the error lies along the minimal eigenvector,
+/// whose amplitude contracts by 1 - gap_t per relaxation on average, and
+/// the energy is quadratic in it, so the measured energy gap sits near
+/// 2 gap_t. A single realization fluctuates, so the assertion brackets
+/// the measured gap in [lo_factor, hi_factor] * theoretical.
 void expect_rate_matches_bound(const CsrMatrix& ahat, std::uint64_t seed,
                                index_t iters, index_t burn_in,
                                double lo_factor, double hi_factor,

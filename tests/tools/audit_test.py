@@ -42,6 +42,7 @@ EXPECTED = {
     "relative_include.cpp": ["include-hygiene"],
     "raw_clock.cpp": ["clock-ban"],
     "raw_madvise.cpp": ["mmap-ban", "mmap-ban"],
+    "raw_yield.cpp": ["yield-site"],
     "clean.cpp": [],
 }
 

@@ -36,9 +36,9 @@ Fixture support
 ---------------
 Files may carry a `// audit-as: <path>` directive in their first ten
 lines; path-scoped rules (atomic-scope, omp-allowlist, seqlock-protocol,
-clock-ban, mmap-ban) then treat the file as if it lived at <path>. This
-lets the golden fixtures under tests/tools/fixtures/ exercise rules that
-only fire in particular subtrees. The fixtures directory itself is skipped
+clock-ban, mmap-ban, yield-site) then treat the file as if it lived at
+<path>. This lets the golden fixtures under tests/tools/fixtures/
+exercise rules that only fire in particular subtrees. The fixtures directory itself is skipped
 when walking directories (its files are intentionally bad) but is
 audited when a fixture file is passed as an explicit argument.
 """
@@ -195,6 +195,18 @@ pointing at unmapped pages.
 
 Fix: allocate through CacheAlignedAllocator, AlignedVector or
 UninitVector, or extend aligned.hpp if a new kind of mapping is needed.""",
+    "yield-site": """\
+`sched_yield(` is only allowed in ajac/runtime/terminator.hpp (an actor
+parked at the cap yields between polls) and ajac/runtime/actor_step.hpp
+(the one yield rule of solve_shared and solve_mesh). A yield puts the
+caller behind every runnable task on its core, so an actor that yields
+after every iteration while it lags starves: the others reach the cap,
+park, and the solve ends unconverged. The step yields only while its
+actor is ahead of the slowest (Terminator::ahead_of_slowest); a second
+yield site would bring the starving rule back.
+
+Fix: let the actor step's close phase yield, or park through the
+Terminator; do not call sched_yield elsewhere.""",
 }
 
 # Path scopes (matched against the *effective* path, honoring audit-as).
@@ -218,12 +230,17 @@ OMP_ALLOWED_FILES = (
 CLOCK_ALLOWED_PREFIXES = ("src/obs/",)
 CLOCK_ALLOWED_FILES = ("src/util/include/ajac/util/timer.hpp",)
 MMAP_ALLOWED_FILES = ("src/util/include/ajac/util/aligned.hpp",)
+YIELD_ALLOWED_FILES = (
+    "src/runtime/include/ajac/runtime/terminator.hpp",
+    "src/runtime/include/ajac/runtime/actor_step.hpp",
+)
 
 ATOMIC_RE = re.compile(r"\bstd\s*::\s*atomic\b")
 SEQ_ACCESS_RE = re.compile(r"\b[A-Za-z_]*seq[A-Za-z_0-9]*(?:\[[^\]]*\])?\s*\.\s*(?:load|store|exchange|compare_exchange\w*)\s*\(")
 OMP_RE = re.compile(r"^\s*#\s*pragma\s+omp\b")
 CLOCK_RE = re.compile(r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\b")
 MMAP_RE = re.compile(r"\b(?:mmap|mmap64|munmap|mremap|madvise|posix_madvise)\s*\(")
+YIELD_RE = re.compile(r"\bsched_yield\s*\(")
 REL_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./')
 ANGLE_INCLUDE_RE = re.compile(r"^\s*#\s*include\s+<ajac/")
 
@@ -556,6 +573,23 @@ def check_mmap_ban(f: AuditFile, out: list[Finding]) -> None:
             )
 
 
+def check_yield_site(f: AuditFile, out: list[Finding]) -> None:
+    if _scoped(f.effective, (), YIELD_ALLOWED_FILES):
+        return
+    for idx, sl in enumerate(f.lines):
+        if YIELD_RE.search(sl.code):
+            out.append(
+                Finding(
+                    "yield-site",
+                    f.path.as_posix(),
+                    idx + 1,
+                    "sched_yield outside ajac/runtime/terminator.hpp and "
+                    "ajac/runtime/actor_step.hpp (yield through the actor step)",
+                    f.raw_lines[idx],
+                )
+            )
+
+
 def audit_file(f: AuditFile, tags: dict[str, str]) -> list[Finding]:
     out: list[Finding] = []
     check_racy_ok(f, tags, out)
@@ -565,6 +599,7 @@ def audit_file(f: AuditFile, tags: dict[str, str]) -> list[Finding]:
     check_include_hygiene(f, out)
     check_clock_ban(f, out)
     check_mmap_ban(f, out)
+    check_yield_site(f, out)
     return out
 
 
