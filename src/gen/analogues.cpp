@@ -59,18 +59,17 @@ CsrMatrix circuit_graph(index_t nx, index_t ny, index_t extra_links,
 /// I + tau * L: one implicit-Euler step of a parabolic (heat) problem, the
 /// structure of parabolic_fem. Strictly diagonally dominant SPD.
 CsrMatrix parabolic_step(index_t nx, index_t ny, double tau) {
-  const CsrMatrix lap = fd_laplacian_2d(nx, ny);
-  std::vector<index_t> row_ptr(lap.row_ptr().begin(), lap.row_ptr().end());
-  std::vector<index_t> col_idx(lap.col_idx().begin(), lap.col_idx().end());
-  std::vector<double> values(lap.values().begin(), lap.values().end());
-  for (index_t i = 0; i < lap.num_rows(); ++i) {
+  CsrMatrix a = fd_laplacian_2d(nx, ny);
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto values = a.mutable_values();
+  for (index_t i = 0; i < a.num_rows(); ++i) {
     for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       values[p] *= tau;
       if (col_idx[p] == i) values[p] += 1.0;
     }
   }
-  return CsrMatrix(lap.num_rows(), lap.num_cols(), std::move(row_ptr),
-                   std::move(col_idx), std::move(values));
+  return a;
 }
 
 }  // namespace

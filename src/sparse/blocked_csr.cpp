@@ -295,9 +295,9 @@ BlockedCsr::BlockedCsr(const CsrMatrix& a,
 }
 
 CsrMatrix BlockedCsr::reassemble() const {
-  std::vector<index_t> row_ptr;
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr;
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   row_ptr.reserve(static_cast<std::size_t>(num_rows_) + 1);
   col_idx.reserve(static_cast<std::size_t>(nnz_));
   values.reserve(static_cast<std::size_t>(nnz_));

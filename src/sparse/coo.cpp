@@ -42,9 +42,9 @@ CsrMatrix CooBuilder::to_csr(bool drop_zeros) const {
     }
   }
 
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(num_rows_) + 1, 0);
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr(static_cast<std::size_t>(num_rows_) + 1, 0);
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   col_idx.reserve(nnz);
   values.reserve(nnz);
 

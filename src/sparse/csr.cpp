@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
@@ -9,8 +10,9 @@
 namespace ajac {
 
 CsrMatrix::CsrMatrix(index_t num_rows, index_t num_cols,
-                     std::vector<index_t> row_ptr, std::vector<index_t> col_idx,
-                     std::vector<double> values)
+                     HugePageVector<index_t> row_ptr,
+                     HugePageVector<index_t> col_idx,
+                     HugePageVector<double> values)
     : num_rows_(num_rows),
       num_cols_(num_cols),
       row_ptr_(std::move(row_ptr)),
@@ -112,12 +114,13 @@ Vector CsrMatrix::diagonal() const {
 }
 
 CsrMatrix CsrMatrix::transpose() const {
-  std::vector<index_t> t_row_ptr(static_cast<std::size_t>(num_cols_) + 1, 0);
+  HugePageVector<index_t> t_row_ptr(static_cast<std::size_t>(num_cols_) + 1,
+                                    0);
   for (index_t c : col_idx_) ++t_row_ptr[c + 1];
   for (index_t j = 0; j < num_cols_; ++j) t_row_ptr[j + 1] += t_row_ptr[j];
 
-  std::vector<index_t> t_col_idx(col_idx_.size());
-  std::vector<double> t_values(values_.size());
+  HugePageVector<index_t> t_col_idx(col_idx_.size());
+  HugePageVector<double> t_values(values_.size());
   std::vector<index_t> cursor(t_row_ptr.begin(), t_row_ptr.end() - 1);
   for (index_t i = 0; i < num_rows_; ++i) {
     for (index_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
@@ -164,9 +167,9 @@ bool CsrMatrix::has_full_diagonal() const {
 }
 
 CsrMatrix csr_identity(index_t n) {
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1);
-  std::vector<index_t> col_idx(static_cast<std::size_t>(n));
-  std::vector<double> values(static_cast<std::size_t>(n), 1.0);
+  HugePageVector<index_t> row_ptr(static_cast<std::size_t>(n) + 1);
+  HugePageVector<index_t> col_idx(static_cast<std::size_t>(n));
+  HugePageVector<double> values(static_cast<std::size_t>(n), 1.0);
   for (index_t i = 0; i <= n; ++i) row_ptr[i] = i;
   for (index_t i = 0; i < n; ++i) col_idx[i] = i;
   return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),

@@ -1,9 +1,10 @@
 #pragma once
 // Compressed-sparse-row matrix: the storage format used throughout the
 // library (the paper stores its matrices in CSR as well, Sec. VII-A).
+// Its three arrays are HugePageVectors: on staggered huge pages when at
+// least kHugePageBytes (ajac/util/aligned.hpp), on the plain heap below.
 
 #include <span>
-#include <vector>
 
 #include "ajac/sparse/types.hpp"
 
@@ -16,8 +17,9 @@ class CsrMatrix {
   /// Takes ownership of fully-formed CSR arrays. row_ptr must have
   /// num_rows+1 entries, be non-decreasing, start at 0, and end at
   /// col_idx.size(); column indices must lie in [0, num_cols).
-  CsrMatrix(index_t num_rows, index_t num_cols, std::vector<index_t> row_ptr,
-            std::vector<index_t> col_idx, std::vector<double> values);
+  CsrMatrix(index_t num_rows, index_t num_cols,
+            HugePageVector<index_t> row_ptr, HugePageVector<index_t> col_idx,
+            HugePageVector<double> values);
 
   [[nodiscard]] index_t num_rows() const noexcept { return num_rows_; }
   [[nodiscard]] index_t num_cols() const noexcept { return num_cols_; }
@@ -101,9 +103,9 @@ class CsrMatrix {
  private:
   index_t num_rows_ = 0;
   index_t num_cols_ = 0;
-  std::vector<index_t> row_ptr_{0};
-  std::vector<index_t> col_idx_;
-  std::vector<double> values_;
+  HugePageVector<index_t> row_ptr_{0};
+  HugePageVector<index_t> col_idx_;
+  HugePageVector<double> values_;
 };
 
 /// n x n identity in CSR.

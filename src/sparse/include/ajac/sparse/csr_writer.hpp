@@ -10,7 +10,6 @@
 // the entries pushed, bit for bit.
 
 #include <cstddef>
-#include <vector>
 
 #include "ajac/sparse/csr.hpp"
 #include "ajac/sparse/types.hpp"
@@ -49,9 +48,9 @@ class CsrRowWriter {
   index_t num_rows_;
   index_t num_cols_;
   index_t last_col_ = -1;
-  std::vector<index_t> row_ptr_;
-  std::vector<index_t> col_idx_;
-  std::vector<double> values_;
+  HugePageVector<index_t> row_ptr_;
+  HugePageVector<index_t> col_idx_;
+  HugePageVector<double> values_;
 };
 
 }  // namespace ajac

@@ -34,12 +34,12 @@ CsrMatrix Permutation::apply_symmetric(const CsrMatrix& a) const {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   AJAC_CHECK(a.num_rows() == size());
   const index_t n = size();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  HugePageVector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
   for (index_t i = 0; i < n; ++i) {
     row_ptr[i + 1] = row_ptr[i] + a.row_nnz(new_to_old_[i]);
   }
-  std::vector<index_t> col_idx(static_cast<std::size_t>(a.num_nonzeros()));
-  std::vector<double> values(static_cast<std::size_t>(a.num_nonzeros()));
+  HugePageVector<index_t> col_idx(static_cast<std::size_t>(a.num_nonzeros()));
+  HugePageVector<double> values(static_cast<std::size_t>(a.num_nonzeros()));
   for (index_t i = 0; i < n; ++i) {
     const index_t old_row = new_to_old_[i];
     const auto cols = a.row_cols(old_row);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #include "ajac/sparse/csr.hpp"
 #include "ajac/util/check.hpp"
@@ -16,24 +15,24 @@ CsrMatrix scale_to_unit_diagonal(const CsrMatrix& a, Vector* b) {
 CsrMatrix scale_to_unit_diagonal(CsrMatrix&& a, Vector* b) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   const index_t n = a.num_rows();
+  // d holds the diagonal, then its inverse square roots.
   Vector d = a.diagonal();
-  std::vector<double> inv_sqrt(static_cast<std::size_t>(n));
   for (index_t i = 0; i < n; ++i) {
     AJAC_CHECK_MSG(d[i] > 0.0, "diagonal entry " << i << " = " << d[i]
                                                  << " is not positive");
-    inv_sqrt[i] = 1.0 / std::sqrt(d[i]);
+    d[i] = 1.0 / std::sqrt(d[i]);
   }
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.mutable_values();
   for (index_t i = 0; i < n; ++i) {
     for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      values[p] *= inv_sqrt[i] * inv_sqrt[col_idx[p]];
+      values[p] *= d[i] * d[col_idx[p]];
     }
   }
   if (b != nullptr) {
     AJAC_CHECK(b->size() == static_cast<std::size_t>(n));
-    for (index_t i = 0; i < n; ++i) (*b)[i] *= inv_sqrt[i];
+    for (index_t i = 0; i < n; ++i) (*b)[i] *= d[i];
   }
   return std::move(a);
 }
@@ -42,9 +41,9 @@ CsrMatrix scale_rows_by_diagonal(const CsrMatrix& a, Vector* b) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   const index_t n = a.num_rows();
   Vector d = a.diagonal();
-  std::vector<index_t> row_ptr(a.row_ptr().begin(), a.row_ptr().end());
-  std::vector<index_t> col_idx(a.col_idx().begin(), a.col_idx().end());
-  std::vector<double> values(a.values().begin(), a.values().end());
+  CsrMatrix out = a;
+  const auto row_ptr = out.row_ptr();
+  const auto values = out.mutable_values();
   for (index_t i = 0; i < n; ++i) {
     AJAC_CHECK_MSG(d[i] != 0.0, "zero diagonal entry at row " << i);
     const double inv = 1.0 / d[i];
@@ -54,17 +53,16 @@ CsrMatrix scale_rows_by_diagonal(const CsrMatrix& a, Vector* b) {
     AJAC_CHECK(b->size() == static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) (*b)[i] /= d[i];
   }
-  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  return out;
 }
 
 CsrMatrix jacobi_iteration_matrix(const CsrMatrix& a) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   const index_t n = a.num_rows();
   Vector d = a.diagonal();
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   col_idx.reserve(static_cast<std::size_t>(a.num_nonzeros()));
   values.reserve(static_cast<std::size_t>(a.num_nonzeros()));
   for (index_t i = 0; i < n; ++i) {
@@ -83,12 +81,9 @@ CsrMatrix jacobi_iteration_matrix(const CsrMatrix& a) {
 }
 
 CsrMatrix entrywise_abs(const CsrMatrix& a) {
-  std::vector<index_t> row_ptr(a.row_ptr().begin(), a.row_ptr().end());
-  std::vector<index_t> col_idx(a.col_idx().begin(), a.col_idx().end());
-  std::vector<double> values(a.values().begin(), a.values().end());
-  for (double& v : values) v = std::abs(v);
-  return CsrMatrix(a.num_rows(), a.num_cols(), std::move(row_ptr),
-                   std::move(col_idx), std::move(values));
+  CsrMatrix out = a;
+  for (double& v : out.mutable_values()) v = std::abs(v);
+  return out;
 }
 
 }  // namespace ajac

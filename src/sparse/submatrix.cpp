@@ -19,9 +19,9 @@ CsrMatrix principal_submatrix(const CsrMatrix& a,
     if (k > 0) AJAC_CHECK_MSG(keep[k - 1] < keep[k], "keep not increasing");
     old_to_new[keep[k]] = k;
   }
-  std::vector<index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   for (index_t k = 0; k < m; ++k) {
     const auto cols = a.row_cols(keep[k]);
     const auto vals = a.row_values(keep[k]);

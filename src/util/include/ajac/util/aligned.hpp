@@ -17,12 +17,19 @@
 // Large arrays (at least kHugePageBytes) take a second path: their own
 // 2 MiB-aligned anonymous mapping, rounded up to whole 2 MiB pages and
 // advised MADV_HUGEPAGE. A solve on FD 2048² allocates ~320 MB of such
-// arrays (the blocked layout, the shared x, the residual, the mirrors).
-// On 4 KiB pages that is ~78k minor faults per call to map them, and as
-// many page-table entries to unmap; on transparent huge pages (THP mode
-// `madvise` or `always`) it is one fault per 2 MiB, ~160. When the
-// kernel refuses the advice the mapping keeps 4 KiB pages and works the
-// same.
+// arrays (the blocked layout, the shared x, the residual, the mirrors);
+// its set-up (generate the matrix, copy it, scale it, draw b and x0)
+// another ~840 MB (two CsrMatrix's arrays, the diagonal, b, x0). On
+// 4 KiB pages that is ~78k minor faults per solve and ~180k per set-up
+// to map them, and as many page-table entries to unmap; on transparent
+// huge pages (THP mode `madvise` or `always`) it is one fault per 2 MiB:
+// ~170 per solve, ~400 per set-up. When the kernel refuses the advice
+// the mapping keeps 4 KiB pages and works the same.
+//
+// Small arrays come from the heap, aligned to the allocator's SmallAlign:
+// a cache line for the solve's shared arrays (AlignedVector, Vector), the
+// plain operator new that std::vector uses for CsrMatrix's arrays
+// (HugePageVector), which every set-up builds, copies and frees.
 //
 // Staggering. Two equal-sized arrays on 2 MiB boundaries start at the
 // same offset modulo every cache-set and 4 KiB-alias stride, so a loop
@@ -107,24 +114,39 @@ inline void unmap_large(void* p, std::size_t bytes) noexcept {
 
 }  // namespace detail
 
-/// Minimal std::allocator replacement that over-aligns every allocation to
-/// a cache line, and maps large ones on staggered huge pages (see the
-/// header comment). Stateless; all instances are interchangeable.
-template <class T>
+/// Minimal std::allocator replacement that maps large allocations on
+/// staggered huge pages (see the header comment) and aligns small ones to
+/// SmallAlign bytes. The default, a cache line, is what the solve's hot
+/// shared arrays need; at __STDCPP_DEFAULT_NEW_ALIGNMENT__ the small path
+/// makes the plain heap calls std::allocator makes (HugePageVector).
+/// Stateless; all instances of one SmallAlign are interchangeable.
+template <class T, std::size_t SmallAlign = kCacheLineBytes>
 struct CacheAlignedAllocator {
   using value_type = T;
+  /// Whether the small path is the plain operator new(bytes).
+  static constexpr bool kPlainHeap =
+      SmallAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+  template <class U>
+  struct rebind {
+    using other = CacheAlignedAllocator<U, SmallAlign>;
+  };
 
   CacheAlignedAllocator() noexcept = default;
   template <class U>
-  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+  CacheAlignedAllocator(const CacheAlignedAllocator<U, SmallAlign>&) noexcept {
+  }
 
   [[nodiscard]] T* allocate(std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
     if (bytes >= kHugePageBytes) {
       return static_cast<T*>(detail::map_large(bytes));
     }
-    return static_cast<T*>(
-        ::operator new(bytes, std::align_val_t{kCacheLineBytes}));
+    if constexpr (kPlainHeap) {
+      return static_cast<T*>(::operator new(bytes));
+    } else {
+      return static_cast<T*>(
+          ::operator new(bytes, std::align_val_t{SmallAlign}));
+    }
   }
   void deallocate(T* p, std::size_t n) noexcept {
     const std::size_t bytes = n * sizeof(T);
@@ -132,11 +154,16 @@ struct CacheAlignedAllocator {
       detail::unmap_large(p, bytes);
       return;
     }
-    ::operator delete(p, std::align_val_t{kCacheLineBytes});
+    if constexpr (kPlainHeap) {
+      ::operator delete(p);
+    } else {
+      ::operator delete(p, std::align_val_t{SmallAlign});
+    }
   }
 
   template <class U>
-  bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
+  bool operator==(
+      const CacheAlignedAllocator<U, SmallAlign>&) const noexcept {
     return true;
   }
 };
@@ -171,6 +198,16 @@ struct UninitAlignedAllocator : CacheAlignedAllocator<T> {
 /// sizing constructor value-initializes, as std::vector's does.
 template <class T>
 using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
+
+/// Vector on staggered huge pages when large, and on the plain heap calls
+/// std::vector makes when small: CsrMatrix's arrays. Not cache-line
+/// aligned when small: glibc (2.36) serves 64-byte-aligned blocks of
+/// 128 KiB and more from fresh mappings or a heap top it trims and
+/// regrows, and FD 64²'s set-up, whose col_idx and values are 160 KiB,
+/// took 159 minor faults each time that way against 0 on the plain heap.
+template <class T>
+using HugePageVector = std::vector<
+    T, CacheAlignedAllocator<T, __STDCPP_DEFAULT_NEW_ALIGNMENT__>>;
 
 /// Cache-line-aligned vector whose sizing constructor leaves trivial
 /// elements unwritten (see UninitAlignedAllocator).

@@ -56,9 +56,9 @@ TEST(OptimalOmega, RejectsIndefiniteMatrix) {
   // A with a negative eigenvalue after scaling: lambda_min < 0.
   // Construct I - 2*adjacency on a path: diag 1, offdiag -2 => indefinite.
   const index_t n = 6;
-  std::vector<index_t> row_ptr{0};
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr{0};
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   for (index_t i = 0; i < n; ++i) {
     if (i > 0) {
       col_idx.push_back(i - 1);

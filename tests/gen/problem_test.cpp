@@ -2,11 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
 #include "ajac/gen/fd.hpp"
 #include "ajac/sparse/properties.hpp"
 
 namespace ajac {
 namespace {
+
+/// 64-bit FNV-1a over the bytes of `data`, continuing from `h`: chain the
+/// calls to fingerprint several arrays bit for bit.
+template <class T>
+std::uint64_t fnv1a(std::span<const T> data,
+                    std::uint64_t h = 14695981039346656037ULL) {
+  for (const std::byte c : std::as_bytes(data)) {
+    h = (h ^ std::to_integer<std::uint64_t>(c)) * 1099511628211ULL;
+  }
+  return h;
+}
 
 TEST(Problem, ScalesToUnitDiagonal) {
   const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(5, 5), 1);
@@ -31,6 +46,19 @@ TEST(Problem, SeedControlsData) {
   EXPECT_EQ(p1.b, p2.b);
   EXPECT_EQ(p1.x0, p2.x0);
   EXPECT_NE(p1.b, p3.b);
+}
+
+TEST(Problem, FdProblemIsBitwiseStable) {
+  // The paper's set-up (scale to unit diagonal, draw b and x0) on FD 512²,
+  // pinned bit for bit: a change to the generator, the scaling, the draws
+  // or the arrays' storage that moves any bit of the system shows here.
+  const auto p = gen::make_problem("fd", gen::fd_laplacian_2d(512, 512), 1);
+  std::uint64_t h = fnv1a(p.a.row_ptr());
+  h = fnv1a(p.a.col_idx(), h);
+  h = fnv1a(p.a.values(), h);
+  h = fnv1a(std::span<const double>(p.b), h);
+  h = fnv1a(std::span<const double>(p.x0), h);
+  EXPECT_EQ(h, 0xbf61c9a90ff53657ULL) << std::hex << h;
 }
 
 TEST(Problem, RejectsNonSquare) {

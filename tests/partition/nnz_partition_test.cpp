@@ -37,7 +37,7 @@ index_t max_part_nnz(const CsrMatrix& a, const Partition& p) {
 TEST(NnzBalancedPartition, UniformRowsMatchRowBalancing) {
   // Equal-nnz rows: the nnz cuts land where the row cuts land.
   const CsrMatrix a(6, 6, {0, 2, 4, 6, 8, 10, 12}, {0, 1, 1, 2, 2, 3, 3, 4,
-                    4, 5, 5, 0}, std::vector<double>(12, 1.0));
+                    4, 5, 5, 0}, HugePageVector<double>(12, 1.0));
   const Partition p = nnz_balanced_partition(a, 3);
   validate(p, 6);
   EXPECT_EQ(p.block_starts, (std::vector<index_t>{0, 2, 4, 6}));

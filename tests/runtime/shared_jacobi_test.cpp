@@ -343,17 +343,16 @@ TEST(SharedOptions, ZeroDiagonalIsRejectedOnEveryKernel) {
 
   std::vector<CsrMatrix> matrices;
   for (const double zero : {0.0, -0.0}) {
-    std::vector<double> values(va.begin(), va.end());
+    CsrMatrix a = p.a;
+    const auto values = a.mutable_values();
     for (index_t q = rp[bad]; q < rp[bad + 1]; ++q) {
       if (ci[q] == bad) values[static_cast<std::size_t>(q)] = zero;
     }
-    matrices.emplace_back(n, n, std::vector<index_t>(rp.begin(), rp.end()),
-                          std::vector<index_t>(ci.begin(), ci.end()),
-                          std::move(values));
+    matrices.push_back(std::move(a));
   }
-  std::vector<index_t> row_ptr{0};
-  std::vector<index_t> cols;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr{0};
+  HugePageVector<index_t> cols;
+  HugePageVector<double> values;
   for (index_t i = 0; i < n; ++i) {
     for (index_t q = rp[i]; q < rp[i + 1]; ++q) {
       if (i == bad && ci[q] == bad) continue;

@@ -57,21 +57,19 @@ TEST(ConjugateGradient, FarFewerIterationsThanJacobi) {
 
 TEST(ConjugateGradient, JacobiPreconditionerHelpsOnBadScaling) {
   // Badly scaled diagonal: plain CG suffers, Jacobi-PCG recovers.
-  const CsrMatrix lap = gen::fd_laplacian_2d(10, 10);
-  std::vector<index_t> row_ptr(lap.row_ptr().begin(), lap.row_ptr().end());
-  std::vector<index_t> col_idx(lap.col_idx().begin(), lap.col_idx().end());
-  std::vector<double> values(lap.values().begin(), lap.values().end());
+  CsrMatrix a = gen::fd_laplacian_2d(10, 10);
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto values = a.mutable_values();
   // Scale rows/cols by wildly varying factors (symmetric scaling keeps SPD).
-  std::vector<double> scale(static_cast<std::size_t>(lap.num_rows()));
+  std::vector<double> scale(static_cast<std::size_t>(a.num_rows()));
   Rng rng(9);
   for (double& v : scale) v = std::exp(rng.uniform(-4.0, 4.0));
-  for (index_t i = 0; i < lap.num_rows(); ++i) {
+  for (index_t i = 0; i < a.num_rows(); ++i) {
     for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
       values[p] *= scale[i] * scale[col_idx[p]];
     }
   }
-  const CsrMatrix a(lap.num_rows(), lap.num_cols(), std::move(row_ptr),
-                    std::move(col_idx), std::move(values));
   Vector b(static_cast<std::size_t>(a.num_rows()));
   vec::fill_uniform(b, rng);
   Vector x0(b.size(), 0.0);
@@ -97,13 +95,8 @@ TEST(ConjugateGradient, CountsSynchronizations) {
 
 TEST(ConjugateGradient, DetectsIndefiniteMatrix) {
   // -Laplacian is negative definite: p'Ap < 0 on the first step.
-  const CsrMatrix lap = gen::fd_laplacian_1d(6);
-  std::vector<index_t> row_ptr(lap.row_ptr().begin(), lap.row_ptr().end());
-  std::vector<index_t> col_idx(lap.col_idx().begin(), lap.col_idx().end());
-  std::vector<double> values(lap.values().begin(), lap.values().end());
-  for (double& v : values) v = -v;
-  const CsrMatrix a(6, 6, std::move(row_ptr), std::move(col_idx),
-                    std::move(values));
+  CsrMatrix a = gen::fd_laplacian_1d(6);
+  for (double& v : a.mutable_values()) v = -v;
   Vector b(6, 1.0);
   Vector x0(6, 0.0);
   const CgResult r = conjugate_gradient(a, b, x0);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "ajac/gen/fd.hpp"
 #include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/vector_ops.hpp"
@@ -146,6 +149,42 @@ TEST(CsrMatrix, EmptyMatrixIsValid) {
   const CsrMatrix a(0, 0, {0}, {}, {});
   EXPECT_EQ(a.num_rows(), 0);
   EXPECT_EQ(a.num_nonzeros(), 0);
+}
+
+// CsrMatrix's small arrays make the plain heap calls std::vector makes,
+// not the cache-line-aligned ones the solve's arrays make: glibc serves
+// 64-byte-aligned blocks of 128 KiB and more from fresh mappings, which
+// cost FD 64²'s set-up (fd2d-tol) ~160 minor faults on every repetition.
+static_assert(HugePageVector<double>::allocator_type::kPlainHeap);
+static_assert(HugePageVector<index_t>::allocator_type::kPlainHeap);
+static_assert(!AlignedVector<double>::allocator_type::kPlainHeap);
+
+TEST(Csr, LargeArraysTakeStaggeredHugePages) {
+  // FD 512²: row_ptr is just over 2 MiB, col_idx and values ~10 MB each,
+  // so all three take the huge-page path, each less than 4 KiB past its
+  // 2 MiB base. col_idx and values are streamed together by every sweep,
+  // so they must start at different offsets modulo 4 KiB. Whether the
+  // kernel grants huge pages depends on the host, so it is not asserted.
+  const auto placed_apart = [](const CsrMatrix& a) {
+    const auto offset = [](const void* p) {
+      return reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes;
+    };
+    EXPECT_LT(offset(a.row_ptr().data()), 4096U);
+    EXPECT_LT(offset(a.col_idx().data()), 4096U);
+    EXPECT_LT(offset(a.values().data()), 4096U);
+    EXPECT_NE(offset(a.col_idx().data()) % 4096,
+              offset(a.values().data()) % 4096);
+  };
+  const CsrMatrix a = gen::fd_laplacian_2d(512, 512);
+  ASSERT_GE(a.row_ptr().size_bytes(), kHugePageBytes);
+  placed_apart(a);
+
+  CsrMatrix copy = a;
+  placed_apart(copy);
+  EXPECT_EQ(copy, a);
+  const CsrMatrix moved = std::move(copy);
+  placed_apart(moved);
+  EXPECT_EQ(moved, a);
 }
 
 TEST(CsrMatrix, PaperFdCountsMatchTable) {

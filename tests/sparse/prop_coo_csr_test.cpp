@@ -181,9 +181,9 @@ CsrMatrix stable_sort_reference(const Triplets& t, bool drop_zeros) {
   for (std::size_t k = 0; k < t.v.size(); ++k) {
     by_row[static_cast<std::size_t>(t.i[k])].push_back(k);
   }
-  std::vector<index_t> row_ptr{0};
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr{0};
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   for (auto& row : by_row) {
     std::stable_sort(row.begin(), row.end(), [&](std::size_t a, std::size_t b) {
       return t.j[a] < t.j[b];

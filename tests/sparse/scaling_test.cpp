@@ -53,11 +53,13 @@ TEST(Scaling, SymmetricScalingTransformsRhs) {
 }
 
 TEST(Scaling, InPlaceScalingMatchesCopyBitwise) {
+  // FD 64² is fd2d-tol's set-up: its col_idx and values (160 KiB each)
+  // stay on the heap, copied and scaled twice over.
   for (const CsrMatrix& a :
        {gen::fd_laplacian_2d(7, 5), gen::fd_varcoef_2d(6, 4, [](double x,
                                                                 double y) {
           return 1.0 + 3.0 * x * y;
-        })}) {
+        }), gen::fd_laplacian_2d(64, 64)}) {
     Rng rng(11);
     Vector b(static_cast<std::size_t>(a.num_rows()));
     vec::fill_uniform(b, rng);

@@ -35,9 +35,9 @@ inline std::uint64_t test_seed(std::uint64_t salt = 0) {
 /// Small dense-checkable symmetric matrix with unit diagonal:
 ///   A = I - c * (adjacency of a path graph), W.D.D. for c <= 0.5.
 inline CsrMatrix unit_diag_path(index_t n, double c) {
-  std::vector<index_t> row_ptr{0};
-  std::vector<index_t> col_idx;
-  std::vector<double> values;
+  HugePageVector<index_t> row_ptr{0};
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
   for (index_t i = 0; i < n; ++i) {
     if (i > 0) {
       col_idx.push_back(i - 1);
