@@ -68,9 +68,12 @@ struct FlippedEntry {
 ///
 /// The arrays are UninitVectors: on staggered huge pages when large
 /// (ajac/util/aligned.hpp), and sized without a fill, so the owner's first
-/// write is their first touch. x and version are filled by
-/// refresh_own_block; every Jacobi kernel stages every row of `next`
-/// before commit_block swaps it in.
+/// write is their first touch. A large one may be a block recycled from
+/// the allocator's cache, whose pages stay on the node of their first
+/// toucher; one socket, one node, so on the hosts measured here that
+/// does not matter. x and version are filled by refresh_own_block; every
+/// Jacobi kernel stages every row of `next` before commit_block swaps it
+/// in.
 struct OwnBlockState {
   SoleWriterRole owner;  ///< claimed by the owning thread at region entry
   UninitVector<double> x AJAC_SOLE_WRITER(owner);  ///< x[lo..hi), kept exact

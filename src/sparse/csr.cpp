@@ -2,12 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "ajac/util/annotate.hpp"
 #include "ajac/util/check.hpp"
 
 namespace ajac {
+
+namespace {
+
+/// `src` copied with one memcpy into a vector sized without a fill.
+template <class T>
+HugePageVector<T> copy_of(const HugePageVector<T>& src) {
+  HugePageVector<T> out(src.size());
+  if (!src.empty()) {
+    std::memcpy(out.data(), src.data(), src.size() * sizeof(T));
+  }
+  return out;
+}
+
+}  // namespace
 
 CsrMatrix::CsrMatrix(index_t num_rows, index_t num_cols,
                      HugePageVector<index_t> row_ptr,
@@ -33,6 +48,18 @@ CsrMatrix::CsrMatrix(index_t num_rows, index_t num_cols,
                                                 << " out of range [0,"
                                                 << num_cols_ << ")");
   }
+}
+
+CsrMatrix::CsrMatrix(const CsrMatrix& other)
+    : num_rows_(other.num_rows_),
+      num_cols_(other.num_cols_),
+      row_ptr_(copy_of(other.row_ptr_)),
+      col_idx_(copy_of(other.col_idx_)),
+      values_(copy_of(other.values_)) {}
+
+CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
+  if (this != &other) *this = CsrMatrix(other);
+  return *this;
 }
 
 double CsrMatrix::at(index_t i, index_t j) const {

@@ -29,7 +29,10 @@
 // Construction touches each block's arrays from an OpenMP thread chosen by
 // the same static schedule the solver's parallel region uses, so on NUMA
 // machines first-touch places a block's rows on the socket of the thread
-// that will relax them.
+// that will relax them. A large array recycled from the allocator's cache
+// (ajac/util/aligned.hpp) keeps the pages, and so the node, of whoever
+// first touched its block; on a one-socket host, where every measurement
+// in DESIGN.md was taken, there is one node and that costs nothing.
 
 #include <cstdint>
 #include <span>

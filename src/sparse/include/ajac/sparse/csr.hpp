@@ -21,6 +21,12 @@ class CsrMatrix {
             HugePageVector<index_t> row_ptr, HugePageVector<index_t> col_idx,
             HugePageVector<double> values);
 
+  /// Copies each array with one memcpy (see HugePageVector).
+  CsrMatrix(const CsrMatrix& other);
+  CsrMatrix& operator=(const CsrMatrix& other);
+  CsrMatrix(CsrMatrix&&) = default;
+  CsrMatrix& operator=(CsrMatrix&&) = default;
+
   [[nodiscard]] index_t num_rows() const noexcept { return num_rows_; }
   [[nodiscard]] index_t num_cols() const noexcept { return num_cols_; }
   [[nodiscard]] index_t num_nonzeros() const noexcept {

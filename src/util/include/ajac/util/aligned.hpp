@@ -20,11 +20,33 @@
 // arrays (the blocked layout, the shared x, the residual, the mirrors);
 // its set-up (generate the matrix, copy it, scale it, draw b and x0)
 // another ~840 MB (two CsrMatrix's arrays, the diagonal, b, x0). On
-// 4 KiB pages that is ~78k minor faults per solve and ~180k per set-up
-// to map them, and as many page-table entries to unmap; on transparent
-// huge pages (THP mode `madvise` or `always`) it is one fault per 2 MiB:
-// ~170 per solve, ~400 per set-up. When the kernel refuses the advice
-// the mapping keeps 4 KiB pages and works the same.
+// 4 KiB pages a fresh mapping of that much takes ~78k minor faults per
+// solve and ~180k per set-up; on transparent huge pages (THP mode
+// `madvise` or `always`) it is one fault per 2 MiB: ~170 per solve,
+// ~400 per set-up. When the kernel refuses the advice the mapping keeps
+// 4 KiB pages and works the same.
+//
+// Recycling. The kernel zeroes every page of a fresh mapping before the
+// program writes it: allocating and writing 320 MB took 65-73 ms on a
+// fresh mapping each time and 32-35 ms on a recycled one (memset, 4-vCPU
+// host, THP `madvise`). So a freed mapping is not unmapped but kept in
+// one process-wide cache (LargeBlockCache), and the next large
+// allocation of a block of exactly its length gets it back, the most
+// recently freed first. A block's length is the array's bytes plus room
+// for the largest stagger offset (below), rounded up to whole 2 MiB
+// pages, so it does not change with the offset an allocation happens to
+// get. Repeated set-ups and solves of one size then reuse the mappings,
+// and the huge pages in them, of the repetition before: a warm FD 2048²
+// set-up takes 0-1 minor faults (404-405 on fresh mappings), a warm
+// 4-thread solve 0-3 (159-162). The cache holds at most as many bytes as
+// the process's peak of live large bytes, evicting (and unmapping) the
+// oldest freed mapping first, so a process keeps up to that many bytes
+// mapped after it frees its large arrays. A recycled block holds the
+// stale bytes of its last user, not zeros: the vectors that
+// value-initialize (AlignedVector, Vector) fill it as they do a fresh
+// one, and those that do not (UninitVector, HugePageVector) are written
+// before they are read either way. Under AddressSanitizer a cached block
+// is poisoned, so a use after free still reports.
 //
 // Small arrays come from the heap, aligned to the allocator's SmallAlign:
 // a cache line for the solve's shared arrays (AlignedVector, Vector), the
@@ -42,16 +64,22 @@
 // allocations on one thread start at different offsets modulo 4 KiB.
 // The counter is thread-local, so the offsets depend only on each
 // thread's own allocation sequence. The base is the pointer rounded down
-// to 2 MiB, so deallocate recovers the offset from the pointer itself.
+// to 2 MiB, so deallocate recovers the block from the pointer and the
+// size alone.
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "ajac/util/annotate.hpp"
 
 namespace ajac {
 
@@ -80,11 +108,16 @@ inline std::size_t next_stagger() noexcept {
   return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
 }
 
-/// A fresh anonymous mapping of whole 2 MiB pages holding `bytes` after a
-/// staggered offset, advised MADV_HUGEPAGE. Returns the staggered start.
-[[nodiscard]] inline void* map_large(std::size_t bytes) {
-  const std::size_t offset = next_stagger();
-  const std::size_t len = round_up_huge(bytes + offset);
+/// Length of the block that holds `bytes` after any stagger offset. It
+/// depends on `bytes` alone, so every allocation of one size fits the
+/// blocks freed by the others, whichever offsets they had.
+[[nodiscard]] constexpr std::size_t block_length(std::size_t bytes) noexcept {
+  return round_up_huge(bytes + (kStaggerSlots - 1) * kStaggerBytes);
+}
+
+/// A fresh anonymous mapping of `len` bytes (whole 2 MiB pages) on a
+/// 2 MiB boundary, advised MADV_HUGEPAGE. Returns its base.
+[[nodiscard]] inline void* map_fresh(std::size_t len) {
   // Over-map by one huge page so that a 2 MiB-aligned window of len bytes
   // fits, then unmap the slack on either side of it.
   void* raw = ::mmap(nullptr, len + kHugePageBytes, PROT_READ | PROT_WRITE,
@@ -100,16 +133,110 @@ inline std::size_t next_stagger() noexcept {
   // Refused when THP is off or unsupported: the mapping keeps 4 KiB pages.
   (void)::madvise(reinterpret_cast<void*>(base), len, MADV_HUGEPAGE);
 #endif
-  return reinterpret_cast<void*>(base + offset);
+  return reinterpret_cast<void*>(base);
 }
 
-/// Unmap what map_large(bytes) returned as `p`: the base is p rounded
-/// down to 2 MiB, and p - base the stagger offset.
-inline void unmap_large(void* p, std::size_t bytes) noexcept {
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  const std::uintptr_t base = addr & ~(kHugePageBytes - 1);
-  ::munmap(reinterpret_cast<void*>(base),
-           round_up_huge(bytes + (addr - base)));
+/// Counters of the large-block cache; bytes are counted in whole blocks.
+struct LargeBlockStats {
+  std::size_t live_bytes = 0;       ///< handed out and not yet freed
+  std::size_t peak_live_bytes = 0;  ///< the most live_bytes has been
+  std::size_t cached_bytes = 0;     ///< freed and kept for reuse
+  std::size_t fresh_maps = 0;       ///< mappings made so far
+};
+
+/// The process's freed large mappings, kept for reuse (see the header
+/// comment). A mutex guards it: large allocations are rare, and the
+/// blocked layout's arrays are allocated on their owners' threads and
+/// freed on the caller's.
+class LargeBlockCache {
+ public:
+  /// The one cache. Never destroyed, so a large array that a static
+  /// object frees during static destruction still finds it.
+  [[nodiscard]] static LargeBlockCache& instance() {
+    static auto* const cache = new LargeBlockCache;
+    return *cache;
+  }
+
+  /// The base of a mapping of `len` bytes: the most recently freed one of
+  /// exactly that length, or a fresh one.
+  [[nodiscard]] void* acquire(std::size_t len) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    // Room for every block to come back, so that release never allocates.
+    free_.reserve(free_.size() + live_blocks_ + 1);
+    void* base = nullptr;
+    for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
+      if (it->len == len) {
+        base = it->base;
+        free_.erase(std::next(it).base());
+        stats_.cached_bytes -= len;
+        AJAC_ASAN_UNPOISON(base, len);
+        break;
+      }
+    }
+    if (base == nullptr) {
+      base = map_fresh(len);
+      ++stats_.fresh_maps;
+    }
+    ++live_blocks_;
+    stats_.live_bytes += len;
+    stats_.peak_live_bytes =
+        std::max(stats_.peak_live_bytes, stats_.live_bytes);
+    return base;
+  }
+
+  /// Take back the mapping at `base` of `len` bytes, then unmap the
+  /// oldest freed mappings while the cache holds more bytes than the peak.
+  void release(void* base, std::size_t len) noexcept {
+    AJAC_ASAN_POISON(base, len);
+    const std::lock_guard<std::mutex> lock(mu_);
+    --live_blocks_;
+    stats_.live_bytes -= len;
+    free_.push_back({base, len});  // within the capacity acquire reserved
+    stats_.cached_bytes += len;
+    while (stats_.cached_bytes > stats_.peak_live_bytes) {
+      const Block oldest = free_.front();
+      free_.erase(free_.begin());
+      stats_.cached_bytes -= oldest.len;
+      AJAC_ASAN_UNPOISON(oldest.base, oldest.len);
+      ::munmap(oldest.base, oldest.len);
+    }
+  }
+
+  [[nodiscard]] LargeBlockStats stats() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
+  }
+
+ private:
+  struct Block {
+    void* base;
+    std::size_t len;
+  };
+
+  LargeBlockCache() = default;
+
+  std::mutex mu_;
+  std::vector<Block> free_;  ///< oldest first
+  std::size_t live_blocks_ = 0;
+  LargeBlockStats stats_;
+};
+
+/// A block_length(bytes) block, from the cache or freshly mapped.
+/// Returns its start staggered by this thread's next offset. Out of line,
+/// like unmap_large, so that the cache's code stays out of every function
+/// that inlines an allocator call.
+[[nodiscard, gnu::noinline]] inline void* map_large(std::size_t bytes) {
+  void* base = LargeBlockCache::instance().acquire(block_length(bytes));
+  return static_cast<char*>(base) + next_stagger();
+}
+
+/// Return what map_large(bytes) returned as `p` to the cache: its base is
+/// p rounded down to 2 MiB.
+[[gnu::noinline]] inline void unmap_large(void* p,
+                                         std::size_t bytes) noexcept {
+  const auto base = reinterpret_cast<std::uintptr_t>(p) & ~(kHugePageBytes - 1);
+  LargeBlockCache::instance().release(reinterpret_cast<void*>(base),
+                                      block_length(bytes));
 }
 
 }  // namespace detail
@@ -173,16 +300,17 @@ struct CacheAlignedAllocator {
 /// zero-filling them, so allocation touches no page and each thread can
 /// first-touch (and fill) the slice it will use. Elements must be written
 /// before they are read.
-template <class T>
-struct UninitAlignedAllocator : CacheAlignedAllocator<T> {
+template <class T, std::size_t SmallAlign = kCacheLineBytes>
+struct UninitAlignedAllocator : CacheAlignedAllocator<T, SmallAlign> {
   template <class U>
   struct rebind {
-    using other = UninitAlignedAllocator<U>;
+    using other = UninitAlignedAllocator<U, SmallAlign>;
   };
 
   UninitAlignedAllocator() noexcept = default;
   template <class U>
-  UninitAlignedAllocator(const UninitAlignedAllocator<U>&) noexcept {}
+  UninitAlignedAllocator(const UninitAlignedAllocator<U, SmallAlign>&) noexcept {
+  }
 
   template <class U>
   void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
@@ -205,9 +333,13 @@ using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
 /// 128 KiB and more from fresh mappings or a heap top it trims and
 /// regrows, and FD 64²'s set-up, whose col_idx and values are 160 KiB,
 /// took 159 minor faults each time that way against 0 on the plain heap.
+/// Like UninitVector, its sizing constructor and resize leave trivial
+/// elements unwritten, so a copy can be one memcpy into a sized vector
+/// (std::vector's own copy goes element by element for any allocator
+/// but std::allocator: 27-32 ms against 17-21 ms for 168 MB).
 template <class T>
 using HugePageVector = std::vector<
-    T, CacheAlignedAllocator<T, __STDCPP_DEFAULT_NEW_ALIGNMENT__>>;
+    T, UninitAlignedAllocator<T, __STDCPP_DEFAULT_NEW_ALIGNMENT__>>;
 
 /// Cache-line-aligned vector whose sizing constructor leaves trivial
 /// elements unwritten (see UninitAlignedAllocator).

@@ -18,8 +18,9 @@
 //
 // This header is also the single place allowed to touch low-level fence /
 // annotation machinery: tools/lint.sh bans std::atomic_thread_fence and
-// raw __tsan_* calls everywhere else, so every escape from the plain
-// acquire/release discipline is greppable here.
+// raw __tsan_* / __asan_* calls everywhere else, so every escape from the
+// plain acquire/release discipline is greppable here. The AddressSanitizer
+// poisoning hooks below live here for the same reason.
 
 // TSan detection: GCC defines __SANITIZE_THREAD__; clang exposes it via
 // __has_feature. AJAC_TSAN_ANNOTATE can be defined explicitly (the CMake
@@ -53,6 +54,41 @@
   } while (false)
 
 #endif  // AJAC_TSAN_ANNOTATE
+
+// ---------------------------------------------------------------------------
+// AddressSanitizer poisoning. The large-block cache (ajac/util/aligned.hpp)
+// keeps freed mappings mapped, so ASan would not see an access to one as
+// a use after free; it poisons a block while the block sits in the cache
+// and unpoisons it when it is handed out again. GCC defines
+// __SANITIZE_ADDRESS__; clang exposes it via __has_feature.
+#if !defined(AJAC_ASAN)
+#if defined(__SANITIZE_ADDRESS__)
+#define AJAC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AJAC_ASAN 1
+#endif
+#endif
+#endif
+
+#if defined(AJAC_ASAN) && AJAC_ASAN
+#include <sanitizer/asan_interface.h>
+
+/// Mark [addr, addr + bytes) unaddressable / addressable again.
+#define AJAC_ASAN_POISON(addr, bytes) __asan_poison_memory_region((addr), (bytes))
+#define AJAC_ASAN_UNPOISON(addr, bytes) \
+  __asan_unpoison_memory_region((addr), (bytes))
+
+#else
+
+#define AJAC_ASAN_POISON(addr, bytes) \
+  do {                                \
+  } while (false)
+#define AJAC_ASAN_UNPOISON(addr, bytes) \
+  do {                                  \
+  } while (false)
+
+#endif  // AJAC_ASAN
 
 // ---------------------------------------------------------------------------
 // Clang thread-safety analysis (-Wthread-safety) attributes.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 
 #include "ajac/gen/fd.hpp"
@@ -15,6 +16,8 @@
 #include "ajac/obs/trace_sink.hpp"
 #include "ajac/runtime/shared_jacobi.hpp"
 #include "ajac/sparse/vector_ops.hpp"
+#include "ajac/util/aligned.hpp"
+#include "ajac/util/annotate.hpp"
 
 namespace ajac::runtime {
 namespace {
@@ -26,6 +29,12 @@ gen::LinearProblem fd_problem(index_t nx, index_t ny, std::uint64_t seed) {
 std::uint64_t total(const obs::MetricsSnapshot& snap, obs::Counter c) {
   return snap.totals[static_cast<std::size_t>(c)];
 }
+
+#if defined(AJAC_ASAN) && AJAC_ASAN
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = tsan_enabled;
+#endif
 
 const obs::Histogram& hist(const obs::MetricsSnapshot& snap, obs::Hist h) {
   return snap.histograms[static_cast<std::size_t>(h)];
@@ -217,6 +226,49 @@ TEST(SharedMetrics, MinorFaultsAreCountedOnActorZero) {
   const auto faults = static_cast<std::size_t>(obs::Counter::kMinorFaults);
   EXPECT_GE(snap.per_actor[0][faults], 1u);
   EXPECT_EQ(snap.per_actor[1][faults], 0u);
+}
+
+TEST(SharedMetrics, WarmSolveReusesTheLargeArraysOfTheSolveBefore) {
+  // A second identical solve gets the blocks the first one freed back
+  // from the allocator's cache (ajac/util/aligned.hpp): it maps nothing
+  // fresh, and so faults fewer times than its large arrays span 2 MiB
+  // pages. Counted are the shared x, result.x and each block's mirror,
+  // `next` slice and 1/a_ii (n doubles each in all), and each block's
+  // 32-bit row pointers and column codes. Fresh, they fault at least once
+  // per huge page, and 512 times per page on 4 KiB pages.
+  const auto p = fd_problem(1024, 1024, 17);
+  const auto n = static_cast<std::size_t>(p.a.num_rows());
+  const auto nnz = static_cast<std::size_t>(p.a.num_nonzeros());
+  const std::size_t large_pages =
+      (5 * n * sizeof(double) + (n + nnz) * sizeof(std::int32_t)) /
+      kHugePageBytes;
+  SharedOptions so;
+  so.num_threads = 2;
+  so.synchronous = true;
+  so.tolerance = 0.0;
+  so.max_iterations = 2;
+  so.final_polish = false;
+  const auto fresh_maps = [] {
+    return detail::LargeBlockCache::instance().stats().fresh_maps;
+  };
+  std::uint64_t faults[2] = {};
+  std::size_t maps[2] = {};
+  for (int k = 0; k < 2; ++k) {
+    obs::MetricsRegistry reg;
+    so.metrics = &reg;
+    const std::size_t maps_before = fresh_maps();
+    (void)solve_shared(p.a, p.b, p.x0, so);
+    maps[k] = fresh_maps() - maps_before;
+    faults[k] = total(reg.snapshot(), obs::Counter::kMinorFaults);
+  }
+  EXPECT_GT(maps[0], 0u);
+  EXPECT_EQ(maps[1], 0u);
+  // A sanitizer's own allocator faults for its bookkeeping on every solve
+  // (~45 times here under ASan, whatever its quarantine), as many times as
+  // the large arrays have pages, so the count is compared in plain builds.
+  if (!kSanitized) {
+    EXPECT_LT(faults[1], large_pages) << "first solve: " << faults[0];
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <span>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "ajac/sparse/types.hpp"
 
@@ -125,6 +126,161 @@ TEST(Aligned, LargeAllocationFreedOnAnotherThread) {
   v = UninitVector<double>();
   EXPECT_TRUE(v.empty());
 }
+
+/// The 2 MiB base of a large block, and a pointer's offset from it.
+std::uintptr_t base_of(const void* p) {
+  return address(p) & ~(kHugePageBytes - 1);
+}
+std::uintptr_t offset_of(const void* p) { return address(p) - base_of(p); }
+
+detail::LargeBlockStats cache_stats() {
+  return detail::LargeBlockCache::instance().stats();
+}
+
+TEST(Aligned, FreedLargeBlockIsReusedBySameSize) {
+  // The block comes back at the same base, at this thread's next stagger
+  // offset, and holds a whole array again.
+  CacheAlignedAllocator<double> alloc;
+  const std::size_t n = elements<double>(3 * kHugePageBytes / 2);
+  double* first = alloc.allocate(n);
+  first[0] = 1.0;
+  first[n - 1] = 2.0;
+  const std::uintptr_t first_base = base_of(first);
+  const std::uintptr_t first_offset = offset_of(first);
+  alloc.deallocate(first, n);
+
+  const detail::LargeBlockStats before = cache_stats();
+  double* second = alloc.allocate(n);
+  EXPECT_EQ(cache_stats().fresh_maps, before.fresh_maps);
+  EXPECT_EQ(base_of(second), first_base);
+  EXPECT_EQ(offset_of(second),
+            (first_offset + detail::kStaggerBytes) %
+                (detail::kStaggerSlots * detail::kStaggerBytes));
+  for (std::size_t i = 0; i < n; ++i) second[i] = static_cast<double>(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(second[i], static_cast<double>(i)) << i;
+  }
+  alloc.deallocate(second, n);
+}
+
+TEST(Aligned, LargeRequestOfAnotherSizeMapsFresh) {
+  // A block longer than the peak of live bytes cannot be in the cache, so
+  // the request maps fresh and leaves the freed block of the other size
+  // where it is.
+  CacheAlignedAllocator<double> alloc;
+  const std::size_t small = elements<double>(3 * kHugePageBytes / 2);
+  double* freed = alloc.allocate(small);
+  alloc.deallocate(freed, small);
+
+  const detail::LargeBlockStats before = cache_stats();
+  const std::size_t other =
+      elements<double>(before.peak_live_bytes + kHugePageBytes);
+  double* fresh = alloc.allocate(other);
+  const detail::LargeBlockStats after = cache_stats();
+  EXPECT_EQ(after.fresh_maps, before.fresh_maps + 1);
+  EXPECT_EQ(after.cached_bytes, before.cached_bytes);
+  EXPECT_NE(base_of(fresh), base_of(freed));
+  fresh[0] = 1.0;
+  fresh[other - 1] = 2.0;
+  alloc.deallocate(fresh, other);
+}
+
+TEST(Aligned, CachedBytesNeverExceedLivePeak) {
+  // Each request is longer than every block so far, so each maps fresh
+  // and raises the peak; freeing them all one after another would cache
+  // more than the peak unless the oldest are unmapped.
+  CacheAlignedAllocator<std::int32_t> alloc;
+  const auto check = [](const char* when) {
+    const detail::LargeBlockStats s = cache_stats();
+    EXPECT_LE(s.cached_bytes, s.peak_live_bytes) << when;
+  };
+  std::size_t freed_bytes = 0;
+  for (int k = 0; k < 4; ++k) {
+    const std::size_t n = elements<std::int32_t>(
+        cache_stats().peak_live_bytes + kHugePageBytes);
+    std::int32_t* p = alloc.allocate(n);
+    check("after allocate");
+    p[n - 1] = k;
+    alloc.deallocate(p, n);
+    freed_bytes += detail::block_length(n * sizeof(std::int32_t));
+    check("after deallocate");
+  }
+  EXPECT_LT(cache_stats().cached_bytes, freed_bytes);
+
+  // Many blocks of mixed sizes, held together and freed in another order.
+  std::vector<std::pair<std::int32_t*, std::size_t>> held;
+  for (std::size_t pages = 1; pages <= 6; ++pages) {
+    const std::size_t n = elements<std::int32_t>(pages * kHugePageBytes);
+    held.emplace_back(alloc.allocate(n), n);
+    check("while holding");
+  }
+  for (std::size_t i = 0; i < held.size(); i += 2) {
+    alloc.deallocate(held[i].first, held[i].second);
+    check("after freeing evens");
+  }
+  for (std::size_t i = 1; i < held.size(); i += 2) {
+    alloc.deallocate(held[i].first, held[i].second);
+    check("after freeing odds");
+  }
+}
+
+TEST(Aligned, LargeBlockFreedOnAnotherThreadIsReused) {
+  // A block freed by another thread, as the caller frees the blocked
+  // layout's owner-allocated arrays, is the next one of its length here.
+  UninitVector<double> v(elements<double>(3 * kHugePageBytes / 2));
+  v.front() = 1.0;
+  const std::uintptr_t base = base_of(v.data());
+  std::thread other([&v] {
+    v.back() = 2.0;
+    v = UninitVector<double>();
+  });
+  other.join();
+  const detail::LargeBlockStats before = cache_stats();
+  UninitVector<double> w(elements<double>(3 * kHugePageBytes / 2));
+  EXPECT_EQ(cache_stats().fresh_maps, before.fresh_maps);
+  EXPECT_EQ(base_of(w.data()), base);
+  w.back() = 3.0;
+  EXPECT_EQ(w.back(), 3.0);
+}
+
+TEST(Aligned, ThreadsAllocateAndFreeOneSizeConcurrently) {
+  // Two threads allocate, write and free blocks of one length in turn,
+  // through the one mutex-guarded cache: at most one block per thread is
+  // live at a time, so at most two are ever mapped for them.
+  const std::size_t n = elements<double>(5 * kHugePageBytes / 2);
+  const std::size_t before = cache_stats().fresh_maps;
+  const auto churn = [n](double seed) {
+    for (int k = 0; k < 50; ++k) {
+      UninitVector<double> v(n);
+      v.front() = seed;
+      v.back() = seed + k;
+      ASSERT_EQ(v.front() + k, v.back());
+    }
+  };
+  std::thread a(churn, 1.0);
+  std::thread b(churn, 2.0);
+  a.join();
+  b.join();
+  EXPECT_LE(cache_stats().fresh_maps, before + 2);
+}
+
+#if defined(AJAC_ASAN) && AJAC_ASAN
+TEST(AlignedDeathTest, UseOfFreedLargeArrayReports) {
+  // The freed block sits poisoned in the cache: a read through a
+  // dangling pointer is reported, not served stale bytes.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const std::size_t n = elements<double>(3 * kHugePageBytes / 2);
+        UninitVector<double> v(n);
+        v[n / 2] = 1.0;
+        const volatile double* dangling = v.data();
+        v = UninitVector<double>();
+        (void)dangling[n / 2];
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(Aligned, VectorIsZeroedAlignedAndKeepsContents) {
   // ajac::Vector holds b, x0 and every solve's x: one case on each side of

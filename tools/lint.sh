@@ -8,9 +8,10 @@
 #                    The seqlock and runtime use per-element acquire/release
 #                    orderings so ThreadSanitizer can model them; a raw fence
 #                    reintroduces synchronization TSan silently ignores.
-#   tsan-raw-ban     __tsan_* / Annotate* calls only via the AJAC_TSAN_*
-#                    wrappers in annotate.hpp, so every escape from the
-#                    memory model is recorded in one reviewable file.
+#   tsan-raw-ban     __tsan_* / Annotate* / __asan_* calls only via the
+#                    AJAC_TSAN_* and AJAC_ASAN_* wrappers in annotate.hpp,
+#                    so every escape from the memory model (and every
+#                    poisoned region) is recorded in one reviewable file.
 #   pragma-once      every header starts its preprocessor life with #pragma once.
 #   no-using-std     no file-scope `using namespace std`.
 #   checked-entry    public solver/runtime entry points validate their inputs:
@@ -81,12 +82,12 @@ if [ -n "$HITS" ]; then
 fi
 
 # --- tsan-raw-ban ----------------------------------------------------------
-HITS=$(grep -nE '__tsan_|AnnotateHappensBefore|AnnotateHappensAfter|AnnotateBenignRace' \
+HITS=$(grep -nE '__tsan_|__asan_|ASAN_(UN)?POISON_MEMORY_REGION|AnnotateHappensBefore|AnnotateHappensAfter|AnnotateBenignRace' \
   "${ALL_SOURCES[@]}" \
   | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|\*)' \
   | grep -v '^src/util/include/ajac/util/annotate\.hpp:' || true)
 if [ -n "$HITS" ]; then
-  fail "raw TSan interface call outside ajac/util/annotate.hpp (use the AJAC_TSAN_* wrappers):" "$HITS"
+  fail "raw sanitizer interface call outside ajac/util/annotate.hpp (use the AJAC_TSAN_* / AJAC_ASAN_* wrappers):" "$HITS"
 fi
 
 # --- pragma-once -----------------------------------------------------------
