@@ -2,21 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "ajac/sparse/coo.hpp"
 #include "ajac/sparse/csr.hpp"
-#include "ajac/sparse/csr_writer.hpp"
 #include "ajac/util/check.hpp"
 #include "ajac/util/rng.hpp"
 
 namespace ajac::gen {
 
-// The constant-coefficient stencils below emit each row's entries in
-// ascending column order straight into a CsrRowWriter. The edge-assembled
-// generators (fd_varcoef_*, random_wdd_matrix) stay on CooBuilder: they sum
-// several contributions into each diagonal, and the order CooBuilder sums
-// them in fixes the result's bits.
+// The constant-coefficient stencils below write each row's entries in
+// ascending column order through CsrMatrix::from_rows, which may hand row
+// ranges to several threads and runs each range twice (count, then
+// write); every entry is written once, where the stencil puts it. The
+// edge-assembled generators (fd_varcoef_*, random_wdd_matrix) stay on
+// CooBuilder: they sum several contributions into each diagonal, and the
+// order CooBuilder sums them in fixes the result's bits.
 
 namespace {
 
@@ -31,14 +31,15 @@ constexpr index_t idx3(index_t nx, index_t ny, index_t i, index_t j,
 
 CsrMatrix fd_laplacian_1d(index_t n) {
   AJAC_CHECK(n >= 1);
-  CsrRowWriter w(n, n, 3 * static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    if (i > 0) w.push(i - 1, -1.0);
-    w.push(i, 2.0);
-    if (i + 1 < n) w.push(i + 1, -1.0);
-    w.end_row();
-  }
-  return std::move(w).finish();
+  return CsrMatrix::from_rows(
+      n, n, [n](index_t begin, index_t end, CsrRowWriter& out) {
+        for (index_t i = begin; i < end; ++i) {
+          if (i > 0) out.push(i - 1, -1.0);
+          out.push(i, 2.0);
+          if (i + 1 < n) out.push(i + 1, -1.0);
+          out.end_row();
+        }
+      });
 }
 
 CsrMatrix fd_laplacian_2d(index_t nx, index_t ny) {
@@ -49,23 +50,29 @@ CsrMatrix fd_laplacian_3d(index_t nx, index_t ny, index_t nz) {
   AJAC_CHECK(nx >= 1 && ny >= 1 && nz >= 1);
   const index_t n = nx * ny * nz;
   const index_t plane = nx * ny;
-  CsrRowWriter w(n, n, 7 * static_cast<std::size_t>(n));
-  for (index_t k = 0; k < nz; ++k) {
-    for (index_t j = 0; j < ny; ++j) {
-      for (index_t i = 0; i < nx; ++i) {
-        const index_t row = idx3(nx, ny, i, j, k);
-        if (k > 0) w.push(row - plane, -1.0);
-        if (j > 0) w.push(row - nx, -1.0);
-        if (i > 0) w.push(row - 1, -1.0);
-        w.push(row, 6.0);
-        if (i + 1 < nx) w.push(row + 1, -1.0);
-        if (j + 1 < ny) w.push(row + nx, -1.0);
-        if (k + 1 < nz) w.push(row + plane, -1.0);
-        w.end_row();
+  return CsrMatrix::from_rows(n, n, [=](index_t begin, index_t end,
+                                        CsrRowWriter& out) {
+    index_t i = begin % nx;
+    index_t j = begin / nx % ny;
+    index_t k = begin / plane;
+    for (index_t row = begin; row < end; ++row) {
+      if (k > 0) out.push(row - plane, -1.0);
+      if (j > 0) out.push(row - nx, -1.0);
+      if (i > 0) out.push(row - 1, -1.0);
+      out.push(row, 6.0);
+      if (i + 1 < nx) out.push(row + 1, -1.0);
+      if (j + 1 < ny) out.push(row + nx, -1.0);
+      if (k + 1 < nz) out.push(row + plane, -1.0);
+      out.end_row();
+      if (++i == nx) {
+        i = 0;
+        if (++j == ny) {
+          j = 0;
+          ++k;
+        }
       }
     }
-  }
-  return std::move(w).finish();
+  });
 }
 
 CsrMatrix fd_varcoef_2d(
@@ -192,22 +199,27 @@ CsrMatrix fd_random_blocks_3d(index_t nx, index_t ny, index_t nz,
 CsrMatrix fd_laplacian_2d_9pt(index_t nx, index_t ny) {
   AJAC_CHECK(nx >= 1 && ny >= 1);
   const index_t n = nx * ny;
-  CsrRowWriter w(n, n, 9 * static_cast<std::size_t>(n));
-  for (index_t j = 0; j < ny; ++j) {
-    for (index_t i = 0; i < nx; ++i) {
+  return CsrMatrix::from_rows(n, n, [=](index_t begin, index_t end,
+                                        CsrRowWriter& out) {
+    index_t i = begin % nx;
+    index_t j = begin / nx;
+    for (index_t row = begin; row < end; ++row) {
       // (jj, ii) ascending visits the stencil in ascending column order,
       // the diagonal in its sorted place.
       for (index_t jj = std::max<index_t>(j - 1, 0);
            jj <= std::min(j + 1, ny - 1); ++jj) {
         for (index_t ii = std::max<index_t>(i - 1, 0);
              ii <= std::min(i + 1, nx - 1); ++ii) {
-          w.push(idx2(nx, ii, jj), ii == i && jj == j ? 8.0 : -1.0);
+          out.push(idx2(nx, ii, jj), ii == i && jj == j ? 8.0 : -1.0);
         }
       }
-      w.end_row();
+      out.end_row();
+      if (++i == nx) {
+        i = 0;
+        ++j;
+      }
     }
-  }
-  return std::move(w).finish();
+  });
 }
 
 CsrMatrix fd_anisotropic_2d(index_t nx, index_t ny, double eps) {
@@ -215,19 +227,23 @@ CsrMatrix fd_anisotropic_2d(index_t nx, index_t ny, double eps) {
   AJAC_CHECK(eps > 0.0);
   const index_t n = nx * ny;
   const double diag = 2.0 * eps + 2.0;
-  CsrRowWriter w(n, n, 5 * static_cast<std::size_t>(n));
-  for (index_t j = 0; j < ny; ++j) {
-    for (index_t i = 0; i < nx; ++i) {
-      const index_t row = idx2(nx, i, j);
-      if (j > 0) w.push(row - nx, -1.0);
-      if (i > 0) w.push(row - 1, -eps);
-      w.push(row, diag);
-      if (i + 1 < nx) w.push(row + 1, -eps);
-      if (j + 1 < ny) w.push(row + nx, -1.0);
-      w.end_row();
+  return CsrMatrix::from_rows(n, n, [=](index_t begin, index_t end,
+                                        CsrRowWriter& out) {
+    index_t i = begin % nx;
+    index_t j = begin / nx;
+    for (index_t row = begin; row < end; ++row) {
+      if (j > 0) out.push(row - nx, -1.0);
+      if (i > 0) out.push(row - 1, -eps);
+      out.push(row, diag);
+      if (i + 1 < nx) out.push(row + 1, -eps);
+      if (j + 1 < ny) out.push(row + nx, -1.0);
+      out.end_row();
+      if (++i == nx) {
+        i = 0;
+        ++j;
+      }
     }
-  }
-  return std::move(w).finish();
+  });
 }
 
 CsrMatrix random_wdd_matrix(index_t n, index_t extra_edges, Rng& rng) {

@@ -15,21 +15,8 @@ CsrMatrix scale_to_unit_diagonal(const CsrMatrix& a, Vector* b) {
 CsrMatrix scale_to_unit_diagonal(CsrMatrix&& a, Vector* b) {
   AJAC_CHECK(a.num_rows() == a.num_cols());
   const index_t n = a.num_rows();
-  // d holds the diagonal, then its inverse square roots.
-  Vector d = a.diagonal();
-  for (index_t i = 0; i < n; ++i) {
-    AJAC_CHECK_MSG(d[i] > 0.0, "diagonal entry " << i << " = " << d[i]
-                                                 << " is not positive");
-    d[i] = 1.0 / std::sqrt(d[i]);
-  }
-  const auto row_ptr = a.row_ptr();
-  const auto col_idx = a.col_idx();
-  const auto values = a.mutable_values();
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-      values[p] *= d[i] * d[col_idx[p]];
-    }
-  }
+  const Vector d = a.inverse_sqrt_diagonal();
+  a.scale_symmetric(d);
   if (b != nullptr) {
     AJAC_CHECK(b->size() == static_cast<std::size_t>(n));
     for (index_t i = 0; i < n; ++i) (*b)[i] *= d[i];

@@ -162,11 +162,14 @@ CsrMatrix anisotropic_2d(index_t nx, index_t ny, double eps) {
 
 }  // namespace coo_reference
 
+// The last size of each stencil's list has arrays past kHugePageBytes
+// (row_ptr just over 2 MiB), so from_rows counts and writes on the OpenMP
+// team.
 const std::vector<std::pair<index_t, index_t>> kShapes2d = {
-    {1, 1}, {1, 7}, {7, 1}, {2, 3}, {16, 17}, {64, 64}};
+    {1, 1}, {1, 7}, {7, 1}, {2, 3}, {16, 17}, {64, 64}, {512, 512}};
 
 TEST(FdDirectCsr, OneDimensionalMatchesCooBitwise) {
-  for (index_t n : {1, 2, 7, 64}) {
+  for (index_t n : {1, 2, 7, 64, 300000}) {
     SCOPED_TRACE(n);
     testing::expect_csr_bitwise_equal(gen::fd_laplacian_1d(n),
                                       coo_reference::laplacian_1d(n));
@@ -192,7 +195,7 @@ TEST(FdDirectCsr, TwoDimensionalStencilsMatchCooBitwise) {
 
 TEST(FdDirectCsr, ThreeDimensionalMatchesCooBitwise) {
   const std::vector<std::vector<index_t>> shapes = {
-      {1, 1, 1}, {2, 3, 4}, {5, 1, 3}};
+      {1, 1, 1}, {2, 3, 4}, {5, 1, 3}, {64, 64, 64}};
   for (const auto& s : shapes) {
     SCOPED_TRACE(::testing::Message() << s[0] << "x" << s[1] << "x" << s[2]);
     testing::expect_csr_bitwise_equal(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "ajac/gen/fd.hpp"
@@ -143,6 +145,75 @@ TEST(CsrMatrix, ValidationRejectsBadRowPtr) {
 TEST(CsrMatrix, ValidationRejectsBadColumns) {
   EXPECT_THROW(CsrMatrix(2, 2, {0, 1, 2}, {0, 5}, {1, 1}), std::logic_error);
   EXPECT_THROW(CsrMatrix(2, 2, {0, 1, 2}, {0, -1}, {1, 1}), std::logic_error);
+}
+
+/// n x n diagonal CSR (one entry per row) with `bad` rows' row_ptr entry
+/// or column made invalid.
+struct Faulted {
+  HugePageVector<index_t> row_ptr;
+  HugePageVector<index_t> col_idx;
+  HugePageVector<double> values;
+};
+Faulted diagonal_arrays(index_t n) {
+  Faulted f{HugePageVector<index_t>(static_cast<std::size_t>(n) + 1),
+            HugePageVector<index_t>(static_cast<std::size_t>(n)),
+            HugePageVector<double>(static_cast<std::size_t>(n), 1.0)};
+  for (index_t i = 0; i <= n; ++i) f.row_ptr[i] = i;
+  for (index_t i = 0; i < n; ++i) f.col_idx[i] = i;
+  return f;
+}
+
+// Validation on arrays past kHugePageBytes runs on the OpenMP team; with
+// two faults planted it must name the one a serial walk meets first. The
+// small twins take the serial code.
+TEST(Csr, ValidationNamesLowestNonMonotoneRow) {
+  for (const auto& [n, first, second] :
+       {std::tuple<index_t, index_t, index_t>{300000, 170000, 280000},
+        {10, 3, 7}}) {
+    SCOPED_TRACE(n);
+    Faulted f = diagonal_arrays(n);
+    EXPECT_EQ(f.row_ptr.size() * sizeof(index_t) >= kHugePageBytes,
+              n == 300000);
+    for (index_t row : {second, first}) f.row_ptr[row + 1] = row - 1;
+    const std::string msg = testing::rejection_message([&] {
+      (void)CsrMatrix(n, n, std::move(f.row_ptr), std::move(f.col_idx),
+                      std::move(f.values));
+    });
+    EXPECT_NE(msg.find("row_ptr not monotone at row " + std::to_string(first)),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(Csr, ValidationNamesFirstOutOfRangeColumn) {
+  for (const auto& [n, first, second] :
+       {std::tuple<index_t, index_t, index_t>{300000, 170000, 280000},
+        {10, 3, 7}}) {
+    SCOPED_TRACE(n);
+    Faulted f = diagonal_arrays(n);
+    f.col_idx[first] = n + 7;
+    f.col_idx[second] = -3;
+    const std::string msg = testing::rejection_message([&] {
+      (void)CsrMatrix(n, n, std::move(f.row_ptr), std::move(f.col_idx),
+                      std::move(f.values));
+    });
+    EXPECT_NE(msg.find("column index " + std::to_string(n + 7) +
+                       " out of range [0," + std::to_string(n) + ")"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST(Csr, LargeCopyIsBitwiseEqual) {
+  // FD 512²'s values (~10.5 MB) are not a whole number of 2 MiB pieces, so
+  // the copy's last piece is partial.
+  const CsrMatrix a = gen::fd_laplacian_2d(512, 512);
+  ASSERT_NE(a.values().size_bytes() % kHugePageBytes, 0U);
+  const CsrMatrix copy = a;
+  testing::expect_csr_bitwise_equal(copy, a);
+  CsrMatrix assigned;
+  assigned = a;
+  testing::expect_csr_bitwise_equal(assigned, a);
 }
 
 TEST(CsrMatrix, EmptyMatrixIsValid) {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "ajac/gen/fd.hpp"
 #include "ajac/sparse/csr.hpp"
@@ -54,12 +58,13 @@ TEST(Scaling, SymmetricScalingTransformsRhs) {
 
 TEST(Scaling, InPlaceScalingMatchesCopyBitwise) {
   // FD 64² is fd2d-tol's set-up: its col_idx and values (160 KiB each)
-  // stay on the heap, copied and scaled twice over.
+  // stay on the heap, copied and scaled twice over. FD 512²'s arrays are
+  // past kHugePageBytes, so its copy and scaling run on the OpenMP team.
   for (const CsrMatrix& a :
        {gen::fd_laplacian_2d(7, 5), gen::fd_varcoef_2d(6, 4, [](double x,
                                                                 double y) {
           return 1.0 + 3.0 * x * y;
-        }), gen::fd_laplacian_2d(64, 64)}) {
+        }), gen::fd_laplacian_2d(64, 64), gen::fd_laplacian_2d(512, 512)}) {
     Rng rng(11);
     Vector b(static_cast<std::size_t>(a.num_rows()));
     vec::fill_uniform(b, rng);
@@ -69,6 +74,48 @@ TEST(Scaling, InPlaceScalingMatchesCopyBitwise) {
     const CsrMatrix in_place = scale_to_unit_diagonal(CsrMatrix(a), &b_moved);
     testing::expect_csr_bitwise_equal(in_place, from_copy);
     EXPECT_EQ(b_moved, b_copy);
+  }
+}
+
+TEST(Scaling, LargeScalingMatchesSerialLoopBitwise) {
+  // The scaling's own arithmetic, written out serially: d_i = 1/sqrt(a_ii),
+  // then a_ij *= d_i * d_j.
+  const CsrMatrix a = gen::fd_anisotropic_2d(512, 512, 0.3);
+  ASSERT_GE(a.row_ptr().size_bytes(), kHugePageBytes);
+  const auto n = static_cast<std::size_t>(a.num_rows());
+  std::vector<double> d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    d[i] = 1.0 / std::sqrt(a.at(static_cast<index_t>(i),
+                                static_cast<index_t>(i)));
+  }
+  CsrMatrix expected = a;
+  const auto row_ptr = expected.row_ptr();
+  const auto col_idx = expected.col_idx();
+  const auto values = expected.mutable_values();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      values[p] *= d[i] * d[col_idx[p]];
+    }
+  }
+  testing::expect_csr_bitwise_equal(scale_to_unit_diagonal(a), expected);
+}
+
+TEST(Scaling, NonPositiveDiagonalNamesLowestRow) {
+  // 300,000 rows: the diagonal is past kHugePageBytes, so the check runs on
+  // the OpenMP team; the 10-row twin takes the serial code.
+  for (const auto& [n, first, second] :
+       {std::tuple<index_t, index_t, index_t>{300000, 170000, 280000},
+        {10, 3, 7}}) {
+    SCOPED_TRACE(n);
+    CsrMatrix a = csr_identity(n);
+    a.mutable_values()[static_cast<std::size_t>(first)] = -2.0;
+    a.mutable_values()[static_cast<std::size_t>(second)] = 0.0;
+    const std::string msg = testing::rejection_message(
+        [&] { (void)scale_to_unit_diagonal(std::move(a)); });
+    EXPECT_NE(msg.find("diagonal entry " + std::to_string(first) +
+                       " = -2 is not positive"),
+              std::string::npos)
+        << msg;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ajac/sparse/blocked_csr.hpp"
@@ -30,6 +31,18 @@ inline std::uint64_t test_seed(std::uint64_t salt = 0) {
     if (end != env) base = parsed;
   }
   return base + salt;
+}
+
+/// Runs f, which must throw std::logic_error; returns its message.
+template <typename F>
+std::string rejection_message(F&& f) {
+  try {
+    std::forward<F>(f)();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a std::logic_error";
+  return {};
 }
 
 /// Small dense-checkable symmetric matrix with unit diagonal:

@@ -146,10 +146,13 @@ Fix: route the access through the protocol methods, or extend the
 protocol header if the operation is genuinely new.""",
     "omp-allowlist": """\
 `#pragma omp` is restricted to the runtime layer (src/runtime/**), the
-benchmark harness (bench/**), and the three sparse kernels with internal
-parallel loops (src/sparse/csr.cpp, src/sparse/blocked_csr.cpp,
-src/sparse/sell_csr.cpp — the last two first-touch their hot arrays on
-the threads that will relax them).
+benchmark harness (bench/**), and the three sparse files with internal
+parallel loops: src/sparse/csr.cpp (spmv_omp, and the set-up loops over
+arrays of at least kHugePageBytes: from_rows' count and write passes,
+the constructor's validation, the copy, diagonal(),
+inverse_sqrt_diagonal() and scale_symmetric(), all through one chunked
+helper), src/sparse/blocked_csr.cpp and src/sparse/sell_csr.cpp (these
+two first-touch their hot arrays on the threads that will relax them).
 Thread creation is an architectural event
 in this codebase: the runtime owns the fork/join structure that the
 fault injector, the metrics registry, and the termination protocol are
